@@ -2,9 +2,11 @@
 
 Everything here operates on plain 2-D complex128 numpy arrays.  The
 eigensolver is a hand-written cyclic complex Jacobi sweep rather than a
-LAPACK call, so the whole numerical path stays auditable; matrices in this
-package are tiny (qubits, dim <= 8 for branch tracking) and the O(n^3)
-sweeps are never a bottleneck.
+LAPACK call, so the whole numerical path stays auditable.  Matrices in this
+package are tiny (qubits, dim <= 8 for branch tracking), but the sweeps run
+in Python at every grid point: at d = 4 they are the largest cost of a
+trajectory (about two thirds of the self time in the benchmark's
+``qudit-d4`` workload, see ``perfbench/README.md``).
 """
 
 from __future__ import annotations
@@ -47,9 +49,8 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    # A single reduction: any NaN/Inf entry makes the sum non-finite.
-    total = m.sum()
-    if not (math.isfinite(total.real) and math.isfinite(total.imag)):
+    # Test entries, not their sum: large finite entries can overflow a sum.
+    if not np.isfinite(m).all():
         raise NumericError("matrix contains non-finite entries")
     return m
 

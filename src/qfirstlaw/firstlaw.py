@@ -21,9 +21,15 @@ load-bearing for the tests:
   Tr(rho H), never from the spectral sums, so closure of the first law is a
   genuine convergence check rather than an enforced identity.
 
-Eigenbranches are matched between consecutive grid points by maximizing the
-total squared eigenvector overlap over all permutations (exhaustive, which
-caps the dimension at 8).  The first snapshot is ordered by descending
+Eigenbranches are matched between consecutive grid points by the permutation
+that maximizes the total squared eigenvector overlap (ties go to the smaller
+eigenvalue drift).  The overlap matrix is doubly stochastic, which certifies
+most of the answer cheaply: when every row's largest overlap exceeds 1/2
+the row argmaxes are the optimum, and otherwise rows whose largest overlap
+exceeds 2/3 are pinned to their argmax and only the remaining rows are
+searched.  That remainder can be as large as the dimension (the arbitrary
+null-space eigenvectors of a pure initial state are never pinned), so the
+dimension stays capped at 8.  The first snapshot is ordered by descending
 eigenvalue.  Exactly degenerate eigenvalues inherit the previous snapshot's
 eigenvectors (still eigenvectors, verified by residual), which keeps the
 overlap matrix continuous through crossings such as the flip family passing
@@ -41,7 +47,7 @@ from . import cxmat, qstate
 from .channel import ChannelSpec, evolve
 from .qstate import DensityOperator, Hamiltonian
 
-#: Exhaustive branch matching caps the dimension here (8! permutations).
+#: Branch matching searches up to d! permutations of the rows it cannot pin.
 MAX_BRANCH_DIM = 8
 
 DEFAULT_TAU_MAX = 8.0
@@ -54,17 +60,7 @@ _TIE_EPS = 1e-12
 
 
 class UnsupportedDimensionError(ValueError):
-    """Trajectory dimension exceeds the exhaustive branch-matching cap."""
-
-
-_PERM_CACHE: dict[int, tuple[tuple[int, ...], ...]] = {}
-
-
-def _permutations(d: int) -> tuple[tuple[int, ...], ...]:
-    perms = _PERM_CACHE.get(d)
-    if perms is None:
-        perms = _PERM_CACHE[d] = tuple(itertools.permutations(range(d)))
-    return perms
+    """Trajectory dimension exceeds MAX_BRANCH_DIM."""
 
 
 @dataclass(frozen=True)
@@ -132,27 +128,58 @@ class EnergeticsLedger:
 def branch_match(prev_values, prev_vectors, cur_values, cur_vectors) -> tuple[int, ...]:
     """Permutation pi of the current eigenpairs that maximizes
     sum_k |<prev_k | cur_{pi(k)}>|^2, ties broken by minimal total
-    eigenvalue drift sum_k |prev_k - cur_{pi(k)}|."""
+    eigenvalue drift sum_k |prev_k - cur_{pi(k)}|.
+
+    Both eigenvector sets are orthonormal, so the overlap matrix
+    O[j, k] = |<prev_j | cur_k>|^2 is doubly stochastic.  With m_j the
+    maximum of row j and c_j its column, and margins beyond the tie
+    tolerance:
+
+    * if every m_j exceeds 1/2, the c_j are distinct and any other
+      permutation loses at least sum (2 m_j - 1) over the two or more rows
+      it changes, so the argmax permutation is the unique optimum;
+    * otherwise a row with m_j > 2/3 is pinned to c_j: moving it elsewhere
+      costs at least 3 m_j - 2, so every optimum keeps it, and only the
+      remaining rows and columns are searched (score, then drift, first
+      in lexicographic order wins).
+
+    Inputs that are not orthonormal get the search over all rows.
+    """
     d = len(cur_values)
     if d > MAX_BRANCH_DIM:
         raise UnsupportedDimensionError(
-            f"branch matching is exhaustive and supports dim <= {MAX_BRANCH_DIM}, got {d}"
+            f"branch matching supports dim <= {MAX_BRANCH_DIM}, got {d}: "
+            f"rows it cannot pin are searched over up to d! permutations"
         )
     overlap = np.abs(np.asarray(prev_vectors).conj().T @ np.asarray(cur_vectors)) ** 2
-    prev_values = np.asarray(prev_values, dtype=float)
-    cur_values = np.asarray(cur_values, dtype=float)
-    rows = range(d)
-    best_perm = None
+    rows = overlap.tolist()
+    peaks = [max(row) for row in rows]
+    cols = [row.index(peak) for row, peak in zip(rows, peaks)]
+    if min(peaks) > 0.5 + _TIE_EPS and len(set(cols)) == d:
+        return tuple(cols)
+
+    pins = {j: cols[j] for j in range(d) if 3.0 * peaks[j] - 2.0 > 2.0 * _TIE_EPS}
+    if len(set(pins.values())) < len(pins):  # only if the overlap is not doubly stochastic
+        pins = {}
+    free_rows = [j for j in range(d) if j not in pins]
+    free_cols = sorted(set(range(d)) - set(pins.values()))
+    table = np.array(list(itertools.permutations(free_cols)), dtype=np.intp)
+    scores = overlap[free_rows, table].sum(axis=1).tolist()
+    drifts = (
+        np.abs(np.asarray(prev_values, dtype=float)[free_rows]
+               - np.asarray(cur_values, dtype=float)[table]).sum(axis=1).tolist()
+    )
+    best = 0
     best_score = -np.inf
     best_drift = np.inf
-    for perm in _permutations(d):
-        score = sum(overlap[j, perm[j]] for j in rows)
+    for i, (score, drift) in enumerate(zip(scores, drifts)):
         if score < best_score - _TIE_EPS:
             continue
-        drift = sum(abs(prev_values[j] - cur_values[perm[j]]) for j in rows)
         if score > best_score + _TIE_EPS or drift < best_drift - _TIE_EPS:
-            best_perm, best_score, best_drift = perm, score, drift
-    return best_perm
+            best, best_score, best_drift = i, score, drift
+    for j, k in zip(free_rows, table[best].tolist()):
+        cols[j] = k
+    return tuple(cols)
 
 
 def _inherit_degenerate(rho_matrix, values, vectors, prev_vectors):
@@ -213,7 +240,8 @@ def spectral_trajectory(
     """Evolve, eigendecompose, branch-match, and overlap at every grid point."""
     if rho0.dim > MAX_BRANCH_DIM:
         raise UnsupportedDimensionError(
-            f"trajectories support dim <= {MAX_BRANCH_DIM}, got {rho0.dim}"
+            f"trajectories support dim <= {MAX_BRANCH_DIM}, got {rho0.dim}: "
+            f"branch matching searches up to d! permutations"
         )
     if h.dim != rho0.dim:
         raise cxmat.ShapeError(

@@ -3,7 +3,7 @@
 These are the analytic ground truths the numerical pipeline is validated
 against: the spectral decomposition of the phase-damped state at any time,
 and the cumulative heat/coherence curves for both dephasing families at
-theta = pi/6.  The heat/coherence closed forms are gated to theta = pi/6";
+theta = pi/6.  The heat/coherence closed forms are gated to theta = pi/6;
 anything else must go through the numerical pipeline.
 
 Conventions: tau is the dimensionless time (rate * t), log means the

@@ -176,6 +176,16 @@ class TestHermitianEigen:
         with pytest.raises(cxmat.NumericError):
             cxmat.hermitian_eigen(m)
 
+    def test_large_finite_entries_accepted(self):
+        # the entries are finite although their sum overflows to inf
+        m = np.full((2, 2), 1e308, dtype=complex)
+        with np.errstate(over="ignore"):
+            assert np.isinf(m.sum().real)
+        assert cxmat.as_matrix(m) is m
+        m[1, 1] = np.inf
+        with pytest.raises(cxmat.NumericError):
+            cxmat.as_matrix(m)
+
 
 @settings(max_examples=40)
 @given(matrices(3, 3))
