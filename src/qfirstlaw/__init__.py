@@ -5,7 +5,6 @@ from .channel import ChannelSpec, KrausSet, apply, evolve, kraus_at, validate_cp
 from .cxmat import HermitianEigenDecomposition, adjoint, hermitian_eigen, mul, trace
 from .firstlaw import (
     EnergeticsLedger,
-    SpectralSnapshot,
     SpectralTrajectory,
     TimeGrid,
     branch_match,
@@ -48,7 +47,6 @@ __all__ = [
     "KrausSet",
     "OracleConfig",
     "OracleIntermediates",
-    "SpectralSnapshot",
     "SpectralTrajectory",
     "TimeGrid",
     "adjoint",

@@ -7,12 +7,14 @@ as the closed-form evolved states are written.  Incremental composition of
 short-time maps is deliberately not offered; the flip family's off-diagonal
 factor (2 e^{-rate t} - 1) changes sign and the family is not divisible
 across that zero.
+
+With a 1-D array of times, operators and states gain a leading time axis,
+the whole grid is checked before evolution, and errors name the first failing time.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,17 +37,6 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 _FLIP_PAULI = {PHASE_FLIP: PAULI_Z, BIT_FLIP: PAULI_X, BIT_PHASE_FLIP: PAULI_Y}
 
-_IDENTITY_2 = np.eye(2, dtype=np.complex128)
-_IDENTITY_CACHE: dict[int, np.ndarray] = {2: _IDENTITY_2}
-
-
-def _identity(dim: int) -> np.ndarray:
-    eye = _IDENTITY_CACHE.get(dim)
-    if eye is None:
-        eye = _IDENTITY_CACHE[dim] = np.eye(dim, dtype=np.complex128)
-    return eye
-
-
 class CptpError(RuntimeError):
     """A Kraus set failed the completeness check sum_i K_i† K_i = I."""
 
@@ -56,36 +47,36 @@ class CptpError(RuntimeError):
 
 @dataclass(frozen=True)
 class KrausSet:
-    """Kraus operators instantiated at one time, all d x d."""
+    """Kraus operators at one time (each d x d) or over an array of times (each (T, d, d))."""
 
     operators: tuple[np.ndarray, ...]
-    time_label: float
+    time_label: float | np.ndarray
 
     def __post_init__(self):
-        ops = tuple(cxmat.as_matrix(k) for k in self.operators)
+        ops = tuple(cxmat.as_matrix(k, stack=True) for k in self.operators)
         if not ops:
             raise ValueError("a Kraus set needs at least one operator")
-        dim = ops[0].shape[0]
+        shape = ops[0].shape
         for k in ops:
-            if k.shape != (dim, dim):
+            if k.shape != shape or shape[-1] != shape[-2]:
                 raise cxmat.ShapeError(
-                    f"all Kraus operators must be {dim}x{dim}, got {k.shape}"
+                    f"all Kraus operators must be {shape[-1]}x{shape[-1]}, got {k.shape}"
                 )
         object.__setattr__(self, "operators", ops)
 
     @property
     def dim(self) -> int:
-        return self.operators[0].shape[0]
+        return self.operators[0].shape[-1]
 
 
 @dataclass(frozen=True)
 class CptpReport:
-    deviation: float
+    deviation: float | np.ndarray
     bound: float
 
     @property
     def passed(self) -> bool:
-        return self.deviation <= self.bound
+        return bool(np.all(self.deviation <= self.bound))
 
 
 # One custom Kraus operator is a grid of (re, im) expression pairs.
@@ -200,45 +191,45 @@ class ChannelSpec:
         return tau / self.rate if self.kind in BUILTIN_KINDS else tau
 
 
-def kraus_at(spec: ChannelSpec, t: float) -> KrausSet:
-    """Instantiate the channel's Kraus operators at time t >= 0."""
-    if t < 0:
-        raise ValueError(f"time must be non-negative, got {t}")
-    if spec.kind == PHASE_DAMPING:
-        # gamma = 1 - exp(-rate*t), via expm1 for small-t accuracy
-        gamma = -math.expm1(-spec.rate * t)
-        k1 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]], dtype=np.complex128)
-        k2 = np.array([[0.0, 0.0], [0.0, math.sqrt(gamma)]], dtype=np.complex128)
-        return KrausSet((k1, k2), t)
-    if spec.kind in _FLIP_PAULI:
-        p = -math.expm1(-spec.rate * t)
-        k1 = math.sqrt(1.0 - p) * _IDENTITY_2
-        k2 = math.sqrt(p) * _FLIP_PAULI[spec.kind]
+def kraus_at(spec: ChannelSpec, t) -> KrausSet:
+    """Kraus operators at time t >= 0, or (T, d, d) ones over an array of times."""
+    times = np.asarray(t, dtype=float)
+    if np.any(times < 0):
+        raise ValueError(f"time must be non-negative, got {times[times < 0].flat[0]}")
+    if spec.kind in BUILTIN_KINDS:
+        # gamma = p = 1 - exp(-rate*t), via expm1 for small-t accuracy
+        p = -np.expm1(-spec.rate * times)[..., None, None]
+        if spec.kind == PHASE_DAMPING:
+            # K1 = |0><0| + sqrt(1 - gamma) |1><1|,  K2 = sqrt(gamma) |1><1|
+            k1 = np.diag([1.0, 0.0]) + np.sqrt(1.0 - p) * np.diag([0.0, 1.0])
+            k2 = np.sqrt(p) * np.diag([0.0, 1.0])
+        else:
+            k1 = np.sqrt(1.0 - p) * np.eye(2)
+            k2 = np.sqrt(p) * _FLIP_PAULI[spec.kind]
         return KrausSet((k1, k2), t)
     ops = []
     for op_index, op in enumerate(spec.custom_operators):
-        matrix = np.zeros((spec.dim, spec.dim), dtype=np.complex128)
+        matrix = np.zeros(times.shape + (spec.dim, spec.dim), dtype=np.complex128)
         for i, row in enumerate(op):
             for j, (re_part, im_part) in enumerate(row):
                 try:
-                    matrix[i, j] = complex(
-                        exprparse.evaluate(re_part, t), exprparse.evaluate(im_part, t)
-                    )
+                    matrix[..., i, j] = (exprparse.evaluate(re_part, times)
+                                         + 1j * exprparse.evaluate(im_part, times))
                 except exprparse.DomainError as exc:
                     raise exprparse.DomainError(
-                        f"custom channel operator {op_index} entry ({i},{j}) at t={t}: {exc}",
+                        f"custom channel operator {op_index} entry ({i},{j}): {exc.message}",
                         exc.position,
                     ) from exc
         ops.append(matrix)
     return KrausSet(tuple(ops), t)
 
 
-def completeness_deviation(kraus: KrausSet) -> float:
-    """max-norm of sum_i K_i† K_i - I."""
-    total = np.zeros((kraus.dim, kraus.dim), dtype=np.complex128)
-    for k in kraus.operators:
-        total += k.conj().T @ k
-    return float(np.max(np.abs(total - _identity(kraus.dim))))
+def completeness_deviation(kraus: KrausSet):
+    """max-norm of sum_i K_i† K_i - I: a float, or one per time of a stack."""
+    ops = np.stack(kraus.operators, axis=-3)
+    total = np.einsum("...kji,...kjl->...il", ops.conj(), ops)
+    deviation = np.abs(total - np.eye(kraus.dim)).max(axis=(-2, -1))
+    return float(deviation) if deviation.ndim == 0 else deviation
 
 
 def validate_cptp(kraus: KrausSet, tol: float = 1e-12) -> CptpReport:
@@ -246,30 +237,34 @@ def validate_cptp(kraus: KrausSet, tol: float = 1e-12) -> CptpReport:
 
 
 def apply(kraus: KrausSet, rho: DensityOperator, cptp_tol: float = 1e-10) -> DensityOperator:
-    """sum_i K_i rho K_i†, refusing Kraus sets that fail CPTP within cptp_tol."""
+    """sum_i K_i rho K_i†, refusing Kraus sets that fail CPTP within cptp_tol;
+    a Kraus set over a grid gives the stack of states at every time."""
     if kraus.dim != rho.dim:
         raise cxmat.ShapeError(
             f"dimension mismatch: Kraus dim {kraus.dim}, state dim {rho.dim}"
         )
     report = validate_cptp(kraus, tol=cptp_tol)
     if not report.passed:
+        index = np.flatnonzero(np.ravel(report.deviation) > cptp_tol)[0]
+        deviation = float(np.ravel(report.deviation)[index])
         raise CptpError(
-            f"Kraus set at t={kraus.time_label} is not CPTP: "
-            f"deviation {report.deviation:.3e} > {cptp_tol:.3e}",
-            report.deviation,
+            f"Kraus set at t={np.ravel(kraus.time_label)[index]} is not CPTP: "
+            f"deviation {deviation:.3e} > {cptp_tol:.3e}",
+            deviation,
         )
-    out = np.zeros_like(rho.matrix)
-    for k in kraus.operators:
-        out += k @ rho.matrix @ k.conj().T
-    evolved = DensityOperator(out)
-    trace_drift = abs(out.trace() - rho.matrix.trace())
-    if trace_drift > 1e-12:
+    ops = np.stack(kraus.operators, axis=-3)
+    out = np.einsum("...kij,...jl,...kml->...im", ops, rho.matrix, ops.conj())
+    trace_drift = np.abs(np.trace(out, axis1=-2, axis2=-1)
+                         - np.trace(rho.matrix, axis1=-2, axis2=-1))
+    if np.any(trace_drift > 1e-12):
+        index = np.flatnonzero(trace_drift > 1e-12)[0]
         raise cxmat.NumericError(
-            f"trace drifted by {trace_drift:.3e} under a CPTP-validated set"
+            f"at t={np.ravel(kraus.time_label)[index]}: trace drifted by "
+            f"{np.ravel(trace_drift)[index]:.3e} under a CPTP-validated set"
         )
-    return evolved
+    return DensityOperator(out)
 
 
-def evolve(spec: ChannelSpec, rho0: DensityOperator, t: float) -> DensityOperator:
-    """State at time t from the cumulative map: apply(kraus_at(spec, t), rho0)."""
+def evolve(spec: ChannelSpec, rho0: DensityOperator, t) -> DensityOperator:
+    """apply(kraus_at(spec, t), rho0): the state at t, or the (T, d, d) stack."""
     return apply(kraus_at(spec, t), rho0)

@@ -41,13 +41,14 @@ OFFDIAG_FACTOR = 1e-14
 MAX_SWEEPS = 100
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce ``a`` to a 2-D complex128 array, rejecting non-finite entries.
+def as_matrix(a, stack: bool = False) -> np.ndarray:
+    """Coerce ``a`` to a 2-D complex128 array (with ``stack``, also a 3-D
+    stack of matrices), rejecting non-finite entries.
 
     No copy is made when the input already has the right dtype; arrays
     handed to the wrapper types are treated as immutable by convention."""
     m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2:
+    if m.ndim != 2 and not (stack and m.ndim == 3):
         raise ShapeError(f"expected a 2-D matrix, got ndim={m.ndim}")
     # Test entries, not their sum: large finite entries can overflow a sum.
     if not np.isfinite(m).all():

@@ -18,18 +18,13 @@ logarithm.  There are no variables besides ``t`` and no user constants.
 
 from __future__ import annotations
 
-import math
+import operator
 from dataclasses import dataclass, field
 
-FUNCTIONS = ("exp", "sqrt", "log", "sin", "cos")
+import numpy as np
 
-_FUNCTION_IMPL = {
-    "exp": math.exp,
-    "sqrt": math.sqrt,
-    "log": math.log,
-    "sin": math.sin,
-    "cos": math.cos,
-}
+#: Function names; each is the numpy ufunc of the same name.
+FUNCTIONS = ("exp", "sqrt", "log", "sin", "cos")
 
 
 class ExpressionError(ValueError):
@@ -37,6 +32,7 @@ class ExpressionError(ValueError):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (offset {position})")
+        self.message = message
         self.position = position
 
 
@@ -243,58 +239,70 @@ def parse_source(src: str) -> Expression:
     return parse(tokenize(src))
 
 
-def evaluate(expr: Expression, t: float) -> float:
-    """IEEE double evaluation; raises DomainError on any non-finite result."""
-    value = _eval(expr, t)
-    if not math.isfinite(value):
-        raise DomainError("expression evaluated to a non-finite value", getattr(expr, "pos", 0))
+# On numpy scalars and arrays these give inf or NaN, never an exception.
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv, "^": operator.pow}
+
+
+def evaluate(expr: Expression, t):
+    """IEEE double evaluation at a float ``t`` (a float) or at each entry of an
+    array of times (an array of its shape).  Raises DomainError at the node
+    that divides by zero or yields a non-finite value, naming the first bad t."""
+    times = np.asarray(t, dtype=float)
+    failures: list = []
+    with np.errstate(all="ignore"):
+        value = _eval(expr, times, failures)
+    _check(expr, value, (), times, failures)
+    if failures:
+        # The first failing time, and there the node a one-time evaluation
+        # would stop at: the earliest check in evaluation order.
+        index, _, message, pos = min(failures)
+        raise DomainError(f"{message} at t={float(times.flat[index])!r}", pos)
+    return float(value) if times.ndim == 0 else np.array(np.broadcast_to(value, times.shape))
+
+
+def _eval(expr: Expression, times: np.ndarray, failures: list):
+    """Value of ``expr`` over ``times``, a scalar for a subtree without ``t``."""
+    if isinstance(expr, Binary):
+        operands = (_eval(expr.left, times, failures), _eval(expr.right, times, failures))
+        value = _BINARY[expr.op](*operands)
+    elif isinstance(expr, Number):
+        return np.float64(expr.value)
+    elif isinstance(expr, Call):
+        operands = (_eval(expr.arg, times, failures),)
+        value = getattr(np, expr.fn)(*operands)
+    elif isinstance(expr, TimeVar):
+        return times if times.ndim else times[()]
+    elif isinstance(expr, Negate):
+        return -_eval(expr.child, times, failures)
+    else:
+        raise TypeError(f"not an Expression node: {expr!r}")
+    _check(expr, value, operands, times, failures)
     return value
 
 
-def _eval(expr: Expression, t: float) -> float:
-    if isinstance(expr, Number):
-        return expr.value
-    if isinstance(expr, TimeVar):
-        return float(t)
-    if isinstance(expr, Negate):
-        return -_eval(expr.child, t)
-    if isinstance(expr, Binary):
-        left = _eval(expr.left, t)
-        right = _eval(expr.right, t)
-        try:
-            if expr.op == "+":
-                value = left + right
-            elif expr.op == "-":
-                value = left - right
-            elif expr.op == "*":
-                value = left * right
-            elif expr.op == "/":
-                if right == 0.0:
-                    raise DomainError("division by zero", expr.pos)
-                value = left / right
-            elif expr.op == "^":
-                value = math.pow(left, right)
-            else:  # pragma: no cover - parser admits no other ops
-                raise AssertionError(expr.op)
-        except OverflowError:
-            raise DomainError(f"overflow in '{expr.op}'", expr.pos) from None
-        except ValueError:
-            raise DomainError(f"invalid operands for '{expr.op}'", expr.pos) from None
-        if not math.isfinite(value):
-            raise DomainError(f"non-finite result from '{expr.op}'", expr.pos)
-        return value
-    if isinstance(expr, Call):
-        arg = _eval(expr.arg, t)
-        try:
-            value = _FUNCTION_IMPL[expr.fn](arg)
-        except OverflowError:
-            raise DomainError(f"overflow in {expr.fn}()", expr.pos) from None
-        except ValueError:
-            raise DomainError(f"{expr.fn}() of out-of-domain argument {arg!r}", expr.pos) from None
-        if not math.isfinite(value):
-            raise DomainError(f"non-finite result from {expr.fn}()", expr.pos)
-        return value
-    raise TypeError(f"not an Expression node: {expr!r}")
+def _check(expr: Expression, value, operands: tuple, times: np.ndarray, failures: list):
+    """Record (first bad time index, check order, message, position) if ``value`` is not finite."""
+    # on a numpy scalar, comparisons cost a fraction of np.isfinite
+    if np.isfinite(value).all() if isinstance(value, np.ndarray) else -np.inf < value < np.inf:
+        return
+    index = int(np.argmin(np.broadcast_to(np.isfinite(value), times.shape).ravel()))
+    at = [float(np.broadcast_to(x, times.shape).flat[index]) for x in (value, *operands)]
+    if not operands:
+        message = "expression evaluated to a non-finite value"
+    elif isinstance(expr, Call):
+        message = ("overflow in exp()" if expr.fn == "exp"
+                   else f"{expr.fn}() of out-of-domain argument {at[1]!r}")
+    elif expr.op == "/" and at[2] == 0.0:
+        message = "division by zero"
+    elif expr.op == "^":
+        # NaN for a negative base with a fractional exponent, infinity for
+        # zero to a negative power: both undefined, unlike an overflow.
+        undefined = np.isnan(at[0]) or (at[1] == 0.0 and at[2] < 0.0)
+        message = "invalid operands for '^'" if undefined else "overflow in '^'"
+    else:
+        message = f"non-finite result from '{expr.op}'"
+    failures.append((index, len(failures), message, getattr(expr, "pos", 0)))
 
 
 def as_expression(value) -> Expression:

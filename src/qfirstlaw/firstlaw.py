@@ -21,6 +21,13 @@ load-bearing for the tests:
   Tr(rho H), never from the spectral sums, so closure of the first law is a
   genuine convergence check rather than an enforced identity.
 
+The trajectory is a few arrays over the grid, one row per grid point.
+Everything that does not depend on the previous point is computed for the
+whole grid in one call: the Kraus operators, evolution and its checks, H(t)
+and its eigenbasis, the overlaps, the invariant checks and Tr(rho H).  Only
+the state eigensolver, branch matching and degeneracy inheritance walk the
+grid point by point, since each point is matched against the one before.
+
 Eigenbranches are matched between consecutive grid points by the permutation
 that maximizes the total squared eigenvector overlap (ties go to the smaller
 eigenvalue drift).  The overlap matrix is doubly stochastic, which certifies
@@ -29,11 +36,11 @@ the row argmaxes are the optimum, and otherwise rows whose largest overlap
 exceeds 2/3 are pinned to their argmax and only the remaining rows are
 searched.  That remainder can be as large as the dimension (the arbitrary
 null-space eigenvectors of a pure initial state are never pinned), so the
-dimension stays capped at 8.  The first snapshot is ordered by descending
-eigenvalue.  Exactly degenerate eigenvalues inherit the previous snapshot's
-eigenvectors (still eigenvectors, verified by residual), which keeps the
-overlap matrix continuous through crossings such as the flip family passing
-through the maximally mixed state.
+dimension stays capped at 8.  The first grid point is ordered by descending
+eigenvalue.  Exactly degenerate eigenvalues inherit the previous grid
+point's eigenvectors (still eigenvectors, verified by residual), which keeps
+the overlap matrix continuous through crossings such as the flip family
+passing through the maximally mixed state.
 """
 
 from __future__ import annotations
@@ -82,31 +89,26 @@ class TimeGrid:
 
 
 @dataclass(frozen=True)
-class SpectralSnapshot:
-    """State spectral data at one grid point, branch-ordered.
+class SpectralTrajectory:
+    """Branch-ordered spectral data, one array row per grid point.
 
-    ``overlap[n, k]`` is |<n|k>|^2 between Hamiltonian eigenvector n and
-    state eigenvector k; it is doubly stochastic.  ``time`` is the physical
-    time fed to the channel and Hamiltonian (tau / rate for builtins).
-    """
+    ``time`` is the physical time fed to the channel and Hamiltonian
+    (tau / rate for builtins).  ``overlap[i, n, k]`` is |<n|k>|^2 between
+    Hamiltonian eigenvector n and state eigenvector k at grid point i; each
+    such matrix is doubly stochastic."""
 
-    tau: float
-    time: float
+    grid: TimeGrid
+    tau: np.ndarray
+    time: np.ndarray
     rho: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     energies: np.ndarray
     overlap: np.ndarray
 
-
-@dataclass(frozen=True)
-class SpectralTrajectory:
-    grid: TimeGrid
-    snapshots: tuple[SpectralSnapshot, ...]
-
     @property
     def dim(self) -> int:
-        return len(self.snapshots[0].eigenvalues)
+        return self.eigenvalues.shape[1]
 
 
 @dataclass(frozen=True)
@@ -184,7 +186,7 @@ def branch_match(prev_values, prev_vectors, cur_values, cur_vectors) -> tuple[in
 
 def _inherit_degenerate(rho_matrix, values, vectors, prev_vectors):
     """Replace eigenvectors of (near-)exactly degenerate groups with the
-    previous snapshot's columns when those are still eigenvectors."""
+    previous grid point's columns when those are still eigenvectors."""
     d = len(values)
     order = np.argsort(values)
     clusters = [[order[0]]]
@@ -214,21 +216,25 @@ def _inherit_degenerate(rho_matrix, values, vectors, prev_vectors):
 
 
 def _validate_snapshot(tau, values, overlap):
-    if float(values.min()) < -_EIGENVALUE_SLACK or float(values.max()) > 1.0 + _EIGENVALUE_SLACK:
-        raise cxmat.NumericError(
-            f"at tau={tau:.6g}: eigenvalues outside [0, 1] beyond slack: {values}"
-        )
-    if abs(float(values.sum()) - 1.0) > _SUM_TOL:
-        raise cxmat.NumericError(
-            f"at tau={tau:.6g}: eigenvalue sum {values.sum()!r} deviates from 1"
-        )
-    row_dev = float(np.max(np.abs(overlap.sum(axis=1) - 1.0)))
-    col_dev = float(np.max(np.abs(overlap.sum(axis=0) - 1.0)))
-    if max(row_dev, col_dev) > _SUM_TOL:
-        raise cxmat.NumericError(
-            f"at tau={tau:.6g}: overlap matrix not doubly stochastic "
-            f"(row dev {row_dev:.3e}, col dev {col_dev:.3e})"
-        )
+    """Check every grid row at once: eigenvalues in [0, 1] summing to 1, and
+    doubly stochastic overlaps.  An error names the first tau that fails."""
+    sums = values.sum(axis=1)
+    row_dev = np.abs(overlap.sum(axis=2) - 1.0).max(axis=1)
+    col_dev = np.abs(overlap.sum(axis=1) - 1.0).max(axis=1)
+    checks = (
+        ((values.min(axis=1) < -_EIGENVALUE_SLACK) | (values.max(axis=1) > 1.0 + _EIGENVALUE_SLACK),
+         lambda i: f"eigenvalues outside [0, 1] beyond slack: {values[i]}"),
+        (np.abs(sums - 1.0) > _SUM_TOL,
+         lambda i: f"eigenvalue sum {sums[i]!r} deviates from 1"),
+        (np.maximum(row_dev, col_dev) > _SUM_TOL,
+         lambda i: f"overlap matrix not doubly stochastic "
+                   f"(row dev {row_dev[i]:.3e}, col dev {col_dev[i]:.3e})"),
+    )
+    failing = np.flatnonzero(np.logical_or.reduce([failed for failed, _ in checks]))
+    if failing.size:
+        i = failing[0]
+        message = next(describe(i) for failed, describe in checks if failed[i])
+        raise cxmat.NumericError(f"at tau={tau[i]:.6g}: {message}")
 
 
 def spectral_trajectory(
@@ -237,7 +243,8 @@ def spectral_trajectory(
     h: Hamiltonian,
     grid: TimeGrid,
 ) -> SpectralTrajectory:
-    """Evolve, eigendecompose, branch-match, and overlap at every grid point."""
+    """Evolve over the whole grid, then eigendecompose and branch-match
+    point by point, then take overlaps with the energy eigenbasis."""
     if rho0.dim > MAX_BRANCH_DIM:
         raise UnsupportedDimensionError(
             f"trajectories support dim <= {MAX_BRANCH_DIM}, got {rho0.dim}: "
@@ -247,40 +254,28 @@ def spectral_trajectory(
         raise cxmat.ShapeError(
             f"dimension mismatch: state dim {rho0.dim}, Hamiltonian dim {h.dim}"
         )
-    snapshots: list[SpectralSnapshot] = []
-    prev: SpectralSnapshot | None = None
-    for tau in grid.points:
-        t = spec.physical_time(float(tau))
-        rho_t = evolve(spec, rho0, t)
+    tau = grid.points
+    time = spec.physical_time(tau)
+    rho = evolve(spec, rho0, time).matrix
+    values = np.empty(rho.shape[:-1])
+    vectors = np.empty_like(rho)
+    for i, rho_i in enumerate(rho):
         try:
-            eig = cxmat.hermitian_eigen(rho_t.matrix)
+            eig = cxmat.hermitian_eigen(rho_i)
         except (cxmat.ConvergenceError, cxmat.NonHermitianError) as exc:
-            raise type(exc)(f"at tau={tau:.6g}: {exc}") from exc
-        if prev is None:
-            order = list(np.argsort(eig.eigenvalues, kind="stable")[::-1])
-        else:
-            order = list(
-                branch_match(prev.eigenvalues, prev.eigenvectors, eig.eigenvalues, eig.eigenvectors)
-            )
-        values = eig.eigenvalues[order]
-        vectors = eig.eigenvectors[:, order]
-        if prev is not None:
-            vectors = _inherit_degenerate(rho_t.matrix, values, vectors, prev.eigenvectors)
-        basis = qstate.energy_eigenbasis(h, t)
-        overlap = np.abs(basis.basis.conj().T @ vectors) ** 2
-        _validate_snapshot(tau, values, overlap)
-        snap = SpectralSnapshot(
-            tau=float(tau),
-            time=t,
-            rho=rho_t.matrix,
-            eigenvalues=values,
-            eigenvectors=vectors,
-            energies=np.asarray(basis.energies, dtype=float),
-            overlap=overlap,
-        )
-        snapshots.append(snap)
-        prev = snap
-    return SpectralTrajectory(grid, tuple(snapshots))
+            raise type(exc)(f"at tau={tau[i]:.6g}: {exc}") from exc
+        if i == 0:
+            order = np.argsort(eig.eigenvalues, kind="stable")[::-1]
+            values[0], vectors[0] = eig.eigenvalues[order], eig.eigenvectors[:, order]
+            continue
+        order = list(branch_match(values[i - 1], vectors[i - 1], eig.eigenvalues, eig.eigenvectors))
+        values[i] = eig.eigenvalues[order]
+        vectors[i] = _inherit_degenerate(rho_i, values[i], eig.eigenvectors[:, order],
+                                         vectors[i - 1])
+    basis = qstate.energy_eigenbasis(h, time)
+    overlap = np.abs(np.swapaxes(basis.basis.conj(), -1, -2) @ vectors) ** 2
+    _validate_snapshot(tau, values, overlap)
+    return SpectralTrajectory(grid, tau, time, rho, values, vectors, basis.energies, overlap)
 
 
 def integrate_first_law(traj: SpectralTrajectory, h: Hamiltonian) -> EnergeticsLedger:
@@ -296,10 +291,7 @@ def integrate_first_law(traj: SpectralTrajectory, h: Hamiltonian) -> EnergeticsL
     The energy change column is Tr(rho_i H_i) - Tr(rho_0 H_0) evaluated
     directly.
     """
-    snaps = traj.snapshots
-    energies = np.stack([s.energies for s in snaps])
-    values = np.stack([s.eigenvalues for s in snaps])
-    overlaps = np.stack([s.overlap for s in snaps])
+    energies, values, overlaps = traj.energies, traj.eigenvalues, traj.overlap
 
     e_bar = 0.5 * (energies[1:] + energies[:-1])
     e_diff = np.diff(energies, axis=0)
@@ -317,13 +309,9 @@ def integrate_first_law(traj: SpectralTrajectory, h: Hamiltonian) -> EnergeticsL
     heat = np.concatenate([zero, np.cumsum(d_heat)])
     coherence = np.concatenate([zero, np.cumsum(d_coh)])
 
-    u = np.array(
-        [qstate.internal_energy(DensityOperator(s.rho), h, s.time) for s in snaps]
-    )
+    u = qstate.internal_energy(DensityOperator(traj.rho), h, traj.time)
     delta_u = u - u[0]
-
-    tau = np.array([s.tau for s in snaps])
-    return EnergeticsLedger(tau, delta_u, work, heat, coherence)
+    return EnergeticsLedger(traj.tau, delta_u, work, heat, coherence)
 
 
 def run_energetics(

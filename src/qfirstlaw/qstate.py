@@ -34,7 +34,7 @@ class InitialStatePrep:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Thin wrapper around a square complex matrix.
+    """Thin wrapper around a square complex matrix or a (T, d, d) stack of them.
 
     Construction only checks shape and finiteness; the physics invariants
     (Hermitian, unit trace, positive semidefinite) are checked by
@@ -45,14 +45,14 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = cxmat.as_matrix(self.matrix)
-        if m.shape[0] != m.shape[1]:
+        m = cxmat.as_matrix(self.matrix, stack=True)
+        if m.shape[-2] != m.shape[-1]:
             raise cxmat.ShapeError(f"density operator must be square, got {m.shape}")
         object.__setattr__(self, "matrix", m)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
 
 def prepare_pure_state(prep: InitialStatePrep) -> DensityOperator:
@@ -167,52 +167,62 @@ class Hamiltonian:
     def is_diagonal(self) -> bool:
         return not self._upper
 
-    def matrix(self, t: float) -> np.ndarray:
-        """Evaluate all entries at time t; the result is Hermitian exactly."""
-        out = np.zeros((self._dim, self._dim), dtype=np.complex128)
+    def matrix(self, t) -> np.ndarray:
+        """Entries at time t, or (T, d, d) over an array of times; Hermitian exactly."""
+        times = np.asarray(t, dtype=float)
+        out = np.zeros(times.shape + (self._dim, self._dim), dtype=np.complex128)
         for i, expr in enumerate(self._diag):
-            out[i, i] = exprparse.evaluate(expr, t)
+            out[..., i, i] = exprparse.evaluate(expr, times)
         for (i, j), (re_part, im_part) in self._upper.items():
-            value = complex(exprparse.evaluate(re_part, t), exprparse.evaluate(im_part, t))
-            out[i, j] = value
-            out[j, i] = value.conjugate()
+            out[..., i, j] = (exprparse.evaluate(re_part, times)
+                              + 1j * exprparse.evaluate(im_part, times))
+            out[..., j, i] = np.conj(out[..., i, j])
         return out
-
-    def diagonal_values(self, t: float) -> np.ndarray:
-        return np.array([exprparse.evaluate(expr, t) for expr in self._diag], dtype=float)
 
 
 @dataclass(frozen=True)
 class EnergyEigenbasis:
-    """Energies E_n with the unitary whose columns are the eigenvectors |n>."""
+    """Energies E_n with the unitary whose columns are the eigenvectors |n>;
+    over a time grid, (T, d) energies and (T, d, d) bases."""
 
     energies: np.ndarray
     basis: np.ndarray
 
 
-def energy_eigenbasis(h: Hamiltonian, t: float = 0.0) -> EnergyEigenbasis:
-    """Eigenbasis of H(t).
+def energy_eigenbasis(h: Hamiltonian, t=0.0) -> EnergyEigenbasis:
+    """Eigenbasis of H(t), at one time or at every time of an array.
 
     Diagonal Hamiltonians short-circuit to the computational basis in entry
     order, with no numerical perturbation; anything else goes through the
-    Jacobi eigensolver (ascending energies).
+    Jacobi eigensolver (ascending energies), once if H is the same matrix at
+    every requested time and once per time otherwise.
     """
-    if h.is_diagonal:
-        return EnergyEigenbasis(h.diagonal_values(t), np.eye(h.dim, dtype=np.complex128))
-    eig = cxmat.hermitian_eigen(h.matrix(t))
-    return EnergyEigenbasis(eig.eigenvalues, eig.eigenvectors)
-
-
-def internal_energy(rho: DensityOperator, h: Hamiltonian, t: float = 0.0) -> float:
-    """U = Tr(rho H(t)); the imaginary residue must stay below 1e-12."""
     hm = h.matrix(t)
-    if hm.shape[0] != rho.dim:
+    if h.is_diagonal:
+        energies = np.diagonal(hm, axis1=-2, axis2=-1).real.copy()
+        return EnergyEigenbasis(energies, np.broadcast_to(np.eye(h.dim), hm.shape) + 0j)
+    stack = hm.reshape(-1, h.dim, h.dim)
+    if np.all(stack == stack[0]):
+        eig = cxmat.hermitian_eigen(stack[0])
+        return EnergyEigenbasis(np.broadcast_to(eig.eigenvalues, hm.shape[:-1]).copy(),
+                                np.broadcast_to(eig.eigenvectors, hm.shape).copy())
+    eigs = [cxmat.hermitian_eigen(m) for m in stack]
+    return EnergyEigenbasis(np.array([eig.eigenvalues for eig in eigs]),
+                            np.array([eig.eigenvectors for eig in eigs]))
+
+
+def internal_energy(rho: DensityOperator, h: Hamiltonian, t=0.0):
+    """U = Tr(rho H(t)) (an array over a grid); |Im U| must stay below 1e-12."""
+    hm = h.matrix(t)
+    if hm.shape[-1] != rho.dim:
         raise cxmat.ShapeError(
-            f"dimension mismatch: state dim {rho.dim}, Hamiltonian dim {hm.shape[0]}"
+            f"dimension mismatch: state dim {rho.dim}, Hamiltonian dim {hm.shape[-1]}"
         )
-    value = complex(np.trace(rho.matrix @ hm))
-    if abs(value.imag) > 1e-12:
+    value = np.einsum("...ij,...ji->...", rho.matrix, hm)
+    bad = np.flatnonzero(np.abs(value.imag) > 1e-12)
+    if bad.size:
         raise cxmat.NumericError(
-            f"internal energy has non-negligible imaginary part {value.imag:.3e}"
+            f"at t={np.ravel(t)[bad[0]]}: internal energy has non-negligible imaginary "
+            f"part {np.ravel(value.imag)[bad[0]]:.3e}"
         )
-    return value.real
+    return float(value.real) if np.ndim(value) == 0 else value.real

@@ -282,11 +282,10 @@ def check_channel_symmetry() -> list[CheckResult]:
 
 
 def check_cptp() -> list[CheckResult]:
-    worst = 0.0
-    for spec in [ChannelSpec.phase_damping(), ChannelSpec.phase_flip(),
-                 ChannelSpec.bit_flip(), ChannelSpec.bit_phase_flip()]:
-        for t in np.linspace(0.0, 8.0, 50):
-            worst = max(worst, completeness_deviation(kraus_at(spec, float(t))))
+    times = np.linspace(0.0, 8.0, 50)
+    worst = max(float(np.max(completeness_deviation(kraus_at(spec, times))))
+                for spec in [ChannelSpec.phase_damping(), ChannelSpec.phase_flip(),
+                             ChannelSpec.bit_flip(), ChannelSpec.bit_phase_flip()])
     results = [_within("builtin channels complete at 50 sampled times", worst, 1e-12)]
     broken = completeness_deviation(KrausSet((np.eye(2), np.eye(2)), 0.0))
     results.append(CheckResult(

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,14 @@ from qfirstlaw.channel import (
     kraus_at,
     validate_cptp,
 )
-from qfirstlaw.qstate import DensityOperator, InitialStatePrep, prepare_pure_state, validate_density
+from qfirstlaw.firstlaw import TimeGrid, spectral_trajectory
+from qfirstlaw.qstate import (
+    DensityOperator,
+    Hamiltonian,
+    InitialStatePrep,
+    prepare_pure_state,
+    validate_density,
+)
 
 REFERENCE_STATE = prepare_pure_state(InitialStatePrep(math.pi / 6))
 
@@ -224,6 +232,22 @@ class TestCustomChannels:
         spec = ChannelSpec.custom([[["1", "0"], ["0", "sqrt(1-t)"]]])
         with pytest.raises(exprparse.DomainError, match=r"entry \(1,1\)"):
             kraus_at(spec, 4.0)
+
+    def test_grid_domain_error_names_entry_and_first_bad_time(self):
+        spec = ChannelSpec.custom([[["1", "0"], ["0", "sqrt(1-t)"]]])
+        grid = TimeGrid(4.0, 40)
+        first_bad = float(grid.points[grid.points > 1.0][0])
+        with pytest.raises(exprparse.DomainError,
+                           match=rf"entry \(1,1\): .* at t={re.escape(repr(first_bad))} "):
+            spectral_trajectory(spec, REFERENCE_STATE, Hamiltonian.two_level(), grid)
+
+    def test_drifting_channel_names_first_failing_grid_time(self):
+        drifting = ChannelSpec.custom([[["1", "0"], ["0", "1-0.1*t"]]])
+        grid = TimeGrid(4.0, 40)
+        first_bad = re.escape(repr(float(grid.points[1])))
+        with pytest.raises(CptpError, match=rf"t={first_bad} is not CPTP") as info:
+            spectral_trajectory(drifting, REFERENCE_STATE, Hamiltonian.two_level(), grid)
+        assert info.value.deviation == pytest.approx(1.0 - (1.0 - 0.1 * grid.points[1]) ** 2)
 
     def test_from_json_round_trip(self):
         payload = json.dumps(

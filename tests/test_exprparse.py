@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -113,6 +114,25 @@ class TestEvaluate:
     def test_power_overflow(self):
         with pytest.raises(DomainError):
             evaluate(parse_source("10^t"), 1e9)
+
+    def test_float_in_float_out_array_in_array_out(self):
+        expr = parse_source("sqrt(exp(-t))*cos(3*t)+sin(t)^2")
+        assert type(evaluate(expr, 0.5)) is float
+        times = np.linspace(0.0, 8.0, 41)
+        values = evaluate(expr, times)
+        assert isinstance(values, np.ndarray) and values.shape == times.shape
+        # the float case is the one-point case of the same evaluation
+        assert values.tolist() == [evaluate(expr, float(t)) for t in times]
+        assert evaluate(parse_source("2*3"), times).tolist() == [6.0] * 41
+
+    def test_array_error_names_first_offending_time(self):
+        # sqrt fails from t = 3.1 on, log from t = 1.5 on: the first failing
+        # time wins even though sqrt is evaluated first
+        times = np.linspace(0.0, 4.0, 41)
+        with pytest.raises(DomainError, match=r"log\(\) .* at t=1\.5 \(offset 10\)"):
+            evaluate(parse_source("sqrt(3-t)+log(1.5-t)"), times)
+        with pytest.raises(DomainError, match=r"division by zero at t=0\.0"):
+            evaluate(parse_source("1/(t-t)"), times)
 
     def test_decay_stays_in_unit_interval_and_monotone(self):
         expr = parse_source("1-exp(-t)")

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qfirstlaw import cxmat, firstlaw
+from qfirstlaw import cxmat, exprparse, firstlaw
 from qfirstlaw.channel import ChannelSpec
 from qfirstlaw.firstlaw import (
     MAX_BRANCH_DIM,
@@ -236,34 +236,33 @@ class TestSpectralTrajectory:
         traj = spectral_trajectory(
             ChannelSpec.phase_damping(), REFERENCE_STATE, H_DEFAULT, TimeGrid(1.0, 4)
         )
-        first = traj.snapshots[0]
-        assert first.eigenvalues[0] == pytest.approx(1.0, abs=1e-12)
-        assert first.eigenvalues[1] == pytest.approx(0.0, abs=1e-12)
-        assert first.overlap[0, 0] == pytest.approx(0.75, abs=1e-12)
-        assert first.overlap[0, 1] == pytest.approx(0.25, abs=1e-12)
+        assert traj.eigenvalues[0][0] == pytest.approx(1.0, abs=1e-12)
+        assert traj.eigenvalues[0][1] == pytest.approx(0.0, abs=1e-12)
+        assert traj.overlap[0][0, 0] == pytest.approx(0.75, abs=1e-12)
+        assert traj.overlap[0][0, 1] == pytest.approx(0.25, abs=1e-12)
 
     def test_eigenvalue_branches_match_closed_form(self):
         traj = spectral_trajectory(
             ChannelSpec.phase_damping(), REFERENCE_STATE, H_DEFAULT, TimeGrid(8.0, 200)
         )
-        for snap in traj.snapshots:
-            sm = math.sqrt(0.25 + 0.75 * math.exp(-snap.tau))
-            assert snap.eigenvalues[0] == pytest.approx(0.5 * (1 + sm), abs=1e-12)
-            assert snap.eigenvalues[1] == pytest.approx(0.5 * (1 - sm), abs=1e-12)
+        for i in range(len(traj.tau)):
+            sm = math.sqrt(0.25 + 0.75 * math.exp(-traj.tau[i]))
+            assert traj.eigenvalues[i][0] == pytest.approx(0.5 * (1 + sm), abs=1e-12)
+            assert traj.eigenvalues[i][1] == pytest.approx(0.5 * (1 - sm), abs=1e-12)
 
     def test_long_time_overlap_approaches_identity(self):
         traj = spectral_trajectory(
             ChannelSpec.phase_damping(), REFERENCE_STATE, H_DEFAULT, TimeGrid(40.0, 400)
         )
-        assert np.max(np.abs(traj.snapshots[-1].overlap - np.eye(2))) <= 1e-8
+        assert np.max(np.abs(traj.overlap[-1] - np.eye(2))) <= 1e-8
 
     def test_overlap_doubly_stochastic_everywhere(self):
         traj = spectral_trajectory(
             ChannelSpec.phase_flip(), REFERENCE_STATE, H_DEFAULT, TimeGrid(8.0, 300)
         )
-        for snap in traj.snapshots:
-            assert np.max(np.abs(snap.overlap.sum(axis=0) - 1.0)) <= 1e-10
-            assert np.max(np.abs(snap.overlap.sum(axis=1) - 1.0)) <= 1e-10
+        for i in range(len(traj.tau)):
+            assert np.max(np.abs(traj.overlap[i].sum(axis=0) - 1.0)) <= 1e-10
+            assert np.max(np.abs(traj.overlap[i].sum(axis=1) - 1.0)) <= 1e-10
 
     def test_flip_branches_never_swap(self):
         # discriminant stays >= 1/4 at the reference angle, so the branch
@@ -272,8 +271,8 @@ class TestSpectralTrajectory:
         traj = spectral_trajectory(
             ChannelSpec.phase_flip(), REFERENCE_STATE, H_DEFAULT, TimeGrid(8.0, 400)
         )
-        for snap in traj.snapshots:
-            assert snap.eigenvalues[0] - snap.eigenvalues[1] >= 0.5 - 1e-12
+        for i in range(len(traj.tau)):
+            assert traj.eigenvalues[i][0] - traj.eigenvalues[i][1] >= 0.5 - 1e-12
 
     def test_branch_continuity_through_eigenvalue_crossing(self):
         # theta = pi/4 phase flip crosses the maximally mixed state: the
@@ -282,13 +281,13 @@ class TestSpectralTrajectory:
         traj = spectral_trajectory(
             ChannelSpec.phase_flip(), rho0, H_DEFAULT, TimeGrid(2.0, 200)
         )
-        lead = np.array([s.eigenvalues[0] for s in traj.snapshots])
-        taus = np.array([s.tau for s in traj.snapshots])
+        lead = np.array([traj.eigenvalues[i][0] for i in range(len(traj.tau))])
+        taus = np.array([traj.tau[i] for i in range(len(traj.tau))])
         # continuous branch 0.5 * (1 + 2e^{-tau} - 1) crosses below 1/2
         expected = 0.5 * (1 + (2 * np.exp(-taus) - 1))
         assert np.max(np.abs(lead - expected)) <= 1e-10
-        for earlier, later in zip(traj.snapshots, traj.snapshots[1:]):
-            align = np.abs(np.vdot(earlier.eigenvectors[:, 0], later.eigenvectors[:, 0]))
+        for i in range(1, len(traj.tau)):
+            align = np.abs(np.vdot(traj.eigenvectors[i - 1][:, 0], traj.eigenvectors[i][:, 0]))
             assert align >= 1 - 1e-8
 
     def test_exact_degeneracy_inherits_eigenvectors(self):
@@ -298,13 +297,57 @@ class TestSpectralTrajectory:
         rho0 = prepare_pure_state(InitialStatePrep(math.pi / 4))
         grid = TimeGrid(2 * math.log(2), 2)
         traj = spectral_trajectory(ChannelSpec.phase_flip(), rho0, H_DEFAULT, grid)
-        first, middle = traj.snapshots[0], traj.snapshots[1]
-        gap = abs(middle.eigenvalues[0] - middle.eigenvalues[1])
+        gap = abs(traj.eigenvalues[1][0] - traj.eigenvalues[1][1])
         assert gap <= 1e-12
         for k in range(2):
-            align = abs(np.vdot(first.eigenvectors[:, k], middle.eigenvectors[:, k]))
+            align = abs(np.vdot(traj.eigenvectors[0][:, k], traj.eigenvectors[1][:, k]))
             assert align == pytest.approx(1.0, abs=1e-12)
-        assert np.max(np.abs(middle.overlap - first.overlap)) <= 1e-12
+        assert np.max(np.abs(traj.overlap[1] - traj.overlap[0])) <= 1e-12
+
+    @pytest.mark.parametrize("driven", [False, True], ids=["static", "driven"])
+    def test_non_diagonal_hamiltonian_eigensolver_calls(self, monkeypatch, driven):
+        # one call per state plus one for a static H; one per H(t) if driven
+        rng = np.random.default_rng(4)
+        spec = _mixed_unitary_channel(rng, 4)
+        z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        m = 0.25 * (z + z.conj().T)
+        drive = "+0.1*t" if driven else ""
+        h = Hamiltonian([f"{float(m[i, i].real)!r}{drive}" for i in range(4)],
+                        {(i, j): (m[i, j].real, m[i, j].imag)
+                         for i in range(4) for j in range(i + 1, 4)})
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return hermitian_eigen(*args, **kwargs)
+
+        hermitian_eigen = cxmat.hermitian_eigen
+        monkeypatch.setattr(cxmat, "hermitian_eigen", counted)
+        grid = TimeGrid(4.0, 16)
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        psi /= np.linalg.norm(psi)
+        spectral_trajectory(spec, DensityOperator(np.outer(psi, psi.conj())), h, grid)
+        points = grid.steps + 1
+        assert len(calls) == (2 * points if driven else points + 1)
+
+    def test_invariant_checks_name_first_failing_tau(self):
+        tau = np.array([0.0, 0.5, 1.0, 1.5])
+        values = np.tile([0.75, 0.25], (4, 1))
+        overlap = np.tile(np.eye(2), (4, 1, 1))
+        firstlaw._validate_snapshot(tau, values, overlap)
+        values[3] = [1.5, -0.5]
+        values[2] = [0.75, 0.3]
+        with pytest.raises(cxmat.NumericError, match=r"at tau=1: eigenvalue sum"):
+            firstlaw._validate_snapshot(tau, values, overlap)
+        overlap[1] = [[0.9, 0.0], [0.1, 1.0]]
+        with pytest.raises(cxmat.NumericError, match=r"at tau=0.5: overlap matrix"):
+            firstlaw._validate_snapshot(tau, values, overlap)
+
+    def test_hamiltonian_domain_error_names_time(self):
+        h = Hamiltonian.diagonal([0.0, "log(t)"])
+        with pytest.raises(exprparse.DomainError, match=r"log\(\) .* at t=0\.0 "):
+            spectral_trajectory(ChannelSpec.phase_damping(), REFERENCE_STATE, h,
+                                TimeGrid(1.0, 4))
 
     def test_dimension_cap(self):
         rho0 = DensityOperator(np.eye(9, dtype=complex) / 9)
@@ -387,6 +430,35 @@ class TestIntegrateFirstLaw:
 
         ratio = max_error(250) / max_error(500)
         assert 3.5 <= ratio <= 4.5
+
+
+def _ledger_columns(ledger):
+    return np.stack([ledger.delta_u, ledger.work, ledger.heat, ledger.coherence])
+
+
+@pytest.mark.parametrize("d, seed", [(d, seed) for d in range(2, MAX_BRANCH_DIM + 1)
+                                     for seed in range(2)])
+def test_static_hamiltonian_ledger_properties(d, seed):
+    """Seeded mixed-unitary channels from pure states under a static
+    non-diagonal H: Q + C telescopes to delta U, shifting H by a multiple of
+    the identity changes nothing, and scaling H scales every column."""
+    rng = np.random.default_rng(500 + 10 * d + seed)
+    spec = _mixed_unitary_channel(rng, d)
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    psi /= np.linalg.norm(psi)
+    rho0 = DensityOperator(np.outer(psi, psi.conj()))
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    m = 0.25 * (z + z.conj().T)
+    grid = TimeGrid(4.0, 16)
+
+    def columns(matrix):
+        return _ledger_columns(run_energetics(spec, rho0, Hamiltonian.from_matrix(matrix), grid))
+
+    base = columns(m)
+    delta_u, _, heat, coherence = base
+    assert np.max(np.abs(heat + coherence - delta_u)) <= 1e-12
+    assert np.max(np.abs(columns(m + 0.7 * np.eye(d)) - base)) <= 1e-12
+    assert np.max(np.abs(columns(2.5 * m) - 2.5 * base)) <= 1e-12
 
 
 def test_default_grid_constants():
