@@ -1,17 +1,16 @@
 """Dense complex matrix helpers and a self-contained Hermitian eigensolver.
 
-Everything here operates on plain 2-D complex128 numpy arrays.  The
-eigensolver is a hand-written cyclic complex Jacobi sweep rather than a
-LAPACK call, so the whole numerical path stays auditable.  Matrices in this
-package are tiny (qubits, dim <= 8 for branch tracking), but the sweeps run
-in Python at every grid point: at d = 4 they are the largest cost of a
-trajectory (about two thirds of the self time in the benchmark's
-``qudit-d4`` workload, see ``perfbench/README.md``).
-"""
+The helpers operate on plain 2-D complex128 numpy arrays.  The eigensolver
+is a hand-written cyclic complex Jacobi sweep rather than a LAPACK call, so
+the whole numerical path stays auditable.  Matrices in this package are
+tiny (qubits, dim <= 8 for branch tracking) but come in long stacks, one per
+grid point, so the eigensolver takes a ``(..., n, n)`` stack and runs each
+rotation on every matrix of the stack that still needs it: the Python loop
+is over sweeps and index pairs, never over grid points.  A single matrix is
+a stack of one."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,11 +20,20 @@ class ShapeError(ValueError):
     """Matrix dimensions incompatible with the requested operation."""
 
 
-class NonHermitianError(ValueError):
+class _StackIndexed:
+    """Error about one matrix of a stack: ``index`` is its position in the
+    leading axes, or None for a single matrix."""
+
+    def __init__(self, message: str, index: tuple[int, ...] | None = None):
+        super().__init__(message)
+        self.index = index
+
+
+class NonHermitianError(_StackIndexed, ValueError):
     """Input matrix deviates from its adjoint beyond the allowed tolerance."""
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(_StackIndexed, RuntimeError):
     """Iterative routine exhausted its sweep budget without converging."""
 
 
@@ -84,130 +92,126 @@ def trace(a) -> complex:
 class HermitianEigenDecomposition:
     """Eigenvalues in ascending order; column j of ``eigenvectors`` pairs with
     ``eigenvalues[j]``.  Columns are orthonormal and phase-fixed so the
-    largest-magnitude component of each is real and positive."""
+    largest-magnitude component of each is real and positive.  For a
+    ``(..., n, n)`` stack the shapes are ``(..., n)`` and ``(..., n, n)``,
+    one decomposition per matrix."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     @property
     def dim(self) -> int:
-        return len(self.eigenvalues)
-
-
-def _jacobi_rotation(app: float, aqq: float, apq: complex):
-    """Parameters (c, s, phase, t) of the unitary plane rotation that zeroes
-    the (p, q) entry of the Hermitian 2x2 block [[app, apq], [conj(apq), aqq]].
-
-    The rotation is J = [[c, s*phase], [-s*conj(phase), c]] applied as
-    J† A J; t = s/c satisfies t^2 + 2*phi*t - 1 = 0 with
-    phi = (aqq - app) / (2|apq|), and the smaller-magnitude root keeps the
-    rotation angle below pi/4 (the classic stability choice)."""
-    r = abs(apq)
-    phase = apq / r
-    phi = (aqq - app) / (2.0 * r)
-    t = math.copysign(1.0, phi) / (abs(phi) + math.hypot(1.0, phi))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
-    return c, s, phase, t
+        return self.eigenvalues.shape[-1]
 
 
 def hermitian_eigen(a, tol: float = 1e-12, max_sweeps: int = MAX_SWEEPS) -> HermitianEigenDecomposition:
-    """Diagonalize a Hermitian matrix by cyclic complex Jacobi rotations.
+    """Diagonalize a Hermitian matrix, or every matrix of a ``(..., n, n)``
+    stack at once, by cyclic complex Jacobi rotations.
 
-    ``a`` must satisfy max|a - a†| <= tol.  Sweeps run until every
-    off-diagonal magnitude is at most OFFDIAG_FACTOR times the largest entry
-    of the input, or ConvergenceError after ``max_sweeps`` sweeps.
+    Each matrix must satisfy max|a - a†| <= tol.  Sweeps run until every
+    off-diagonal magnitude of a matrix is at most OFFDIAG_FACTOR times the
+    largest entry of that matrix; a (p, q) rotation is applied only to the
+    matrices whose |a_pq| still exceeds their own threshold, so each matrix
+    gets exactly the rotations it would get alone.  A matrix still above its
+    threshold after ``max_sweeps`` sweeps raises ConvergenceError.  Errors
+    on a stack name the first failing matrix and carry its ``index``.
     """
-    a = as_matrix(a)
-    n = a.shape[0]
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"eigendecomposition requires a square matrix, got {a.shape}")
-    adj = a.conj().T
-    dev = float(np.max(np.abs(a - adj)))
-    if dev > tol:
-        raise NonHermitianError(
-            f"matrix is not Hermitian: max|a - a†| = {dev:.3e} > tol {tol:.3e}"
-        )
+    m = np.asarray(a, dtype=np.complex128)
+    batch = m.shape[:-2]
+    stack = as_matrix(m.reshape((-1,) + m.shape[-2:]) if m.ndim >= 2 else m, stack=True)
+    n = stack.shape[-1]
+    if stack.shape[-2] != n:
+        raise ShapeError(f"eigendecomposition requires a square matrix, got {m.shape}")
+    adj = stack.conj().swapaxes(-1, -2)
+    dev = np.abs(stack - adj).max(axis=(-2, -1))
 
+    # A rotation multiplies both A and the accumulated eigenvectors V by J on
+    # the right, so they are stored one above the other and rotated together.
+    aug = np.zeros((len(stack), 2 * n, n), dtype=np.complex128)
+    work, vecs = aug[:, :n], aug[:, n:]
     # Fold round-off asymmetry away before iterating.
-    work = 0.5 * (a + adj)
-    scale = float(np.max(np.abs(work)))
-    if scale == 0.0:
-        return HermitianEigenDecomposition(np.zeros(n), np.eye(n, dtype=np.complex128))
-    thresh = OFFDIAG_FACTOR * scale
-
-    if n == 2:
-        # A 2x2 Hermitian matrix closes in a single Jacobi rotation; written
-        # out with scalars because this is the trajectory hot path.
-        app = work[0, 0].real
-        aqq = work[1, 1].real
-        apq = work[0, 1]
-        if abs(apq) > thresh:
-            c, s, phase, t = _jacobi_rotation(app, aqq, apq)
-            values = np.array([app - t * abs(apq), aqq + t * abs(apq)])
-            vecs = np.array(
-                [[c, s * phase], [-s * np.conj(phase), c]], dtype=np.complex128
-            )
-        else:
-            values = np.array([app, aqq])
-            vecs = np.eye(2, dtype=np.complex128)
-        return _finalize_eigen(values, vecs)
-
-    vecs = np.eye(n, dtype=np.complex128)
+    work[...] = 0.5 * (stack + adj)
+    vecs[:, range(n), range(n)] = 1.0
+    thresh = OFFDIAG_FACTOR * np.abs(work).max(axis=(-2, -1))
+    off_diagonal = ~np.eye(n, dtype=bool)
     sweeps = 0
     while True:
-        abs_off = np.abs(work)
-        np.fill_diagonal(abs_off, 0.0)
-        off_max = float(abs_off.max()) if n > 1 else 0.0
-        if off_max <= thresh:
+        off_max = np.abs(work[:, off_diagonal]).max(axis=-1, initial=0.0)
+        active = off_max > thresh
+        if sweeps >= max_sweeps or not active.any():
             break
-        if sweeps >= max_sweeps:
-            raise ConvergenceError(
-                f"Jacobi sweep cap ({max_sweeps}) exceeded; "
-                f"max off-diagonal {off_max:.3e} > {thresh:.3e}"
-            )
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = work[p, q]
-                if abs(apq) <= thresh:
-                    continue
-                app = work[p, p].real
-                aqq = work[q, q].real
-                c, s, phase, t = _jacobi_rotation(app, aqq, apq)
-                # A <- J† A J, columns first then rows.
-                colp = work[:, p].copy()
-                colq = work[:, q].copy()
-                work[:, p] = c * colp - s * np.conj(phase) * colq
-                work[:, q] = s * phase * colp + c * colq
-                rowp = work[p, :].copy()
-                rowq = work[q, :].copy()
-                work[p, :] = c * rowp - s * phase * rowq
-                work[q, :] = s * np.conj(phase) * rowp + c * rowq
-                # Analytic updates for the rotated block kill round-off drift.
-                work[p, p] = app - t * abs(apq)
-                work[q, q] = aqq + t * abs(apq)
-                work[p, q] = 0.0
-                work[q, p] = 0.0
-                vcolp = vecs[:, p].copy()
-                vcolq = vecs[:, q].copy()
-                vecs[:, p] = c * vcolp - s * np.conj(phase) * vcolq
-                vecs[:, q] = s * phase * vcolp + c * vcolq
+                rotate = np.abs(work[:, p, q]) > thresh
+                if rotate.any():
+                    rows = slice(None) if rotate.all() else np.flatnonzero(rotate)
+                    _rotate(aug, rows, p, q)
         sweeps += 1
 
-    return _finalize_eigen(np.real(np.diag(work)).copy(), vecs)
+    # The first failing matrix is reported, whichever check it fails.
+    skew = np.flatnonzero(dev > tol)
+    stuck = np.flatnonzero(active)
+    if skew.size and not (stuck.size and stuck[0] < skew[0]):
+        _raise_at(NonHermitianError, batch, skew[0],
+                  f"matrix is not Hermitian: max|a - a†| = {dev[skew[0]]:.3e} > tol {tol:.3e}")
+    if stuck.size:
+        _raise_at(ConvergenceError, batch, stuck[0],
+                  f"Jacobi sweep cap ({max_sweeps}) exceeded; "
+                  f"max off-diagonal {off_max[stuck[0]]:.3e} > {thresh[stuck[0]]:.3e}")
+
+    values = np.diagonal(work, axis1=-2, axis2=-1).real
+    order = np.argsort(values, axis=-1, kind="stable")
+    each = np.arange(len(work))[:, None]
+    values = values[each, order]
+    vecs = vecs.swapaxes(-1, -2)[each, order].swapaxes(-1, -2)
+    # Rotate each column so its largest-magnitude component is real positive.
+    pivot = vecs[each, np.abs(vecs).argmax(axis=-2), range(n)]
+    vecs = vecs * (np.conj(pivot) / np.abs(pivot))[:, None, :]
+    return HermitianEigenDecomposition(values.reshape(batch + (n,)), vecs.reshape(batch + (n, n)))
 
 
-def _finalize_eigen(values: np.ndarray, vecs: np.ndarray) -> HermitianEigenDecomposition:
-    order = np.argsort(values, kind="stable")
-    return HermitianEigenDecomposition(values[order], _fix_phases(vecs[:, order]))
+def _raise_at(cls, batch, i, message):
+    """Raise ``cls`` for matrix ``i`` of a stack flattened from leading shape ``batch``."""
+    if not batch:
+        raise cls(message)
+    index = tuple(int(k) for k in np.unravel_index(i, batch))
+    raise cls(f"matrix {index} of the stack: {message}", index)
 
 
-def _fix_phases(vecs: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude component is real positive."""
-    out = vecs.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        idx = int(np.argmax(np.abs(col)))
-        pivot = col[idx]
-        out[:, j] = col * (np.conj(pivot) / abs(pivot))
-    return out
+def _rotate(aug, rows, p, q):
+    """Zero the (p, q) entry of each selected matrix A by the unitary plane
+    rotation J = [[c, s*phase], [-s*conj(phase), c]]: A <- J† A J and
+    V <- V J, with ``aug`` holding A above V.
+
+    t = s/c satisfies t^2 + 2*phi*t - 1 = 0 with phi = (aqq - app) / (2|apq|),
+    and the smaller-magnitude root keeps the rotation angle below pi/4 (the
+    classic stability choice).  A is exactly Hermitian (folded on entry, and
+    the products below keep conjugate symmetry bit for bit), so rows p and q
+    of J† A J are the conjugates of its columns p and q."""
+    n = aug.shape[-1]
+    # These may be views (``rows`` may be a slice): use them before any write.
+    apq = aug[rows, p, q]
+    app = aug[rows, p, p].real
+    aqq = aug[rows, q, q].real
+    r = np.abs(apq)
+    phase = apq / r
+    phi = (aqq - app) / (2.0 * r)
+    t = np.copysign(1.0, phi) / (np.abs(phi) + np.hypot(1.0, phi))
+    # Analytic updates for the rotated block kill round-off drift.
+    new_pp = app - t * r
+    new_qq = aqq + t * r
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    s = t * c
+    c_ = c[:, None]
+    s_phase = (s * phase)[:, None]
+    s_conj = (s * np.conj(phase))[:, None]
+    colp = aug[rows, :, p].copy()
+    colq = aug[rows, :, q]
+    aug[rows, :, p] = c_ * colp - s_conj * colq
+    aug[rows, :, q] = s_phase * colp + c_ * colq
+    aug[rows, p, :] = np.conj(aug[rows, :n, p])
+    aug[rows, q, :] = np.conj(aug[rows, :n, q])
+    aug[rows, p, p] = new_pp
+    aug[rows, q, q] = new_qq
+    aug[rows, p, q] = 0.0
+    aug[rows, q, p] = 0.0

@@ -23,10 +23,10 @@ load-bearing for the tests:
 
 The trajectory is a few arrays over the grid, one row per grid point.
 Everything that does not depend on the previous point is computed for the
-whole grid in one call: the Kraus operators, evolution and its checks, H(t)
-and its eigenbasis, the overlaps, the invariant checks and Tr(rho H).  Only
-the state eigensolver, branch matching and degeneracy inheritance walk the
-grid point by point, since each point is matched against the one before.
+whole grid in one call: the Kraus operators, evolution and its checks, the
+state eigensystem, H(t) and its eigenbasis, the overlaps, the invariant
+checks and Tr(rho H).  Only branch matching and degeneracy inheritance walk
+the grid point by point, since each point is matched against the one before.
 
 Eigenbranches are matched between consecutive grid points by the permutation
 that maximizes the total squared eigenvector overlap (ties go to the smaller
@@ -243,8 +243,8 @@ def spectral_trajectory(
     h: Hamiltonian,
     grid: TimeGrid,
 ) -> SpectralTrajectory:
-    """Evolve over the whole grid, then eigendecompose and branch-match
-    point by point, then take overlaps with the energy eigenbasis."""
+    """Evolve and eigendecompose over the whole grid, branch-match point by
+    point, then take overlaps with the energy eigenbasis."""
     if rho0.dim > MAX_BRANCH_DIM:
         raise UnsupportedDimensionError(
             f"trajectories support dim <= {MAX_BRANCH_DIM}, got {rho0.dim}: "
@@ -257,20 +257,19 @@ def spectral_trajectory(
     tau = grid.points
     time = spec.physical_time(tau)
     rho = evolve(spec, rho0, time).matrix
-    values = np.empty(rho.shape[:-1])
-    vectors = np.empty_like(rho)
-    for i, rho_i in enumerate(rho):
-        try:
-            eig = cxmat.hermitian_eigen(rho_i)
-        except (cxmat.ConvergenceError, cxmat.NonHermitianError) as exc:
-            raise type(exc)(f"at tau={tau[i]:.6g}: {exc}") from exc
-        if i == 0:
-            order = np.argsort(eig.eigenvalues, kind="stable")[::-1]
-            values[0], vectors[0] = eig.eigenvalues[order], eig.eigenvectors[:, order]
-            continue
-        order = list(branch_match(values[i - 1], vectors[i - 1], eig.eigenvalues, eig.eigenvectors))
-        values[i] = eig.eigenvalues[order]
-        vectors[i] = _inherit_degenerate(rho_i, values[i], eig.eigenvectors[:, order],
+    try:
+        eig = cxmat.hermitian_eigen(rho)
+    except (cxmat.ConvergenceError, cxmat.NonHermitianError) as exc:
+        raise type(exc)(f"at tau={tau[exc.index]:.6g}: {exc}", exc.index) from exc
+    raw_values, raw_vectors = eig.eigenvalues, eig.eigenvectors
+    values = np.empty_like(raw_values)
+    vectors = np.empty_like(raw_vectors)
+    order = np.argsort(raw_values[0], kind="stable")[::-1]
+    values[0], vectors[0] = raw_values[0, order], raw_vectors[0][:, order]
+    for i in range(1, len(tau)):
+        order = list(branch_match(values[i - 1], vectors[i - 1], raw_values[i], raw_vectors[i]))
+        values[i] = raw_values[i, order]
+        vectors[i] = _inherit_degenerate(rho[i], values[i], raw_vectors[i][:, order],
                                          vectors[i - 1])
     basis = qstate.energy_eigenbasis(h, time)
     overlap = np.abs(np.swapaxes(basis.basis.conj(), -1, -2) @ vectors) ** 2

@@ -194,8 +194,8 @@ def energy_eigenbasis(h: Hamiltonian, t=0.0) -> EnergyEigenbasis:
 
     Diagonal Hamiltonians short-circuit to the computational basis in entry
     order, with no numerical perturbation; anything else goes through the
-    Jacobi eigensolver (ascending energies), once if H is the same matrix at
-    every requested time and once per time otherwise.
+    Jacobi eigensolver (ascending energies): on one matrix if H is the same
+    at every requested time, otherwise on the whole stack in one call.
     """
     hm = h.matrix(t)
     if h.is_diagonal:
@@ -206,9 +206,8 @@ def energy_eigenbasis(h: Hamiltonian, t=0.0) -> EnergyEigenbasis:
         eig = cxmat.hermitian_eigen(stack[0])
         return EnergyEigenbasis(np.broadcast_to(eig.eigenvalues, hm.shape[:-1]).copy(),
                                 np.broadcast_to(eig.eigenvectors, hm.shape).copy())
-    eigs = [cxmat.hermitian_eigen(m) for m in stack]
-    return EnergyEigenbasis(np.array([eig.eigenvalues for eig in eigs]),
-                            np.array([eig.eigenvectors for eig in eigs]))
+    eig = cxmat.hermitian_eigen(hm)
+    return EnergyEigenbasis(eig.eigenvalues, eig.eigenvectors)
 
 
 def internal_energy(rho: DensityOperator, h: Hamiltonian, t=0.0):

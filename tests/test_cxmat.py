@@ -187,6 +187,104 @@ class TestHermitianEigen:
             cxmat.as_matrix(m)
 
 
+def _random_hermitian(rng, d):
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return z + z.conj().T
+
+
+def _assert_stack_matches_single_calls(stack, **kwargs):
+    eig = cxmat.hermitian_eigen(stack, **kwargs)
+    assert eig.eigenvalues.shape == stack.shape[:-1]
+    assert eig.eigenvectors.shape == stack.shape
+    for index in np.ndindex(stack.shape[:-2]):
+        one = cxmat.hermitian_eigen(stack[index], **kwargs)
+        assert np.max(np.abs(eig.eigenvalues[index] - one.eigenvalues)) <= 1e-14
+        assert np.max(np.abs(eig.eigenvectors[index] - one.eigenvectors)) <= 1e-14
+    return eig
+
+
+class TestHermitianEigenStack:
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_stack_equals_per_matrix_calls(self, d):
+        rng = np.random.default_rng(700 + d)
+        stack = np.array([_random_hermitian(rng, d) * rng.uniform(0.01, 10) for _ in range(12)])
+        eig = _assert_stack_matches_single_calls(stack)
+        for a, values, vecs in zip(stack, eig.eigenvalues, eig.eigenvectors):
+            assert np.max(np.abs(a @ vecs - vecs * values)) <= 1e-10 * np.max(np.abs(a))
+            assert np.all(np.diff(values) >= 0)
+
+    def test_leading_axes_are_kept(self):
+        rng = np.random.default_rng(9)
+        stack = np.array([_random_hermitian(rng, 3) for _ in range(6)]).reshape(2, 3, 3, 3)
+        eig = _assert_stack_matches_single_calls(stack)
+        assert eig.dim == 3
+
+    def test_converged_members_next_to_unconverged_ones(self):
+        rng = np.random.default_rng(21)
+        u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        degenerate = u @ np.diag([1.0, 1.0, 1.0, 3.0]) @ u.conj().T
+        degenerate = 0.5 * (degenerate + degenerate.conj().T)
+        stack = np.array([
+            np.zeros((4, 4)),
+            np.diag([0.4, -1.0, 2.5, 0.0]),
+            _random_hermitian(rng, 4),
+            0.5 * np.eye(4),
+            degenerate,
+            np.diag([1.0, 1.0, 2.0, 2.0]),
+            _random_hermitian(rng, 4) * 1e-6,
+        ]).astype(complex)
+        eig = _assert_stack_matches_single_calls(stack)
+        assert np.array_equal(eig.eigenvalues[0], np.zeros(4))
+        assert np.array_equal(eig.eigenvectors[0], np.eye(4))
+        assert np.array_equal(eig.eigenvalues[1], [-1.0, 0.0, 0.4, 2.5])
+        assert np.array_equal(np.abs(eig.eigenvectors[1]), np.eye(4)[:, [1, 3, 0, 2]])
+        assert np.array_equal(eig.eigenvalues[3], np.full(4, 0.5))
+        assert np.max(np.abs(eig.eigenvalues[4] - [1.0, 1.0, 1.0, 3.0])) <= 1e-14
+
+    def test_matrix_input_returns_one_decomposition(self):
+        eig = cxmat.hermitian_eigen(SIGMA_X)
+        assert eig.eigenvalues.shape == (2,)
+        assert eig.eigenvectors.shape == (2, 2)
+        assert eig.dim == 2
+
+    def test_non_hermitian_names_first_failing_matrix(self):
+        rng = np.random.default_rng(3)
+        stack = np.array([_random_hermitian(rng, 3) for _ in range(5)])
+        stack[2, 0, 1] += 1e-6
+        stack[4, 1, 2] += 1.0
+        with pytest.raises(cxmat.NonHermitianError, match=r"^matrix \(2,\) of the stack: ") as info:
+            cxmat.hermitian_eigen(stack)
+        assert info.value.index == (2,)
+        with pytest.raises(cxmat.NonHermitianError) as info:
+            cxmat.hermitian_eigen(stack.reshape(5, 1, 3, 3)[1:].reshape(2, 2, 3, 3))
+        assert info.value.index == (0, 1)
+        with pytest.raises(cxmat.NonHermitianError) as info:
+            cxmat.hermitian_eigen(stack[2])
+        assert info.value.index is None
+
+    def test_sweep_cap_names_first_unconverged_matrix(self):
+        rng = np.random.default_rng(13)
+        stack = np.array([np.diag([0.2, 0.3, 0.5]), np.zeros((3, 3)), _random_hermitian(rng, 3),
+                          _random_hermitian(rng, 3)]).astype(complex)
+        with pytest.raises(cxmat.ConvergenceError, match=r"^matrix \(2,\) of the stack: ") as info:
+            cxmat.hermitian_eigen(stack, max_sweeps=0)
+        assert info.value.index == (2,)
+        eig = cxmat.hermitian_eigen(stack[:2], max_sweeps=0)
+        assert np.array_equal(eig.eigenvalues, [[0.2, 0.3, 0.5], np.zeros(3)])
+
+    def test_first_failing_matrix_wins_across_checks(self):
+        rng = np.random.default_rng(14)
+        stack = np.array([np.eye(3), _random_hermitian(rng, 3), _random_hermitian(rng, 3)])
+        stack[2, 0, 1] += 1.0
+        with pytest.raises(cxmat.ConvergenceError) as info:
+            cxmat.hermitian_eigen(stack, max_sweeps=0)
+        assert info.value.index == (1,)
+        stack[1, 0, 1] += 1.0
+        with pytest.raises(cxmat.NonHermitianError) as info:
+            cxmat.hermitian_eigen(stack, max_sweeps=0)
+        assert info.value.index == (1,)
+
+
 @settings(max_examples=40)
 @given(matrices(3, 3))
 def test_eigen_reconstruction_random_hermitian(raw):

@@ -306,7 +306,7 @@ class TestSpectralTrajectory:
 
     @pytest.mark.parametrize("driven", [False, True], ids=["static", "driven"])
     def test_non_diagonal_hamiltonian_eigensolver_calls(self, monkeypatch, driven):
-        # one call per state plus one for a static H; one per H(t) if driven
+        # one call on the state stack and one for H, static or driven
         rng = np.random.default_rng(4)
         spec = _mixed_unitary_channel(rng, 4)
         z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -327,8 +327,24 @@ class TestSpectralTrajectory:
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
         psi /= np.linalg.norm(psi)
         spectral_trajectory(spec, DensityOperator(np.outer(psi, psi.conj())), h, grid)
-        points = grid.steps + 1
-        assert len(calls) == (2 * points if driven else points + 1)
+        assert len(calls) == 2
+
+    def test_eigensolver_failure_names_first_failing_tau(self, monkeypatch):
+        # diag(1, 0, 0) is already diagonal at tau = 0 and needs no sweep;
+        # the mixed state at the next grid point needs at least one
+        spec = _mixed_unitary_channel(np.random.default_rng(8), 3)
+        rho0 = DensityOperator(np.diag([1.0, 0.0, 0.0]))
+        h = Hamiltonian.diagonal([0.0, 1.0, 2.0])
+        hermitian_eigen = cxmat.hermitian_eigen
+        monkeypatch.setattr(cxmat, "hermitian_eigen",
+                            lambda a, **kwargs: hermitian_eigen(a, max_sweeps=0))
+        with pytest.raises(cxmat.ConvergenceError, match=r"^at tau=0\.25: .*sweep cap") as info:
+            spectral_trajectory(spec, rho0, h, TimeGrid(4.0, 16))
+        assert info.value.index == (1,)
+        monkeypatch.setattr(cxmat, "hermitian_eigen", hermitian_eigen)
+        skewed = DensityOperator(np.array([[1.0, 0.5], [0.0, 0.0]]))
+        with pytest.raises(cxmat.NonHermitianError, match=r"^at tau=0: .*not Hermitian"):
+            spectral_trajectory(ChannelSpec.phase_damping(), skewed, H_DEFAULT, TimeGrid(4.0, 16))
 
     def test_invariant_checks_name_first_failing_tau(self):
         tau = np.array([0.0, 0.5, 1.0, 1.5])
