@@ -1,5 +1,5 @@
-"""Work / heat / coherence bookkeeping for qubits under non-dissipative
-Kraus channels, with closed-form oracles and a verification CLI."""
+"""Work / heat / coherence bookkeeping for finite-dimensional systems under
+non-dissipative Kraus channels, with closed-form oracles and a verification CLI."""
 
 from .channel import ChannelSpec, KrausSet, apply, evolve, kraus_at, validate_cptp
 from .cxmat import HermitianEigenDecomposition, adjoint, hermitian_eigen, mul, trace

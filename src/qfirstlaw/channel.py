@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cxmat, exprparse
-from .exprparse import Expression
 from .qstate import DensityOperator
 
 PHASE_DAMPING = "phase_damping"
@@ -36,6 +35,11 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 _FLIP_PAULI = {PHASE_FLIP: PAULI_Z, BIT_FLIP: PAULI_X, BIT_PHASE_FLIP: PAULI_Y}
+
+#: Completeness bound max|sum K†K - I| for a custom channel at t = 0 and
+#: for every Kraus set that evolves a state.
+CPTP_TOL = 1e-10
+
 
 class CptpError(RuntimeError):
     """A Kraus set failed the completeness check sum_i K_i† K_i = I."""
@@ -79,22 +83,19 @@ class CptpReport:
         return bool(np.all(self.deviation <= self.bound))
 
 
-# One custom Kraus operator is a grid of (re, im) expression pairs.
-CustomOperator = tuple[tuple[tuple[Expression, Expression], ...], ...]
-
-
 @dataclass(frozen=True)
 class ChannelSpec:
     """A time-parameterized family of Kraus sets.
 
-    Builtins carry a decay/dephasing rate; custom channels carry
-    expression-valued operator entries evaluated at the requested time.
+    Builtins carry a decay/dephasing rate; custom channels carry each
+    operator's non-zero cells (see exprparse.matrix_cells), evaluated at the
+    requested time.
     """
 
     kind: str
     rate: float = 1.0
     dim: int = 2
-    custom_operators: tuple[CustomOperator, ...] = field(default=(), repr=False)
+    custom_operators: tuple[tuple[exprparse.Cell, ...], ...] = field(default=(), repr=False)
 
     def __post_init__(self):
         if self.kind in BUILTIN_KINDS:
@@ -129,33 +130,18 @@ class ChannelSpec:
     @classmethod
     def custom(cls, operators, dim: int | None = None) -> "ChannelSpec":
         """Custom channel from nested entries; each entry is a value accepted
-        by exprparse.as_expression or an (re, im) pair of such values.
-        The operator set must be CPTP at t = 0."""
-        parsed = []
-        for op in operators:
-            rows = []
-            for row in op:
-                cells = []
-                for entry in row:
-                    if isinstance(entry, (tuple, list)):
-                        if len(entry) != 2:
-                            raise ValueError(
-                                f"matrix entry must be a [re, im] pair, got {entry!r}"
-                            )
-                        re_part, im_part = entry
-                    else:
-                        re_part, im_part = entry, 0.0
-                    cells.append(
-                        (exprparse.as_expression(re_part), exprparse.as_expression(im_part))
-                    )
-                rows.append(tuple(cells))
-            parsed.append(tuple(rows))
-        d = dim if dim is not None else len(parsed[0])
-        for op in parsed:
-            if len(op) != d or any(len(row) != d for row in op):
-                raise ValueError(f"custom Kraus operators must all be {d}x{d}")
-        spec = cls(CUSTOM, dim=d, custom_operators=tuple(parsed))
-        report = validate_cptp(kraus_at(spec, 0.0), tol=1e-10)
+        by exprparse.as_cell.  The operator set must be CPTP at t = 0."""
+        operators = list(operators)
+        d = dim if dim is not None else len(operators[0])
+        if any(len(op) != d or any(len(row) != d for row in op) for op in operators):
+            raise ValueError(f"custom Kraus operators must all be {d}x{d}")
+        cells = tuple(
+            exprparse.matrix_cells(((i, j), entry) for i, row in enumerate(op)
+                                   for j, entry in enumerate(row))
+            for op in operators
+        )
+        spec = cls(CUSTOM, dim=d, custom_operators=cells)
+        report = validate_cptp(kraus_at(spec, 0.0), tol=CPTP_TOL)
         if not report.passed:
             raise CptpError(
                 f"custom channel is not CPTP at t=0: deviation {report.deviation:.3e}",
@@ -166,8 +152,7 @@ class ChannelSpec:
     @classmethod
     def identity(cls, dim: int = 2) -> "ChannelSpec":
         """The do-nothing channel (single identity Kraus operator)."""
-        op = [[(1.0 if i == j else 0.0, 0.0) for j in range(dim)] for i in range(dim)]
-        return cls.custom([op], dim=dim)
+        return cls.custom([np.eye(dim).tolist()], dim=dim)
 
     @classmethod
     def from_json(cls, source) -> "ChannelSpec":
@@ -208,19 +193,13 @@ def kraus_at(spec: ChannelSpec, t) -> KrausSet:
             k2 = np.sqrt(p) * _FLIP_PAULI[spec.kind]
         return KrausSet((k1, k2), t)
     ops = []
-    for op_index, op in enumerate(spec.custom_operators):
-        matrix = np.zeros(times.shape + (spec.dim, spec.dim), dtype=np.complex128)
-        for i, row in enumerate(op):
-            for j, (re_part, im_part) in enumerate(row):
-                try:
-                    matrix[..., i, j] = (exprparse.evaluate(re_part, times)
-                                         + 1j * exprparse.evaluate(im_part, times))
-                except exprparse.DomainError as exc:
-                    raise exprparse.DomainError(
-                        f"custom channel operator {op_index} entry ({i},{j}): {exc.message}",
-                        exc.position,
-                    ) from exc
-        ops.append(matrix)
+    for index, cells in enumerate(spec.custom_operators):
+        try:
+            ops.append(exprparse.evaluate_matrix(cells, spec.dim, times))
+        except exprparse.DomainError as exc:
+            raise exprparse.DomainError(
+                f"custom channel operator {index} {exc.message}", exc.position
+            ) from exc
     return KrausSet(tuple(ops), t)
 
 
@@ -236,20 +215,20 @@ def validate_cptp(kraus: KrausSet, tol: float = 1e-12) -> CptpReport:
     return CptpReport(completeness_deviation(kraus), tol)
 
 
-def apply(kraus: KrausSet, rho: DensityOperator, cptp_tol: float = 1e-10) -> DensityOperator:
-    """sum_i K_i rho K_i†, refusing Kraus sets that fail CPTP within cptp_tol;
+def apply(kraus: KrausSet, rho: DensityOperator) -> DensityOperator:
+    """sum_i K_i rho K_i†, refusing Kraus sets that fail CPTP within CPTP_TOL;
     a Kraus set over a grid gives the stack of states at every time."""
     if kraus.dim != rho.dim:
         raise cxmat.ShapeError(
             f"dimension mismatch: Kraus dim {kraus.dim}, state dim {rho.dim}"
         )
-    report = validate_cptp(kraus, tol=cptp_tol)
+    report = validate_cptp(kraus, tol=CPTP_TOL)
     if not report.passed:
-        index = np.flatnonzero(np.ravel(report.deviation) > cptp_tol)[0]
+        index = np.flatnonzero(np.ravel(report.deviation) > CPTP_TOL)[0]
         deviation = float(np.ravel(report.deviation)[index])
         raise CptpError(
             f"Kraus set at t={np.ravel(kraus.time_label)[index]} is not CPTP: "
-            f"deviation {deviation:.3e} > {cptp_tol:.3e}",
+            f"deviation {deviation:.3e} > {CPTP_TOL:.3e}",
             deviation,
         )
     ops = np.stack(kraus.operators, axis=-3)

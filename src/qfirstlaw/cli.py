@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import cxmat, experiment, exprparse, verification
-from .channel import CptpError, completeness_deviation, kraus_at
+from .channel import CPTP_TOL, CptpError, completeness_deviation, kraus_at
 from .experiment import ConfigError
 from .firstlaw import UnsupportedDimensionError
 
@@ -28,8 +28,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qfirstlaw",
         description=(
-            "Decompose the energy change of a qubit under non-dissipative "
-            "Kraus channels into work, heat, and coherence."
+            "Decompose the energy change of a finite-dimensional system under "
+            "non-dissipative Kraus channels into work, heat, and coherence."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -82,16 +82,8 @@ def cmd_simulate(args) -> int:
             raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(file_values, dict):
             raise ConfigError("config file must contain a JSON object")
-    flag_values = {
-        "channel": args.channel,
-        "theta": args.theta,
-        "phi": args.phi,
-        "e_g": args.e_g,
-        "e_e": args.e_e,
-        "tau_max": args.tau_max,
-        "steps": args.steps,
-        "emit_oracle": args.emit_oracle,
-    }
+    flag_values = {key: value for key, value in vars(args).items()
+                   if key in experiment._CONFIG_KEYS}
     config = experiment.config_from_sources(file_values, flag_values)
     result = experiment.run_experiment(config)
     experiment.write_trajectory_csv(args.out, result)
@@ -131,7 +123,7 @@ def cmd_channel_info(args) -> int:
         for row in op:
             print("  [ " + ", ".join(_format_complex(z) for z in row) + " ]")
     deviation = completeness_deviation(ks)
-    status = "PASS" if deviation <= 1e-10 else "FAIL"
+    status = "PASS" if deviation <= CPTP_TOL else "FAIL"
     print(f"completeness deviation max|sum K†K - I| = {deviation:.3e}  {status}")
     return 0
 

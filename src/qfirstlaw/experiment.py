@@ -74,14 +74,14 @@ def parse_channel(value) -> ChannelSpec:
     if isinstance(value, ChannelSpec):
         return value
     if isinstance(value, dict):
-        try:
-            return ChannelSpec.from_json(value)
-        except (ValueError, CptpError) as exc:
-            raise ConfigError(f"invalid custom channel: {exc}") from exc
-    name = str(value).strip()
-    if name in CHANNEL_NAMES:
-        return CHANNEL_NAMES[name]()
-    if name.startswith("custom:"):
+        payload, origin = value, ""
+    else:
+        name = str(value).strip()
+        if name in CHANNEL_NAMES:
+            return CHANNEL_NAMES[name]()
+        if not name.startswith("custom:"):
+            raise ConfigError(f"unknown channel {name!r}; expected one of "
+                              f"{', '.join(CHANNEL_NAMES)} or custom:<file>")
         path = Path(name[len("custom:"):])
         try:
             payload = json.loads(path.read_text())
@@ -89,13 +89,11 @@ def parse_channel(value) -> ChannelSpec:
             raise ConfigError(f"cannot read channel file {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"channel file {path} is not valid JSON: {exc}") from exc
-        try:
-            return ChannelSpec.from_json(payload)
-        except (ValueError, CptpError) as exc:
-            raise ConfigError(f"invalid custom channel in {path}: {exc}") from exc
-    raise ConfigError(
-        f"unknown channel {name!r}; expected one of {', '.join(CHANNEL_NAMES)} or custom:<file>"
-    )
+        origin = f" in {path}"
+    try:
+        return ChannelSpec.from_json(payload)
+    except (ValueError, CptpError) as exc:
+        raise ConfigError(f"invalid custom channel{origin}: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Minimal arithmetic expression language over the time variable ``t``.
 
-Used for time-dependent Kraus and Hamiltonian entries in JSON configs.
+Used for time-dependent Kraus and Hamiltonian entries in JSON configs; both
+kinds of matrix are stored as cells and evaluated by ``evaluate_matrix``.
 
 Grammar::
 
@@ -315,6 +316,45 @@ def as_expression(value) -> Expression:
     if isinstance(value, str):
         return parse_source(value)
     raise TypeError(f"cannot interpret {value!r} as an expression")
+
+
+# An expression-valued complex matrix is the tuple of its non-zero cells
+# ((i, j), (re, im)); every other entry is zero.
+ZERO = Number(0.0)
+Cell = tuple[tuple[int, int], tuple[Expression, Expression]]
+
+
+def as_cell(value) -> tuple[Expression, Expression]:
+    """(re, im) expressions of a value accepted by as_expression (a real
+    entry) or of an [re, im] pair of such values."""
+    if isinstance(value, (tuple, list)):
+        if len(value) != 2:
+            raise ValueError(f"matrix entry must be a [re, im] pair, got {value!r}")
+        return as_expression(value[0]), as_expression(value[1])
+    return as_expression(value), ZERO
+
+
+def matrix_cells(entries) -> tuple[Cell, ...]:
+    """The cells of ((i, j), entry) items whose parts are not both the literal 0."""
+    cells = ((index, as_cell(value)) for index, value in entries)
+    return tuple(cell for cell in cells if cell[1] != (ZERO, ZERO))
+
+
+def evaluate_matrix(cells, dim: int, t) -> np.ndarray:
+    """The (dim, dim) complex matrix of ``cells`` at a float ``t``, or the
+    (T, dim, dim) stack over an array of times.  A literal-0 part is not
+    evaluated; a DomainError names the entry and the first bad t."""
+    times = np.asarray(t, dtype=float)
+    out = np.zeros(times.shape + (dim, dim), dtype=np.complex128)
+    for (i, j), (re_part, im_part) in cells:
+        try:
+            if re_part != ZERO:
+                out.real[..., i, j] = evaluate(re_part, times)
+            if im_part != ZERO:
+                out.imag[..., i, j] = evaluate(im_part, times)
+        except DomainError as exc:
+            raise DomainError(f"entry ({i},{j}): {exc.message}", exc.position) from exc
+    return out
 
 
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}

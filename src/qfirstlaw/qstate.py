@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cxmat, exprparse
-from .exprparse import Expression
 
 
 @dataclass(frozen=True)
@@ -89,19 +88,21 @@ class ValidationReport:
 
 def validate_density(rho: DensityOperator, tol: float = 1e-12) -> ValidationReport:
     """Check Hermiticity and unit trace within ``tol`` and positive
-    semidefiniteness down to -max(tol, 1e-10).
+    semidefiniteness down to -max(tol, 1e-10); on a stack, each check
+    reports the worst matrix.
 
     The PSD floor never tightens below 1e-10: pure states carry an exactly
     zero eigenvalue and round-off must not reject them.
     """
     m = rho.matrix
-    herm_dev = float(np.max(np.abs(m - m.conj().T)))
-    trace_dev = abs(complex(np.trace(m)) - 1.0)
+    adjoint = m.conj().swapaxes(-1, -2)
+    herm_dev = float(np.max(np.abs(m - adjoint)))
+    trace_dev = float(np.max(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)))
     psd_floor = max(tol, 1e-10)
     # Eigenvalues of the Hermitian part, so the PSD check stays meaningful
     # even when the Hermiticity check itself fails.
-    eig = cxmat.hermitian_eigen(0.5 * (m + m.conj().T), tol=1.0)
-    min_eig = float(eig.eigenvalues[0])
+    eig = cxmat.hermitian_eigen(0.5 * (m + adjoint), tol=1.0)
+    min_eig = float(np.min(eig.eigenvalues))
     return ValidationReport(
         (
             ValidationCheck("hermiticity", herm_dev, tol, herm_dev <= tol),
@@ -115,22 +116,19 @@ class Hamiltonian:
     """Hermitian-by-construction matrix of expression-valued entries.
 
     Diagonal entries are real-valued expressions; each upper-triangle entry
-    is a (real-part, imaginary-part) pair of expressions and the mirrored
-    lower-triangle entry is its conjugate.
+    is a value or an (re, im) pair accepted by exprparse.as_cell, and the
+    mirrored lower-triangle entry is its conjugate.  Only the non-zero
+    diagonal and upper cells are stored.
     """
 
     def __init__(self, diag, upper=None):
-        self._diag: tuple[Expression, ...] = tuple(exprparse.as_expression(e) for e in diag)
-        self._dim = len(self._diag)
-        entries: dict[tuple[int, int], tuple[Expression, Expression]] = {}
-        for (i, j), (re_part, im_part) in (upper or {}).items():
-            if not 0 <= i < j < self._dim:
+        entries = [((i, i), exprparse.as_expression(e)) for i, e in enumerate(diag)]
+        self.dim = len(entries)
+        for (i, j), value in (upper or {}).items():
+            if not 0 <= i < j < self.dim:
                 raise ValueError(f"upper-triangle index out of range: {(i, j)}")
-            entries[(i, j)] = (
-                exprparse.as_expression(re_part),
-                exprparse.as_expression(im_part),
-            )
-        self._upper = entries
+            entries.append(((i, j), value))
+        self._cells = exprparse.matrix_cells(entries)
 
     @classmethod
     def two_level(cls, e_g=0.0, e_e=1.0) -> "Hamiltonian":
@@ -155,28 +153,19 @@ class Hamiltonian:
             (i, j): (float(m[i, j].real), float(m[i, j].imag))
             for i in range(m.shape[0])
             for j in range(i + 1, m.shape[0])
-            if m[i, j] != 0
         }
         return cls(diag, upper)
 
     @property
-    def dim(self) -> int:
-        return self._dim
-
-    @property
     def is_diagonal(self) -> bool:
-        return not self._upper
+        return all(i == j for (i, j), _ in self._cells)
 
     def matrix(self, t) -> np.ndarray:
         """Entries at time t, or (T, d, d) over an array of times; Hermitian exactly."""
-        times = np.asarray(t, dtype=float)
-        out = np.zeros(times.shape + (self._dim, self._dim), dtype=np.complex128)
-        for i, expr in enumerate(self._diag):
-            out[..., i, i] = exprparse.evaluate(expr, times)
-        for (i, j), (re_part, im_part) in self._upper.items():
-            out[..., i, j] = (exprparse.evaluate(re_part, times)
-                              + 1j * exprparse.evaluate(im_part, times))
-            out[..., j, i] = np.conj(out[..., i, j])
+        out = exprparse.evaluate_matrix(self._cells, self.dim, t)
+        for (i, j), _ in self._cells:
+            if i != j:
+                out[..., j, i] = out[..., i, j].conj()
         return out
 
 

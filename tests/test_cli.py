@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from qfirstlaw.experiment import (
 )
 
 NUMBER_RE = re.compile(r"-?\d\.\d{11}e[+-]\d{2,3}")
+ROOT = Path(__file__).parents[1]
+PHASE_DAMPING_CUSTOM = ROOT / "tests" / "data" / "phase_damping_custom.json"
 
 
 def small_config(**overrides):
@@ -198,6 +201,25 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert "not CPTP" in err
         assert "t=3" in err
+
+    def test_readme_custom_channel_reproduces_builtin_ledger(self, tmp_path, capsys):
+        # the committed file is the README's custom-channel example, verbatim
+        readme = (ROOT / "README.md").read_text()
+        example = readme.split("### Custom channels", 1)[1].split("```json", 1)[1]
+        assert json.loads(example.split("```", 1)[0]) == json.loads(
+            PHASE_DAMPING_CUSTOM.read_text())
+        flags = ["--channel", f"custom:{PHASE_DAMPING_CUSTOM}", "--theta", "pi/6"]
+        code = cli.main(["simulate", *flags, "--out", str(tmp_path / "custom.csv")])
+        assert code == 0
+        custom = run_experiment(config_from_sources(
+            None, {"channel": f"custom:{PHASE_DAMPING_CUSTOM}", "theta": "pi/6"})).ledger
+        builtin = run_experiment(config_from_sources(
+            None, {"channel": "phase-damping", "theta": "pi/6"})).ledger
+        for column in ("tau", "delta_u", "work", "heat", "coherence"):
+            assert np.max(np.abs(getattr(custom, column) - getattr(builtin, column))) <= 1e-12
+        written = np.loadtxt(tmp_path / "custom.csv", delimiter=",", skiprows=1)
+        assert written.shape == (len(builtin.tau), 5)
+        assert np.max(np.abs(written[:, 3] - builtin.heat)) <= 1e-11  # 12 significant digits
 
     def test_expression_domain_error_exits_3(self, tmp_path, capsys):
         chan = tmp_path / "domain.json"

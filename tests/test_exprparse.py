@@ -161,6 +161,46 @@ class TestAsExpression:
             exprparse.as_expression([1, 2])
 
 
+class TestMatrixCells:
+    def test_value_is_real_entry(self):
+        assert exprparse.as_cell("2*t") == (parse_source("2*t"), exprparse.ZERO)
+
+    def test_rejects_malformed_pair(self):
+        with pytest.raises(ValueError, match=r"must be a \[re, im\] pair"):
+            exprparse.as_cell(["1", "0", "0"])
+
+    def test_literal_zero_cells_are_dropped(self):
+        cells = exprparse.matrix_cells([((0, 0), ["0", "0"]), ((0, 1), 0.0),
+                                        ((1, 0), ["0", "t"]), ((1, 1), "0*t")])
+        assert [index for index, _ in cells] == [(1, 0), (1, 1)]
+
+    def test_float_and_grid_agree(self):
+        cells = exprparse.matrix_cells([((0, 0), "1"), ((0, 1), ["cos(t)", "sin(t)"])])
+        times = np.array([0.0, 0.7, 2.0])
+        grid = exprparse.evaluate_matrix(cells, 2, times)
+        assert grid.shape == (3, 2, 2)
+        for k, t in enumerate(times):
+            one = exprparse.evaluate_matrix(cells, 2, float(t))
+            assert one.shape == (2, 2)
+            assert np.array_equal(one, grid[k])
+            assert one[0, 1] == complex(math.cos(t), math.sin(t))
+            assert one[1, 0] == 0
+
+    def test_literal_zero_part_is_not_evaluated(self, monkeypatch):
+        seen = []
+        original = exprparse.evaluate
+        monkeypatch.setattr(exprparse, "evaluate",
+                            lambda expr, t: seen.append(expr) or original(expr, t))
+        cells = exprparse.matrix_cells([((0, 0), ["exp(-t)", "0"]), ((1, 1), ["0", "t"])])
+        exprparse.evaluate_matrix(cells, 2, np.linspace(0.0, 1.0, 5))
+        assert seen == [parse_source("exp(-t)"), parse_source("t")]
+
+    def test_domain_error_names_entry_and_first_bad_time(self):
+        cells = exprparse.matrix_cells([((1, 0), ["1", "sqrt(1-t)"])])
+        with pytest.raises(DomainError, match=r"^entry \(1,0\): sqrt\(\) .* at t=2\.0 "):
+            exprparse.evaluate_matrix(cells, 2, np.array([0.0, 1.0, 2.0, 3.0]))
+
+
 def expression_trees():
     leaves = st.one_of(
         st.floats(min_value=0, max_value=100, allow_nan=False, allow_infinity=False).map(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qfirstlaw import cxmat, qstate
+from qfirstlaw import cxmat, exprparse, qstate
 from qfirstlaw.qstate import (
     DensityOperator,
     Hamiltonian,
@@ -85,6 +85,29 @@ class TestValidateDensity:
         report = validate_density(prepare_pure_state(InitialStatePrep(0.7, 1.3)))
         assert report.passed
 
+    def test_stack_of_valid_states_passes(self):
+        stack = np.stack([prepare_pure_state(InitialStatePrep(theta, 0.4)).matrix
+                          for theta in (0.0, 0.5, 1.2)])
+        assert validate_density(DensityOperator(stack)).passed
+
+    def test_stack_reports_worst_member(self):
+        stack = np.stack([prepare_pure_state(InitialStatePrep(theta)).matrix
+                          for theta in (0.0, 0.5, 1.2)])
+        stack[1, 0, 1] += 0.3
+        by_name = {c.name: c for c in validate_density(DensityOperator(stack)).checks}
+        assert not by_name["hermiticity"].passed
+        assert by_name["hermiticity"].deviation == pytest.approx(0.3, abs=1e-15)
+        assert by_name["trace"].passed
+
+    def test_single_matrix_report_unchanged(self):
+        m = np.array([[0.6, 0.5 + 0.1j], [0.4, 0.5]], dtype=complex)
+        by_name = {c.name: c for c in validate_density(DensityOperator(m)).checks}
+        assert by_name["hermiticity"].deviation == float(np.max(np.abs(m - m.conj().T)))
+        assert by_name["trace"].deviation == abs(complex(np.trace(m)) - 1.0)
+        hermitian = 0.5 * (m + m.conj().T)
+        assert by_name["positivity"].deviation == pytest.approx(
+            float(np.linalg.eigvalsh(hermitian)[0]), abs=1e-14)
+
     def test_summary_mentions_failures(self):
         rho = DensityOperator(np.diag([0.5, 0.4]).astype(complex))
         assert "FAIL" in validate_density(rho).summary()
@@ -146,6 +169,15 @@ class TestHamiltonian:
         m = h.matrix(0.9)
         assert np.max(np.abs(m - m.conj().T)) == 0.0
         assert m[0, 1] == pytest.approx(complex(math.cos(0.9), math.sin(0.9)), abs=1e-15)
+
+
+    def test_domain_error_names_entry_and_time(self):
+        h = Hamiltonian([0.0, "1"], {(0, 1): ("log(t)", "0")})
+        with pytest.raises(exprparse.DomainError, match=r"entry \(0,1\): .* at t=0\.0 "):
+            h.matrix(0.0)
+
+    def test_literal_zero_coupling_is_not_stored(self):
+        assert Hamiltonian([0.0, 1.0], {(0, 1): (0, 0)}).is_diagonal
 
 
 class TestEnergyEigenbasis:
