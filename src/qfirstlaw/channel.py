@@ -135,12 +135,14 @@ class ChannelSpec:
         d = dim if dim is not None else len(operators[0])
         if any(len(op) != d or any(len(row) != d for row in op) for op in operators):
             raise ValueError(f"custom Kraus operators must all be {d}x{d}")
-        cells = tuple(
-            exprparse.matrix_cells(((i, j), entry) for i, row in enumerate(op)
-                                   for j, entry in enumerate(row))
-            for op in operators
-        )
-        spec = cls(CUSTOM, dim=d, custom_operators=cells)
+        cells = []
+        for index, op in enumerate(operators):
+            try:
+                cells.append(exprparse.matrix_cells(
+                    ((i, j), entry) for i, row in enumerate(op) for j, entry in enumerate(row)))
+            except TypeError as exc:
+                raise ValueError(f"custom channel operator {index} {exc}") from exc
+        spec = cls(CUSTOM, dim=d, custom_operators=tuple(cells))
         report = validate_cptp(kraus_at(spec, 0.0), tol=CPTP_TOL)
         if not report.passed:
             raise CptpError(

@@ -166,27 +166,31 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         cfg = oracle.OracleConfig(e_g=config.e_g, e_e=config.e_e, theta=config.theta)
         heat_fn = _ORACLE_HEAT[config.channel.kind]
         coh_fn = _ORACLE_COHERENCE[config.channel.kind]
-        heat_ref = np.array([heat_fn(float(t), cfg) for t in ledger.tau])
-        coh_ref = np.array([coh_fn(float(t), cfg) for t in ledger.tau])
+        heat_ref = heat_fn(ledger.tau, cfg)
+        coh_ref = coh_fn(ledger.tau, cfg)
     return ExperimentResult(config, ledger, heat_ref, coh_ref)
+
+
+_NUMBER_FORMAT = "%.11e"
 
 
 def format_number(x: float) -> str:
     """12 significant digits, scientific notation, lowercase e."""
-    return f"{x:.11e}"
+    return _NUMBER_FORMAT % x
 
 
 def csv_text(result: ExperimentResult) -> str:
+    """The header and one row per grid point, formatted in one operation."""
     columns = [result.ledger.tau, result.ledger.delta_u, result.ledger.work,
                result.ledger.heat, result.ledger.coherence]
     header = list(CSV_COLUMNS)
     if result.heat_oracle is not None:
         columns += [result.heat_oracle, result.coherence_oracle]
         header += list(CSV_ORACLE_COLUMNS)
-    lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(format_number(v) for v in row))
-    return "\n".join(lines) + "\n"
+    block = np.column_stack(columns)
+    row = ",".join([_NUMBER_FORMAT] * len(columns))
+    template = "\n".join([",".join(header)] + [row] * len(block)) + "\n"
+    return template % tuple(block.ravel().tolist())
 
 
 def write_trajectory_csv(path, result: ExperimentResult) -> None:

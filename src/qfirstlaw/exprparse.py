@@ -335,9 +335,17 @@ def as_cell(value) -> tuple[Expression, Expression]:
 
 
 def matrix_cells(entries) -> tuple[Cell, ...]:
-    """The cells of ((i, j), entry) items whose parts are not both the literal 0."""
-    cells = ((index, as_cell(value)) for index, value in entries)
-    return tuple(cell for cell in cells if cell[1] != (ZERO, ZERO))
+    """The cells of ((i, j), entry) items whose parts are not both the literal 0.
+    An entry of another type raises a TypeError naming it."""
+    cells = []
+    for (i, j), value in entries:
+        try:
+            cell = as_cell(value)
+        except TypeError as exc:
+            raise TypeError(f"entry ({i},{j}): {exc}") from exc
+        if cell != (ZERO, ZERO):
+            cells.append(((i, j), cell))
+    return tuple(cells)
 
 
 def evaluate_matrix(cells, dim: int, t) -> np.ndarray:

@@ -186,7 +186,11 @@ def branch_match(prev_values, prev_vectors, cur_values, cur_vectors) -> tuple[in
 
 def _inherit_degenerate(rho_matrix, values, vectors, prev_vectors):
     """Replace eigenvectors of (near-)exactly degenerate groups with the
-    previous grid point's columns when those are still eigenvectors."""
+    previous grid point's columns when those are still eigenvectors.
+    Returns ``vectors`` itself unless a group was replaced."""
+    ascending = sorted(values.tolist())
+    if all(b - a > _DEGENERACY_GAP for a, b in zip(ascending, ascending[1:])):
+        return vectors
     d = len(values)
     order = np.argsort(values)
     clusters = [[order[0]]]
@@ -195,8 +199,6 @@ def _inherit_degenerate(rho_matrix, values, vectors, prev_vectors):
             clusters[-1].append(idx)
         else:
             clusters.append([idx])
-    if all(len(c) < 2 for c in clusters):
-        return vectors
     new_vectors = vectors.copy()
     changed = False
     for cluster in clusters:
@@ -208,10 +210,11 @@ def _inherit_degenerate(rho_matrix, values, vectors, prev_vectors):
         if residual <= 1e-10:
             new_vectors[:, cluster] = candidate
             changed = True
-    if changed:
-        gram = new_vectors.conj().T @ new_vectors
-        if float(np.max(np.abs(gram - np.eye(d)))) > 1e-12:
-            return vectors
+    if not changed:
+        return vectors
+    gram = new_vectors.conj().T @ new_vectors
+    if float(np.max(np.abs(gram - np.eye(d)))) > 1e-12:
+        return vectors
     return new_vectors
 
 
@@ -262,15 +265,15 @@ def spectral_trajectory(
     except (cxmat.ConvergenceError, cxmat.NonHermitianError) as exc:
         raise type(exc)(f"at tau={tau[exc.index]:.6g}: {exc}", exc.index) from exc
     raw_values, raw_vectors = eig.eigenvalues, eig.eigenvectors
-    values = np.empty_like(raw_values)
-    vectors = np.empty_like(raw_vectors)
     order = np.argsort(raw_values[0], kind="stable")[::-1]
-    values[0], vectors[0] = raw_values[0, order], raw_vectors[0][:, order]
-    for i in range(1, len(tau)):
-        order = list(branch_match(values[i - 1], vectors[i - 1], raw_values[i], raw_vectors[i]))
-        values[i] = raw_values[i, order]
-        vectors[i] = _inherit_degenerate(rho[i], values[i], raw_vectors[i][:, order],
-                                         vectors[i - 1])
+    values = [raw_values[0, order]]
+    vectors = [raw_vectors[0][:, order]]
+    for rho_i, cur_values, cur_vectors in zip(rho[1:], raw_values[1:], raw_vectors[1:]):
+        order = branch_match(values[-1], vectors[-1], cur_values, cur_vectors)
+        values.append(cur_values.take(order))
+        vectors.append(_inherit_degenerate(rho_i, values[-1], cur_vectors.take(order, axis=1),
+                                           vectors[-1]))
+    values, vectors = np.stack(values), np.stack(vectors)
     basis = qstate.energy_eigenbasis(h, time)
     overlap = np.abs(np.swapaxes(basis.basis.conj(), -1, -2) @ vectors) ** 2
     _validate_snapshot(tau, values, overlap)

@@ -4,7 +4,10 @@ These are the analytic ground truths the numerical pipeline is validated
 against: the spectral decomposition of the phase-damped state at any time,
 and the cumulative heat/coherence curves for both dephasing families at
 theta = pi/6.  The heat/coherence closed forms are gated to theta = pi/6;
-anything else must go through the numerical pipeline.
+anything else must go through the numerical pipeline.  They take a float tau
+and return a float, or take an array of tau and return an array, so a whole
+grid is one call; an out-of-domain tau raises a ValueError naming the first
+failing tau.
 
 Conventions: tau is the dimensionless time (rate * t), log means the
 natural logarithm, and amplitudes may be complex -- the eigenvector
@@ -14,6 +17,7 @@ rho10^2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -111,35 +115,55 @@ def pd_eigensystem(tau: float, rho0: DensityOperator):
     return values, vectors
 
 
-def pd_heat(tau: float, cfg: OracleConfig) -> float:
+def _closed_form(curve):
+    """Let ``curve(t, cfg)`` take a float tau, returning a float, or an array
+    of tau, returning an array; the reference angle is checked once per call."""
+
+    @functools.wraps(curve)
+    def closed_form(tau, cfg: OracleConfig):
+        cfg.require_reference_angle()
+        t = np.asarray(tau, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = curve(t, cfg)
+        return float(values) if t.ndim == 0 else values
+
+    return closed_form
+
+
+def _logs(t: np.ndarray, *args) -> tuple[np.ndarray, ...]:
+    """log of each argument; the domain error names the first tau at which
+    an argument is not finite and positive, as when e^tau overflows."""
+    bad = ~np.all([np.isfinite(arg) & (arg > 0.0) for arg in args], axis=0)
+    if np.any(bad):
+        raise ValueError(f"log argument out of domain at tau={float(t.flat[np.argmax(bad)])}")
+    return tuple(np.log(arg) for arg in args)
+
+
+@_closed_form
+def pd_heat(tau, cfg: OracleConfig):
     """Cumulative heat under phase damping at theta = pi/6."""
-    cfg.require_reference_angle()
-    return (cfg.e_e - cfg.e_g) / 8.0 * (tau + math.log(4.0) - math.log(3.0 + math.exp(tau)))
+    (log_sum,) = _logs(tau, 3.0 + np.exp(tau))
+    return (cfg.e_e - cfg.e_g) / 8.0 * (tau + math.log(4.0) - log_sum)
 
 
-def pd_coherence(tau: float, cfg: OracleConfig) -> float:
+@_closed_form
+def pd_coherence(tau, cfg: OracleConfig):
     """Cumulative coherence contribution under phase damping; exactly -pd_heat."""
-    cfg.require_reference_angle()
-    return (cfg.e_e - cfg.e_g) / 8.0 * (-tau - math.log(4.0) + math.log(3.0 + math.exp(tau)))
+    (log_sum,) = _logs(tau, 3.0 + np.exp(tau))
+    return (cfg.e_e - cfg.e_g) / 8.0 * (-tau - math.log(4.0) + log_sum)
 
 
-def pf_heat(tau: float, cfg: OracleConfig) -> float:
+@_closed_form
+def pf_heat(tau, cfg: OracleConfig):
     """Cumulative heat under the phase flip channel at theta = pi/6.
 
     Implemented as the printed four-bracket sum over both energies; it
     reduces to (e_e - e_g)/8 * (-log(1 + 3e^{-2 tau} - 3e^{-tau})), which the
     tests verify."""
-    cfg.require_reference_angle()
-    try:
-        big = math.exp(2.0 * tau) - 3.0 * math.exp(tau) + 3.0
-    except OverflowError:
-        raise ValueError(f"log argument out of domain at tau={tau}") from None
-    small = 3.0 * math.exp(-2.0 * tau) - 3.0 * math.exp(-tau) + 1.0
-    if not (big > 0.0 and small > 0.0) or not math.isfinite(big):
-        raise ValueError(f"log argument out of domain at tau={tau}")
-    a = 4.0 * math.exp(-tau) * math.sqrt(big)
-    log_big = math.log(big)
-    log_small = math.log(small)
+    big = np.exp(2.0 * tau) - 3.0 * np.exp(tau) + 3.0
+    small = 3.0 * np.exp(-2.0 * tau) - 3.0 * np.exp(-tau) + 1.0
+    log_big, log_small = _logs(tau, big, small)
+    a = 4.0 * np.exp(-tau) * np.sqrt(big)
     term_g = (
         (-4.0 + a - 2.0 * tau + log_big) + (4.0 - a - 2.0 * tau + log_big)
     ) * cfg.e_g / 16.0
@@ -147,18 +171,13 @@ def pf_heat(tau: float, cfg: OracleConfig) -> float:
     return term_g + term_e
 
 
-def pf_coherence(tau: float, cfg: OracleConfig) -> float:
+@_closed_form
+def pf_coherence(tau, cfg: OracleConfig):
     """Cumulative coherence contribution under phase flip; exactly -pf_heat
     (log(3 + e^{2 tau} - 3 e^{tau}) = 2 tau + log(1 + 3e^{-2 tau} - 3e^{-tau}))."""
-    cfg.require_reference_angle()
-    try:
-        big = math.exp(2.0 * tau) - 3.0 * math.exp(tau) + 3.0
-    except OverflowError:
-        raise ValueError(f"log argument out of domain at tau={tau}") from None
-    if not big > 0.0 or not math.isfinite(big):
-        raise ValueError(f"log argument out of domain at tau={tau}")
-    b = math.exp(tau) / math.sqrt(big)
-    log_big = math.log(big)
+    big = np.exp(2.0 * tau) - 3.0 * np.exp(tau) + 3.0
+    (log_big,) = _logs(tau, big)
+    b = np.exp(tau) / np.sqrt(big)
     term_g = (
         (1.0 + 2.0 * tau - log_big - b) + (-1.0 + 2.0 * tau - log_big + b)
     ) * cfg.e_g / 16.0

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from qfirstlaw import cli, experiment, verification
+from qfirstlaw.firstlaw import EnergeticsLedger
 from qfirstlaw.experiment import (
     ConfigError,
     ExperimentConfig,
@@ -147,6 +148,20 @@ class TestCsvSerialization:
         experiment.write_trajectory_csv(out, run_experiment(small_config()))
         assert b"\r" not in out.read_bytes()
 
+    @pytest.mark.parametrize("oracle_columns", [False, True], ids=["5-columns", "7-columns"])
+    def test_matches_per_value_formatting(self, oracle_columns):
+        specials = [0.0, -0.0, 1e-300, -1e300, 0.1, -2.5e-17, 123456.789]
+        columns = np.array([np.roll(specials, k) for k in range(7)])
+        ledger = EnergeticsLedger(*columns[:5])
+        oracle_cols = tuple(columns[5:]) if oracle_columns else (None, None)
+        result = experiment.ExperimentResult(small_config(), ledger, *oracle_cols)
+        width = 7 if oracle_columns else 5
+        header = list(experiment.CSV_COLUMNS) + (list(experiment.CSV_ORACLE_COLUMNS)
+                                                 if oracle_columns else [])
+        rows = [",".join(format_number(v) for v in row) for row in columns[:width].T]
+        assert csv_text(result) == "\n".join([",".join(header)] + rows) + "\n"
+        assert "-0.00000000000e+00" in csv_text(result)
+
 
 class TestSimulateCommand:
     def test_writes_csv_and_summary(self, tmp_path, capsys):
@@ -234,6 +249,25 @@ class TestSimulateCommand:
                          "--out", str(tmp_path / "x.csv")])
         assert code == 3
         assert "numeric error" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("command", ["channel-info", "simulate"])
+    def test_custom_entry_of_wrong_type_exits_2(self, tmp_path, capsys, command):
+        chan = tmp_path / "null.json"
+        chan.write_text(json.dumps({
+            "kind": "custom",
+            "dim": 2,
+            "kraus": [[[["1", "0"], ["0", "0"]], [["0", "0"], ["1", None]]]],
+        }))
+        argv = {"channel-info": ["channel-info", "--channel", f"custom:{chan}", "--t", "0.5"],
+                "simulate": ["simulate", "--channel", f"custom:{chan}",
+                             "--out", str(tmp_path / "x.csv")]}[command]
+        code = cli.main(argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "operator 0 entry (1,1)" in err
+        assert "cannot interpret None" in err
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestReproduceCommand:

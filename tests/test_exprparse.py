@@ -169,6 +169,10 @@ class TestMatrixCells:
         with pytest.raises(ValueError, match=r"must be a \[re, im\] pair"):
             exprparse.as_cell(["1", "0", "0"])
 
+    def test_entry_of_another_type_is_named(self):
+        with pytest.raises(TypeError, match=r"entry \(0,1\): cannot interpret None"):
+            exprparse.matrix_cells([((0, 0), "1"), ((0, 1), ["1", None])])
+
     def test_literal_zero_cells_are_dropped(self):
         cells = exprparse.matrix_cells([((0, 0), ["0", "0"]), ((0, 1), 0.0),
                                         ((1, 0), ["0", "t"]), ((1, 1), "0*t")])

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from qfirstlaw import cxmat, exprparse, firstlaw
-from qfirstlaw.channel import ChannelSpec
+from qfirstlaw import cxmat, exprparse, firstlaw, qstate
+from qfirstlaw.channel import ChannelSpec, evolve
 from qfirstlaw.firstlaw import (
     MAX_BRANCH_DIM,
     TimeGrid,
@@ -229,6 +229,145 @@ class TestBranchMatchAgreesWithExhaustive:
         had = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
         args = (np.array([0.2, 0.8]), had, np.array(cur_values), eye)
         assert branch_match(*args) == reference_branch_match(*args)
+
+
+def reference_inherit_degenerate(rho_matrix, values, vectors, prev_vectors):
+    """Degeneracy inheritance as it stood before its early return, kept as
+    the reference for the trajectory loop."""
+    d = len(values)
+    order = np.argsort(values)
+    clusters = [[order[0]]]
+    for idx in order[1:]:
+        if values[idx] - values[clusters[-1][-1]] <= firstlaw._DEGENERACY_GAP:
+            clusters[-1].append(idx)
+        else:
+            clusters.append([idx])
+    if all(len(c) < 2 for c in clusters):
+        return vectors
+    new_vectors = vectors.copy()
+    changed = False
+    for cluster in clusters:
+        if len(cluster) < 2:
+            continue
+        lam = float(np.mean(values[cluster]))
+        candidate = prev_vectors[:, cluster]
+        residual = float(np.max(np.abs(rho_matrix @ candidate - lam * candidate)))
+        if residual <= 1e-10:
+            new_vectors[:, cluster] = candidate
+            changed = True
+    if changed:
+        gram = new_vectors.conj().T @ new_vectors
+        if float(np.max(np.abs(gram - np.eye(d)))) > 1e-12:
+            return vectors
+    return new_vectors
+
+
+def reference_trajectory(spec, rho0, h, grid):
+    """(eigenvalues, eigenvectors, overlap) from the indexed per-step loop,
+    kept as the reference that spectral_trajectory must reproduce bit for bit."""
+    time = spec.physical_time(grid.points)
+    rho = evolve(spec, rho0, time).matrix
+    eig = cxmat.hermitian_eigen(rho)
+    raw_values, raw_vectors = eig.eigenvalues, eig.eigenvectors
+    values = np.empty_like(raw_values)
+    vectors = np.empty_like(raw_vectors)
+    order = np.argsort(raw_values[0], kind="stable")[::-1]
+    values[0], vectors[0] = raw_values[0, order], raw_vectors[0][:, order]
+    for i in range(1, len(raw_values)):
+        order = list(branch_match(values[i - 1], vectors[i - 1], raw_values[i], raw_vectors[i]))
+        values[i] = raw_values[i, order]
+        vectors[i] = reference_inherit_degenerate(rho[i], values[i], raw_vectors[i][:, order],
+                                                  vectors[i - 1])
+    basis = qstate.energy_eigenbasis(h, time).basis
+    overlap = np.abs(np.swapaxes(basis.conj(), -1, -2) @ vectors) ** 2
+    return values, vectors, overlap
+
+
+BUILTIN_SPECS = [ChannelSpec.phase_damping(), ChannelSpec.phase_flip(),
+                 ChannelSpec.bit_flip(), ChannelSpec.bit_phase_flip()]
+# tau = ln 2, where the flips at theta = pi/4 cross the maximally mixed
+# state, is grid point 50 of the second grid
+GRIDS = {"tau8": TimeGrid(8.0, 400), "through-ln2": TimeGrid(4 * math.log(2), 200)}
+
+
+def _pure_state_mixed_unitary(d, seed):
+    rng = np.random.default_rng(1000 * seed + d)
+    spec = _mixed_unitary_channel(rng, d)
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    psi /= np.linalg.norm(psi)
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    h = Hamiltonian.from_matrix(0.25 * (z + z.conj().T))
+    return spec, DensityOperator(np.outer(psi, psi.conj())), h
+
+
+@pytest.fixture
+def inherit_calls(monkeypatch):
+    """Record, for every degeneracy inheritance of a trajectory, whether it
+    returned a new array rather than the vectors it was given."""
+    replaced = []
+    original = firstlaw._inherit_degenerate
+
+    def recorded(*args):
+        result = original(*args)
+        replaced.append(result is not args[2])
+        return result
+
+    monkeypatch.setattr(firstlaw, "_inherit_degenerate", recorded)
+    return replaced
+
+
+class TestMatchingLoop:
+    def _assert_matches_reference(self, spec, rho0, h, grid):
+        traj = spectral_trajectory(spec, rho0, h, grid)
+        values, vectors, overlap = reference_trajectory(spec, rho0, h, grid)
+        assert np.array_equal(traj.eigenvalues, values)
+        assert np.array_equal(traj.eigenvectors, vectors)
+        assert np.array_equal(traj.overlap, overlap)
+        return traj
+
+    @pytest.mark.parametrize("grid", list(GRIDS.values()), ids=list(GRIDS))
+    @pytest.mark.parametrize("theta", [math.pi / 6, math.pi / 4])
+    @pytest.mark.parametrize("spec", BUILTIN_SPECS, ids=lambda spec: spec.kind)
+    def test_builtin_channels_match_the_indexed_loop(self, spec, theta, grid):
+        rho0 = prepare_pure_state(InitialStatePrep(theta))
+        self._assert_matches_reference(spec, rho0, H_DEFAULT, grid)
+
+    @pytest.mark.parametrize("d", range(3, MAX_BRANCH_DIM + 1))
+    def test_mixed_unitary_channels_match_the_indexed_loop(self, d):
+        traj = self._assert_matches_reference(*_pure_state_mixed_unitary(d, 0),
+                                              TimeGrid(4.0, 16))
+        if d == MAX_BRANCH_DIM:
+            # rank 4 at most: the null cluster stays degenerate on every row
+            gaps = np.diff(np.sort(traj.eigenvalues[1:], axis=1), axis=1)
+            assert np.all(np.sum(gaps <= firstlaw._DEGENERACY_GAP, axis=1) >= 3)
+
+    @pytest.mark.parametrize("grid", list(GRIDS.values()), ids=list(GRIDS))
+    def test_one_inheritance_call_per_step(self, inherit_calls, checked_matches, grid):
+        rho0 = prepare_pure_state(InitialStatePrep(math.pi / 4))
+        spectral_trajectory(ChannelSpec.phase_flip(), rho0, H_DEFAULT, grid)
+        assert len(inherit_calls) == len(checked_matches) == grid.steps
+
+    def test_only_the_crossing_point_inherits(self, inherit_calls):
+        rho0 = prepare_pure_state(InitialStatePrep(math.pi / 4))
+        spectral_trajectory(ChannelSpec.phase_flip(), rho0, H_DEFAULT, GRIDS["through-ln2"])
+        # call k handles grid point k + 1
+        assert np.flatnonzero(inherit_calls).tolist() == [49]
+
+    def test_returns_its_input_unless_a_cluster_is_replaced(self):
+        had = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+        eye = np.eye(2, dtype=complex)
+        mixed = 0.5 * eye
+        values = np.array([0.5, 0.5])
+        # no cluster
+        vectors = eye.copy()
+        assert firstlaw._inherit_degenerate(mixed, np.array([0.6, 0.4]), vectors, had) is vectors
+        # a cluster whose previous columns are still eigenvectors is replaced
+        inherited = firstlaw._inherit_degenerate(mixed, values, vectors, had)
+        assert inherited is not vectors
+        assert np.array_equal(inherited, had) and np.array_equal(vectors, eye)
+        # a cluster whose previous columns are not eigenvectors of rho is kept
+        split = np.diag([0.6, 0.4]).astype(complex)
+        assert firstlaw._inherit_degenerate(split, values, vectors, had) is vectors
 
 
 class TestSpectralTrajectory:

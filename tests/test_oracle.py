@@ -219,3 +219,97 @@ def test_pd_oracle_agrees_with_trajectory_eigenvalues():
         sm = math.sqrt(0.25 + 0.75 * math.exp(-float(tau)))
         assert values[0] == pytest.approx(0.5 * (1 + sm), abs=1e-14)
         assert values[1] == pytest.approx(0.5 * (1 - sm), abs=1e-14)
+
+
+def reference_pd_heat(tau, cfg):
+    return (cfg.e_e - cfg.e_g) / 8.0 * (tau + math.log(4.0) - math.log(3.0 + math.exp(tau)))
+
+
+def reference_pd_coherence(tau, cfg):
+    return (cfg.e_e - cfg.e_g) / 8.0 * (-tau - math.log(4.0) + math.log(3.0 + math.exp(tau)))
+
+
+def reference_pf_heat(tau, cfg):
+    big = math.exp(2.0 * tau) - 3.0 * math.exp(tau) + 3.0
+    small = 3.0 * math.exp(-2.0 * tau) - 3.0 * math.exp(-tau) + 1.0
+    a = 4.0 * math.exp(-tau) * math.sqrt(big)
+    term_g = ((-4.0 + a - 2.0 * tau + math.log(big))
+              + (4.0 - a - 2.0 * tau + math.log(big))) * cfg.e_g / 16.0
+    term_e = ((-4.0 + a - math.log(small)) + (4.0 - a - math.log(small))) * cfg.e_e / 16.0
+    return term_g + term_e
+
+
+def reference_pf_coherence(tau, cfg):
+    big = math.exp(2.0 * tau) - 3.0 * math.exp(tau) + 3.0
+    b = math.exp(tau) / math.sqrt(big)
+    term_g = ((1.0 + 2.0 * tau - math.log(big) - b)
+              + (-1.0 + 2.0 * tau - math.log(big) + b)) * cfg.e_g / 16.0
+    term_e = ((-1.0 - 2.0 * tau + math.log(big) + b)
+              + (1.0 - 2.0 * tau + math.log(big) - b)) * cfg.e_e / 16.0
+    return term_g + term_e
+
+
+GRID_4001 = np.linspace(0.0, 8.0, 4001)
+CLOSED_FORMS = (pd_heat, pd_coherence, pf_heat, pf_coherence)
+# the scalar math-module forms the array forms replaced
+REFERENCES = {pd_heat: reference_pd_heat, pd_coherence: reference_pd_coherence,
+              pf_heat: reference_pf_heat, pf_coherence: reference_pf_coherence}
+
+
+class TestArrayInput:
+    @pytest.mark.parametrize("cfg", [CFG, OracleConfig(0.3, 1.7)], ids=["unit", "wide"])
+    @pytest.mark.parametrize("fn", CLOSED_FORMS, ids=lambda fn: fn.__name__)
+    def test_each_element_within_two_ulp_of_the_scalar_call(self, fn, cfg):
+        curve = fn(GRID_4001, cfg)
+        assert isinstance(curve, np.ndarray) and curve.shape == GRID_4001.shape
+        scalar = np.array([fn(float(tau), cfg) for tau in GRID_4001])
+        assert np.all(np.abs(curve - scalar) <= 2.0 * np.spacing(np.abs(scalar)))
+
+    @pytest.mark.parametrize("cfg", [CFG, OracleConfig(0.3, 1.7)], ids=["unit", "wide"])
+    @pytest.mark.parametrize("fn", CLOSED_FORMS, ids=lambda fn: fn.__name__)
+    def test_agrees_with_the_scalar_math_forms(self, fn, cfg):
+        # numpy's exp and log may differ from the math module's by an ulp;
+        # the forms add O(1) logarithms, so that stays within a few eps
+        reference = np.array([REFERENCES[fn](float(tau), cfg) for tau in GRID_4001])
+        assert np.max(np.abs(fn(GRID_4001, cfg) - reference)) <= 8 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("cfg", [CFG, OracleConfig(0.3, 1.7)], ids=["unit", "wide"])
+    def test_phase_damping_heat_and_coherence_cancel_exactly(self, cfg):
+        assert np.all(pd_heat(GRID_4001, cfg) + pd_coherence(GRID_4001, cfg) == 0.0)
+
+    @pytest.mark.parametrize("fn", CLOSED_FORMS, ids=lambda fn: fn.__name__)
+    def test_scalar_input_returns_a_float(self, fn):
+        assert type(fn(1.0, CFG)) is float
+        assert type(fn(np.float64(1.0), CFG)) is float
+
+    @pytest.mark.parametrize("fn", [pf_heat, pf_coherence], ids=lambda fn: fn.__name__)
+    def test_domain_error_names_the_first_failing_tau(self, fn):
+        with pytest.raises(ValueError, match=r"log argument out of domain at tau=500\.0$"):
+            fn(np.array([0.0, 1.0, 500.0, 600.0]), CFG)
+
+    @pytest.mark.parametrize("fn", [pd_heat, pd_coherence], ids=lambda fn: fn.__name__)
+    def test_phase_damping_domain_error_past_exp_overflow(self, fn):
+        with pytest.raises(ValueError, match=r"log argument out of domain at tau=800\.0$"):
+            fn(np.array([1.0, 800.0]), CFG)
+        with pytest.raises(ValueError, match=r"at tau=800\.0$"):
+            fn(800.0, CFG)
+
+    @pytest.mark.parametrize("fn", CLOSED_FORMS, ids=lambda fn: fn.__name__)
+    def test_reference_angle_gate_on_arrays(self, fn):
+        with pytest.raises(ValueError, match="pi/6"):
+            fn(GRID_4001, OracleConfig(theta=0.5))
+
+    def test_reference_angle_checked_once_per_call(self, monkeypatch):
+        calls = []
+        check = OracleConfig.require_reference_angle
+        monkeypatch.setattr(OracleConfig, "require_reference_angle",
+                            lambda cfg: calls.append(cfg) or check(cfg))
+        for fn in CLOSED_FORMS:
+            fn(GRID_4001, CFG)
+        assert len(calls) == len(CLOSED_FORMS)
+
+    @pytest.mark.parametrize("fn", [pd_heat, pd_coherence], ids=lambda fn: fn.__name__)
+    def test_zero_at_origin_is_positive(self, fn):
+        # so the first fig2 CSV row reads 0.00000000000e+00, never -0.00000000000e+00
+        assert math.copysign(1.0, fn(0.0, CFG)) == 1.0
+        assert not np.signbit(fn(GRID_4001, CFG)[0])
