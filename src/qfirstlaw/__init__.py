@@ -2,7 +2,7 @@
 non-dissipative Kraus channels, with closed-form oracles and a verification CLI."""
 
 from .channel import ChannelSpec, KrausSet, apply, evolve, kraus_at, validate_cptp
-from .cxmat import HermitianEigenDecomposition, adjoint, hermitian_eigen, mul, trace
+from .cxmat import HermitianEigenDecomposition, hermitian_eigen
 from .firstlaw import (
     EnergeticsLedger,
     SpectralTrajectory,
@@ -49,7 +49,6 @@ __all__ = [
     "OracleIntermediates",
     "SpectralTrajectory",
     "TimeGrid",
-    "adjoint",
     "apply",
     "branch_match",
     "energy_eigenbasis",
@@ -58,7 +57,6 @@ __all__ = [
     "integrate_first_law",
     "internal_energy",
     "kraus_at",
-    "mul",
     "pd_coherence",
     "pd_eigensystem",
     "pd_heat",
@@ -69,7 +67,6 @@ __all__ = [
     "prepare_pure_state",
     "run_energetics",
     "spectral_trajectory",
-    "trace",
     "validate_cptp",
     "validate_density",
 ]

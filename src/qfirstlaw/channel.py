@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -57,7 +58,7 @@ class KrausSet:
     time_label: float | np.ndarray
 
     def __post_init__(self):
-        ops = tuple(cxmat.as_matrix(k, stack=True) for k in self.operators)
+        ops = tuple(cxmat.as_matrix(k) for k in self.operators)
         if not ops:
             raise ValueError("a Kraus set needs at least one operator")
         shape = ops[0].shape
@@ -76,11 +77,10 @@ class KrausSet:
 @dataclass(frozen=True)
 class CptpReport:
     deviation: float | np.ndarray
-    bound: float
 
     @property
     def passed(self) -> bool:
-        return bool(np.all(self.deviation <= self.bound))
+        return bool(np.all(self.deviation <= CPTP_TOL))
 
 
 @dataclass(frozen=True)
@@ -129,12 +129,19 @@ class ChannelSpec:
 
     @classmethod
     def custom(cls, operators, dim: int | None = None) -> "ChannelSpec":
-        """Custom channel from nested entries; each entry is a value accepted
-        by exprparse.as_cell.  The operator set must be CPTP at t = 0."""
-        operators = list(operators)
-        d = dim if dim is not None else len(operators[0])
-        if any(len(op) != d or any(len(row) != d for row in op) for op in operators):
-            raise ValueError(f"custom Kraus operators must all be {d}x{d}")
+        """Custom channel from a non-empty list of d x d operators (lists of
+        rows of exprparse.as_cell values), d being ``dim`` or else the first
+        operator's row count.  The operator set must be CPTP at t = 0."""
+        if dim is not None and (isinstance(dim, bool) or not isinstance(dim, Integral) or dim < 1):
+            raise ValueError(f"custom channel dim must be a positive integer, got {dim!r}")
+        if not _length(operators):
+            raise ValueError(f"custom channel needs a non-empty list of Kraus operators, "
+                             f"got {operators!r}")
+        d = dim or _length(operators[0])
+        for index, op in enumerate(operators):
+            if not d or _length(op) != d or any(_length(row) != d for row in op):
+                shape = f"{d}x{d}" if d else "non-empty square"
+                raise ValueError(f"custom Kraus operator {index} must be a {shape} list of rows")
         cells = []
         for index, op in enumerate(operators):
             try:
@@ -143,7 +150,7 @@ class ChannelSpec:
             except TypeError as exc:
                 raise ValueError(f"custom channel operator {index} {exc}") from exc
         spec = cls(CUSTOM, dim=d, custom_operators=tuple(cells))
-        report = validate_cptp(kraus_at(spec, 0.0), tol=CPTP_TOL)
+        report = validate_cptp(kraus_at(spec, 0.0))
         if not report.passed:
             raise CptpError(
                 f"custom channel is not CPTP at t=0: deviation {report.deviation:.3e}",
@@ -176,6 +183,11 @@ class ChannelSpec:
         """Physical time for a dimensionless time tau = rate * t.  Custom
         channels have no rate and take the grid variable as-is."""
         return tau / self.rate if self.kind in BUILTIN_KINDS else tau
+
+
+def _length(value):
+    """len() of a list, tuple or array, else None: a string is not a list of rows."""
+    return len(value) if isinstance(value, (list, tuple, np.ndarray)) else None
 
 
 def kraus_at(spec: ChannelSpec, t) -> KrausSet:
@@ -213,8 +225,8 @@ def completeness_deviation(kraus: KrausSet):
     return float(deviation) if deviation.ndim == 0 else deviation
 
 
-def validate_cptp(kraus: KrausSet, tol: float = 1e-12) -> CptpReport:
-    return CptpReport(completeness_deviation(kraus), tol)
+def validate_cptp(kraus: KrausSet) -> CptpReport:
+    return CptpReport(completeness_deviation(kraus))
 
 
 def apply(kraus: KrausSet, rho: DensityOperator) -> DensityOperator:
@@ -224,7 +236,7 @@ def apply(kraus: KrausSet, rho: DensityOperator) -> DensityOperator:
         raise cxmat.ShapeError(
             f"dimension mismatch: Kraus dim {kraus.dim}, state dim {rho.dim}"
         )
-    report = validate_cptp(kraus, tol=CPTP_TOL)
+    report = validate_cptp(kraus)
     if not report.passed:
         index = np.flatnonzero(np.ravel(report.deviation) > CPTP_TOL)[0]
         deviation = float(np.ravel(report.deviation)[index])

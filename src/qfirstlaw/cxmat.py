@@ -1,8 +1,9 @@
-"""Dense complex matrix helpers and a self-contained Hermitian eigensolver.
+"""Dense complex matrix coercion and a self-contained Hermitian eigensolver.
 
-The helpers operate on plain 2-D complex128 numpy arrays.  The eigensolver
-is a hand-written cyclic complex Jacobi sweep rather than a LAPACK call, so
-the whole numerical path stays auditable.  Matrices in this package are
+``as_matrix`` turns input into a complex128 matrix or 3-D stack of
+matrices with finite entries.  The eigensolver is a hand-written cyclic
+complex Jacobi sweep rather than a LAPACK call, so the whole numerical path
+stays auditable.  Matrices in this package are
 tiny (qubits, dim <= 8 for branch tracking) but come in long stacks, one per
 grid point, so the eigensolver takes a ``(..., n, n)`` stack and runs each
 rotation on every matrix of the stack that still needs it: the Python loop
@@ -49,43 +50,19 @@ OFFDIAG_FACTOR = 1e-14
 MAX_SWEEPS = 100
 
 
-def as_matrix(a, stack: bool = False) -> np.ndarray:
-    """Coerce ``a`` to a 2-D complex128 array (with ``stack``, also a 3-D
-    stack of matrices), rejecting non-finite entries.
+def as_matrix(a) -> np.ndarray:
+    """Coerce ``a`` to a complex128 matrix (2-D) or stack of matrices (3-D),
+    rejecting non-finite entries.
 
     No copy is made when the input already has the right dtype; arrays
     handed to the wrapper types are treated as immutable by convention."""
     m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2 and not (stack and m.ndim == 3):
-        raise ShapeError(f"expected a 2-D matrix, got ndim={m.ndim}")
+    if m.ndim not in (2, 3):
+        raise ShapeError(f"expected a 2-D matrix or a 3-D stack of matrices, got ndim={m.ndim}")
     # Test entries, not their sum: large finite entries can overflow a sum.
     if not np.isfinite(m).all():
         raise NumericError("matrix contains non-finite entries")
     return m
-
-
-def mul(a, b) -> np.ndarray:
-    """Matrix product a @ b with an explicit shape check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}"
-        )
-    return a @ b
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T.copy()
-
-
-def trace(a) -> complex:
-    """Sum of diagonal entries of a square matrix."""
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"trace requires a square matrix, got {a.shape}")
-    return complex(np.trace(a))
 
 
 @dataclass(frozen=True)
@@ -118,7 +95,7 @@ def hermitian_eigen(a, tol: float = 1e-12, max_sweeps: int = MAX_SWEEPS) -> Herm
     """
     m = np.asarray(a, dtype=np.complex128)
     batch = m.shape[:-2]
-    stack = as_matrix(m.reshape((-1,) + m.shape[-2:]) if m.ndim >= 2 else m, stack=True)
+    stack = as_matrix(m.reshape((-1,) + m.shape[-2:]) if m.ndim >= 2 else m)
     n = stack.shape[-1]
     if stack.shape[-2] != n:
         raise ShapeError(f"eigendecomposition requires a square matrix, got {m.shape}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +109,11 @@ class ExperimentConfig:
     emit_oracle: bool = False
 
     def __post_init__(self):
+        for key in ("theta", "phi", "e_g", "e_e", "tau_max", "steps"):
+            value, kind = getattr(self, key), Integral if key == "steps" else Real
+            if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
+                noun = "an integer" if key == "steps" else "a finite number"
+                raise ConfigError(f"{key} must be {noun}, got {value!r}")
         if self.steps < 10:
             raise ConfigError(f"steps must be at least 10, got {self.steps}")
         if self.tau_max <= 0:
@@ -137,12 +143,9 @@ def config_from_sources(file_values: dict | None, flag_values: dict) -> Experime
     if "channel" not in merged:
         raise ConfigError("a channel must be specified (flag --channel or config key)")
     merged["channel"] = parse_channel(merged["channel"])
-    if "theta" in merged:
+    if isinstance(merged.get("theta"), str):
         merged["theta"] = parse_theta(merged["theta"])
-    try:
-        return ExperimentConfig(**merged)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ExperimentConfig(**merged)
 
 
 @dataclass(frozen=True)

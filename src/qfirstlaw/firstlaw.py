@@ -21,12 +21,14 @@ load-bearing for the tests:
   Tr(rho H), never from the spectral sums, so closure of the first law is a
   genuine convergence check rather than an enforced identity.
 
-The trajectory is a few arrays over the grid, one row per grid point.
-Everything that does not depend on the previous point is computed for the
-whole grid in one call: the Kraus operators, evolution and its checks, the
-state eigensystem, H(t) and its eigenbasis, the overlaps, the invariant
-checks and Tr(rho H).  Only branch matching and degeneracy inheritance walk
-the grid point by point, since each point is matched against the one before.
+The trajectory is a few arrays over the grid, one row per grid point, and
+the one source of the ledger.  Everything that does not depend on the
+previous point is computed for the whole grid in one call: the Kraus
+operators, evolution and its checks, the state eigensystem, H(t), its
+eigenbasis, the overlaps, the invariant checks and Tr(rho H).  H(t) is
+evaluated once, so the eigenbasis and Tr(rho H) see the same Hamiltonian.
+Only branch matching and degeneracy inheritance walk the grid point by
+point, since each point is matched against the one before.
 
 Eigenbranches are matched between consecutive grid points by the permutation
 that maximizes the total squared eigenvector overlap (ties go to the smaller
@@ -95,7 +97,8 @@ class SpectralTrajectory:
     ``time`` is the physical time fed to the channel and Hamiltonian
     (tau / rate for builtins).  ``overlap[i, n, k]`` is |<n|k>|^2 between
     Hamiltonian eigenvector n and state eigenvector k at grid point i; each
-    such matrix is doubly stochastic."""
+    such matrix is doubly stochastic.  ``energies`` are the Hamiltonian
+    eigenvalues E_n and ``energy`` is the internal energy Tr(rho_i H_i)."""
 
     grid: TimeGrid
     tau: np.ndarray
@@ -105,6 +108,7 @@ class SpectralTrajectory:
     eigenvectors: np.ndarray
     energies: np.ndarray
     overlap: np.ndarray
+    energy: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -247,7 +251,8 @@ def spectral_trajectory(
     grid: TimeGrid,
 ) -> SpectralTrajectory:
     """Evolve and eigendecompose over the whole grid, branch-match point by
-    point, then take overlaps with the energy eigenbasis."""
+    point, then evaluate H(t) once for the overlaps with its eigenbasis and
+    for Tr(rho H)."""
     if rho0.dim > MAX_BRANCH_DIM:
         raise UnsupportedDimensionError(
             f"trajectories support dim <= {MAX_BRANCH_DIM}, got {rho0.dim}: "
@@ -259,28 +264,30 @@ def spectral_trajectory(
         )
     tau = grid.points
     time = spec.physical_time(tau)
-    rho = evolve(spec, rho0, time).matrix
+    rho = evolve(spec, rho0, time)
     try:
-        eig = cxmat.hermitian_eigen(rho)
+        eig = cxmat.hermitian_eigen(rho.matrix)
     except (cxmat.ConvergenceError, cxmat.NonHermitianError) as exc:
         raise type(exc)(f"at tau={tau[exc.index]:.6g}: {exc}", exc.index) from exc
     raw_values, raw_vectors = eig.eigenvalues, eig.eigenvectors
     order = np.argsort(raw_values[0], kind="stable")[::-1]
     values = [raw_values[0, order]]
     vectors = [raw_vectors[0][:, order]]
-    for rho_i, cur_values, cur_vectors in zip(rho[1:], raw_values[1:], raw_vectors[1:]):
+    for rho_i, cur_values, cur_vectors in zip(rho.matrix[1:], raw_values[1:], raw_vectors[1:]):
         order = branch_match(values[-1], vectors[-1], cur_values, cur_vectors)
         values.append(cur_values.take(order))
         vectors.append(_inherit_degenerate(rho_i, values[-1], cur_vectors.take(order, axis=1),
                                            vectors[-1]))
     values, vectors = np.stack(values), np.stack(vectors)
-    basis = qstate.energy_eigenbasis(h, time)
+    hm = h.matrix(time)
+    basis = qstate.energy_eigenbasis(hm)
     overlap = np.abs(np.swapaxes(basis.basis.conj(), -1, -2) @ vectors) ** 2
     _validate_snapshot(tau, values, overlap)
-    return SpectralTrajectory(grid, tau, time, rho, values, vectors, basis.energies, overlap)
+    return SpectralTrajectory(grid, tau, time, rho.matrix, values, vectors, basis.energies,
+                              overlap, qstate.internal_energy(rho, hm))
 
 
-def integrate_first_law(traj: SpectralTrajectory, h: Hamiltonian) -> EnergeticsLedger:
+def integrate_first_law(traj: SpectralTrajectory) -> EnergeticsLedger:
     """Quadrature of the three first-law integrals plus the exact energy change.
 
     Per interval, with bar the endpoint average and d the endpoint
@@ -290,8 +297,8 @@ def integrate_first_law(traj: SpectralTrajectory, h: Hamiltonian) -> EnergeticsL
         dQ_i = sum_nk Ebar_n Obar_nk drho_k
         dC_i = sum_nk Ebar_n rbar_k  dO_nk
 
-    The energy change column is Tr(rho_i H_i) - Tr(rho_0 H_0) evaluated
-    directly.
+    The energy change column is Tr(rho_i H_i) - Tr(rho_0 H_0) from the
+    trajectory's ``energy``, never from the three sums.
     """
     energies, values, overlaps = traj.energies, traj.eigenvalues, traj.overlap
 
@@ -311,9 +318,7 @@ def integrate_first_law(traj: SpectralTrajectory, h: Hamiltonian) -> EnergeticsL
     heat = np.concatenate([zero, np.cumsum(d_heat)])
     coherence = np.concatenate([zero, np.cumsum(d_coh)])
 
-    u = qstate.internal_energy(DensityOperator(traj.rho), h, traj.time)
-    delta_u = u - u[0]
-    return EnergeticsLedger(traj.tau, delta_u, work, heat, coherence)
+    return EnergeticsLedger(traj.tau, traj.energy - traj.energy[0], work, heat, coherence)
 
 
 def run_energetics(
@@ -325,4 +330,4 @@ def run_energetics(
     """Convenience wrapper: trajectory plus integration on the default grid."""
     if grid is None:
         grid = TimeGrid(DEFAULT_TAU_MAX, DEFAULT_STEPS)
-    return integrate_first_law(spectral_trajectory(spec, rho0, h, grid), h)
+    return integrate_first_law(spectral_trajectory(spec, rho0, h, grid))

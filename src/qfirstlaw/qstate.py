@@ -44,7 +44,7 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = cxmat.as_matrix(self.matrix, stack=True)
+        m = cxmat.as_matrix(self.matrix)
         if m.shape[-2] != m.shape[-1]:
             raise cxmat.ShapeError(f"density operator must be square, got {m.shape}")
         object.__setattr__(self, "matrix", m)
@@ -143,8 +143,8 @@ class Hamiltonian:
     def from_matrix(cls, m, tol: float = 1e-12) -> "Hamiltonian":
         """Constant Hamiltonian from an explicit Hermitian matrix."""
         m = cxmat.as_matrix(m)
-        if m.shape[0] != m.shape[1]:
-            raise cxmat.ShapeError(f"Hamiltonian must be square, got {m.shape}")
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise cxmat.ShapeError(f"Hamiltonian must be one square matrix, got shape {m.shape}")
         dev = float(np.max(np.abs(m - m.conj().T)))
         if dev > tol:
             raise cxmat.NonHermitianError(f"matrix is not Hermitian: deviation {dev:.3e}")
@@ -178,19 +178,22 @@ class EnergyEigenbasis:
     basis: np.ndarray
 
 
-def energy_eigenbasis(h: Hamiltonian, t=0.0) -> EnergyEigenbasis:
-    """Eigenbasis of H(t), at one time or at every time of an array.
+def energy_eigenbasis(hm) -> EnergyEigenbasis:
+    """Eigenbasis of an evaluated Hamiltonian: one matrix, or a (T, d, d)
+    stack such as Hamiltonian.matrix over a time grid.
 
-    Diagonal Hamiltonians short-circuit to the computational basis in entry
-    order, with no numerical perturbation; anything else goes through the
-    Jacobi eigensolver (ascending energies): on one matrix if H is the same
-    at every requested time, otherwise on the whole stack in one call.
+    A diagonal H (every off-diagonal entry exactly 0 at every point)
+    short-circuits to the computational basis in entry order, with no
+    numerical perturbation; anything else goes through the Jacobi
+    eigensolver (ascending energies): on one matrix if H is the same at
+    every point, otherwise on the whole stack in one call.
     """
-    hm = h.matrix(t)
-    if h.is_diagonal:
+    hm = np.asarray(hm, dtype=np.complex128)
+    d = hm.shape[-1]
+    if not np.any(hm[..., ~np.eye(d, dtype=bool)]):
         energies = np.diagonal(hm, axis1=-2, axis2=-1).real.copy()
-        return EnergyEigenbasis(energies, np.broadcast_to(np.eye(h.dim), hm.shape) + 0j)
-    stack = hm.reshape(-1, h.dim, h.dim)
+        return EnergyEigenbasis(energies, np.broadcast_to(np.eye(d), hm.shape) + 0j)
+    stack = hm.reshape(-1, d, d)
     if np.all(stack == stack[0]):
         eig = cxmat.hermitian_eigen(stack[0])
         return EnergyEigenbasis(np.broadcast_to(eig.eigenvalues, hm.shape[:-1]).copy(),
@@ -199,9 +202,10 @@ def energy_eigenbasis(h: Hamiltonian, t=0.0) -> EnergyEigenbasis:
     return EnergyEigenbasis(eig.eigenvalues, eig.eigenvectors)
 
 
-def internal_energy(rho: DensityOperator, h: Hamiltonian, t=0.0):
-    """U = Tr(rho H(t)) (an array over a grid); |Im U| must stay below 1e-12."""
-    hm = h.matrix(t)
+def internal_energy(rho: DensityOperator, hm):
+    """U = Tr(rho H) for an evaluated Hamiltonian: a float for one state and
+    one matrix, an array over (T, d, d) stacks; |Im U| must stay below 1e-12."""
+    hm = np.asarray(hm)
     if hm.shape[-1] != rho.dim:
         raise cxmat.ShapeError(
             f"dimension mismatch: state dim {rho.dim}, Hamiltonian dim {hm.shape[-1]}"
@@ -209,8 +213,9 @@ def internal_energy(rho: DensityOperator, h: Hamiltonian, t=0.0):
     value = np.einsum("...ij,...ji->...", rho.matrix, hm)
     bad = np.flatnonzero(np.abs(value.imag) > 1e-12)
     if bad.size:
+        where = f"at grid point {bad[0]}: " if value.ndim else ""
         raise cxmat.NumericError(
-            f"at t={np.ravel(t)[bad[0]]}: internal energy has non-negligible imaginary "
-            f"part {np.ravel(value.imag)[bad[0]]:.3e}"
+            f"{where}internal energy has non-negligible imaginary part "
+            f"{np.ravel(value.imag)[bad[0]]:.3e}"
         )
-    return float(value.real) if np.ndim(value) == 0 else value.real
+    return float(value.real) if value.ndim == 0 else value.real

@@ -16,9 +16,9 @@ from qfirstlaw.channel import (
     CptpError,
     KrausSet,
     apply,
+    completeness_deviation,
     evolve,
     kraus_at,
-    validate_cptp,
 )
 from qfirstlaw.firstlaw import TimeGrid, spectral_trajectory
 from qfirstlaw.qstate import (
@@ -92,12 +92,12 @@ class TestValidateCptp:
         ids=lambda s: s.kind,
     )
     def test_builtins_complete(self, spec, t):
-        assert validate_cptp(kraus_at(spec, t), tol=1e-12).passed
+        assert completeness_deviation(kraus_at(spec, t)) <= 1e-12
 
     def test_double_identity_fails_by_one(self):
-        report = validate_cptp(KrausSet((np.eye(2),) * 2, 0.0), tol=1e-12)
-        assert not report.passed
-        assert report.deviation == 1.0
+        deviation = completeness_deviation(KrausSet((np.eye(2),) * 2, 0.0))
+        assert not deviation <= 1e-12
+        assert deviation == 1.0
 
 
 class TestApply:
@@ -262,7 +262,7 @@ class TestCustomChannels:
         )
         spec = ChannelSpec.from_json(payload)
         assert spec.kind == channel.CUSTOM
-        assert validate_cptp(kraus_at(spec, 1.0), tol=1e-12).passed
+        assert completeness_deviation(kraus_at(spec, 1.0)) <= 1e-12
 
     def test_from_json_rejects_wrong_kind(self):
         with pytest.raises(ValueError, match="kind"):

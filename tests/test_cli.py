@@ -269,6 +269,43 @@ class TestSimulateCommand:
         assert "cannot interpret None" in err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("command", ["channel-info", "simulate"])
+    @pytest.mark.parametrize("payload, message", [
+        ({"kraus": []}, "needs a non-empty list of Kraus operators, got []"),
+        ({"kraus": [[1]]}, "operator 0 must be a 1x1 list of rows"),
+        ({"kraus": 5}, "needs a non-empty list of Kraus operators, got 5"),
+        ({"dim": 2.0}, "dim must be a positive integer, got 2.0"),
+        ({"dim": 0}, "dim must be a positive integer, got 0"),
+        ({"dim": "2"}, "dim must be a positive integer, got '2'"),
+    ], ids=["no-operators", "scalar-row", "kraus-not-a-list", "float-dim", "zero-dim",
+            "string-dim"])
+    def test_malformed_custom_channel_exits_2(self, tmp_path, capsys, command, payload, message):
+        # a bad dim is paired with the valid operators of the committed example
+        kraus = json.loads(PHASE_DAMPING_CUSTOM.read_text())["kraus"]
+        chan = tmp_path / "bad.json"
+        chan.write_text(json.dumps({"kind": "custom", "kraus": kraus, **payload}))
+        argv = {"channel-info": ["channel-info", "--channel", f"custom:{chan}", "--t", "0.5"],
+                "simulate": ["simulate", "--channel", f"custom:{chan}",
+                             "--out", str(tmp_path / "x.csv")]}[command]
+        assert cli.main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("config, flags, message", [
+        ({"steps": 100.5}, [], "steps must be an integer, got 100.5"),
+        ({"theta": [1]}, [], "theta must be a finite number, got [1]"),
+        ({}, ["--tau-max", "nan"], "tau_max must be a finite number, got nan"),
+        ({}, ["--tau-max", "inf"], "tau_max must be a finite number, got inf"),
+    ], ids=["float-steps", "list-theta", "nan-tau-max", "inf-tau-max"])
+    def test_config_value_of_wrong_type_exits_2(self, tmp_path, capsys, config, flags, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"channel": "phase-damping", **config}))
+        out = tmp_path / "x.csv"
+        code = cli.main(["simulate", "--config", str(path), *flags, "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestReproduceCommand:
     def test_fig3_outputs(self, tmp_path, capsys):

@@ -26,72 +26,6 @@ def matrices(rows, cols):
     )
 
 
-class TestMul:
-    def test_identity(self):
-        m = np.array([[1, 2j], [3, 4]], dtype=complex)
-        assert np.array_equal(cxmat.mul(np.eye(2), m), m)
-
-    def test_pauli_involution(self):
-        assert np.allclose(cxmat.mul(SIGMA_X, SIGMA_X), np.eye(2), atol=0)
-
-    def test_damping_kraus_product(self):
-        # K1 at gamma = 0.75 times its adjoint: entries squared, 1 - gamma = 0.25
-        k1 = np.diag([1.0, math.sqrt(0.25)]).astype(complex)
-        out = cxmat.mul(k1, cxmat.adjoint(k1))
-        assert np.allclose(out, np.diag([1.0, 0.25]), atol=1e-15)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(cxmat.ShapeError):
-            cxmat.mul(np.ones((2, 3)), np.ones((2, 2)))
-
-    @given(matrices(2, 3), matrices(3, 2))
-    def test_dims_of_product(self, a, b):
-        assert cxmat.mul(a, b).shape == (2, 2)
-
-
-class TestAdjoint:
-    def test_real_diagonal_fixed(self):
-        m = np.diag([1.0, math.sqrt(0.5)]).astype(complex)
-        assert np.array_equal(cxmat.adjoint(m), m)
-
-    def test_transposes(self):
-        m = np.array([[0, 1], [0, 0]], dtype=complex)
-        assert np.array_equal(cxmat.adjoint(m), np.array([[0, 0], [1, 0]]))
-
-    def test_conjugates(self):
-        m = np.zeros((2, 2), dtype=complex)
-        m[0, 1] = 1j
-        assert cxmat.adjoint(m)[1, 0] == -1j
-
-    @given(matrices(3, 2))
-    def test_involution(self, m):
-        assert np.array_equal(cxmat.adjoint(cxmat.adjoint(m)), m)
-
-
-class TestTrace:
-    def test_identity(self):
-        assert cxmat.trace(np.eye(2)) == 2.0
-
-    def test_unit_trace_preserved_by_dephasing_form(self):
-        # off-diagonal decay never touches the diagonal
-        rho = np.array([[0.75, 0.1 * math.exp(-0.5)], [0.1 * math.exp(-0.5), 0.25]])
-        assert cxmat.trace(rho) == pytest.approx(1.0, abs=1e-15)
-
-    def test_weighted_projector(self):
-        value = cxmat.trace(cxmat.mul(np.diag([0.75, 0.25]), np.diag([0.0, 1.0])))
-        assert value == pytest.approx(0.25, abs=1e-15)
-
-    def test_non_square(self):
-        with pytest.raises(cxmat.ShapeError):
-            cxmat.trace(np.ones((2, 3)))
-
-    @given(matrices(3, 3), matrices(3, 3))
-    def test_cyclic(self, a, b):
-        lhs = cxmat.trace(cxmat.mul(a, b))
-        rhs = cxmat.trace(cxmat.mul(b, a))
-        assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(lhs)))
-
-
 class TestHermitianEigen:
     def test_diagonal_input(self):
         eig = cxmat.hermitian_eigen(np.diag([0.25, 0.75]).astype(complex))

@@ -278,7 +278,7 @@ def reference_trajectory(spec, rho0, h, grid):
         values[i] = raw_values[i, order]
         vectors[i] = reference_inherit_degenerate(rho[i], values[i], raw_vectors[i][:, order],
                                                   vectors[i - 1])
-    basis = qstate.energy_eigenbasis(h, time).basis
+    basis = qstate.energy_eigenbasis(h.matrix(time)).basis
     overlap = np.abs(np.swapaxes(basis.conj(), -1, -2) @ vectors) ** 2
     return values, vectors, overlap
 
@@ -572,6 +572,36 @@ class TestIntegrateFirstLaw:
         )
         assert np.max(np.abs(ledger.closure_residual)) <= 5e-5
         assert np.max(np.abs(ledger.work)) > 1e-3  # the drive actually does work
+
+    @pytest.mark.parametrize("kind", ["diagonal", "static", "driven"])
+    def test_one_hamiltonian_evaluation_feeds_the_ledger(self, monkeypatch, kind):
+        # H(t) is evaluated once per run; its Tr(rho H) is the trajectory's
+        # energy bit for bit, and delta_u is that energy minus its first value
+        rng = np.random.default_rng(12)
+        spec = _mixed_unitary_channel(rng, 4)
+        z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        m = 0.25 * (z + z.conj().T)
+        drive = "+0.1*t" if kind == "driven" else ""
+        upper = {} if kind == "diagonal" else {
+            (i, j): (m[i, j].real, m[i, j].imag) for i in range(4) for j in range(i + 1, 4)}
+        h = Hamiltonian([f"{float(m[i, i].real)!r}{drive}" for i in range(4)], upper)
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        rho0 = DensityOperator(np.outer(psi, psi.conj()) / np.vdot(psi, psi).real)
+        grid = TimeGrid(4.0, 16)
+        matrix = Hamiltonian.matrix
+        calls = []
+
+        def counted(self, t):
+            calls.append(t)
+            return matrix(self, t)
+
+        monkeypatch.setattr(Hamiltonian, "matrix", counted)
+        run_energetics(spec, rho0, h, grid)
+        assert len(calls) == 1
+        traj = spectral_trajectory(spec, rho0, h, grid)
+        expected = np.einsum("...ij,...ji->...", traj.rho, matrix(h, traj.time)).real
+        assert np.array_equal(traj.energy, expected)
+        assert np.array_equal(integrate_first_law(traj).delta_u, traj.energy - traj.energy[0])
 
     def test_quadrature_error_shrinks_second_order(self):
         cfg = OracleConfig()

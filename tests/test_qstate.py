@@ -117,30 +117,30 @@ class TestInternalEnergy:
     def test_reference_angle(self):
         rho = prepare_pure_state(InitialStatePrep(math.pi / 6))
         h = Hamiltonian.two_level(0.0, 1.0)
-        assert internal_energy(rho, h) == pytest.approx(0.25, abs=1e-15)
+        assert internal_energy(rho, h.matrix(0.0)) == pytest.approx(0.25, abs=1e-15)
 
     def test_ground_state_energy(self):
         rho = DensityOperator(np.diag([1.0, 0.0]).astype(complex))
         h = Hamiltonian.two_level(-0.7, 2.3)
-        assert internal_energy(rho, h) == pytest.approx(-0.7, abs=1e-15)
+        assert internal_energy(rho, h.matrix(0.0)) == pytest.approx(-0.7, abs=1e-15)
 
     def test_dim_mismatch(self):
         rho = DensityOperator(np.eye(3, dtype=complex) / 3)
         with pytest.raises(cxmat.ShapeError):
-            internal_energy(rho, Hamiltonian.two_level())
+            internal_energy(rho, Hamiltonian.two_level().matrix(0.0))
 
     @given(angles_theta, st.floats(-5, 5), st.floats(-5, 5))
     def test_linear_in_hamiltonian(self, theta, e_g, e_e):
         rho = prepare_pure_state(InitialStatePrep(theta))
-        u = internal_energy(rho, Hamiltonian.two_level(e_g, e_e))
+        u = internal_energy(rho, Hamiltonian.two_level(e_g, e_e).matrix(0.0))
         expected = e_g * math.cos(theta) ** 2 + e_e * math.sin(theta) ** 2
         assert u == pytest.approx(expected, abs=1e-12)
 
     @given(angles_theta, st.floats(-5, 5))
     def test_shift_by_identity(self, theta, shift):
         rho = prepare_pure_state(InitialStatePrep(theta))
-        base = internal_energy(rho, Hamiltonian.two_level(0.0, 1.0))
-        shifted = internal_energy(rho, Hamiltonian.two_level(shift, 1.0 + shift))
+        base = internal_energy(rho, Hamiltonian.two_level(0.0, 1.0).matrix(0.0))
+        shifted = internal_energy(rho, Hamiltonian.two_level(shift, 1.0 + shift).matrix(0.0))
         assert shifted == pytest.approx(base + shift, abs=1e-12)
 
 
@@ -182,13 +182,13 @@ class TestHamiltonian:
 
 class TestEnergyEigenbasis:
     def test_diagonal_exact_identity(self):
-        basis = energy_eigenbasis(Hamiltonian.two_level(0.0, 1.0))
+        basis = energy_eigenbasis(Hamiltonian.two_level(0.0, 1.0).matrix(0.0))
         assert np.array_equal(basis.energies, np.array([0.0, 1.0]))
         assert np.array_equal(basis.basis, np.eye(2, dtype=complex))
 
     def test_sigma_x(self):
         h = Hamiltonian.from_matrix(np.array([[0, 1], [1, 0]], dtype=complex))
-        basis = energy_eigenbasis(h)
+        basis = energy_eigenbasis(h.matrix(0.0))
         assert np.allclose(basis.energies, [-1.0, 1.0], atol=1e-15)
         inv_sqrt2 = 1 / math.sqrt(2)
         assert np.allclose(basis.basis[:, 0], [inv_sqrt2, -inv_sqrt2], atol=1e-15)
@@ -196,14 +196,23 @@ class TestEnergyEigenbasis:
 
     def test_eigen_residual_general(self):
         h = Hamiltonian([0.3, 1.7], {(0, 1): (0.2, 0.4)})
-        basis = energy_eigenbasis(h, 0.0)
+        basis = energy_eigenbasis(h.matrix(0.0))
         m = h.matrix(0.0)
         resid = np.max(np.abs(m @ basis.basis - basis.basis * basis.energies))
         assert resid <= 1e-10
 
+    def test_zero_valued_coupling_takes_the_diagonal_path(self):
+        # the short-circuit reads the values: a stored "0*t" cell is exactly 0
+        h = Hamiltonian(["1+t", "0.5"], {(0, 1): ("0*t", "0")})
+        assert not h.is_diagonal
+        basis = energy_eigenbasis(h.matrix(np.array([0.0, 1.0])))
+        # entry order, not sorted, and the exact computational basis
+        assert np.array_equal(basis.energies, np.array([[1.0, 0.5], [2.0, 0.5]]))
+        assert np.array_equal(basis.basis, np.broadcast_to(np.eye(2), (2, 2, 2)))
+
     def test_driven_diagonal_keeps_entry_order(self):
         h = Hamiltonian.diagonal(["1+t", "0.5"])
-        basis = energy_eigenbasis(h, 0.0)
+        basis = energy_eigenbasis(h.matrix(0.0))
         # entry order, not sorted: the first branch is the first diagonal entry
         assert np.array_equal(basis.energies, np.array([1.0, 0.5]))
 
