@@ -114,6 +114,8 @@ class ExperimentConfig:
             if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
                 noun = "an integer" if key == "steps" else "a finite number"
                 raise ConfigError(f"{key} must be {noun}, got {value!r}")
+        if not isinstance(self.emit_oracle, bool):
+            raise ConfigError(f"emit_oracle must be true or false, got {self.emit_oracle!r}")
         if self.steps < 10:
             raise ConfigError(f"steps must be at least 10, got {self.steps}")
         if self.tau_max <= 0:
@@ -131,12 +133,13 @@ _CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
 
 
 def config_from_sources(file_values: dict | None, flag_values: dict) -> ExperimentConfig:
-    """Merge a JSON config file with CLI flags; flags override file values."""
+    """Merge a JSON config file with CLI flags; flags override file values.
+    A flag left at None was not given; a file value of null is kept, so the
+    config rejects it as a value of the wrong type."""
+    flags = {key: value for key, value in flag_values.items() if value is not None}
     merged: dict = {}
-    for source in (file_values or {}), flag_values:
+    for source in (file_values or {}), flags:
         for key, value in source.items():
-            if value is None:
-                continue
             if key not in _CONFIG_KEYS:
                 raise ConfigError(f"unknown config key {key!r}")
             merged[key] = value

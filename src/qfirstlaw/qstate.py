@@ -156,10 +156,6 @@ class Hamiltonian:
         }
         return cls(diag, upper)
 
-    @property
-    def is_diagonal(self) -> bool:
-        return all(i == j for (i, j), _ in self._cells)
-
     def matrix(self, t) -> np.ndarray:
         """Entries at time t, or (T, d, d) over an array of times; Hermitian exactly."""
         out = exprparse.evaluate_matrix(self._cells, self.dim, t)

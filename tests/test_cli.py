@@ -296,7 +296,11 @@ class TestSimulateCommand:
         ({"theta": [1]}, [], "theta must be a finite number, got [1]"),
         ({}, ["--tau-max", "nan"], "tau_max must be a finite number, got nan"),
         ({}, ["--tau-max", "inf"], "tau_max must be a finite number, got inf"),
-    ], ids=["float-steps", "list-theta", "nan-tau-max", "inf-tau-max"])
+        ({"emit_oracle": "no"}, [], "emit_oracle must be true or false, got 'no'"),
+        ({"emit_oracle": 1}, [], "emit_oracle must be true or false, got 1"),
+        ({"emit_oracle": None}, [], "emit_oracle must be true or false, got None"),
+    ], ids=["float-steps", "list-theta", "nan-tau-max", "inf-tau-max",
+            "string-emit-oracle", "int-emit-oracle", "null-emit-oracle"])
     def test_config_value_of_wrong_type_exits_2(self, tmp_path, capsys, config, flags, message):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"channel": "phase-damping", **config}))

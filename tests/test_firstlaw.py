@@ -98,20 +98,29 @@ class TestBranchMatch:
 
 
 @pytest.fixture
-def checked_matches(monkeypatch):
-    """Route every branch match of a trajectory through a comparison with
-    the exhaustive reference; returns the list of matched permutations."""
-    matches = []
-
+def checked_matches():
+    """A branch matcher that compares every match with the exhaustive
+    reference; ``checked.matches`` lists the permutations it returned."""
     def checked(*args):
         perm = branch_match(*args)
         expected = reference_branch_match(*args)
-        assert perm == expected, f"step {len(matches) + 1}: {perm} != reference {expected}"
-        matches.append(perm)
+        assert perm == expected, f"step {len(checked.matches) + 1}: {perm} != reference {expected}"
+        checked.matches.append(perm)
         return perm
 
-    monkeypatch.setattr(firstlaw, "branch_match", checked)
-    return matches
+    checked.matches = []
+    return checked
+
+
+def _assert_checked_reference(match, spec, rho0, h, grid):
+    """Every step of the per-step reference agrees with the exhaustive
+    search, and spectral_trajectory equals that reference bit for bit."""
+    values, vectors, overlap = reference_trajectory(spec, rho0, h, grid, match)
+    assert len(match.matches) == grid.steps
+    traj = spectral_trajectory(spec, rho0, h, grid)
+    assert np.array_equal(traj.eigenvalues, values)
+    assert np.array_equal(traj.eigenvectors, vectors)
+    assert np.array_equal(traj.overlap, overlap)
 
 
 def _mixed_unitary_channel(rng, d, n_unitaries=3):
@@ -166,8 +175,7 @@ class TestBranchMatchAgreesWithExhaustive:
                              ids=["tau8", "through-ln2"])
     def test_builtin_ledgers(self, checked_matches, spec, theta, grid):
         rho0 = prepare_pure_state(InitialStatePrep(theta))
-        spectral_trajectory(spec, rho0, H_DEFAULT, grid)
-        assert len(checked_matches) == grid.steps
+        _assert_checked_reference(checked_matches, spec, rho0, H_DEFAULT, grid)
 
     @pytest.mark.parametrize(
         "d, seed",
@@ -180,9 +188,9 @@ class TestBranchMatchAgreesWithExhaustive:
         psi /= np.linalg.norm(psi)
         z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         h = Hamiltonian.from_matrix(0.25 * (z + z.conj().T))
-        spectral_trajectory(spec, DensityOperator(np.outer(psi, psi.conj())), h,
-                            TimeGrid(4.0, 16))
-        assert len(checked_matches) == 16
+        _assert_checked_reference(checked_matches, spec,
+                                  DensityOperator(np.outer(psi, psi.conj())), h,
+                                  TimeGrid(4.0, 16))
 
     @pytest.mark.parametrize("pattern", sorted(_CRAFTED_PATTERNS))
     @pytest.mark.parametrize("peak", [2 / 3 - 1e-13, 2 / 3 + 1e-13, 0.5 - 1e-13, 0.5 + 1e-13])
@@ -262,22 +270,28 @@ def reference_inherit_degenerate(rho_matrix, values, vectors, prev_vectors):
     return new_vectors
 
 
-def reference_trajectory(spec, rho0, h, grid):
-    """(eigenvalues, eigenvectors, overlap) from the indexed per-step loop,
-    kept as the reference that spectral_trajectory must reproduce bit for bit."""
-    time = spec.physical_time(grid.points)
-    rho = evolve(spec, rho0, time).matrix
-    eig = cxmat.hermitian_eigen(rho)
-    raw_values, raw_vectors = eig.eigenvalues, eig.eigenvectors
+def reference_match(rho, raw_values, raw_vectors, match=branch_match):
+    """Branch-ordered (values, vectors) from the indexed per-step loop over
+    raw eigensystem stacks, one ``match`` call per step."""
     values = np.empty_like(raw_values)
     vectors = np.empty_like(raw_vectors)
     order = np.argsort(raw_values[0], kind="stable")[::-1]
     values[0], vectors[0] = raw_values[0, order], raw_vectors[0][:, order]
     for i in range(1, len(raw_values)):
-        order = list(branch_match(values[i - 1], vectors[i - 1], raw_values[i], raw_vectors[i]))
+        order = list(match(values[i - 1], vectors[i - 1], raw_values[i], raw_vectors[i]))
         values[i] = raw_values[i, order]
         vectors[i] = reference_inherit_degenerate(rho[i], values[i], raw_vectors[i][:, order],
                                                   vectors[i - 1])
+    return values, vectors
+
+
+def reference_trajectory(spec, rho0, h, grid, match=branch_match):
+    """(eigenvalues, eigenvectors, overlap) from the indexed per-step loop,
+    kept as the reference that spectral_trajectory must reproduce bit for bit."""
+    time = spec.physical_time(grid.points)
+    rho = evolve(spec, rho0, time).matrix
+    eig = cxmat.hermitian_eigen(rho)
+    values, vectors = reference_match(rho, eig.eigenvalues, eig.eigenvectors, match)
     basis = qstate.energy_eigenbasis(h.matrix(time)).basis
     overlap = np.abs(np.swapaxes(basis.conj(), -1, -2) @ vectors) ** 2
     return values, vectors, overlap
@@ -301,19 +315,34 @@ def _pure_state_mixed_unitary(d, seed):
 
 
 @pytest.fixture
-def inherit_calls(monkeypatch):
-    """Record, for every degeneracy inheritance of a trajectory, whether it
-    returned a new array rather than the vectors it was given."""
-    replaced = []
-    original = firstlaw._inherit_degenerate
+def walk(monkeypatch):
+    """Record, in call order, every branch match of a trajectory as
+    ("match", None, None) and every degeneracy inheritance as ("inherit", rho,
+    whether it returned a new array rather than the vectors it was given)."""
+    calls = []
+    match, inherit = firstlaw.branch_match, firstlaw._inherit_degenerate
 
-    def recorded(*args):
-        result = original(*args)
-        replaced.append(result is not args[2])
+    def recorded_match(*args):
+        calls.append(("match", None, None))
+        return match(*args)
+
+    def recorded_inherit(*args):
+        result = inherit(*args)
+        calls.append(("inherit", args[0], result is not args[2]))
         return result
 
-    monkeypatch.setattr(firstlaw, "_inherit_degenerate", recorded)
-    return replaced
+    monkeypatch.setattr(firstlaw, "branch_match", recorded_match)
+    monkeypatch.setattr(firstlaw, "_inherit_degenerate", recorded_inherit)
+    return calls
+
+
+def _walked_points(calls, spec, rho0, grid):
+    """Grid points whose step was walked, and those that inherited, from the
+    state each inheritance was given."""
+    rho = evolve(spec, rho0, spec.physical_time(grid.points)).matrix
+    points = [(int(np.flatnonzero((rho == m).all(axis=(1, 2)))[0]), replaced)
+              for kind, m, replaced in calls if kind == "inherit"]
+    return [p for p, _ in points], [p for p, replaced in points if replaced]
 
 
 class TestMatchingLoop:
@@ -342,16 +371,78 @@ class TestMatchingLoop:
             assert np.all(np.sum(gaps <= firstlaw._DEGENERACY_GAP, axis=1) >= 3)
 
     @pytest.mark.parametrize("grid", list(GRIDS.values()), ids=list(GRIDS))
-    def test_one_inheritance_call_per_step(self, inherit_calls, checked_matches, grid):
+    def test_one_inheritance_call_per_step(self, walk, grid):
+        # every walked step is one match followed by one inheritance, and
+        # the first step is always walked
         rho0 = prepare_pure_state(InitialStatePrep(math.pi / 4))
         spectral_trajectory(ChannelSpec.phase_flip(), rho0, H_DEFAULT, grid)
-        assert len(inherit_calls) == len(checked_matches) == grid.steps
+        kinds = [kind for kind, *_ in walk]
+        assert len(kinds) >= 2
+        assert kinds == ["match", "inherit"] * (len(kinds) // 2)
+        points, _ = _walked_points(walk, ChannelSpec.phase_flip(), rho0, grid)
+        assert points[0] == 1 and points == sorted(set(points))
 
-    def test_only_the_crossing_point_inherits(self, inherit_calls):
+    def test_only_the_crossing_point_inherits(self, walk):
+        # tau = ln 2 (grid point 50) is the maximally mixed state: both
+        # steps that touch it are walked, and only it inherits
         rho0 = prepare_pure_state(InitialStatePrep(math.pi / 4))
-        spectral_trajectory(ChannelSpec.phase_flip(), rho0, H_DEFAULT, GRIDS["through-ln2"])
-        # call k handles grid point k + 1
-        assert np.flatnonzero(inherit_calls).tolist() == [49]
+        grid = GRIDS["through-ln2"]
+        spectral_trajectory(ChannelSpec.phase_flip(), rho0, H_DEFAULT, grid)
+        points, inherited = _walked_points(walk, ChannelSpec.phase_flip(), rho0, grid)
+        assert points == [1, 50, 51]
+        assert inherited == [50]
+
+    def test_certified_qubit_ledger_walks_one_step(self, walk):
+        run_energetics(ChannelSpec.phase_damping(), REFERENCE_STATE, H_DEFAULT,
+                       TimeGrid(8.0, 4000))
+        assert [kind for kind, *_ in walk] == ["match", "inherit"]
+
+    @pytest.mark.parametrize("d", range(2, MAX_BRANCH_DIM + 1))
+    def test_composition_equals_a_sequential_gather_loop(self, d):
+        rng = np.random.default_rng(d)
+        for length in range(1, 301):
+            steps = rng.permuted(np.tile(np.arange(d), (length, 1)), axis=1)
+            starts = rng.random(length) < rng.choice([0.0, 0.05, 0.5])
+            starts[0] = True
+            steps[starts] = np.arange(d)
+            start = np.maximum.accumulate(np.where(starts, np.arange(length), 0))
+            expected = np.empty_like(steps)
+            for j in range(length):
+                expected[j] = np.arange(d) if starts[j] else steps[j].take(expected[j - 1])
+            assert np.array_equal(firstlaw._compose_runs(steps, start), expected), length
+
+    @pytest.mark.parametrize("peak, walked", [(0.5 + 1.2e-12, True), (0.5 + 1.8e-12, True),
+                                              (0.5 + 3e-12, False)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_interval_within_twice_the_margin_is_walked(self, walk, peak, walked, seed):
+        # step 2 (raw points 1 -> 2) peaks at ``peak`` in two rows; a peak
+        # within 2 _TIE_EPS of 1/2 is left to branch_match
+        rng = np.random.default_rng(seed)
+        d = 3
+        eye = np.eye(d, dtype=complex)
+        rotated = _rotations([((0, 1), peak)], d)
+        raw_vectors = np.stack([eye, eye[:, rng.permutation(d)], rotated[:, rng.permutation(d)]])
+        raw_vectors = np.concatenate([raw_vectors, raw_vectors[2:, :, rng.permutation(d)]])
+        raw_values = np.stack([rng.permutation([0.5, 0.3, 0.2]) for _ in range(4)])
+        rho = np.einsum("tij,tj,tkj->tik", raw_vectors, raw_values, raw_vectors.conj())
+        values, vectors = firstlaw._match_branches(rho, raw_values, raw_vectors)
+        assert [kind for kind, *_ in walk].count("match") == (2 if walked else 1)
+        expected_values, expected_vectors = reference_match(rho, raw_values, raw_vectors)
+        assert np.array_equal(values, expected_values)
+        assert np.array_equal(vectors, expected_vectors)
+
+    def test_repeated_argmax_is_walked(self, walk):
+        # not orthonormal: two columns of point 1 are e0, so on step 2 two
+        # rows peak at 1 in the same column
+        eye = np.eye(3, dtype=complex)
+        raw_vectors = np.stack([eye, eye[:, [0, 0, 2]], eye])
+        raw_values = np.tile([0.5, 0.3, 0.2], (3, 1))
+        rho = np.tile(np.diag([0.5, 0.3, 0.2]).astype(complex), (3, 1, 1))
+        values, vectors = firstlaw._match_branches(rho, raw_values, raw_vectors)
+        assert [kind for kind, *_ in walk].count("match") == 2
+        expected_values, expected_vectors = reference_match(rho, raw_values, raw_vectors)
+        assert np.array_equal(values, expected_values)
+        assert np.array_equal(vectors, expected_vectors)
 
     def test_returns_its_input_unless_a_cluster_is_replaced(self):
         had = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)

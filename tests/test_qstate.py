@@ -147,8 +147,8 @@ class TestInternalEnergy:
 class TestHamiltonian:
     def test_diagonal_constant(self):
         h = Hamiltonian.two_level(0.0, 1.0)
-        assert h.is_diagonal
         assert np.array_equal(h.matrix(3.7), np.diag([0.0, 1.0]).astype(complex))
+        assert np.array_equal(energy_eigenbasis(h.matrix(3.7)).basis, np.eye(2))
 
     def test_driven_diagonal(self):
         h = Hamiltonian.diagonal([0.0, "1+0.1*t"])
@@ -157,7 +157,7 @@ class TestHamiltonian:
     def test_from_matrix_hermitian_by_construction(self):
         m = np.array([[0.5, 0.5j], [-0.5j, 0.5]], dtype=complex)
         h = Hamiltonian.from_matrix(m)
-        assert not h.is_diagonal
+        assert h.matrix(0.0)[0, 1] == 0.5j
         assert np.array_equal(h.matrix(0.0), m)
 
     def test_from_matrix_rejects_non_hermitian(self):
@@ -177,7 +177,10 @@ class TestHamiltonian:
             h.matrix(0.0)
 
     def test_literal_zero_coupling_is_not_stored(self):
-        assert Hamiltonian([0.0, 1.0], {(0, 1): (0, 0)}).is_diagonal
+        h = Hamiltonian([0.0, 1.0], {(0, 1): (0, 0)})
+        assert np.array_equal(h.matrix(np.array([0.0, 2.0])),
+                              np.broadcast_to(np.diag([0.0, 1.0]), (2, 2, 2)))
+        assert np.array_equal(energy_eigenbasis(h.matrix(0.0)).basis, np.eye(2))
 
 
 class TestEnergyEigenbasis:
@@ -204,7 +207,7 @@ class TestEnergyEigenbasis:
     def test_zero_valued_coupling_takes_the_diagonal_path(self):
         # the short-circuit reads the values: a stored "0*t" cell is exactly 0
         h = Hamiltonian(["1+t", "0.5"], {(0, 1): ("0*t", "0")})
-        assert not h.is_diagonal
+        assert np.all(h.matrix(np.array([0.0, 1.0]))[:, 0, 1] == 0)
         basis = energy_eigenbasis(h.matrix(np.array([0.0, 1.0])))
         # entry order, not sorted, and the exact computational basis
         assert np.array_equal(basis.energies, np.array([[1.0, 0.5], [2.0, 0.5]]))
