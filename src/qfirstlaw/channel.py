@@ -99,8 +99,8 @@ class ChannelSpec:
 
     def __post_init__(self):
         if self.kind in BUILTIN_KINDS:
-            if self.rate <= 0:
-                raise ValueError(f"rate must be positive, got {self.rate}")
+            if not (np.isfinite(self.rate) and self.rate > 0):
+                raise ValueError(f"rate must be finite and positive, got {self.rate}")
             if self.dim != 2:
                 raise ValueError("builtin channels are qubit channels (dim 2)")
         elif self.kind == CUSTOM:
@@ -193,8 +193,9 @@ def _length(value):
 def kraus_at(spec: ChannelSpec, t) -> KrausSet:
     """Kraus operators at time t >= 0, or (T, d, d) ones over an array of times."""
     times = np.asarray(t, dtype=float)
-    if np.any(times < 0):
-        raise ValueError(f"time must be non-negative, got {times[times < 0].flat[0]}")
+    bad = ~(np.isfinite(times) & (times >= 0))
+    if np.any(bad):
+        raise ValueError(f"time must be finite and non-negative, got {times[bad].flat[0]}")
     if spec.kind in BUILTIN_KINDS:
         # gamma = p = 1 - exp(-rate*t), via expm1 for small-t accuracy
         p = -np.expm1(-spec.rate * times)[..., None, None]
@@ -219,9 +220,8 @@ def kraus_at(spec: ChannelSpec, t) -> KrausSet:
 
 def completeness_deviation(kraus: KrausSet):
     """max-norm of sum_i K_i† K_i - I: a float, or one per time of a stack."""
-    ops = np.stack(kraus.operators, axis=-3)
-    total = np.einsum("...kji,...kjl->...il", ops.conj(), ops)
-    deviation = np.abs(total - np.eye(kraus.dim)).max(axis=(-2, -1))
+    total = sum(cxmat.stack_matmul(np.swapaxes(k.conj(), -1, -2), k) for k in kraus.operators)
+    deviation = cxmat.entry_max(np.abs(total - np.eye(kraus.dim)))
     return float(deviation) if deviation.ndim == 0 else deviation
 
 
@@ -245,10 +245,9 @@ def apply(kraus: KrausSet, rho: DensityOperator) -> DensityOperator:
             f"deviation {deviation:.3e} > {CPTP_TOL:.3e}",
             deviation,
         )
-    ops = np.stack(kraus.operators, axis=-3)
-    out = np.einsum("...kij,...jl,...kml->...im", ops, rho.matrix, ops.conj())
-    trace_drift = np.abs(np.trace(out, axis1=-2, axis2=-1)
-                         - np.trace(rho.matrix, axis1=-2, axis2=-1))
+    out = sum(cxmat.stack_matmul(cxmat.stack_matmul(k, rho.matrix), np.swapaxes(k.conj(), -1, -2))
+              for k in kraus.operators)
+    trace_drift = np.abs(_trace(out) - _trace(rho.matrix))
     if np.any(trace_drift > 1e-12):
         index = np.flatnonzero(trace_drift > 1e-12)[0]
         raise cxmat.NumericError(
@@ -256,6 +255,11 @@ def apply(kraus: KrausSet, rho: DensityOperator) -> DensityOperator:
             f"{np.ravel(trace_drift)[index]:.3e} under a CPTP-validated set"
         )
     return DensityOperator(out)
+
+
+def _trace(m):
+    """Traces of a matrix or a stack, summed on a copy with the grid axis last."""
+    return np.diagonal(m, axis1=-2, axis2=-1).T.copy().sum(axis=0)
 
 
 def evolve(spec: ChannelSpec, rho0: DensityOperator, t) -> DensityOperator:

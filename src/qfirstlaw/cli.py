@@ -114,8 +114,6 @@ def _format_complex(z: complex) -> str:
 
 def cmd_channel_info(args) -> int:
     spec = experiment.parse_channel(args.channel)
-    if args.t < 0:
-        raise ConfigError(f"time must be non-negative, got {args.t}")
     ks = kraus_at(spec, args.t)
     print(f"channel {args.channel} at t={args.t:g}: {len(ks.operators)} Kraus operators")
     for index, op in enumerate(ks.operators):

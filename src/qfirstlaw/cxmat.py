@@ -1,14 +1,19 @@
-"""Dense complex matrix coercion and a self-contained Hermitian eigensolver.
+"""Dense complex matrix coercion, tiny-matrix stack kernels and a
+self-contained Hermitian eigensolver.
 
 ``as_matrix`` turns input into a complex128 matrix or 3-D stack of
-matrices with finite entries.  The eigensolver is a hand-written cyclic
-complex Jacobi sweep rather than a LAPACK call, so the whole numerical path
-stays auditable.  Matrices in this package are
-tiny (qubits, dim <= 8 for branch tracking) but come in long stacks, one per
-grid point, so the eigensolver takes a ``(..., n, n)`` stack and runs each
-rotation on every matrix of the stack that still needs it: the Python loop
-is over sweeps and index pairs, never over grid points.  A single matrix is
-a stack of one."""
+matrices with finite entries.  Matrices in this package are tiny (qubits,
+dim <= 8 for branch tracking) but come in long stacks, one per grid point.
+numpy runs a product or reduction over the matrix axes of such a stack as
+one short inner loop per matrix, so the grid path keeps those axes out of
+the inner loops: ``stack_matmul`` contracts as d broadcast multiply-adds
+over the whole stack and ``entry_max`` reduces with the grid axis last.
+
+The eigensolver is a hand-written cyclic complex Jacobi sweep rather than a
+LAPACK call, so the whole numerical path stays auditable.  It runs each
+rotation on every matrix of a ``(..., n, n)`` stack that still needs it:
+the Python loop is over sweeps and index pairs, never over grid points.  A
+single matrix is a stack of one."""
 
 from __future__ import annotations
 
@@ -65,6 +70,23 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def stack_matmul(a, b) -> np.ndarray:
+    """``a @ b`` over broadcast stacks of d x d matrices, as d multiply-adds
+    of whole stacks summed in index order (a 2-D operand is one matrix
+    shared by the stack)."""
+    out = a[..., :, 0, None] * b[..., None, 0, :]
+    for j in range(1, a.shape[-1]):
+        out += a[..., :, j, None] * b[..., None, j, :]
+    return out
+
+
+def entry_max(x) -> np.ndarray:
+    """``x.max(axis=(-2, -1))``, reduced on one copy with the grid axis last."""
+    x = np.asarray(x)
+    by_entry = x.reshape(-1, x.shape[-2] * x.shape[-1]).T.copy()
+    return by_entry.max(axis=0).reshape(x.shape[:-2])
+
+
 @dataclass(frozen=True)
 class HermitianEigenDecomposition:
     """Eigenvalues in ascending order; column j of ``eigenvectors`` pairs with
@@ -100,7 +122,7 @@ def hermitian_eigen(a, tol: float = 1e-12, max_sweeps: int = MAX_SWEEPS) -> Herm
     if stack.shape[-2] != n:
         raise ShapeError(f"eigendecomposition requires a square matrix, got {m.shape}")
     adj = stack.conj().swapaxes(-1, -2)
-    dev = np.abs(stack - adj).max(axis=(-2, -1))
+    dev = entry_max(np.abs(stack - adj))
 
     # A rotation multiplies both A and the accumulated eigenvectors V by J on
     # the right, so they are stored one above the other and rotated together.
@@ -109,11 +131,14 @@ def hermitian_eigen(a, tol: float = 1e-12, max_sweeps: int = MAX_SWEEPS) -> Herm
     # Fold round-off asymmetry away before iterating.
     work[...] = 0.5 * (stack + adj)
     vecs[:, range(n), range(n)] = 1.0
-    thresh = OFFDIAG_FACTOR * np.abs(work).max(axis=(-2, -1))
-    off_diagonal = ~np.eye(n, dtype=bool)
+    thresh = OFFDIAG_FACTOR * entry_max(np.abs(work))
+    # Entry-major view of A (a view, so it follows the rotations): a gather
+    # from it puts the grid axis last, so the per-sweep max is elementwise.
+    entries = aug.reshape(len(aug), 2 * n * n)[:, :n * n].T
+    off_diagonal = ~np.eye(n, dtype=bool).ravel()
     sweeps = 0
     while True:
-        off_max = np.abs(work[:, off_diagonal]).max(axis=-1, initial=0.0)
+        off_max = np.abs(entries[off_diagonal]).max(axis=0, initial=0.0)
         active = off_max > thresh
         if sweeps >= max_sweeps or not active.any():
             break

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -82,10 +83,10 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if self.tau_max <= 0:
-            raise ValueError(f"tau_max must be positive, got {self.tau_max}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be at least 1, got {self.steps}")
+        if not (np.isfinite(self.tau_max) and self.tau_max > 0):
+            raise ValueError(f"tau_max must be finite and positive, got {self.tau_max}")
+        if isinstance(self.steps, bool) or not isinstance(self.steps, Integral) or self.steps < 1:
+            raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
 
     @property
     def points(self) -> np.ndarray:
@@ -226,12 +227,15 @@ def _inherit_degenerate(rho_matrix, values, vectors, prev_vectors):
 
 def _validate_snapshot(tau, values, overlap):
     """Check every grid row at once: eigenvalues in [0, 1] summing to 1, and
-    doubly stochastic overlaps.  An error names the first tau that fails."""
-    sums = values.sum(axis=1)
-    row_dev = np.abs(overlap.sum(axis=2) - 1.0).max(axis=1)
-    col_dev = np.abs(overlap.sum(axis=1) - 1.0).max(axis=1)
+    doubly stochastic overlaps.  An error names the first tau that fails.
+    The reductions run on copies with the grid axis last."""
+    by_col = values.T.copy()
+    sums = by_col.sum(axis=0)
+    entries = overlap.transpose(1, 2, 0).copy()
+    row_dev = np.abs(entries.sum(axis=1) - 1.0).max(axis=0)
+    col_dev = np.abs(entries.sum(axis=0) - 1.0).max(axis=0)
     checks = (
-        ((values.min(axis=1) < -_EIGENVALUE_SLACK) | (values.max(axis=1) > 1.0 + _EIGENVALUE_SLACK),
+        ((by_col.min(axis=0) < -_EIGENVALUE_SLACK) | (by_col.max(axis=0) > 1.0 + _EIGENVALUE_SLACK),
          lambda i: f"eigenvalues outside [0, 1] beyond slack: {values[i]}"),
         (np.abs(sums - 1.0) > _SUM_TOL,
          lambda i: f"eigenvalue sum {sums[i]!r} deviates from 1"),
@@ -254,16 +258,42 @@ def _compose_runs(steps, start):
     of j's run, where ``steps`` holds the identity.  Returns ``rel`` with
     order[j] = rel[j][order[start[j]]], by doubling: after the pass with
     offset k each row has composed the last 2k steps of its run."""
+    count, d = steps.shape
     rel = steps.copy()
-    points = np.arange(len(rel))
+    points = np.arange(count)
+    base = (points * d)[:, None]
     longest = int(np.max(points - start, initial=0))
     offset = 1
     while offset < longest:
         within = (points[offset:] - offset >= start[offset:])[:, None]
-        composed = np.take_along_axis(rel[offset:], rel[:-offset], axis=1)
-        rel[offset:] = np.where(within, composed, rel[offset:])
+        composed = rel[offset:].take(rel[:-offset] + base[:-offset])
+        np.copyto(rel[offset:], composed, where=within)
         offset *= 2
     return rel
+
+
+def _certificate(raw_values, overlap):
+    """Which intervals the certificate settles, and the row argmaxes of
+    each interval's raw-basis overlap (ties to the first column).  Settled:
+    every row peak exceeds 1/2 + 2 _TIE_EPS, the argmaxes are distinct and
+    no two eigenvalues at either endpoint lie within _DEGENERACY_GAP.  Each
+    pass is elementwise over one matrix index, with the grid axis last."""
+    d = raw_values.shape[1]
+    by_col = overlap.transpose(2, 1, 0).copy()
+    peaks = by_col[0].copy()
+    cols = np.zeros(peaks.shape, dtype=np.intp)
+    for k in range(1, d):
+        better = by_col[k] > peaks
+        np.maximum(peaks, by_col[k], out=peaks)
+        cols[better] = k
+    distinct = np.ones(len(overlap), dtype=bool)
+    values = raw_values.T.copy()
+    plain = np.ones(len(raw_values), dtype=bool)
+    for j in range(d - 1):
+        distinct &= (cols[j + 1:] != cols[j]).all(axis=0)
+        plain &= (np.abs(values[j + 1:] - values[j]) > _DEGENERACY_GAP).all(axis=0)
+    settled = (peaks.min(axis=0) > 0.5 + 2.0 * _TIE_EPS) & distinct & plain[:-1] & plain[1:]
+    return settled, cols.T
 
 
 def _match_branches(rho, raw_values, raw_vectors):
@@ -281,14 +311,9 @@ def _match_branches(rho, raw_values, raw_vectors):
     through branch_match and _inherit_degenerate from the order and vectors
     of its left point."""
     count, d = raw_values.shape
-    overlap = np.abs(np.swapaxes(raw_vectors[:-1].conj(), -1, -2) @ raw_vectors[1:]) ** 2
-    cols = overlap.argmax(axis=2)
-    plain = np.all(np.diff(np.sort(raw_values, axis=1), axis=1) > _DEGENERACY_GAP, axis=1)
-    settled = (
-        (overlap.max(axis=2).min(axis=1) > 0.5 + 2.0 * _TIE_EPS)
-        & np.all(np.diff(np.sort(cols, axis=1), axis=1) > 0, axis=1)
-        & plain[:-1] & plain[1:]
-    )
+    overlap = np.abs(cxmat.stack_matmul(np.swapaxes(raw_vectors[:-1].conj(), -1, -2),
+                                        raw_vectors[1:])) ** 2
+    settled, cols = _certificate(raw_values, overlap)
     # The first interval is always walked: it anchors the composition on the
     # step-0 descending order, and it gives branch_match and
     # _inherit_degenerate a call on every trajectory, which the per-layer
@@ -348,6 +373,8 @@ def spectral_trajectory(
     values, vectors = _match_branches(rho.matrix, eig.eigenvalues, eig.eigenvectors)
     hm = h.matrix(time)
     basis = qstate.energy_eigenbasis(hm)
+    # Stacked @, not stack_matmul: this overlap feeds the ledger, whose last
+    # bits (and the published figures) follow @'s summation.
     overlap = np.abs(np.swapaxes(basis.basis.conj(), -1, -2) @ vectors) ** 2
     _validate_snapshot(tau, values, overlap)
     return SpectralTrajectory(grid, tau, time, rho.matrix, values, vectors, basis.energies,

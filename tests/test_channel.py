@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from qfirstlaw.qstate import (
 )
 
 REFERENCE_STATE = prepare_pure_state(InitialStatePrep(math.pi / 6))
+PHASE_DAMPING_CUSTOM = Path(__file__).parent / "data" / "phase_damping_custom.json"
 
 angles_theta = st.floats(min_value=0.0, max_value=math.pi / 2, allow_nan=False)
 angles_phi = st.floats(min_value=0.0, max_value=2 * math.pi, exclude_max=True, allow_nan=False)
@@ -77,6 +79,13 @@ class TestKrausAt:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             kraus_at(ChannelSpec.phase_damping(), -0.1)
+
+    @pytest.mark.parametrize("t, shown", [(math.nan, "nan"), (math.inf, "inf"),
+                                          ([0.0, 1.0, math.nan], "nan")])
+    def test_non_finite_time_rejected(self, t, shown):
+        for spec in [ChannelSpec.phase_damping(), ChannelSpec.identity()]:
+            with pytest.raises(ValueError, match=f"time must be finite and non-negative, got {shown}"):
+                kraus_at(spec, t)
 
 
 class TestValidateCptp:
@@ -279,6 +288,48 @@ class TestCustomChannels:
     def test_bad_rate_rejected(self):
         with pytest.raises(ValueError):
             ChannelSpec.phase_damping(rate=0.0)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("family", [ChannelSpec.phase_damping, ChannelSpec.phase_flip,
+                                        ChannelSpec.bit_flip, ChannelSpec.bit_phase_flip])
+    def test_non_finite_rate_rejected(self, family, rate):
+        with pytest.raises(ValueError, match="rate must be finite and positive"):
+            family(rate=rate)
+
+
+def _einsum_apply(kraus, rho):
+    """The contraction apply used before the stack kernels."""
+    ops = np.stack(kraus.operators, axis=-3)
+    return np.einsum("...kij,...jl,...kml->...im", ops, rho.matrix, ops.conj())
+
+
+def _einsum_completeness(kraus):
+    """The completeness deviation used before the stack kernels."""
+    ops = np.stack(kraus.operators, axis=-3)
+    total = np.einsum("...kji,...kjl->...il", ops.conj(), ops)
+    return np.abs(total - np.eye(kraus.dim)).max(axis=(-2, -1))
+
+
+class TestStackKernelsMatchEinsum:
+    TIMES = ChannelSpec.phase_damping().physical_time(TimeGrid(8.0, 400).points)
+
+    def _assert_bit_equal(self, spec, rho0):
+        for t in [self.TIMES, 1.3]:
+            kraus = kraus_at(spec, t)
+            assert np.array_equal(apply(kraus, rho0).matrix, _einsum_apply(kraus, rho0))
+            assert np.array_equal(completeness_deviation(kraus), _einsum_completeness(kraus))
+
+    @pytest.mark.parametrize("phi", [0.0, math.pi / 2])
+    @pytest.mark.parametrize("theta", [math.pi / 6, math.pi / 4])
+    @pytest.mark.parametrize("family", [ChannelSpec.phase_damping, ChannelSpec.phase_flip,
+                                        ChannelSpec.bit_flip, ChannelSpec.bit_phase_flip])
+    def test_builtin_families(self, family, theta, phi):
+        self._assert_bit_equal(family(), prepare_pure_state(InitialStatePrep(theta, phi)))
+
+    @pytest.mark.parametrize("theta", [math.pi / 6, math.pi / 4])
+    def test_custom_phase_damping_fixture(self, theta):
+        spec = ChannelSpec.from_json(PHASE_DAMPING_CUSTOM.read_text())
+        self._assert_bit_equal(spec, prepare_pure_state(InitialStatePrep(theta)))
 
 
 class TestKrausSet:

@@ -394,6 +394,15 @@ class TestChannelInfoCommand:
         code = cli.main(["channel-info", "--channel", "phase-damping", "--t", "-1"])
         assert code == 2
 
+    @pytest.mark.parametrize("t", ["nan", "inf"])
+    @pytest.mark.parametrize("channel", ["bit-phase-flip", f"custom:{PHASE_DAMPING_CUSTOM}"])
+    def test_non_finite_time_exits_2(self, capsys, channel, t):
+        code = cli.main(["channel-info", "--channel", channel, "--t", t])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"time must be finite and non-negative, got {t}" in captured.err
+        assert "PASS" not in captured.out
+
 
 class TestDeterminism:
     def test_reproduce_fig2_twice_identical(self, tmp_path):

@@ -219,6 +219,32 @@ class TestHermitianEigenStack:
         assert info.value.index == (1,)
 
 
+class TestStackKernels:
+    @pytest.mark.parametrize("length", [1, 2, 17, 4001])
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_stack_matmul_equals_matmul(self, d, length):
+        rng = np.random.default_rng([d, length])
+        a, b = rng.normal(size=(2, length, d, d, 2)) @ [1, 1j]
+        for x, y in [(a, b), (a, b[0]), (a[0], b), (a[:1], b)]:
+            expected = x @ y
+            got = cxmat.stack_matmul(x, y)
+            assert got.shape == expected.shape
+            scale = np.max(np.abs(x) @ np.abs(y))
+            assert np.max(np.abs(got - expected)) <= 4 * np.spacing(scale)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (1, 2, 2), (17, 5, 5), (4001, 2, 2), (3, 4, 2, 2)])
+    def test_entry_max_equals_max_over_the_matrix_axes(self, shape):
+        rng = np.random.default_rng(len(shape))
+        x = rng.normal(size=shape)
+        expected = x.max(axis=(-2, -1))
+        assert np.array_equal(cxmat.entry_max(x), expected)
+        assert np.shape(cxmat.entry_max(x)) == np.shape(expected)
+        x.reshape(-1)[[0, -1]] = np.nan
+        expected = x.max(axis=(-2, -1))
+        assert np.array_equal(cxmat.entry_max(x), expected, equal_nan=True)
+        assert np.isnan(cxmat.entry_max(x)).any()
+
+
 @settings(max_examples=40)
 @given(matrices(3, 3))
 def test_eigen_reconstruction_random_hermitian(raw):

@@ -61,6 +61,19 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(1.0, 0)
 
+    @pytest.mark.parametrize("tau_max", [math.nan, math.inf, -math.inf, -1.0])
+    def test_rejects_non_finite_tau_max(self, tau_max):
+        with pytest.raises(ValueError, match="tau_max must be finite and positive"):
+            TimeGrid(tau_max, 10)
+
+    @pytest.mark.parametrize("steps", [2.5, 2.0, True, False, "10", None])
+    def test_rejects_non_integral_steps(self, steps):
+        with pytest.raises(ValueError, match="steps must be an integer >= 1"):
+            TimeGrid(1.0, steps)
+
+    def test_accepts_numpy_integers(self):
+        assert len(TimeGrid(1, np.int64(4)).points) == 5
+
 
 class TestBranchMatch:
     def setup_method(self):
@@ -343,6 +356,73 @@ def _walked_points(calls, spec, rho0, grid):
     points = [(int(np.flatnonzero((rho == m).all(axis=(1, 2)))[0]), replaced)
               for kind, m, replaced in calls if kind == "inherit"]
     return [p for p, _ in points], [p for p, replaced in points if replaced]
+
+
+def sorted_certificate(raw_values, overlap):
+    """The sort-based certificate that _certificate replaced, kept as its reference."""
+    cols = overlap.argmax(axis=2)
+    plain = np.all(np.diff(np.sort(raw_values, axis=1), axis=1) > firstlaw._DEGENERACY_GAP, axis=1)
+    settled = (
+        (overlap.max(axis=2).min(axis=1) > 0.5 + 2.0 * firstlaw._TIE_EPS)
+        & np.all(np.diff(np.sort(cols, axis=1), axis=1) > 0, axis=1)
+        & plain[:-1] & plain[1:]
+    )
+    return settled, cols
+
+
+class TestCertificate:
+    def _assert_equal(self, raw_values, overlap):
+        settled, cols = firstlaw._certificate(raw_values, overlap)
+        expected_settled, expected_cols = sorted_certificate(raw_values, overlap)
+        assert np.array_equal(settled, expected_settled)
+        assert np.array_equal(cols, expected_cols)
+        return settled
+
+    @pytest.mark.parametrize("d", range(1, MAX_BRANCH_DIM + 1))
+    def test_random_stacks(self, d):
+        # consecutive bases a small random rotation apart, with their
+        # columns shuffled, and every seventh point maximally mixed, so both
+        # outcomes occur
+        rng = np.random.default_rng(d)
+        count = 60
+        z = rng.normal(size=(count, d, d)) + 1j * rng.normal(size=(count, d, d))
+        steps = np.linalg.qr(np.eye(d) + rng.choice([0.05, 0.3, 1.0], size=(count, 1, 1)) * z)[0]
+        vectors = np.empty_like(steps)
+        vectors[0] = steps[0]
+        for i in range(1, count):
+            vectors[i] = (vectors[i - 1] @ steps[i])[:, rng.permutation(d)]
+        overlap = np.abs(cxmat.stack_matmul(vectors[:-1].conj().swapaxes(-1, -2),
+                                            vectors[1:])) ** 2
+        raw_values = rng.dirichlet(np.ones(d), size=count)
+        raw_values[::7] = 1.0 / d
+        settled = self._assert_equal(raw_values, overlap)
+        if d > 1:
+            assert settled.any() and not settled.all()
+        # coarse overlaps: ties everywhere, argmaxes go to the first column
+        self._assert_equal(raw_values, np.round(overlap * 4) / 4)
+
+    @pytest.mark.parametrize("d", range(2, MAX_BRANCH_DIM + 1))
+    def test_unsorted_raw_values(self, d):
+        # two levels at, just inside and just outside the degeneracy gap,
+        # anywhere in the row
+        rng = np.random.default_rng(100 + d)
+        gap = firstlaw._DEGENERACY_GAP
+        rows = []
+        for offset in [0.0, 0.5 * gap, gap, 2.0 * gap, 0.1]:
+            for _ in range(6):
+                row = np.sort(rng.random(d))
+                row[1] = row[0] + offset
+                rows.append(rng.permutation(row))
+        raw_values = np.array(rows)
+        overlap = np.tile(np.eye(d), (len(rows) - 1, 1, 1))
+        settled = self._assert_equal(raw_values, overlap)
+        assert settled.any() and not settled.all()
+
+    def test_repeated_argmax(self):
+        overlap = np.array([np.eye(3), np.eye(3)[[0, 0, 2]], np.eye(3)[[2, 1, 2]]])
+        raw_values = np.tile([0.5, 0.3, 0.2], (4, 1))
+        settled = self._assert_equal(raw_values, overlap)
+        assert settled.tolist() == [True, False, False]
 
 
 class TestMatchingLoop:
