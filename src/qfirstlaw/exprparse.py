@@ -3,6 +3,13 @@
 Used for time-dependent Kraus and Hamiltonian entries in JSON configs; both
 kinds of matrix are stored as cells and evaluated by ``evaluate_matrix``.
 
+The parser hash-conses: equal subtrees parsed with one table become one
+node object (value numbering), and ``matrix_cells`` shares a table across
+the cells of a matrix.  ``evaluate_matrix`` then hands one memo to every
+``evaluate`` call of that matrix, so a subexpression repeated across cells,
+such as the ``sqrt(w*(1-exp(-t)))`` factor of every entry of a
+mixed-unitary Kraus operator, is evaluated and checked once per call.
+
 Grammar::
 
     expr    := term (("+" | "-") term)*
@@ -14,13 +21,15 @@ Grammar::
 "^" is right-associative and binds tighter than unary minus, so
 ``-2^2`` evaluates to -4 (the conventional mathematical reading).
 IDENT is restricted to exp, sqrt, log, sin, cos; ``log`` is the natural
-logarithm.  There are no variables besides ``t`` and no user constants.
+logarithm.  There are no variables besides ``t`` and no user constants.  A
+NUMBER must be finite as a double: ``1e400`` is a ParseError, not infinity.
 """
 
 from __future__ import annotations
 
+import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -113,7 +122,9 @@ def tokenize(src: str) -> list[Token]:
 
 # ---------------------------------------------------------------------------
 # Expression tree.  ``pos`` is carried for error messages but excluded from
-# structural equality so pretty-print round trips compare clean.
+# structural equality so pretty-print round trips compare clean.  A shared
+# node carries the position of its first occurrence, which is where
+# evaluation in cell order first meets it.
 # ---------------------------------------------------------------------------
 
 
@@ -153,10 +164,23 @@ class Call(Expression):
     pos: int = field(default=0, compare=False)
 
 
+def _shared(table: dict, cls: type, key: tuple, *fields) -> Expression:
+    """The node of class ``cls`` in ``table`` under ``key``, built from
+    ``fields`` and entered if there is none.  ``key`` holds the node's
+    operator or function, the identities of its children (already shared)
+    and a number's exact bits, so that ``0.0`` and ``-0.0`` stay apart."""
+    key = (cls, *key)
+    node = table.get(key)
+    if node is None:
+        node = table[key] = cls(*fields)
+    return node
+
+
 class _Parser:
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: list[Token], table: dict):
         self.tokens = tokens
         self.i = 0
+        self.table = table
 
     def _peek(self) -> Token | None:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -180,7 +204,8 @@ class _Parser:
         while (tok := self._peek()) is not None and tok.kind in ("plus", "minus"):
             self._next()
             rhs = self.term()
-            node = Binary("+" if tok.kind == "plus" else "-", node, rhs, tok.position)
+            op = "+" if tok.kind == "plus" else "-"
+            node = _shared(self.table, Binary, (op, id(node), id(rhs)), op, node, rhs, tok.position)
         return node
 
     def term(self) -> Expression:
@@ -188,14 +213,16 @@ class _Parser:
         while (tok := self._peek()) is not None and tok.kind in ("star", "slash"):
             self._next()
             rhs = self.factor()
-            node = Binary("*" if tok.kind == "star" else "/", node, rhs, tok.position)
+            op = "*" if tok.kind == "star" else "/"
+            node = _shared(self.table, Binary, (op, id(node), id(rhs)), op, node, rhs, tok.position)
         return node
 
     def factor(self) -> Expression:
         tok = self._peek()
         if tok is not None and tok.kind == "minus":
             self._next()
-            return Negate(self.factor(), tok.position)
+            child = self.factor()
+            return _shared(self.table, Negate, (id(child),), child, tok.position)
         return self.power()
 
     def power(self) -> Expression:
@@ -203,22 +230,26 @@ class _Parser:
         tok = self._peek()
         if tok is not None and tok.kind == "caret":
             self._next()
-            return Binary("^", node, self.factor(), tok.position)
+            rhs = self.factor()
+            return _shared(self.table, Binary, ("^", id(node), id(rhs)), "^", node, rhs, tok.position)
         return node
 
     def primary(self) -> Expression:
         tok = self._next()
         if tok.kind == "number":
-            return Number(float(tok.lexeme), tok.position)
+            value = float(tok.lexeme)
+            if not math.isfinite(value):
+                raise ParseError(f"number {tok.lexeme!r} overflows a double", tok.position)
+            return _shared(self.table, Number, (value.hex(),), value, tok.position)
         if tok.kind == "t":
-            return TimeVar(tok.position)
+            return _shared(self.table, TimeVar, (), tok.position)
         if tok.kind == "ident":
             if tok.lexeme not in FUNCTIONS:
                 raise ParseError(f"unknown function {tok.lexeme!r}", tok.position)
             self._expect("lparen", "'('")
             arg = self.expr()
             self._expect("rparen", "')'")
-            return Call(tok.lexeme, arg, tok.position)
+            return _shared(self.table, Call, (tok.lexeme, id(arg)), tok.lexeme, arg, tok.position)
         if tok.kind == "lparen":
             node = self.expr()
             self._expect("rparen", "')'")
@@ -226,18 +257,27 @@ class _Parser:
         raise ParseError(f"unexpected token {tok.lexeme!r}", tok.position)
 
 
-def parse(tokens: list[Token]) -> Expression:
-    """Parse a token stream into an Expression; the whole stream must be consumed."""
-    parser = _Parser(tokens)
+def parse(tokens: list[Token], table: dict | None = None) -> Expression:
+    """Parse a token stream into an Expression; the whole stream must be
+    consumed.  Equal subtrees become one node object, shared through
+    ``table`` with earlier parses (a fresh table by default)."""
+    parser = _Parser(tokens, {} if table is None else table)
     node = parser.expr()
     leftover = parser._peek()
     if leftover is not None:
         raise ParseError(f"unexpected trailing token {leftover.lexeme!r}", leftover.position)
+    if not isinstance(node, (Binary, Call)):
+        # A root that is a literal, t or a negation is checked only as the
+        # root, and fails only at a non-finite t; its error must name this
+        # parse's offset, not that of an earlier parse it is shared with.
+        position = next(tok.position for tok in tokens if tok.kind != "lparen")
+        if node.pos != position:
+            node = replace(node, pos=position)
     return node
 
 
-def parse_source(src: str) -> Expression:
-    return parse(tokenize(src))
+def parse_source(src: str, table: dict | None = None) -> Expression:
+    return parse(tokenize(src), table)
 
 
 # On numpy scalars and arrays these give inf or NaN, never an exception.
@@ -245,40 +285,57 @@ _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
            "/": operator.truediv, "^": operator.pow}
 
 
-def evaluate(expr: Expression, t):
+def evaluate(expr: Expression, t, memo: dict | None = None):
     """IEEE double evaluation at a float ``t`` (a float) or at each entry of an
     array of times (an array of its shape).  Raises DomainError at the node
-    that divides by zero or yields a non-finite value, naming the first bad t."""
+    that divides by zero or yields a non-finite value, naming the first bad t.
+
+    ``memo`` maps the ids of nodes already evaluated at this same ``t`` to
+    their values (only values that passed their checks, in a call that had
+    no failure); a node found there is not evaluated again.  The nodes must
+    stay alive while the memo is in use."""
     times = np.asarray(t, dtype=float)
     failures: list = []
     with np.errstate(all="ignore"):
-        value = _eval(expr, times, failures)
-    _check(expr, value, (), times, failures)
+        value = _eval(expr, times, failures, {} if memo is None else memo)
+    if not isinstance(expr, (Binary, Call)):  # those were checked in _eval
+        _check(expr, value, (), times, failures)
     if failures:
         # The first failing time, and there the node a one-time evaluation
         # would stop at: the earliest check in evaluation order.
         index, _, message, pos = min(failures)
         raise DomainError(f"{message} at t={float(times.flat[index])!r}", pos)
-    return float(value) if times.ndim == 0 else np.array(np.broadcast_to(value, times.shape))
+    if times.ndim == 0:
+        return float(value)
+    out = np.empty(times.shape)
+    out[...] = value
+    return out
 
 
-def _eval(expr: Expression, times: np.ndarray, failures: list):
-    """Value of ``expr`` over ``times``, a scalar for a subtree without ``t``."""
+def _eval(expr: Expression, times: np.ndarray, failures: list, memo: dict):
+    """Value of ``expr`` over ``times``, a scalar for a subtree without ``t``.
+    Checked nodes (operators and calls) are memoized while nothing failed."""
+    value = memo.get(id(expr))
+    if value is not None:
+        return value
     if isinstance(expr, Binary):
-        operands = (_eval(expr.left, times, failures), _eval(expr.right, times, failures))
+        operands = (_eval(expr.left, times, failures, memo),
+                    _eval(expr.right, times, failures, memo))
         value = _BINARY[expr.op](*operands)
     elif isinstance(expr, Number):
         return np.float64(expr.value)
     elif isinstance(expr, Call):
-        operands = (_eval(expr.arg, times, failures),)
+        operands = (_eval(expr.arg, times, failures, memo),)
         value = getattr(np, expr.fn)(*operands)
     elif isinstance(expr, TimeVar):
         return times if times.ndim else times[()]
     elif isinstance(expr, Negate):
-        return -_eval(expr.child, times, failures)
+        return -_eval(expr.child, times, failures, memo)
     else:
         raise TypeError(f"not an Expression node: {expr!r}")
     _check(expr, value, operands, times, failures)
+    if not failures:
+        memo[id(expr)] = value
     return value
 
 
@@ -306,15 +363,16 @@ def _check(expr: Expression, value, operands: tuple, times: np.ndarray, failures
     failures.append((index, len(failures), message, getattr(expr, "pos", 0)))
 
 
-def as_expression(value) -> Expression:
-    """Normalize a float, source string, or Expression into an Expression."""
+def as_expression(value, table: dict | None = None) -> Expression:
+    """Normalize a number (not a bool), source string, or Expression into an
+    Expression; a string is parsed with ``table`` (see parse)."""
     if isinstance(value, Expression):
         return value
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         v = float(value)
         return Negate(Number(-v)) if v < 0 else Number(v)
     if isinstance(value, str):
-        return parse_source(value)
+        return parse_source(value, table)
     raise TypeError(f"cannot interpret {value!r} as an expression")
 
 
@@ -324,23 +382,25 @@ ZERO = Number(0.0)
 Cell = tuple[tuple[int, int], tuple[Expression, Expression]]
 
 
-def as_cell(value) -> tuple[Expression, Expression]:
+def as_cell(value, table: dict | None = None) -> tuple[Expression, Expression]:
     """(re, im) expressions of a value accepted by as_expression (a real
     entry) or of an [re, im] pair of such values."""
     if isinstance(value, (tuple, list)):
         if len(value) != 2:
             raise ValueError(f"matrix entry must be a [re, im] pair, got {value!r}")
-        return as_expression(value[0]), as_expression(value[1])
-    return as_expression(value), ZERO
+        return as_expression(value[0], table), as_expression(value[1], table)
+    return as_expression(value, table), ZERO
 
 
 def matrix_cells(entries) -> tuple[Cell, ...]:
-    """The cells of ((i, j), entry) items whose parts are not both the literal 0.
-    An entry of another type raises a TypeError naming it."""
+    """The cells of ((i, j), entry) items whose parts are not both the literal 0,
+    parsed with one table, so equal subexpressions of different cells are
+    one node.  An entry of another type raises a TypeError naming it."""
     cells = []
+    table: dict = {}
     for (i, j), value in entries:
         try:
-            cell = as_cell(value)
+            cell = as_cell(value, table)
         except TypeError as exc:
             raise TypeError(f"entry ({i},{j}): {exc}") from exc
         if cell != (ZERO, ZERO):
@@ -351,15 +411,18 @@ def matrix_cells(entries) -> tuple[Cell, ...]:
 def evaluate_matrix(cells, dim: int, t) -> np.ndarray:
     """The (dim, dim) complex matrix of ``cells`` at a float ``t``, or the
     (T, dim, dim) stack over an array of times.  A literal-0 part is not
-    evaluated; a DomainError names the entry and the first bad t."""
+    evaluated; every part shares one memo, so a subexpression shared by
+    several cells is evaluated once.  A DomainError names the entry and the
+    first bad t."""
     times = np.asarray(t, dtype=float)
     out = np.zeros(times.shape + (dim, dim), dtype=np.complex128)
+    memo: dict = {}
     for (i, j), (re_part, im_part) in cells:
         try:
             if re_part != ZERO:
-                out.real[..., i, j] = evaluate(re_part, times)
+                out.real[..., i, j] = evaluate(re_part, times, memo)
             if im_part != ZERO:
-                out.imag[..., i, j] = evaluate(im_part, times)
+                out.imag[..., i, j] = evaluate(im_part, times, memo)
         except DomainError as exc:
             raise DomainError(f"entry ({i},{j}): {exc.message}", exc.position) from exc
     return out

@@ -24,9 +24,11 @@ load-bearing for the tests:
 The trajectory is a few arrays over the grid, one row per grid point, and
 the one source of the ledger.  Everything that does not depend on the
 previous point is computed for the whole grid in one call: the Kraus
-operators, evolution and its checks, the state eigensystem, H(t), its
-eigenbasis, the overlaps, the invariant checks and Tr(rho H).  H(t) is
-evaluated once, so the eigenbasis and Tr(rho H) see the same Hamiltonian.
+operators, evolution and its checks, H(t), the eigensystems, the overlaps,
+the invariant checks and Tr(rho H).  H(t) is evaluated once, so the
+eigenbasis and Tr(rho H) see the same Hamiltonian, and the state stack and
+the H matrices that need the eigensolver go through one Jacobi loop
+(``qstate.energy_eigenbasis``).
 Branch matching settles every step it can certify for the whole grid at
 once and composes their permutations as integer arrays; only the steps
 left open (the first, near-ties and degenerate endpoints) walk the grid
@@ -350,10 +352,10 @@ def spectral_trajectory(
     h: Hamiltonian,
     grid: TimeGrid,
 ) -> SpectralTrajectory:
-    """Evolve and eigendecompose over the whole grid, branch-match it
-    (walking only the steps the grid-wide certificate leaves open), then
-    evaluate H(t) once for the overlaps with its eigenbasis and for
-    Tr(rho H)."""
+    """Evolve over the whole grid and evaluate H(t) once, diagonalize the
+    states together with H, branch-match the states (walking only the
+    steps the grid-wide certificate leaves open), then take the overlaps
+    with the H eigenbasis and Tr(rho H)."""
     if rho0.dim > MAX_BRANCH_DIM:
         raise UnsupportedDimensionError(
             f"trajectories support dim <= {MAX_BRANCH_DIM}, got {rho0.dim}: "
@@ -366,13 +368,9 @@ def spectral_trajectory(
     tau = grid.points
     time = spec.physical_time(tau)
     rho = evolve(spec, rho0, time)
-    try:
-        eig = cxmat.hermitian_eigen(rho.matrix)
-    except (cxmat.ConvergenceError, cxmat.NonHermitianError) as exc:
-        raise type(exc)(f"at tau={tau[exc.index]:.6g}: {exc}", exc.index) from exc
-    values, vectors = _match_branches(rho.matrix, eig.eigenvalues, eig.eigenvectors)
     hm = h.matrix(time)
-    basis = qstate.energy_eigenbasis(hm)
+    eig, basis = qstate.energy_eigenbasis(hm, rho.matrix, tau)
+    values, vectors = _match_branches(rho.matrix, eig.eigenvalues, eig.eigenvectors)
     # Stacked @, not stack_matmul: this overlap feeds the ledger, whose last
     # bits (and the published figures) follow @'s summation.
     overlap = np.abs(np.swapaxes(basis.basis.conj(), -1, -2) @ vectors) ** 2

@@ -122,7 +122,9 @@ class Hamiltonian:
     """
 
     def __init__(self, diag, upper=None):
-        entries = [((i, i), exprparse.as_expression(e)) for i, e in enumerate(diag)]
+        # a diagonal entry is the real part of its cell: an [re, im] pair is
+        # no expression, so it is refused
+        entries = [((i, i), (e, 0.0)) for i, e in enumerate(diag)]
         self.dim = len(entries)
         for (i, j), value in (upper or {}).items():
             if not 0 <= i < j < self.dim:
@@ -174,7 +176,7 @@ class EnergyEigenbasis:
     basis: np.ndarray
 
 
-def energy_eigenbasis(hm) -> EnergyEigenbasis:
+def energy_eigenbasis(hm, states=None, tau=None):
     """Eigenbasis of an evaluated Hamiltonian: one matrix, or a (T, d, d)
     stack such as Hamiltonian.matrix over a time grid.
 
@@ -182,20 +184,50 @@ def energy_eigenbasis(hm) -> EnergyEigenbasis:
     short-circuits to the computational basis in entry order, with no
     numerical perturbation; anything else goes through the Jacobi
     eigensolver (ascending energies): on one matrix if H is the same at
-    every point, otherwise on the whole stack in one call.
+    every point, otherwise on the whole stack.
+
+    With ``states``, a (T, d, d) stack of density matrices on the grid
+    ``tau``, the states and the H matrices that need the solver (none, one
+    or all of them) are diagonalized in one ``hermitian_eigen`` call, and
+    the pair (state decomposition, eigenbasis) is returned.  Every matrix
+    keeps its own threshold, so both equal separate calls bit for bit.  A
+    state the solver fails on raises its error prefixed "at tau=...";
+    an H matrix raises the error of a call on H alone, with no tau.
     """
     hm = np.asarray(hm, dtype=np.complex128)
     d = hm.shape[-1]
-    if not np.any(hm[..., ~np.eye(d, dtype=bool)]):
-        energies = np.diagonal(hm, axis1=-2, axis2=-1).real.copy()
-        return EnergyEigenbasis(energies, np.broadcast_to(np.eye(d), hm.shape) + 0j)
     stack = hm.reshape(-1, d, d)
-    if np.all(stack == stack[0]):
-        eig = cxmat.hermitian_eigen(stack[0])
-        return EnergyEigenbasis(np.broadcast_to(eig.eigenvalues, hm.shape[:-1]).copy(),
-                                np.broadcast_to(eig.eigenvectors, hm.shape).copy())
-    eig = cxmat.hermitian_eigen(hm)
-    return EnergyEigenbasis(eig.eigenvalues, eig.eigenvectors)
+    diagonal = not np.any(hm[..., ~np.eye(d, dtype=bool)])
+    static = not diagonal and np.all(stack == stack[0])
+    count = 0 if states is None else len(states)
+    if diagonal:
+        joint = states
+    else:
+        h = stack[:1] if static else stack
+        joint = h if states is None else np.concatenate((states, h))
+    if joint is not None:
+        try:
+            eig = cxmat.hermitian_eigen(joint)
+        except (cxmat.ConvergenceError, cxmat.NonHermitianError) as exc:
+            i = exc.index[0]
+            if i >= count:
+                # H fails alone too, with the message a call on H gives
+                cxmat.hermitian_eigen(stack[0] if static else hm)
+                raise
+            raise type(exc)(f"at tau={tau[i]:.6g}: {exc}", exc.index) from exc
+        values, vectors = eig.eigenvalues[count:], eig.eigenvectors[count:]
+    if diagonal:
+        basis = EnergyEigenbasis(np.diagonal(hm, axis1=-2, axis2=-1).real.copy(),
+                                 np.broadcast_to(np.eye(d), hm.shape) + 0j)
+    elif static:
+        basis = EnergyEigenbasis(np.broadcast_to(values[0], hm.shape[:-1]).copy(),
+                                 np.broadcast_to(vectors[0], hm.shape).copy())
+    else:
+        basis = EnergyEigenbasis(values.reshape(hm.shape[:-1]), vectors.reshape(hm.shape))
+    if states is None:
+        return basis
+    return cxmat.HermitianEigenDecomposition(eig.eigenvalues[:count],
+                                             eig.eigenvectors[:count]), basis
 
 
 def internal_energy(rho: DensityOperator, hm):

@@ -1,7 +1,8 @@
 """The per-layer benchmark's tracer (perfbench/tracer.py), loaded as it is,
 must keep working on the package: every observer accepts what its layer
-returns, and branch matching and degeneracy inheritance record at least one
-call per trajectory, which the benchmark requires of every layer it lists."""
+returns, and branch matching, degeneracy inheritance, expression evaluation,
+H(t), its eigenbasis and the eigensolver record at least one call per
+trajectory, which the benchmark requires of every layer it lists."""
 
 import importlib.util
 import json
@@ -55,5 +56,7 @@ def test_traced_layers_record_calls_on_every_trajectory(case):
     assert firstlaw.branch_match is original
     stats = tracer.snapshot()
     assert stats["firstlaw.spectral_trajectory"]["calls"] == 1
-    for layer in ("firstlaw.branch_match", "firstlaw._inherit_degenerate"):
+    for layer in ("firstlaw.branch_match", "firstlaw._inherit_degenerate",
+                  "exprparse.evaluate", "qstate.Hamiltonian.matrix",
+                  "qstate.energy_eigenbasis", "cxmat.hermitian_eigen"):
         assert stats[layer]["calls"] >= 1, layer

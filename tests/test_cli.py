@@ -269,6 +269,22 @@ class TestSimulateCommand:
         assert "cannot interpret None" in err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("kraus, message", [
+        ([[[True, 0], [0, True]]], "operator 0 entry (0,0): cannot interpret True"),
+        ([[[["1", "0"], [0, 0]], [[False, 0], ["1", "0"]]]],
+         "operator 0 entry (1,0): cannot interpret False"),
+        ([[["exp(-1e400)+1", 0], [0, "1"]]], "number '1e400' overflows a double (offset 5)"),
+        ([[["1+1/1e400", 0], [0, "1"]]], "number '1e400' overflows a double (offset 4)"),
+    ], ids=["bool-entries", "bool-part", "overflowing-exp-argument", "overflowing-divisor"])
+    def test_bool_or_overflowing_entry_exits_2(self, tmp_path, capsys, kraus, message):
+        # JSON true/false are not 1/0, and 1e400 is not infinity
+        chan = tmp_path / "bad.json"
+        chan.write_text(json.dumps({"kind": "custom", "dim": 2, "kraus": kraus}))
+        assert cli.main(["channel-info", "--channel", f"custom:{chan}", "--t", "0.5"]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("command", ["channel-info", "simulate"])
     @pytest.mark.parametrize("payload, message", [
         ({"kraus": []}, "needs a non-empty list of Kraus operators, got []"),

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -76,6 +77,16 @@ class TestParse:
     def test_missing_operand(self):
         with pytest.raises(ParseError):
             parse_source("1+*2")
+
+    @pytest.mark.parametrize("src, offset", [("exp(-1e400)", 5), ("1/1e400", 2),
+                                             ("t*9e999", 2)])
+    def test_overflowing_literal(self, src, offset):
+        with pytest.raises(ParseError, match=r"number '\d+e\d+' overflows a double") as info:
+            parse_source(src)
+        assert info.value.position == offset
+
+    def test_underflowing_literal_is_zero(self):
+        assert evaluate(parse_source("1+1e-400"), 0.0) == 1.0
 
     def test_empty_input(self):
         with pytest.raises(ParseError):
@@ -160,6 +171,13 @@ class TestAsExpression:
         with pytest.raises(TypeError):
             exprparse.as_expression([1, 2])
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_rejects_bools(self, value):
+        with pytest.raises(TypeError, match=f"cannot interpret {value} as an expression"):
+            exprparse.as_expression(value)
+        with pytest.raises(TypeError, match=rf"entry \(0,0\): cannot interpret {value}"):
+            exprparse.matrix_cells([((0, 0), [value, 0])])
+
 
 class TestMatrixCells:
     def test_value_is_real_entry(self):
@@ -194,7 +212,7 @@ class TestMatrixCells:
         seen = []
         original = exprparse.evaluate
         monkeypatch.setattr(exprparse, "evaluate",
-                            lambda expr, t: seen.append(expr) or original(expr, t))
+                            lambda expr, t, memo: seen.append(expr) or original(expr, t, memo))
         cells = exprparse.matrix_cells([((0, 0), ["exp(-t)", "0"]), ((1, 1), ["0", "t"])])
         exprparse.evaluate_matrix(cells, 2, np.linspace(0.0, 1.0, 5))
         assert seen == [parse_source("exp(-t)"), parse_source("t")]
@@ -203,6 +221,134 @@ class TestMatrixCells:
         cells = exprparse.matrix_cells([((1, 0), ["1", "sqrt(1-t)"])])
         with pytest.raises(DomainError, match=r"^entry \(1,0\): sqrt\(\) .* at t=2\.0 "):
             exprparse.evaluate_matrix(cells, 2, np.array([0.0, 1.0, 2.0, 3.0]))
+
+
+class _NoSharing(dict):
+    """A parse table that never matches, so every occurrence of a
+    subexpression is its own node with its own offset."""
+
+    def get(self, key, default=None):
+        return default
+
+    def __setitem__(self, key, value):
+        pass
+
+
+_LEAVES = ("t", "0.5", "2", "0.25", "3", "1e-3")
+
+
+def _random_source(rng, pool, depth):
+    """A random expression, reusing earlier ones from ``pool`` as subtrees.
+    One node in thirty may leave its domain; the rest cannot."""
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice(_LEAVES + tuple(pool))
+    a = _random_source(rng, pool, depth - 1)
+    b = _random_source(rng, pool, depth - 1)
+    roll = rng.random()
+    if roll < 0.033:
+        src = rng.choice([f"({a}/{b})", f"({a})^{b}", f"{rng.choice(exprparse.FUNCTIONS)}({a})"])
+    elif roll < 0.4:
+        src = f"({a}{rng.choice('+-*')}{b})"
+    elif roll < 0.5:
+        src = f"{a}/(2+({b})^2)"
+    elif roll < 0.6:
+        src = f"-{a}"
+    elif roll < 0.8:
+        src = f"{rng.choice(['sin', 'cos'])}({a})"
+    elif roll < 0.9:
+        src = f"exp(-({a})^2)"
+    else:
+        src = f"{rng.choice(['sqrt', 'log'])}(1+({a})^2)"
+    pool.append(src)
+    return src
+
+
+def _per_cell(sources, dim, times):
+    """The matrix from one evaluate call per part, each part parsed on its
+    own without sharing: the reference for evaluate_matrix."""
+    out = np.zeros(np.shape(times) + (dim, dim), dtype=np.complex128)
+    for (i, j), parts in sources:
+        for k, src in enumerate(parts):
+            try:
+                value = evaluate(exprparse.parse(exprparse.tokenize(src), _NoSharing()), times)
+            except DomainError as exc:
+                raise DomainError(f"entry ({i},{j}): {exc.message}", exc.position) from exc
+            (out.real, out.imag)[k][..., i, j] = value
+    return out
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except DomainError as exc:
+        return (str(exc), exc.position)
+
+
+class TestSharedSubexpressions:
+    def test_equal_subtrees_of_different_cells_are_one_node(self):
+        cells = exprparse.matrix_cells([((0, 0), ["2*sqrt(0.3*(1-exp(-t)))", "0"]),
+                                        ((0, 1), ["-0.5*sqrt(0.3*(1-exp(-t)))", "t"]),
+                                        ((1, 1), "1-exp(-t)")])
+        first, second = cells[0][1][0], cells[1][1][0]
+        assert first.right is second.right
+        assert cells[2][1][0] is first.right.arg.right
+        # a fresh parse shares nothing with them
+        assert parse_source("2*sqrt(0.3*(1-exp(-t)))").right is not first.right
+
+    def test_each_distinct_subexpression_is_checked_once(self, monkeypatch):
+        checked = []
+        check = exprparse._check
+        monkeypatch.setattr(exprparse, "_check",
+                            lambda expr, *args: checked.append(expr) or check(expr, *args))
+        scale = "sqrt(0.3*(1-exp(-t)))"
+        cells = exprparse.matrix_cells([((i, j), [f"{i + 1}*{scale}", f"{j + 2}*{scale}"])
+                                        for i in range(3) for j in range(3)])
+        exprparse.evaluate_matrix(cells, 3, np.linspace(0.0, 2.0, 7))
+        # exp, 1-exp, 0.3*(...) and sqrt once, then one product for each
+        # distinct factor 1, 2, 3 and 4
+        assert len(checked) == len({id(expr) for expr in checked}) == 4 + 4
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matrix_equals_per_cell_evaluation(self, seed):
+        rng = random.Random(seed)
+        pool = []
+        dim = 3
+        sources = [((i, j), (_random_source(rng, pool, 4), _random_source(rng, pool, 4)))
+                   for i in range(dim) for j in range(dim)]
+        cells = exprparse.matrix_cells(sources)
+        assert len(cells) == len(sources)
+        for times in (0.7, np.linspace(0.0, 3.0, 13)):
+            got = _outcome(lambda: exprparse.evaluate_matrix(cells, dim, times))
+            want = _outcome(lambda: _per_cell(sources, dim, times))
+            if isinstance(want, tuple):
+                assert got == want
+            else:
+                assert not isinstance(got, tuple), got
+                assert np.array_equal(got, want)
+
+    def test_shared_failing_subexpression_names_the_first_cell(self):
+        # sqrt(1-t) fails from t = 2 on; its first occurrence is in entry
+        # (0,1) at offset 4, and later occurrences sit at other offsets
+        sources = [((0, 0), ["exp(-t)", "0"]), ((0, 1), ["1+2*sqrt(1-t)", "0"]),
+                   ((1, 0), ["sqrt(1-t)", "0"]), ((1, 1), ["0", "t/sqrt(1-t)"])]
+        times = np.array([0.0, 1.0, 2.0, 3.0])
+        with pytest.raises(DomainError, match=r"^entry \(0,1\): sqrt\(\) .* at t=2\.0 ") as info:
+            exprparse.evaluate_matrix(exprparse.matrix_cells(sources), 2, times)
+        assert info.value.position == 4
+        with pytest.raises(DomainError) as alone:
+            _per_cell(sources, 2, times)
+        assert (str(info.value), info.value.position) == (str(alone.value), alone.value.position)
+
+    @pytest.mark.parametrize("root", ["-t", "t", "(-t)", "((t))"])
+    def test_shared_root_names_its_own_offset(self, root):
+        # at t = inf, exp(-t) is 0 and passes; the bare root fails only at
+        # the root check, which must name its own offset, not exp's
+        sources = [((0, 0), ["exp(-t)", "0"]), ((1, 1), [root, "0"])]
+        with pytest.raises(DomainError, match=r"^entry \(1,1\): ") as info:
+            exprparse.evaluate_matrix(exprparse.matrix_cells(sources), 2, np.inf)
+        with pytest.raises(DomainError) as alone:
+            _per_cell(sources, 2, np.inf)
+        assert info.value.position == alone.value.position == root.count("(")
 
 
 def expression_trees():

@@ -616,7 +616,7 @@ class TestSpectralTrajectory:
 
     @pytest.mark.parametrize("driven", [False, True], ids=["static", "driven"])
     def test_non_diagonal_hamiltonian_eigensolver_calls(self, monkeypatch, driven):
-        # one call on the state stack and one for H, static or driven
+        # one call on the state stack and H together, static or driven
         rng = np.random.default_rng(4)
         spec = _mixed_unitary_channel(rng, 4)
         z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -637,7 +637,7 @@ class TestSpectralTrajectory:
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
         psi /= np.linalg.norm(psi)
         spectral_trajectory(spec, DensityOperator(np.outer(psi, psi.conj())), h, grid)
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_eigensolver_failure_names_first_failing_tau(self, monkeypatch):
         # diag(1, 0, 0) is already diagonal at tau = 0 and needs no sweep;
@@ -690,6 +690,100 @@ class TestSpectralTrajectory:
                 Hamiltonian.diagonal([0.0, 1.0, 2.0]),
                 TimeGrid(1.0, 2),
             )
+
+
+def _hamiltonian(rng, d, kind):
+    """A seeded diagonal, static (non-diagonal) or driven Hamiltonian."""
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    m = 0.25 * (z + z.conj().T)
+    if kind == "diagonal":
+        return Hamiltonian.diagonal([f"{float(m[i, i].real)!r}*(1+0.1*t)" for i in range(d)])
+    drive = "*(1+0.1*t)" if kind == "driven" else ""
+    return Hamiltonian([f"{float(m[i, i].real)!r}{drive}" for i in range(d)],
+                       {(i, j): (f"{float(m[i, j].real)!r}{drive}", f"{float(m[i, j].imag)!r}{drive}")
+                        for i in range(d) for j in range(i + 1, d)})
+
+
+def two_solve_trajectory(spec, rho0, h, grid):
+    """The trajectory's arrays with the state stack and H diagonalized in
+    separate eigensolver calls, kept as the reference for the single call."""
+    tau = grid.points
+    time = spec.physical_time(tau)
+    rho = evolve(spec, rho0, time)
+    eig = cxmat.hermitian_eigen(rho.matrix)
+    values, vectors = firstlaw._match_branches(rho.matrix, eig.eigenvalues, eig.eigenvectors)
+    hm = h.matrix(time)
+    basis = qstate.energy_eigenbasis(hm)
+    overlap = np.abs(np.swapaxes(basis.basis.conj(), -1, -2) @ vectors) ** 2
+    return values, vectors, basis.energies, overlap, qstate.internal_energy(rho, hm)
+
+
+class TestSingleEigensolve:
+    """The state stack and the H matrices that need the solver share one
+    hermitian_eigen call; every output equals the two-call path bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["diagonal", "static", "driven"])
+    @pytest.mark.parametrize("d", range(2, MAX_BRANCH_DIM + 1))
+    def test_equals_two_solve_path(self, d, kind):
+        rng = np.random.default_rng(900 + 10 * d + len(kind))
+        spec = _mixed_unitary_channel(rng, d)
+        psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+        psi /= np.linalg.norm(psi)
+        rho0 = DensityOperator(np.outer(psi, psi.conj()))
+        h = _hamiltonian(rng, d, kind)
+        grid = TimeGrid(4.0, 24)
+        traj = spectral_trajectory(spec, rho0, h, grid)
+        expected = two_solve_trajectory(spec, rho0, h, grid)
+        for name, want in zip(("eigenvalues", "eigenvectors", "energies", "overlap", "energy"),
+                              expected):
+            assert np.array_equal(getattr(traj, name), want), name
+
+    def test_energy_eigenbasis_alone_is_unchanged(self):
+        # the joint call's H part equals a call on H alone, static and driven
+        rng = np.random.default_rng(31)
+        rho = evolve(_mixed_unitary_channel(rng, 4), DensityOperator(np.eye(4) / 4),
+                     np.linspace(0.0, 2.0, 9)).matrix
+        for kind in ("diagonal", "static", "driven"):
+            hm = _hamiltonian(rng, 4, kind).matrix(np.linspace(0.0, 2.0, 9))
+            alone = qstate.energy_eigenbasis(hm)
+            state_eig, basis = qstate.energy_eigenbasis(hm, rho, np.linspace(0.0, 2.0, 9))
+            assert np.array_equal(basis.energies, alone.energies), kind
+            assert np.array_equal(basis.basis, alone.basis), kind
+            single = cxmat.hermitian_eigen(rho)
+            assert np.array_equal(state_eig.eigenvalues, single.eigenvalues), kind
+            assert np.array_equal(state_eig.eigenvectors, single.eigenvectors), kind
+
+    @pytest.mark.parametrize("kind", ["static", "driven"])
+    def test_hamiltonian_failure_is_not_labelled_with_a_tau(self, monkeypatch, kind):
+        # the states stay diagonal under the identity channel and need no
+        # sweep; the non-diagonal H needs at least one
+        rho0 = DensityOperator(np.diag([0.5, 0.3, 0.2]))
+        h = _hamiltonian(np.random.default_rng(3), 3, kind)
+        hermitian_eigen = cxmat.hermitian_eigen
+        monkeypatch.setattr(cxmat, "hermitian_eigen",
+                            lambda a, **kwargs: hermitian_eigen(a, max_sweeps=0))
+        with pytest.raises(cxmat.ConvergenceError, match="sweep cap") as info:
+            spectral_trajectory(ChannelSpec.identity(3), rho0, h, TimeGrid(4.0, 16))
+        assert "tau" not in str(info.value)
+        if kind == "static":
+            assert info.value.index is None
+            assert str(info.value).startswith("Jacobi sweep cap")
+        else:
+            assert info.value.index == (0,)
+            assert str(info.value).startswith("matrix (0,) of the stack: ")
+
+    def test_state_failure_comes_first_and_names_its_tau(self, monkeypatch):
+        # both the state at tau = 0.25 and the static H fail: as with
+        # separate calls, the state is reported
+        spec = _mixed_unitary_channel(np.random.default_rng(8), 3)
+        rho0 = DensityOperator(np.diag([1.0, 0.0, 0.0]))
+        h = _hamiltonian(np.random.default_rng(3), 3, "static")
+        hermitian_eigen = cxmat.hermitian_eigen
+        monkeypatch.setattr(cxmat, "hermitian_eigen",
+                            lambda a, **kwargs: hermitian_eigen(a, max_sweeps=0))
+        with pytest.raises(cxmat.ConvergenceError, match=r"^at tau=0\.25: matrix \(1,\) ") as info:
+            spectral_trajectory(spec, rho0, h, TimeGrid(4.0, 16))
+        assert info.value.index == (1,)
 
 
 class TestIntegrateFirstLaw:

@@ -154,6 +154,13 @@ class TestHamiltonian:
         h = Hamiltonian.diagonal([0.0, "1+0.1*t"])
         assert h.matrix(2.0)[1, 1] == pytest.approx(1.2, abs=1e-15)
 
+    def test_diagonal_entries_are_real_and_share_the_upper_parse(self):
+        with pytest.raises(TypeError, match=r"entry \(0,0\): cannot interpret \[1, 2\]"):
+            Hamiltonian([[1, 2], 0.0])
+        h = Hamiltonian(["(1+0.1*t)*2", "(1+0.1*t)*3"], {(0, 1): ("(1+0.1*t)*0.5", "0")})
+        drives = {id(re.left) for _, (re, _) in h._cells}
+        assert len(drives) == 1
+
     def test_from_matrix_hermitian_by_construction(self):
         m = np.array([[0.5, 0.5j], [-0.5j, 0.5]], dtype=complex)
         h = Hamiltonian.from_matrix(m)
