@@ -76,9 +76,12 @@ _SINGLE_CHAR = {
 }
 
 
+_DIGITS = frozenset("0123456789")
+
+
 def tokenize(src: str) -> list[Token]:
-    """Longest-match lexing; whitespace skipped; numbers are decimal with
-    optional fraction and exponent."""
+    """Longest-match lexing; whitespace skipped; numbers are ASCII decimal
+    with optional fraction and exponent."""
     tokens: list[Token] = []
     i = 0
     n = len(src)
@@ -91,21 +94,21 @@ def tokenize(src: str) -> list[Token]:
             tokens.append(Token(_SINGLE_CHAR[ch], ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = i
-            while i < n and src[i].isdigit():
+            while i < n and src[i] in _DIGITS:
                 i += 1
             if i < n and src[i] == ".":
                 i += 1
-                while i < n and src[i].isdigit():
+                while i < n and src[i] in _DIGITS:
                     i += 1
             if i < n and src[i] in "eE":
                 j = i + 1
                 if j < n and src[j] in "+-":
                     j += 1
-                if j < n and src[j].isdigit():
+                if j < n and src[j] in _DIGITS:
                     i = j
-                    while i < n and src[i].isdigit():
+                    while i < n and src[i] in _DIGITS:
                         i += 1
             tokens.append(Token("number", src[start:i], start))
             continue

@@ -160,6 +160,10 @@ class Hamiltonian:
 
     def matrix(self, t) -> np.ndarray:
         """Entries at time t, or (T, d, d) over an array of times; Hermitian exactly."""
+        times = np.asarray(t, dtype=float)
+        bad = ~np.isfinite(times)
+        if np.any(bad):
+            raise ValueError(f"time must be finite, got {times[bad].flat[0]}")
         out = exprparse.evaluate_matrix(self._cells, self.dim, t)
         for (i, j), _ in self._cells:
             if i != j:

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qfirstlaw import cli, experiment, verification
 from qfirstlaw.firstlaw import EnergeticsLedger
@@ -161,6 +163,80 @@ class TestCsvSerialization:
         rows = [",".join(format_number(v) for v in row) for row in columns[:width].T]
         assert csv_text(result) == "\n".join([",".join(header)] + rows) + "\n"
         assert "-0.00000000000e+00" in csv_text(result)
+
+
+def per_value_csv(result):
+    """csv_text's reference: format_number on each value, joined row by row."""
+    columns = [result.ledger.tau, result.ledger.delta_u, result.ledger.work,
+               result.ledger.heat, result.ledger.coherence]
+    header = list(experiment.CSV_COLUMNS)
+    if result.heat_oracle is not None:
+        columns += [result.heat_oracle, result.coherence_oracle]
+        header += list(experiment.CSV_ORACLE_COLUMNS)
+    rows = [",".join(format_number(v) for v in row) for row in np.column_stack(columns).tolist()]
+    return "\n".join([",".join(header)] + rows) + "\n"
+
+
+def block_result(block):
+    """An ExperimentResult whose CSV columns are the columns of block (5 or 7)."""
+    oracle_cols = tuple(block[:, 5:].T) if block.shape[1] == 7 else (None, None)
+    return experiment.ExperimentResult(small_config(), EnergeticsLedger(*block[:, :5].T),
+                                       *oracle_cols)
+
+
+# 15 significant digits: 12 then a tail, with a 500 tail just off a rounding
+# tie and 999999999999 carrying into the next power of ten; exponents run
+# from subnormal to 3-digit positive
+_DECIMALS = st.builds(lambda m, tail, e: float(f"{m}{tail:03d}e{e}"),
+                      st.one_of(st.integers(10**11, 10**12 - 1),
+                                st.sampled_from([10**11, 10**12 - 1])),
+                      st.one_of(st.integers(0, 999), st.just(500)),
+                      st.integers(-337, 293))
+# powers of ten and their neighbours, where the decimal exponent changes
+_DECADES = st.builds(lambda k, steps: _nudge(float(f"1e{k}"), steps),
+                     st.integers(-323, 308), st.integers(-2, 2))
+
+
+def _nudge(x, steps):
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.inf if steps > 0 else 0.0)
+    return x
+
+
+@st.composite
+def ledger_blocks(draw):
+    width = draw(st.sampled_from([5, 7]))
+    rows = draw(st.integers(1, 12))
+    values = st.one_of(st.floats(), _DECIMALS, _DECADES)  # st.floats(): every float64, nan and inf
+    return np.array(draw(st.lists(values, min_size=rows * width, max_size=rows * width)),
+                    dtype=float).reshape(rows, width)
+
+
+class TestCsvExactness:
+    """csv_text equals per-value format_number, byte for byte, over all of float64."""
+
+    @given(ledger_blocks())
+    @example(np.array([[0.0, -0.0, 5e-324, -2.2250738585072014e-308, 2.225073858507201e-308],
+                       [sys.float_info.max, -sys.float_info.max, math.inf, -math.inf, math.nan],
+                       [1e-290, 9.999999999995e290, 1e291, -1e-100, 0.09999999999999999]]))
+    @settings(deadline=None)
+    def test_random_ledgers(self, block):
+        result = block_result(block)
+        assert csv_text(result) == per_value_csv(result)
+
+    def test_random_bit_patterns_across_chunks(self):
+        # 2500 rows span three row chunks; any 64-bit pattern is a float64
+        bits = np.random.default_rng(14).integers(0, 2**64, size=(2500, 7), dtype=np.uint64)
+        result = block_result(bits.view(np.float64))
+        assert csv_text(result) == per_value_csv(result)
+
+    @pytest.mark.parametrize("figure", ["fig2", "fig3"])
+    def test_full_figure_ledgers(self, figure):
+        config = ExperimentConfig(channel=parse_channel(experiment.FIGURE_PRESETS[figure]),
+                                  emit_oracle=True)
+        result = run_experiment(config)
+        assert len(result.ledger.tau) == 4001
+        assert csv_text(result) == per_value_csv(result)
 
 
 class TestSimulateCommand:

@@ -50,6 +50,13 @@ class TestTokenize:
             tokenize("2$t")
         assert err.value.position == 1
 
+    @pytest.mark.parametrize("src, position", [("2\u00b2", 1), ("\u0663*t", 0)])
+    def test_non_ascii_digit_rejected(self, src, position):
+        # superscript two and Arabic-Indic three are str.isdigit() but not numbers here
+        with pytest.raises(LexError, match="unexpected character") as err:
+            parse_source(src)
+        assert err.value.position == position
+
     def test_whitespace_skipped(self):
         assert len(tokenize("  1   +\t2 ")) == 3
 

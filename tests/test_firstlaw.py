@@ -306,7 +306,7 @@ def reference_trajectory(spec, rho0, h, grid, match=branch_match):
     eig = cxmat.hermitian_eigen(rho)
     values, vectors = reference_match(rho, eig.eigenvalues, eig.eigenvectors, match)
     basis = qstate.energy_eigenbasis(h.matrix(time)).basis
-    overlap = np.abs(np.swapaxes(basis.conj(), -1, -2) @ vectors) ** 2
+    overlap = np.abs(cxmat.stack_matmul(np.swapaxes(basis.conj(), -1, -2), vectors)) ** 2
     return values, vectors, overlap
 
 
@@ -714,7 +714,7 @@ def two_solve_trajectory(spec, rho0, h, grid):
     values, vectors = firstlaw._match_branches(rho.matrix, eig.eigenvalues, eig.eigenvectors)
     hm = h.matrix(time)
     basis = qstate.energy_eigenbasis(hm)
-    overlap = np.abs(np.swapaxes(basis.basis.conj(), -1, -2) @ vectors) ** 2
+    overlap = np.abs(cxmat.stack_matmul(np.swapaxes(basis.basis.conj(), -1, -2), vectors)) ** 2
     return values, vectors, basis.energies, overlap, qstate.internal_energy(rho, hm)
 
 

@@ -177,6 +177,13 @@ class TestHamiltonian:
         assert np.max(np.abs(m - m.conj().T)) == 0.0
         assert m[0, 1] == pytest.approx(complex(math.cos(0.9), math.sin(0.9)), abs=1e-15)
 
+    @pytest.mark.parametrize("t, shown", [(math.nan, "nan"), (-math.inf, "-inf"),
+                                          ([0.0, 1.0, math.inf], "inf")])
+    def test_non_finite_time_rejected(self, t, shown):
+        # refused whether or not an entry contains t
+        for h in [Hamiltonian.two_level(0.0, 1.0), Hamiltonian.diagonal([0.0, "1+0.1*t"])]:
+            with pytest.raises(ValueError, match=f"time must be finite, got {shown}$"):
+                h.matrix(t)
 
     def test_domain_error_names_entry_and_time(self):
         h = Hamiltonian([0.0, "1"], {(0, 1): ("log(t)", "0")})
