@@ -75,15 +75,6 @@ class KrausSet:
 
 
 @dataclass(frozen=True)
-class CptpReport:
-    deviation: float | np.ndarray
-
-    @property
-    def passed(self) -> bool:
-        return bool(np.all(self.deviation <= CPTP_TOL))
-
-
-@dataclass(frozen=True)
 class ChannelSpec:
     """A time-parameterized family of Kraus sets.
 
@@ -150,12 +141,7 @@ class ChannelSpec:
             except TypeError as exc:
                 raise ValueError(f"custom channel operator {index} {exc}") from exc
         spec = cls(CUSTOM, dim=d, custom_operators=tuple(cells))
-        report = validate_cptp(kraus_at(spec, 0.0))
-        if not report.passed:
-            raise CptpError(
-                f"custom channel is not CPTP at t=0: deviation {report.deviation:.3e}",
-                report.deviation,
-            )
+        validate_cptp(kraus_at(spec, 0.0))
         return spec
 
     @classmethod
@@ -225,8 +211,20 @@ def completeness_deviation(kraus: KrausSet):
     return float(deviation) if deviation.ndim == 0 else deviation
 
 
-def validate_cptp(kraus: KrausSet) -> CptpReport:
-    return CptpReport(completeness_deviation(kraus))
+def validate_cptp(kraus: KrausSet):
+    """completeness_deviation(kraus), raising CptpError at the first time
+    whose deviation exceeds CPTP_TOL (or is NaN)."""
+    deviation = completeness_deviation(kraus)
+    failing = np.flatnonzero(~(np.ravel(deviation) <= CPTP_TOL))
+    if failing.size:
+        index = failing[0]
+        first = float(np.ravel(deviation)[index])
+        raise CptpError(
+            f"Kraus set at t={np.ravel(kraus.time_label)[index]} is not CPTP: "
+            f"deviation {first:.3e} > {CPTP_TOL:.3e}",
+            first,
+        )
+    return deviation
 
 
 def apply(kraus: KrausSet, rho: DensityOperator) -> DensityOperator:
@@ -236,15 +234,7 @@ def apply(kraus: KrausSet, rho: DensityOperator) -> DensityOperator:
         raise cxmat.ShapeError(
             f"dimension mismatch: Kraus dim {kraus.dim}, state dim {rho.dim}"
         )
-    report = validate_cptp(kraus)
-    if not report.passed:
-        index = np.flatnonzero(np.ravel(report.deviation) > CPTP_TOL)[0]
-        deviation = float(np.ravel(report.deviation)[index])
-        raise CptpError(
-            f"Kraus set at t={np.ravel(kraus.time_label)[index]} is not CPTP: "
-            f"deviation {deviation:.3e} > {CPTP_TOL:.3e}",
-            deviation,
-        )
+    validate_cptp(kraus)
     out = sum(cxmat.stack_matmul(cxmat.stack_matmul(k, rho.matrix), np.swapaxes(k.conj(), -1, -2))
               for k in kraus.operators)
     trace_drift = np.abs(_trace(out) - _trace(rho.matrix))

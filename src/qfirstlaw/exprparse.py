@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import operator
+import string
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -77,11 +78,14 @@ _SINGLE_CHAR = {
 
 
 _DIGITS = frozenset("0123456789")
+_NAME_START = frozenset(string.ascii_letters + "_")
+_NAME_CHARS = _NAME_START | _DIGITS
 
 
 def tokenize(src: str) -> list[Token]:
     """Longest-match lexing; whitespace skipped; numbers are ASCII decimal
-    with optional fraction and exponent."""
+    with optional fraction and exponent; names are ASCII letters, digits and
+    "_", not starting with a digit."""
     tokens: list[Token] = []
     i = 0
     n = len(src)
@@ -112,9 +116,9 @@ def tokenize(src: str) -> list[Token]:
                         i += 1
             tokens.append(Token("number", src[start:i], start))
             continue
-        if ch.isalpha() or ch == "_":
+        if ch in _NAME_START:
             start = i
-            while i < n and (src[i].isalnum() or src[i] == "_"):
+            while i < n and src[i] in _NAME_CHARS:
                 i += 1
             name = src[start:i]
             tokens.append(Token("t" if name == "t" else "ident", name, start))

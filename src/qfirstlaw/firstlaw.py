@@ -29,10 +29,10 @@ the invariant checks and Tr(rho H).  H(t) is evaluated once, so the
 eigenbasis and Tr(rho H) see the same Hamiltonian, and the state stack and
 the H matrices that need the eigensolver go through one Jacobi loop
 (``qstate.energy_eigenbasis``).
-Branch matching settles every step it can certify for the whole grid at
-once and composes their permutations as integer arrays; only the steps
-left open (the first, near-ties and degenerate endpoints) walk the grid
-point by point, since each such point is matched against the one before.
+Branch matching certifies steps for the whole grid at once.  The branch
+order is carried over settled steps and recomputed only at crossings and
+walked steps: the steps left open (the first, near-ties and degenerate
+endpoints) are matched point by point against the point before them.
 
 Eigenbranches are matched between consecutive grid points by the permutation
 that maximizes the total squared eigenvector overlap (ties go to the smaller
@@ -197,9 +197,6 @@ def _inherit_degenerate(rho_matrix, values, vectors, prev_vectors):
     """Replace eigenvectors of (near-)exactly degenerate groups with the
     previous grid point's columns when those are still eigenvectors.
     Returns ``vectors`` itself unless a group was replaced."""
-    ascending = sorted(values.tolist())
-    if all(b - a > _DEGENERACY_GAP for a, b in zip(ascending, ascending[1:])):
-        return vectors
     d = len(values)
     order = np.argsort(values)
     clusters = [[order[0]]]
@@ -252,28 +249,6 @@ def _validate_snapshot(tau, values, overlap):
         raise cxmat.NumericError(f"at tau={tau[i]:.6g}: {message}")
 
 
-def _compose_runs(steps, start):
-    """Cumulative permutations within runs of grid points.
-
-    ``steps[j]`` carries the branch order from point j - 1 to point j
-    (order[j] = steps[j][order[j - 1]]) and ``start[j]`` is the first point
-    of j's run, where ``steps`` holds the identity.  Returns ``rel`` with
-    order[j] = rel[j][order[start[j]]], by doubling: after the pass with
-    offset k each row has composed the last 2k steps of its run."""
-    count, d = steps.shape
-    rel = steps.copy()
-    points = np.arange(count)
-    base = (points * d)[:, None]
-    longest = int(np.max(points - start, initial=0))
-    offset = 1
-    while offset < longest:
-        within = (points[offset:] - offset >= start[offset:])[:, None]
-        composed = rel[offset:].take(rel[:-offset] + base[:-offset])
-        np.copyto(rel[offset:], composed, where=within)
-        offset *= 2
-    return rel
-
-
 def _certificate(raw_values, overlap):
     """Which intervals the certificate settles, and the row argmaxes of
     each interval's raw-basis overlap (ties to the first column).  Settled:
@@ -308,37 +283,41 @@ def _match_branches(rho, raw_values, raw_vectors):
     batched and the single product cannot move its certificate), the
     argmaxes are distinct and neither endpoint has a degenerate cluster
     (so _inherit_degenerate returns its input there).  Across a settled
-    interval the order is the previous order sent through the argmaxes;
-    runs of them are composed in one pass.  Every other interval goes
+    interval the order is the previous order sent through the argmaxes,
+    which are the identity unless two eigenvalues crossed, since each
+    point's raw eigenvalues are sorted.  So the order is recomputed, in
+    grid order, only at crossings and at the intervals left open, which go
     through branch_match and _inherit_degenerate from the order and vectors
-    of its left point."""
+    of their left point; every other point carries the order before it."""
     count, d = raw_values.shape
     overlap = np.abs(cxmat.stack_matmul(np.swapaxes(raw_vectors[:-1].conj(), -1, -2),
                                         raw_vectors[1:])) ** 2
     settled, cols = _certificate(raw_values, overlap)
-    # The first interval is always walked: it anchors the composition on the
-    # step-0 descending order, and it gives branch_match and
+    # The first interval is always walked: it gives branch_match and
     # _inherit_degenerate a call on every trajectory, which the per-layer
     # benchmark (perfbench/tracer.py) requires of every layer it lists.
     settled[0] = False
-    steps = np.tile(np.arange(d), (count, 1))
-    steps[1:][settled] = cols[settled]
-    start = np.maximum.accumulate(np.where(np.r_[True, ~settled], np.arange(count), 0))
-    rel = _compose_runs(steps, start)
+    moves = np.flatnonzero(~settled | (cols != np.arange(d)).any(axis=1))
 
-    anchor = np.empty((count, d), dtype=np.intp)
-    anchor[0] = np.argsort(raw_values[0], kind="stable")[::-1]
-    walked = {0: raw_vectors[0][:, anchor[0]]}
-    for i in np.flatnonzero(~settled).tolist():
-        prev_order = rel[i].take(anchor[start[i]])
-        prev_vectors = walked[i] if i in walked else raw_vectors[i].take(prev_order, axis=1)
-        anchor[i + 1] = branch_match(raw_values[i].take(prev_order), prev_vectors,
-                                     raw_values[i + 1], raw_vectors[i + 1])
-        walked[i + 1] = _inherit_degenerate(
-            rho[i + 1], raw_values[i + 1].take(anchor[i + 1]),
-            raw_vectors[i + 1].take(anchor[i + 1], axis=1), prev_vectors)
+    order = np.empty((count, d), dtype=np.intp)
+    order[0] = np.argsort(raw_values[0], kind="stable")[::-1]
+    walked = {0: raw_vectors[0][:, order[0]]}
+    prev_order = order[0]
+    for i in moves.tolist():
+        if settled[i]:
+            order[i + 1] = cols[i].take(prev_order)
+        else:
+            prev_vectors = walked[i] if i in walked else raw_vectors[i].take(prev_order, axis=1)
+            order[i + 1] = branch_match(raw_values[i].take(prev_order), prev_vectors,
+                                        raw_values[i + 1], raw_vectors[i + 1])
+            walked[i + 1] = _inherit_degenerate(
+                rho[i + 1], raw_values[i + 1].take(order[i + 1]),
+                raw_vectors[i + 1].take(order[i + 1], axis=1), prev_vectors)
+        prev_order = order[i + 1]
 
-    order = np.take_along_axis(rel, anchor[start], axis=1)
+    latest = np.zeros(count, dtype=np.intp)
+    latest[moves + 1] = moves + 1
+    order = order[np.maximum.accumulate(latest)]
     values = np.take_along_axis(raw_values, order, axis=1)
     vectors = np.take_along_axis(raw_vectors, order[:, None, :], axis=2)
     for i, inherited in walked.items():

@@ -20,6 +20,7 @@ from qfirstlaw.channel import (
     completeness_deviation,
     evolve,
     kraus_at,
+    validate_cptp,
 )
 from qfirstlaw.firstlaw import TimeGrid, spectral_trajectory
 from qfirstlaw.qstate import (
@@ -107,6 +108,16 @@ class TestValidateCptp:
         deviation = completeness_deviation(KrausSet((np.eye(2),) * 2, 0.0))
         assert not deviation <= 1e-12
         assert deviation == 1.0
+
+    def test_validate_returns_the_deviation_or_raises_at_the_first_bad_time(self):
+        times = np.array([0.0, 1.3, 4.0])
+        kraus = kraus_at(ChannelSpec.phase_flip(), times)
+        assert np.array_equal(validate_cptp(kraus), completeness_deviation(kraus))
+        drifting = ChannelSpec.custom([[["1", "0"], ["0", "1-0.1*t"]]])
+        with pytest.raises(CptpError, match=r"^Kraus set at t=1\.3 is not CPTP: deviation "
+                                            r"2\.431e-01 > 1\.000e-10$") as info:
+            validate_cptp(kraus_at(drifting, times))
+        assert info.value.deviation == completeness_deviation(kraus_at(drifting, 1.3))
 
 
 class TestApply:
@@ -228,8 +239,19 @@ class TestCustomChannels:
         assert np.array_equal(out.matrix, REFERENCE_STATE.matrix)
 
     def test_rejects_non_cptp_at_time_zero(self):
-        with pytest.raises(CptpError):
+        with pytest.raises(CptpError, match=r"^Kraus set at t=0\.0 is not CPTP: deviation "
+                                            r"7\.500e-01 > 1\.000e-10$") as info:
             ChannelSpec.custom([[["0.5", "0"], ["0", "0.5"]]])
+        assert info.value.deviation == 0.75
+
+    def test_nan_deviation_is_refused(self):
+        # at t > 0 the second operator's K†K is inf - inf = nan off the diagonal
+        big = [["1e200*t", "1e200*t"], ["1e200*t", "-1e200*t"]]
+        spec = ChannelSpec.custom([[["1", "0"], ["0", "1"]], big])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(CptpError, match=r"t=1\.0 is not CPTP: deviation nan") as info:
+                evolve(spec, REFERENCE_STATE, np.array([0.0, 1.0, 2.0]))
+        assert math.isnan(info.value.deviation)
 
     def test_drifting_channel_fails_later(self):
         drifting = ChannelSpec.custom([[["1", "0"], ["0", "1-0.1*t"]]])

@@ -312,6 +312,15 @@ class TestSimulateCommand:
         assert written.shape == (len(builtin.tau), 5)
         assert np.max(np.abs(written[:, 3] - builtin.heat)) <= 1e-11  # 12 significant digits
 
+    def test_readme_library_example_runs(self, capsys):
+        # the README's "Library use" block, verbatim
+        readme = (ROOT / "README.md").read_text()
+        example = readme.split("## Library use", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+        exec(compile(example, "README.md", "exec"), {})
+        heat, coherence, residual = map(float, capsys.readouterr().out.split())
+        assert heat == pytest.approx(-coherence, abs=1e-12)
+        assert residual <= 1e-12
+
     def test_expression_domain_error_exits_3(self, tmp_path, capsys):
         chan = tmp_path / "domain.json"
         chan.write_text(json.dumps({

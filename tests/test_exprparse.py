@@ -57,6 +57,13 @@ class TestTokenize:
             parse_source(src)
         assert err.value.position == position
 
+    @pytest.mark.parametrize("src, position", [("t\u00b2", 1), ("1e\u0663", 2)])
+    def test_non_ascii_name_character_rejected(self, src, position):
+        # superscript two and Arabic-Indic three are str.isalnum() but not name characters
+        with pytest.raises(LexError, match="unexpected character") as err:
+            parse_source(src)
+        assert err.value.position == position
+
     def test_whitespace_skipped(self):
         assert len(tokenize("  1   +\t2 ")) == 3
 

@@ -478,18 +478,42 @@ class TestMatchingLoop:
         assert [kind for kind, *_ in walk] == ["match", "inherit"]
 
     @pytest.mark.parametrize("d", range(2, MAX_BRANCH_DIM + 1))
-    def test_composition_equals_a_sequential_gather_loop(self, d):
+    def test_reordering_settled_steps_match_the_indexed_loop(self, walk, d):
+        # raw columns re-permuted at every point with well-separated values,
+        # so most settled intervals reorder the branches; every 11th point is
+        # degenerate with an unrotated basis (it inherits) and every 13th a
+        # near-tie rotation away from the point before, so those are walked
         rng = np.random.default_rng(d)
-        for length in range(1, 301):
-            steps = rng.permuted(np.tile(np.arange(d), (length, 1)), axis=1)
-            starts = rng.random(length) < rng.choice([0.0, 0.05, 0.5])
-            starts[0] = True
-            steps[starts] = np.arange(d)
-            start = np.maximum.accumulate(np.where(starts, np.arange(length), 0))
-            expected = np.empty_like(steps)
-            for j in range(length):
-                expected[j] = np.arange(d) if starts[j] else steps[j].take(expected[j - 1])
-            assert np.array_equal(firstlaw._compose_runs(steps, start), expected), length
+        count = 60
+        levels = np.arange(1.0, d + 1.0) / (d * (d + 1) / 2)
+        basis = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+        raw_values = np.empty((count, d))
+        raw_vectors = np.empty((count, d, d), dtype=complex)
+        for i in range(count):
+            point_levels = levels.copy()
+            if i % 11 == 5:
+                point_levels[1] = point_levels[0]
+            elif i % 13 == 7:
+                basis = basis @ _rotations([((0, 1), 0.5 + 1e-12)], d)
+            else:
+                z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+                basis = basis @ np.linalg.qr(np.eye(d) + 0.05 * z)[0]
+            perm = rng.permutation(d)
+            raw_values[i], raw_vectors[i] = point_levels[perm], basis[:, perm]
+        rho = np.einsum("tij,tj,tkj->tik", raw_vectors, raw_values, raw_vectors.conj())
+        values, vectors = firstlaw._match_branches(rho, raw_values, raw_vectors)
+        expected_values, expected_vectors = reference_match(rho, raw_values, raw_vectors)
+        assert np.array_equal(values, expected_values)
+        assert np.array_equal(vectors, expected_vectors)
+
+        overlap = np.abs(cxmat.stack_matmul(raw_vectors[:-1].conj().swapaxes(-1, -2),
+                                            raw_vectors[1:])) ** 2
+        settled, cols = firstlaw._certificate(raw_values, overlap)
+        settled[0] = False
+        reordered = settled & (cols != np.arange(d)).any(axis=1)
+        assert reordered.sum() >= count // 4
+        assert [kind for kind, *_ in walk].count("match") == np.count_nonzero(~settled)
+        assert any(replaced for kind, _, replaced in walk if kind == "inherit")
 
     @pytest.mark.parametrize("peak, walked", [(0.5 + 1.2e-12, True), (0.5 + 1.8e-12, True),
                                               (0.5 + 3e-12, False)])
