@@ -14,14 +14,11 @@ from .firstlaw import (
 )
 from .oracle import (
     OracleConfig,
-    OracleIntermediates,
     pd_coherence,
     pd_eigensystem,
     pd_heat,
-    pd_intermediates,
     pf_coherence,
     pf_heat,
-    pf_intermediates,
 )
 from .qstate import (
     DensityOperator,
@@ -46,7 +43,6 @@ __all__ = [
     "InitialStatePrep",
     "KrausSet",
     "OracleConfig",
-    "OracleIntermediates",
     "SpectralTrajectory",
     "TimeGrid",
     "apply",
@@ -60,10 +56,8 @@ __all__ = [
     "pd_coherence",
     "pd_eigensystem",
     "pd_heat",
-    "pd_intermediates",
     "pf_coherence",
     "pf_heat",
-    "pf_intermediates",
     "prepare_pure_state",
     "run_energetics",
     "spectral_trajectory",

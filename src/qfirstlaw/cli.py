@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -100,6 +101,9 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # an infinite tolerance would pass every closed-form check unread
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ConfigError(f"--tol must be a finite number > 0, got {args.tol!r}")
     results = verification.run_all_checks(oracle_tol=args.tol)
     for result in results:
         print(result.line())

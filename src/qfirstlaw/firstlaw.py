@@ -11,8 +11,10 @@ spectral trajectory:
 with E_n, |n> the Hamiltonian eigensystem and rho_k, |k> the state's.  On a
 discrete grid each interval uses endpoint averages for the undifferenced
 factors and endpoint differences along matched eigenbranches (a midpoint-type
-product rule, second order in the step).  Two properties of this scheme are
-load-bearing for the tests:
+product rule).  Second order in the step is measured only at d = 2: at d >= 3
+the heat error of a pure initial state is first order, because the first
+interval's degenerate null cluster gets whatever basis the eigensolver
+returns.  Two properties of this scheme are load-bearing for the tests:
 
 * for a static Hamiltonian, dQ + dC telescopes exactly to the energy change
   (the two-factor product rule has no remainder), so Q + C tracks

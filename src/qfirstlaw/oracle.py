@@ -48,38 +48,6 @@ class OracleConfig:
             )
 
 
-@dataclass(frozen=True)
-class OracleIntermediates:
-    """Discriminant m = (rho00 - rho11)^2 + 4 * channel_factor * |rho01|^2
-    appearing under the square root of the 2x2 spectrum, together with the
-    squared off-diagonal scale of the channel (e^{-tau} for phase damping,
-    (2 e^{-tau} - 1)^2 for phase flip)."""
-
-    m: float
-    channel_factor: float
-
-    def __post_init__(self):
-        if self.m < 0.0:
-            raise ValueError(f"discriminant must be non-negative, got {self.m}")
-
-
-def _intermediates(channel_factor: float, rho0: DensityOperator) -> OracleIntermediates:
-    m00 = rho0.matrix[0, 0].real
-    m11 = rho0.matrix[1, 1].real
-    return OracleIntermediates(
-        (m00 - m11) ** 2 + 4.0 * channel_factor * abs(rho0.matrix[1, 0]) ** 2,
-        channel_factor,
-    )
-
-
-def pd_intermediates(tau: float, rho0: DensityOperator) -> OracleIntermediates:
-    return _intermediates(math.exp(-tau), rho0)
-
-
-def pf_intermediates(tau: float, rho0: DensityOperator) -> OracleIntermediates:
-    return _intermediates((2.0 * math.exp(-tau) - 1.0) ** 2, rho0)
-
-
 def pd_eigensystem(tau: float, rho0: DensityOperator):
     """Eigenvalues and eigenvectors of the phase-damped state at time tau.
 
@@ -95,7 +63,7 @@ def pd_eigensystem(tau: float, rho0: DensityOperator):
     m11 = rho0.matrix[1, 1].real
     r10 = rho0.matrix[1, 0]
     decay = math.exp(-0.5 * tau)
-    sm = math.sqrt(pd_intermediates(tau, rho0).m)
+    sm = math.sqrt((m00 - m11) ** 2 + 4.0 * math.exp(-tau) * abs(r10) ** 2)
     values = np.array([0.5 * (m00 + m11 + sm), 0.5 * (m00 + m11 - sm)])
 
     vectors = np.zeros((2, 2), dtype=np.complex128)

@@ -1,9 +1,12 @@
 """Acceptance checks runnable from both the test suite and the CLI.
 
 Each check returns CheckResult records with a measured value and its bound.
-Heavy trajectories are cached per process so the whole battery reuses every
-ledger it can; `oracle_tol` overrides only the closed-form agreement bounds
-(the ones specified at 1e-5), leaving structural bounds untouched.
+Only the three ledgers that more than one check reads are cached per process
+(`_shared`); every other ledger is built where it is read and dropped after.
+`oracle_tol` moves only the bounds of the comparisons against the phase
+damping and phase flip closed-form curves.  Every other bound is fixed,
+including the 1e-5 on the phase-flip heat at tau=8, which compares against a
+frozen value rather than a curve.
 """
 
 from __future__ import annotations
@@ -48,7 +51,12 @@ def _within(name, measured, bound, detail="") -> CheckResult:
     return CheckResult(name, measured <= bound, float(measured), float(bound), detail)
 
 
-# -- cached heavy artifacts --------------------------------------------------
+def _worst(arrays) -> float:
+    """Largest absolute entry over a sequence of arrays."""
+    return max(float(np.max(np.abs(a))) for a in arrays)
+
+
+# -- ledgers -------------------------------------------------------------------
 
 _LEDGER_CACHE: dict[str, object] = {}
 
@@ -59,45 +67,42 @@ def _memo(tag: str, builder):
     return _LEDGER_CACHE[tag]
 
 
-def _default_grid() -> TimeGrid:
-    return TimeGrid(DEFAULT_TAU_MAX, DEFAULT_STEPS)
+def _ledger(spec: ChannelSpec, rho0: DensityOperator, h: Hamiltonian, steps: int = DEFAULT_STEPS):
+    return run_energetics(spec, rho0, h, TimeGrid(DEFAULT_TAU_MAX, steps))
 
 
-def _ledger_builtin(kind_tag: str, spec: ChannelSpec, theta: float, phi: float = 0.0,
-                    e_g: float = 0.0, e_e: float = 1.0):
-    def build():
-        rho0 = prepare_pure_state(InitialStatePrep(theta, phi))
-        h = Hamiltonian.two_level(e_g, e_e)
-        return run_energetics(spec, rho0, h, _default_grid())
-
-    return _memo(f"{kind_tag}:theta={theta!r}:phi={phi!r}:e=({e_g!r},{e_e!r})", build)
+def _qubit(spec: ChannelSpec, theta: float, phi: float = 0.0, e_g: float = 0.0,
+           e_e: float = 1.0, steps: int = DEFAULT_STEPS):
+    """Ledger of the pure qubit state at (theta, phi) under diag(e_g, e_e)."""
+    return _ledger(spec, prepare_pure_state(InitialStatePrep(theta, phi)),
+                   Hamiltonian.two_level(e_g, e_e), steps)
 
 
-def _ledger_conjugated(tag: str, spec: ChannelSpec, unitary: np.ndarray, theta: float):
+def _twin(spec: ChannelSpec, unitary: np.ndarray, theta: float):
     """Ledger for the basis-rotated twin of the z-basis dephasing setup."""
-
-    def build():
-        rho_z = prepare_pure_state(InitialStatePrep(theta)).matrix
-        rho0 = DensityOperator(unitary @ rho_z @ unitary.conj().T)
-        h = Hamiltonian.from_matrix(unitary @ np.diag([0.0, 1.0]).astype(complex) @ unitary.conj().T)
-        return run_energetics(spec, rho0, h, _default_grid())
-
-    return _memo(tag, build)
+    rho_z = prepare_pure_state(InitialStatePrep(theta)).matrix
+    rho0 = DensityOperator(unitary @ rho_z @ unitary.conj().T)
+    h = Hamiltonian.from_matrix(unitary @ np.diag([0.0, 1.0]).astype(complex) @ unitary.conj().T)
+    return _ledger(spec, rho0, h)
 
 
-def _pd_reference_ledger():
-    return _ledger_builtin("phase_damping", ChannelSpec.phase_damping(), math.pi / 6)
+#: The ledgers that more than one check reads, by memo tag.
+_SHARED = {
+    "phase_damping:pi/6": lambda: _qubit(ChannelSpec.phase_damping(), math.pi / 6),
+    "phase_flip:pi/6": lambda: _qubit(ChannelSpec.phase_flip(), math.pi / 6),
+    "bit_flip:pi/4,pi/2": lambda: _qubit(ChannelSpec.bit_flip(), math.pi / 4, math.pi / 2),
+}
 
 
-def _pf_reference_ledger(e_g: float = 0.0, e_e: float = 1.0):
-    return _ledger_builtin("phase_flip", ChannelSpec.phase_flip(), math.pi / 6, e_g=e_g, e_e=e_e)
+def _shared(tag: str):
+    return _memo(tag, _SHARED[tag])
 
 
 # -- phase damping vs closed forms --------------------------------------------
 
 
 def check_phase_damping_curves(oracle_tol: float = DEFAULT_ORACLE_TOL) -> list[CheckResult]:
-    ledger = _pd_reference_ledger()
+    ledger = _shared("phase_damping:pi/6")
     cfg = oracle.OracleConfig()
     heat_ref = oracle.pd_heat(ledger.tau, cfg)
     coh_ref = oracle.pd_coherence(ledger.tau, cfg)
@@ -119,37 +124,20 @@ def check_phase_damping_curves(oracle_tol: float = DEFAULT_ORACLE_TOL) -> list[C
 
 
 def check_first_law_closure() -> list[CheckResult]:
-    results = []
-    worst = 0.0
-    for name, spec in [
-        ("phase_damping", ChannelSpec.phase_damping()),
-        ("phase_flip", ChannelSpec.phase_flip()),
-        ("bit_flip", ChannelSpec.bit_flip()),
-        ("bit_phase_flip", ChannelSpec.bit_phase_flip()),
-    ]:
-        ledger = _ledger_builtin(name, spec, math.pi / 6)
-        worst = max(worst, float(np.max(np.abs(ledger.closure_residual))))
-    results.append(_within("first-law closure, builtin channels with static energies",
-                           worst, 5e-5))
+    static = (_shared("phase_damping:pi/6"), _shared("phase_flip:pi/6"),
+              _qubit(ChannelSpec.bit_flip(), math.pi / 6),
+              _qubit(ChannelSpec.bit_phase_flip(), math.pi / 6))
+    results = [_within("first-law closure, builtin channels with static energies",
+                       _worst(ledger.closure_residual for ledger in static), 5e-5)]
 
-    def build_driven(kind, spec):
-        rho0 = prepare_pure_state(InitialStatePrep(math.pi / 6))
-        h = Hamiltonian.diagonal([0.0, "1+0.1*t"])
-        return run_energetics(spec, rho0, h, _default_grid())
-
-    worst = 0.0
-    for kind, spec in [("phase_damping", ChannelSpec.phase_damping()),
-                       ("phase_flip", ChannelSpec.phase_flip())]:
-        ledger = _memo(f"driven:{kind}", lambda s=spec, k=kind: build_driven(k, s))
-        worst = max(worst, float(np.max(np.abs(ledger.closure_residual))))
+    rho0 = prepare_pure_state(InitialStatePrep(math.pi / 6))
+    driven = Hamiltonian.diagonal([0.0, "1+0.1*t"])
+    worst = _worst(_ledger(spec, rho0, driven).closure_residual
+                   for spec in (ChannelSpec.phase_damping(), ChannelSpec.phase_flip()))
     results.append(_within("first-law closure, driven diagonal Hamiltonian", worst, 5e-5))
 
-    def build_identity_driven():
-        rho0 = DensityOperator(np.diag([0.25, 0.75]).astype(complex))
-        h = Hamiltonian.diagonal([0.0, "1+0.1*t"])
-        return run_energetics(ChannelSpec.identity(), rho0, h, _default_grid())
-
-    ledger = _memo("driven:identity", build_identity_driven)
+    ledger = _ledger(ChannelSpec.identity(), DensityOperator(np.diag([0.25, 0.75]).astype(complex)),
+                     driven)
     results.append(_within("identity channel, driven: heat and coherence vanish",
                            max(np.max(np.abs(ledger.heat)), np.max(np.abs(ledger.coherence))),
                            1e-12))
@@ -161,28 +149,16 @@ def check_first_law_closure() -> list[CheckResult]:
 # -- non-dissipative invariants ------------------------------------------------
 
 
-def _non_dissipative_setups():
+def check_non_dissipative_invariants() -> list[CheckResult]:
     # bit flip / bit-phase flip preserve populations only for equal-weight
     # superpositions; the phases pick states those channels dephase without
     # freezing outright
-    return [
-        ("phase_damping", ChannelSpec.phase_damping(), math.pi / 6, 0.0),
-        ("phase_flip", ChannelSpec.phase_flip(), math.pi / 6, 0.0),
-        ("bit_flip", ChannelSpec.bit_flip(), math.pi / 4, math.pi / 2),
-        ("bit_phase_flip", ChannelSpec.bit_phase_flip(), math.pi / 4, 0.0),
-    ]
-
-
-def check_non_dissipative_invariants() -> list[CheckResult]:
-    worst_du = worst_w = 0.0
-    for name, spec, theta, phi in _non_dissipative_setups():
-        ledger = _ledger_builtin(name, spec, theta, phi)
-        worst_du = max(worst_du, float(np.max(np.abs(ledger.delta_u))))
-        worst_w = max(worst_w, float(np.max(np.abs(ledger.work))))
+    ledgers = (_shared("phase_damping:pi/6"), _shared("phase_flip:pi/6"),
+               _shared("bit_flip:pi/4,pi/2"), _qubit(ChannelSpec.bit_phase_flip(), math.pi / 4))
     return [
         _within("non-dissipative channels leave the internal energy unchanged",
-                worst_du, 1e-9),
-        _within("static energies do no work", worst_w, 1e-12),
+                _worst(ledger.delta_u for ledger in ledgers), 1e-9),
+        _within("static energies do no work", _worst(ledger.work for ledger in ledgers), 1e-12),
     ]
 
 
@@ -190,7 +166,7 @@ def check_non_dissipative_invariants() -> list[CheckResult]:
 
 
 def check_phase_flip_curves(oracle_tol: float = DEFAULT_ORACLE_TOL) -> list[CheckResult]:
-    ledger = _pf_reference_ledger()
+    ledger = _shared("phase_flip:pi/6")
     cfg = oracle.OracleConfig()
     heat_ref = oracle.pf_heat(ledger.tau, cfg)
     coh_ref = oracle.pf_coherence(ledger.tau, cfg)
@@ -207,7 +183,7 @@ def check_phase_flip_curves(oracle_tol: float = DEFAULT_ORACLE_TOL) -> list[Chec
                 abs(ledger.heat[-1] - 1.259e-4), 1e-5,
                 detail=f"heat(8)={ledger.heat[-1]:.4e}"),
     ]
-    wide = _pf_reference_ledger(e_g=0.3, e_e=1.7)
+    wide = _qubit(ChannelSpec.phase_flip(), math.pi / 6, e_g=0.3, e_e=1.7)
     wide_cfg = oracle.OracleConfig(e_g=0.3, e_e=1.7)
     wide_heat_ref = oracle.pf_heat(wide.tau, wide_cfg)
     wide_coh_ref = oracle.pf_coherence(wide.tau, wide_cfg)
@@ -227,17 +203,9 @@ def check_phase_flip_curves(oracle_tol: float = DEFAULT_ORACLE_TOL) -> list[Chec
 
 
 def check_quadrature_order() -> list[CheckResult]:
-    cfg = oracle.OracleConfig()
-    rho0 = prepare_pure_state(InitialStatePrep(math.pi / 6))
-    h = Hamiltonian.two_level(0.0, 1.0)
-
     def max_error(steps: int) -> float:
-        def build():
-            return run_energetics(ChannelSpec.phase_damping(), rho0, h, TimeGrid(8.0, steps))
-
-        ledger = _memo(f"phase_damping:coarse:{steps}", build)
-        reference = oracle.pd_heat(ledger.tau, cfg)
-        return float(np.max(np.abs(ledger.heat - reference)))
+        ledger = _qubit(ChannelSpec.phase_damping(), math.pi / 6, steps=steps)
+        return float(np.max(np.abs(ledger.heat - oracle.pd_heat(ledger.tau, oracle.OracleConfig()))))
 
     ratio = max_error(500) / max_error(1000)
     return [CheckResult(
@@ -250,31 +218,23 @@ def check_quadrature_order() -> list[CheckResult]:
 
 def check_channel_symmetry() -> list[CheckResult]:
     results = []
-    for label, theta in [("equal-population setup", math.pi / 4),
-                         ("reference-angle setup", math.pi / 6)]:
-        base = _ledger_builtin("phase_flip", ChannelSpec.phase_flip(), theta)
+    for label, theta, base in [
+        ("equal-population setup", math.pi / 4, _qubit(ChannelSpec.phase_flip(), math.pi / 4)),
+        ("reference-angle setup", math.pi / 6, _shared("phase_flip:pi/6")),
+    ]:
         worst = 0.0
-        for twin_name, spec, unitary in [
-            ("bit_flip", ChannelSpec.bit_flip(), HADAMARD),
-            ("bit_phase_flip", ChannelSpec.bit_phase_flip(), Y_FROM_Z),
-        ]:
-            twin = _ledger_conjugated(f"twin:{twin_name}:theta={theta!r}", spec, unitary, theta)
-            worst = max(
-                worst,
-                float(np.max(np.abs(twin.heat - base.heat))),
-                float(np.max(np.abs(twin.coherence - base.coherence))),
-            )
+        for spec, unitary in [(ChannelSpec.bit_flip(), HADAMARD),
+                              (ChannelSpec.bit_phase_flip(), Y_FROM_Z)]:
+            twin = _twin(spec, unitary, theta)
+            worst = max(worst, _worst([twin.heat - base.heat, twin.coherence - base.coherence]))
         results.append(_within(
             f"bit-flip family twins reproduce the phase-flip ledgers ({label})",
             worst, 1e-8))
 
-    worst = 0.0
-    for phi in (0.0, math.pi / 2):
-        ledger = _ledger_builtin("bit_flip", ChannelSpec.bit_flip(), math.pi / 4, phi)
-        worst = max(worst, float(np.max(np.abs(ledger.closure_residual))))
+    closure = (_qubit(ChannelSpec.bit_flip(), math.pi / 4), _shared("bit_flip:pi/4,pi/2"))
     results.append(_within(
         "bit flip on equal-weight states in the z-basis closes the first law",
-        worst, 5e-5))
+        _worst(ledger.closure_residual for ledger in closure), 5e-5))
     return results
 
 
@@ -362,21 +322,14 @@ def check_parser_golden() -> list[CheckResult]:
     results = [_within("expression parser golden values", worst, 1e-15)]
 
     failures = 0
-    try:
-        exprparse.parse_source("foo(t)")
-        failures += 1
-    except exprparse.ParseError:
-        pass
-    try:
-        exprparse.parse_source("(1+2")
-        failures += 1
-    except exprparse.ParseError:
-        pass
-    try:
-        exprparse.evaluate(exprparse.parse_source("sqrt(-1-t)"), 0.0)
-        failures += 1
-    except exprparse.DomainError:
-        pass
+    for src, t, error in [("foo(t)", 0.0, exprparse.ParseError),
+                          ("(1+2", 0.0, exprparse.ParseError),
+                          ("sqrt(-1-t)", 0.0, exprparse.DomainError)]:
+        try:
+            exprparse.evaluate(exprparse.parse_source(src), t)
+            failures += 1
+        except error:
+            pass
     results.append(CheckResult(
         "expression parser rejects malformed and out-of-domain inputs",
         failures == 0, float(failures), 0.0,

@@ -1,8 +1,8 @@
 """Acceptance battery: every release criterion at its stated tolerance.
 
 Each test prints one pass/fail line per sub-check.  The same checks back
-the `qfirstlaw verify` subcommand; heavy trajectories are cached per
-process, so this module is also the warm-up for the rest of the suite.
+the `qfirstlaw verify` subcommand.  The battery caches only the ledgers that
+more than one check reads; every other ledger is rebuilt on each call.
 """
 
 from qfirstlaw import verification
@@ -65,3 +65,12 @@ def test_criterion_11_parser_golden_suite():
 
 def test_criterion_12_reproduce_determinism(tmp_path):
     _run(verification.check_reproduce_determinism(workdir=tmp_path))
+
+
+def test_battery_caches_only_the_shared_ledgers(tmp_path, monkeypatch):
+    monkeypatch.setattr(verification, "_LEDGER_CACHE", {})
+    first = verification.run_all_checks(workdir=tmp_path)
+    second = verification.run_all_checks(workdir=tmp_path)
+    assert sorted(verification._LEDGER_CACHE) == [
+        "bit_flip:pi/4,pi/2", "phase_damping:pi/6", "phase_flip:pi/6"]
+    assert first == second

@@ -457,6 +457,24 @@ class TestVerifyCommand:
         assert cli.main(["verify"]) == 1
         assert "[FAIL] gamma" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+    def test_tolerance_must_be_finite_and_positive(self, tol, capsys, monkeypatch):
+        def never(oracle_tol):
+            raise AssertionError("the battery ran")
+
+        monkeypatch.setattr(verification, "run_all_checks", never)
+        assert cli.main(["verify", "--tol", tol]) == 2
+        assert "--tol must be a finite number > 0" in capsys.readouterr().err
+
+    def test_tolerance_reaches_the_battery(self, capsys, monkeypatch):
+        seen = []
+        fabricated = [verification.CheckResult("delta", True, 1e-9, 1e-5)]
+        monkeypatch.setattr(verification, "run_all_checks",
+                            lambda oracle_tol: seen.append(oracle_tol) or fabricated)
+        assert cli.main(["verify", "--tol", "1e-5"]) == 0
+        assert seen == [1e-5]
+        assert "1/1 checks passed" in capsys.readouterr().out
+
     def test_overtight_tolerance_fails_closed_form_checks(self):
         results = verification.check_phase_damping_curves(oracle_tol=1e-12)
         failed = [r for r in results if not r.passed]

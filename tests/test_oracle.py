@@ -7,14 +7,11 @@ from qfirstlaw import cxmat
 from qfirstlaw.channel import ChannelSpec, evolve
 from qfirstlaw.oracle import (
     OracleConfig,
-    OracleIntermediates,
     pd_coherence,
     pd_eigensystem,
     pd_heat,
-    pd_intermediates,
     pf_coherence,
     pf_heat,
-    pf_intermediates,
 )
 from qfirstlaw.qstate import DensityOperator, InitialStatePrep, prepare_pure_state
 
@@ -54,6 +51,13 @@ class TestPdEigensystem:
         assert values[1] == pytest.approx(0.25, abs=1e-12)
         assert abs(vectors[0, 0]) == pytest.approx(1.0, abs=1e-8)
         assert abs(vectors[1, 1]) == pytest.approx(1.0, abs=1e-8)
+
+    def test_reference_angle_discriminant(self):
+        # at theta = pi/6 the discriminant is m = 1/4 + (3/4) e^{-tau}
+        sm = math.sqrt(0.25 + 0.75 * math.exp(-2.0))
+        values, _ = pd_eigensystem(2.0, REFERENCE_STATE)
+        assert values[0] == pytest.approx(0.5 * (1 + sm), abs=1e-15)
+        assert values[1] == pytest.approx(0.5 * (1 - sm), abs=1e-15)
 
     def test_eigenvalues_sum_to_one_exactly(self):
         for tau in np.linspace(0.0, 12.0, 30):
@@ -182,34 +186,6 @@ class TestPfCoherence:
         for fn in (pf_heat, pf_coherence):
             with pytest.raises(ValueError, match="domain"):
                 fn(500.0, CFG)
-
-
-class TestIntermediates:
-    def test_discriminant_nonnegative_for_all_states(self):
-        for theta in np.linspace(0.0, math.pi / 2, 9):
-            for phi in (0.0, 1.1, math.pi):
-                rho0 = prepare_pure_state(InitialStatePrep(float(theta), phi))
-                for tau in np.linspace(0.0, 10.0, 20):
-                    assert pd_intermediates(float(tau), rho0).m >= 0.0
-                    assert pf_intermediates(float(tau), rho0).m >= 0.0
-
-    def test_reference_angle_values(self):
-        # at theta = pi/6: m = 1/4 + (3/4) * channel_factor
-        inter = pd_intermediates(2.0, REFERENCE_STATE)
-        assert inter.channel_factor == pytest.approx(math.exp(-2.0), abs=1e-15)
-        assert inter.m == pytest.approx(0.25 + 0.75 * math.exp(-2.0), abs=1e-15)
-
-    def test_flip_discriminant_floor(self):
-        # stays at or above 1/4, which is why the flip branches never cross
-        smallest = min(
-            pf_intermediates(float(tau), REFERENCE_STATE).m
-            for tau in np.linspace(0.0, 10.0, 400)
-        )
-        assert smallest >= 0.25 - 1e-15
-
-    def test_negative_discriminant_rejected(self):
-        with pytest.raises(ValueError):
-            OracleIntermediates(-0.1, 1.0)
 
 
 def test_pd_oracle_agrees_with_trajectory_eigenvalues():
