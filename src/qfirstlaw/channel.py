@@ -234,12 +234,14 @@ def apply(kraus: KrausSet, rho: DensityOperator) -> DensityOperator:
         raise cxmat.ShapeError(
             f"dimension mismatch: Kraus dim {kraus.dim}, state dim {rho.dim}"
         )
-    validate_cptp(kraus)
+    deviation = validate_cptp(kraus)
     out = sum(cxmat.stack_matmul(cxmat.stack_matmul(k, rho.matrix), np.swapaxes(k.conj(), -1, -2))
               for k in kraus.operators)
+    # |Tr((sum K†K - I) rho)| <= d * deviation for a unit-trace state
     trace_drift = np.abs(_trace(out) - _trace(rho.matrix))
-    if np.any(trace_drift > 1e-12):
-        index = np.flatnonzero(trace_drift > 1e-12)[0]
+    drifted = trace_drift > kraus.dim * deviation + 1e-12
+    if np.any(drifted):
+        index = np.flatnonzero(drifted)[0]
         raise cxmat.NumericError(
             f"at t={np.ravel(kraus.time_label)[index]}: trace drifted by "
             f"{np.ravel(trace_drift)[index]:.3e} under a CPTP-validated set"

@@ -17,20 +17,26 @@ Grammar::
     factor  := "-" factor | power
     power   := primary ("^" factor)?
     primary := NUMBER | "t" | IDENT "(" expr ")" | "(" expr ")"
+    NUMBER  := [0-9]+ ("." [0-9]*)? ([eE] [+-]? [0-9]+)?
+    IDENT   := [A-Za-z_] [A-Za-z0-9_]*
 
-"^" is right-associative and binds tighter than unary minus, so
-``-2^2`` evaluates to -4 (the conventional mathematical reading).
-IDENT is restricted to exp, sqrt, log, sin, cos; ``log`` is the natural
-logarithm.  There are no variables besides ``t`` and no user constants.  A
-NUMBER must be finite as a double: ``1e400`` is a ParseError, not infinity.
+Each token is the longest match at its offset.  Whitespace (a character for
+which ``str.isspace()`` is true) is skipped, and any other character is a
+LexError: ``.5`` is one.  "^" is right-associative and binds tighter than
+unary minus, so ``-2^2`` evaluates to -4 (the conventional mathematical
+reading).  IDENT is restricted to exp, sqrt, log, sin, cos; ``log`` is the
+natural logarithm.  There are no variables besides ``t`` and no user
+constants.  A NUMBER must be finite as a double: ``1e400`` is a ParseError,
+not infinity.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import string
+import re
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,71 +65,31 @@ class DomainError(ExpressionError):
     """Evaluation produced a non-finite or mathematically undefined value."""
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # number | ident | t | plus | minus | star | slash | caret | lparen | rparen
     lexeme: str
     position: int
 
 
-_SINGLE_CHAR = {
-    "+": "plus",
-    "-": "minus",
-    "*": "star",
-    "/": "slash",
-    "^": "caret",
-    "(": "lparen",
-    ")": "rparen",
-}
-
-
-_DIGITS = frozenset("0123456789")
-_NAME_START = frozenset(string.ascii_letters + "_")
-_NAME_CHARS = _NAME_START | _DIGITS
+# One alternative per token kind, "t" being an ident; see the grammar above.
+_TOKEN = re.compile(r"""
+    (?P<number>[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<plus>\+) | (?P<minus>-) | (?P<star>\*) | (?P<slash>/) | (?P<caret>\^)
+  | (?P<lparen>\() | (?P<rparen>\))
+  | (?P<space>\s+) | (?P<other>.)
+""", re.VERBOSE | re.DOTALL)
 
 
 def tokenize(src: str) -> list[Token]:
-    """Longest-match lexing; whitespace skipped; numbers are ASCII decimal
-    with optional fraction and exponent; names are ASCII letters, digits and
-    "_", not starting with a digit."""
+    """The tokens of ``src``; a character that no rule takes is a LexError."""
     tokens: list[Token] = []
-    i = 0
-    n = len(src)
-    while i < n:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _SINGLE_CHAR:
-            tokens.append(Token(_SINGLE_CHAR[ch], ch, i))
-            i += 1
-            continue
-        if ch in _DIGITS:
-            start = i
-            while i < n and src[i] in _DIGITS:
-                i += 1
-            if i < n and src[i] == ".":
-                i += 1
-                while i < n and src[i] in _DIGITS:
-                    i += 1
-            if i < n and src[i] in "eE":
-                j = i + 1
-                if j < n and src[j] in "+-":
-                    j += 1
-                if j < n and src[j] in _DIGITS:
-                    i = j
-                    while i < n and src[i] in _DIGITS:
-                        i += 1
-            tokens.append(Token("number", src[start:i], start))
-            continue
-        if ch in _NAME_START:
-            start = i
-            while i < n and src[i] in _NAME_CHARS:
-                i += 1
-            name = src[start:i]
-            tokens.append(Token("t" if name == "t" else "ident", name, start))
-            continue
-        raise LexError(f"unexpected character {ch!r}", i)
+    for match in _TOKEN.finditer(src):
+        kind, lexeme = match.lastgroup, match.group()
+        if kind == "other":
+            raise LexError(f"unexpected character {lexeme!r}", match.start())
+        if kind != "space":
+            tokens.append(Token("t" if lexeme == "t" else kind, lexeme, match.start()))
     return tokens
 
 
@@ -192,51 +158,44 @@ class _Parser:
     def _peek(self) -> Token | None:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
 
-    def _next(self) -> Token:
+    def _next(self, kind: str | None = None, what: str = "") -> Token:
+        """The next token, which must be of ``kind`` (named ``what``) if given."""
         tok = self._peek()
         if tok is None:
             end = self.tokens[-1].position + len(self.tokens[-1].lexeme) if self.tokens else 0
             raise ParseError("unexpected end of expression", end)
+        if kind is not None and tok.kind != kind:
+            raise ParseError(f"expected {what}, found {tok.lexeme!r}", tok.position)
         self.i += 1
         return tok
 
-    def _expect(self, kind: str, what: str) -> Token:
-        tok = self._next()
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}, found {tok.lexeme!r}", tok.position)
-        return tok
-
     def expr(self) -> Expression:
-        node = self.term()
-        while (tok := self._peek()) is not None and tok.kind in ("plus", "minus"):
-            self._next()
-            rhs = self.term()
-            op = "+" if tok.kind == "plus" else "-"
-            node = _shared(self.table, Binary, (op, id(node), id(rhs)), op, node, rhs, tok.position)
-        return node
+        return self._chain(("plus", "minus"), self.term)
 
     def term(self) -> Expression:
-        node = self.factor()
-        while (tok := self._peek()) is not None and tok.kind in ("star", "slash"):
-            self._next()
-            rhs = self.factor()
-            op = "*" if tok.kind == "star" else "/"
+        return self._chain(("star", "slash"), self.factor)
+
+    def _chain(self, kinds: tuple, operand) -> Expression:
+        """operand (op operand)* grouped to the left, op a token of ``kinds``."""
+        node = operand()
+        while (tok := self._peek()) is not None and tok.kind in kinds:
+            self.i += 1
+            rhs = operand()
+            op = tok.lexeme
             node = _shared(self.table, Binary, (op, id(node), id(rhs)), op, node, rhs, tok.position)
         return node
 
     def factor(self) -> Expression:
-        tok = self._peek()
-        if tok is not None and tok.kind == "minus":
-            self._next()
+        if (tok := self._peek()) is not None and tok.kind == "minus":
+            self.i += 1
             child = self.factor()
             return _shared(self.table, Negate, (id(child),), child, tok.position)
         return self.power()
 
     def power(self) -> Expression:
         node = self.primary()
-        tok = self._peek()
-        if tok is not None and tok.kind == "caret":
-            self._next()
+        if (tok := self._peek()) is not None and tok.kind == "caret":
+            self.i += 1
             rhs = self.factor()
             return _shared(self.table, Binary, ("^", id(node), id(rhs)), "^", node, rhs, tok.position)
         return node
@@ -253,13 +212,13 @@ class _Parser:
         if tok.kind == "ident":
             if tok.lexeme not in FUNCTIONS:
                 raise ParseError(f"unknown function {tok.lexeme!r}", tok.position)
-            self._expect("lparen", "'('")
+            self._next("lparen", "'('")
             arg = self.expr()
-            self._expect("rparen", "')'")
+            self._next("rparen", "')'")
             return _shared(self.table, Call, (tok.lexeme, id(arg)), tok.lexeme, arg, tok.position)
         if tok.kind == "lparen":
             node = self.expr()
-            self._expect("rparen", "')'")
+            self._next("rparen", "')'")
             return node
         raise ParseError(f"unexpected token {tok.lexeme!r}", tok.position)
 
@@ -270,8 +229,7 @@ def parse(tokens: list[Token], table: dict | None = None) -> Expression:
     ``table`` with earlier parses (a fresh table by default)."""
     parser = _Parser(tokens, {} if table is None else table)
     node = parser.expr()
-    leftover = parser._peek()
-    if leftover is not None:
+    if (leftover := parser._peek()) is not None:
         raise ParseError(f"unexpected trailing token {leftover.lexeme!r}", leftover.position)
     if not isinstance(node, (Binary, Call)):
         # A root that is a literal, t or a negation is checked only as the

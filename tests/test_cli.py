@@ -28,6 +28,7 @@ from qfirstlaw.experiment import (
 NUMBER_RE = re.compile(r"-?\d\.\d{11}e[+-]\d{2,3}")
 ROOT = Path(__file__).parents[1]
 PHASE_DAMPING_CUSTOM = ROOT / "tests" / "data" / "phase_damping_custom.json"
+ROUNDED_PHASE_FLIP_CUSTOM = ROOT / "tests" / "data" / "rounded_phase_flip_custom.json"
 
 
 def small_config(**overrides):
@@ -311,6 +312,20 @@ class TestSimulateCommand:
         written = np.loadtxt(tmp_path / "custom.csv", delimiter=",", skiprows=1)
         assert written.shape == (len(builtin.tau), 5)
         assert np.max(np.abs(written[:, 3] - builtin.heat)) <= 1e-11  # 12 significant digits
+
+    def test_rounded_custom_channel_evolves_within_the_cptp_tolerance(self, tmp_path, capsys):
+        # 0.7071067812 for 1/sqrt(2) leaves a completeness deviation of 3.8e-11:
+        # inside CPTP_TOL, so the trace drift it causes is no error either
+        flags = ["--channel", f"custom:{ROUNDED_PHASE_FLIP_CUSTOM}", "--theta", "pi/6"]
+        code = cli.main(["simulate", *flags, "--out", str(tmp_path / "rounded.csv")])
+        assert code == 0, capsys.readouterr().err
+        custom = run_experiment(config_from_sources(
+            None, {"channel": f"custom:{ROUNDED_PHASE_FLIP_CUSTOM}", "theta": "pi/6"})).ledger
+        builtin = run_experiment(config_from_sources(
+            None, {"channel": "phase-flip", "theta": "pi/6"})).ledger
+        assert len(builtin.tau) == 4001
+        for column in ("tau", "delta_u", "work", "heat", "coherence"):
+            assert np.max(np.abs(getattr(custom, column) - getattr(builtin, column))) <= 1e-10
 
     def test_readme_library_example_runs(self, capsys):
         # the README's "Library use" block, verbatim

@@ -1,5 +1,6 @@
 import math
 import random
+import string
 
 import numpy as np
 import pytest
@@ -68,6 +69,29 @@ class TestTokenize:
         assert len(tokenize("  1   +\t2 ")) == 3
 
 
+# The grammar's characters plus a non-ASCII superscript digit, Arabic-Indic
+# digit, letter and space, and a character no rule takes.
+_LEX_ALPHABET = "0123456789.eEtxsqrp_+-*/^() \t\n" + "\u00b2\u0663\u00e9\u2003$"
+_LEXABLE = set(string.ascii_letters + string.digits + "_+-*/^()")
+
+
+@given(st.text(alphabet=_LEX_ALPHABET, max_size=30))
+def test_tokens_are_the_non_whitespace_slices_of_the_source(src):
+    try:
+        tokens = tokenize(src)
+    except LexError as err:
+        bad = src[err.position]
+        assert not bad.isspace() and bad not in _LEXABLE
+        return
+    covered = set()
+    for tok in tokens:
+        assert src[tok.position:tok.position + len(tok.lexeme)] == tok.lexeme
+        covered.update(range(tok.position, tok.position + len(tok.lexeme)))
+    positions = [tok.position for tok in tokens]
+    assert all(a < b for a, b in zip(positions, positions[1:]))
+    assert covered == {i for i, ch in enumerate(src) if not ch.isspace()}
+
+
 class TestParse:
     def test_decay_expression_shape(self):
         expr = parse_source("1-exp(-t)")
@@ -105,6 +129,19 @@ class TestParse:
     def test_empty_input(self):
         with pytest.raises(ParseError):
             parse_source("")
+
+    @pytest.mark.parametrize("src, message, offset", [
+        ("sin t", "expected '(', found 't'", 4),
+        ("exp 2", "expected '(', found '2'", 4),
+        ("exp(1 2)", "expected ')', found '2'", 6),
+        ("(1 2)", "expected ')', found '2'", 3),
+        ("2**3", "unexpected token '*'", 2),
+        ("+1", "unexpected token '+'", 0),
+    ])
+    def test_error_names_the_token_and_its_offset(self, src, message, offset):
+        with pytest.raises(ParseError) as err:
+            parse_source(src)
+        assert (err.value.message, err.value.position) == (message, offset)
 
 
 class TestEvaluate:
