@@ -10,10 +10,11 @@ the inner loops: ``stack_matmul`` contracts as d broadcast multiply-adds
 over the whole stack and ``entry_max`` reduces with the grid axis last.
 
 The eigensolver is a hand-written cyclic complex Jacobi sweep rather than a
-LAPACK call, so the whole numerical path stays auditable.  It runs each
-rotation on every matrix of a ``(..., n, n)`` stack that still needs it:
-the Python loop is over sweeps and index pairs, never over grid points.  A
-single matrix is a stack of one."""
+LAPACK call, so the whole numerical path stays auditable.  It holds a
+``(..., n, n)`` stack column-major with the grid axis last, computes each
+rotation for every matrix and writes it under the mask of the matrices that
+still need it: the Python loop is over sweeps and index pairs, never over
+grid points.  A single matrix is a stack of one."""
 
 from __future__ import annotations
 
@@ -114,6 +115,8 @@ def hermitian_eigen(a, tol: float = 1e-12, max_sweeps: int = MAX_SWEEPS) -> Herm
     gets exactly the rotations it would get alone.  A matrix still above its
     threshold after ``max_sweeps`` sweeps raises ConvergenceError.  Errors
     on a stack name the first failing matrix and carry its ``index``.
+    Every pass runs on ``cols``, the N matrices column-major with the grid
+    axis last: ``cols[j]`` is column j of A above column j of V, ``(2n, N)``.
     """
     m = np.asarray(a, dtype=np.complex128)
     batch = m.shape[:-2]
@@ -121,33 +124,28 @@ def hermitian_eigen(a, tol: float = 1e-12, max_sweeps: int = MAX_SWEEPS) -> Herm
     n = stack.shape[-1]
     if stack.shape[-2] != n:
         raise ShapeError(f"eigendecomposition requires a square matrix, got {m.shape}")
-    adj = stack.conj().swapaxes(-1, -2)
-    dev = entry_max(np.abs(stack - adj))
-
-    # A rotation multiplies both A and the accumulated eigenvectors V by J on
-    # the right, so they are stored one above the other and rotated together.
-    aug = np.zeros((len(stack), 2 * n, n), dtype=np.complex128)
-    work, vecs = aug[:, :n], aug[:, n:]
-    # Fold round-off asymmetry away before iterating.
-    work[...] = 0.5 * (stack + adj)
-    vecs[:, range(n), range(n)] = 1.0
-    thresh = OFFDIAG_FACTOR * entry_max(np.abs(work))
-    # Entry-major view of A (a view, so it follows the rotations): a gather
-    # from it puts the grid axis last, so the per-sweep max is elementwise.
-    entries = aug.reshape(len(aug), 2 * n * n)[:, :n * n].T
-    off_diagonal = ~np.eye(n, dtype=bool).ravel()
+    # The one transpose in: by_col[j, i] is entry (i, j) of every matrix.
+    by_col = np.ascontiguousarray(stack.transpose(2, 1, 0))
+    adj = by_col.conj().swapaxes(0, 1)
+    dev = np.abs(by_col - adj).reshape(n * n, len(stack)).max(axis=0)
+    # A rotation multiplies both A and V by J on the right, so each column
+    # of A is stored above the same column of V and they rotate together.
+    cols = np.zeros((n, 2 * n, len(stack)), dtype=np.complex128)
+    cols[:, :n] = 0.5 * (by_col + adj)  # fold round-off asymmetry away
+    cols[range(n), range(n, 2 * n)] = 1.0
+    thresh = OFFDIAG_FACTOR * np.abs(cols[:, :n]).reshape(n * n, len(stack)).max(axis=0)
+    off_diagonal = ~np.eye(n, dtype=bool)
     sweeps = 0
     while True:
-        off_max = np.abs(entries[off_diagonal]).max(axis=0, initial=0.0)
+        off_max = np.abs(cols[:, :n][off_diagonal]).max(axis=0, initial=0.0)
         active = off_max > thresh
         if sweeps >= max_sweeps or not active.any():
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                rotate = np.abs(work[:, p, q]) > thresh
+                rotate = np.abs(cols[q, p]) > thresh
                 if rotate.any():
-                    rows = slice(None) if rotate.all() else np.flatnonzero(rotate)
-                    _rotate(aug, rows, p, q)
+                    _rotate(cols, p, q, rotate)
         sweeps += 1
 
     # The first failing matrix is reported, whichever check it fails.
@@ -161,15 +159,21 @@ def hermitian_eigen(a, tol: float = 1e-12, max_sweeps: int = MAX_SWEEPS) -> Herm
                   f"Jacobi sweep cap ({max_sweeps}) exceeded; "
                   f"max off-diagonal {off_max[stuck[0]]:.3e} > {thresh[stuck[0]]:.3e}")
 
-    values = np.diagonal(work, axis1=-2, axis2=-1).real
-    order = np.argsort(values, axis=-1, kind="stable")
-    each = np.arange(len(work))[:, None]
-    values = values[each, order]
-    vecs = vecs.swapaxes(-1, -2)[each, order].swapaxes(-1, -2)
-    # Rotate each column so its largest-magnitude component is real positive.
-    pivot = vecs[each, np.abs(vecs).argmax(axis=-2), range(n)]
-    vecs = vecs * (np.conj(pivot) / np.abs(pivot))[:, None, :]
-    return HermitianEigenDecomposition(values.reshape(batch + (n,)), vecs.reshape(batch + (n, n)))
+    values = cols[range(n), range(n)].real
+    order = np.argsort(values, axis=0, kind="stable")
+    values = np.take_along_axis(values, order, axis=0)
+    vecs = np.take_along_axis(cols[:, n:], order[:, None], axis=0)
+    # Rotate each column so its largest-magnitude component (the first of
+    # equal ones) is real positive.
+    mag = np.abs(vecs)
+    pivot, peak = vecs[:, 0], mag[:, 0]
+    for i in range(1, n):
+        higher = mag[:, i] > peak
+        pivot = np.where(higher, vecs[:, i], pivot)
+        peak = np.where(higher, mag[:, i], peak)
+    vecs = vecs * (np.conj(pivot) / peak)[:, None]
+    return HermitianEigenDecomposition(np.ascontiguousarray(values.T).reshape(batch + (n,)),
+                                       np.ascontiguousarray(vecs.T).reshape(batch + (n, n)))
 
 
 def _raise_at(cls, batch, i, message):
@@ -180,40 +184,35 @@ def _raise_at(cls, batch, i, message):
     raise cls(f"matrix {index} of the stack: {message}", index)
 
 
-def _rotate(aug, rows, p, q):
-    """Zero the (p, q) entry of each selected matrix A by the unitary plane
-    rotation J = [[c, s*phase], [-s*conj(phase), c]]: A <- J† A J and
-    V <- V J, with ``aug`` holding A above V.
+def _rotate(cols, p, q, rotate):
+    """Zero the (p, q) entry of each matrix A picked by the mask ``rotate``
+    by the unitary plane rotation J = [[c, s*phase], [-s*conj(phase), c]]:
+    A <- J† A J and V <- V J, with ``cols[j]`` holding column j of A above
+    column j of V.
 
     t = s/c satisfies t^2 + 2*phi*t - 1 = 0 with phi = (aqq - app) / (2|apq|),
     and the smaller-magnitude root keeps the rotation angle below pi/4 (the
     classic stability choice).  A is exactly Hermitian (folded on entry, and
     the products below keep conjugate symmetry bit for bit), so rows p and q
-    of J† A J are the conjugates of its columns p and q."""
-    n = aug.shape[-1]
-    # These may be views (``rows`` may be a slice): use them before any write.
-    apq = aug[rows, p, q]
-    app = aug[rows, p, p].real
-    aqq = aug[rows, q, q].real
-    r = np.abs(apq)
-    phase = apq / r
-    phi = (aqq - app) / (2.0 * r)
-    t = np.copysign(1.0, phi) / (np.abs(phi) + np.hypot(1.0, phi))
-    # Analytic updates for the rotated block kill round-off drift.
-    new_pp = app - t * r
-    new_qq = aqq + t * r
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    s = t * c
-    c_ = c[:, None]
-    s_phase = (s * phase)[:, None]
-    s_conj = (s * np.conj(phase))[:, None]
-    colp = aug[rows, :, p].copy()
-    colq = aug[rows, :, q]
-    aug[rows, :, p] = c_ * colp - s_conj * colq
-    aug[rows, :, q] = s_phase * colp + c_ * colq
-    aug[rows, p, :] = np.conj(aug[rows, :n, p])
-    aug[rows, q, :] = np.conj(aug[rows, :n, q])
-    aug[rows, p, p] = new_pp
-    aug[rows, q, q] = new_qq
-    aug[rows, p, q] = 0.0
-    aug[rows, q, p] = 0.0
+    of J† A J are the conjugates of its columns p and q.  Every matrix is
+    rotated but only the picked ones are written back, so the others keep
+    their bits, and the NaN lanes of any with apq = 0 are dropped."""
+    n = len(cols)
+    # These are views of ``cols``: everything below is computed before any write.
+    apq, app, aqq = cols[q, p], cols[p, p].real, cols[q, q].real
+    with np.errstate(all="ignore"):
+        r = np.abs(apq)
+        phase = apq / r
+        phi = (aqq - app) / (2.0 * r)
+        t = np.copysign(1.0, phi) / (np.abs(phi) + np.hypot(1.0, phi))
+        c = 1.0 / np.sqrt(1.0 + t * t)
+        s = t * c
+        colp = c * cols[p] - (s * np.conj(phase)) * cols[q]
+        colq = (s * phase) * cols[p] + c * cols[q]
+        # Analytic updates for the rotated block kill round-off drift.
+        new_pp, new_qq = app - t * r, aqq + t * r
+    np.copyto(cols[:, p], np.conj(colp[:n]), where=rotate)
+    np.copyto(cols[:, q], np.conj(colq[:n]), where=rotate)
+    colp[p], colp[q], colq[q], colq[p] = new_pp, 0.0, new_qq, 0.0
+    np.copyto(cols[p], colp, where=rotate)
+    np.copyto(cols[q], colq, where=rotate)

@@ -60,7 +60,7 @@ from numbers import Integral
 import numpy as np
 
 from . import cxmat, qstate
-from .channel import ChannelSpec, evolve
+from .channel import CPTP_TOL, ChannelSpec, evolve
 from .qstate import DensityOperator, Hamiltonian
 
 #: Branch matching searches up to d! permutations of the rows it cannot pin.
@@ -229,17 +229,21 @@ def _inherit_degenerate(rho_matrix, values, vectors, prev_vectors):
 def _validate_snapshot(tau, values, overlap):
     """Check every grid row at once: eigenvalues in [0, 1] summing to 1, and
     doubly stochastic overlaps.  An error names the first tau that fails.
-    The reductions run on copies with the grid axis last."""
+    The upper eigenvalue bound and the sum also allow the trace drift that
+    ``apply`` accepts from a Kraus set within CPTP_TOL.  The reductions run
+    on copies with the grid axis last."""
     by_col = values.T.copy()
     sums = by_col.sum(axis=0)
+    drift = values.shape[1] * CPTP_TOL + 1e-12
     entries = overlap.transpose(1, 2, 0).copy()
     row_dev = np.abs(entries.sum(axis=1) - 1.0).max(axis=0)
     col_dev = np.abs(entries.sum(axis=0) - 1.0).max(axis=0)
     checks = (
-        ((by_col.min(axis=0) < -_EIGENVALUE_SLACK) | (by_col.max(axis=0) > 1.0 + _EIGENVALUE_SLACK),
-         lambda i: f"eigenvalues outside [0, 1] beyond slack: {values[i]}"),
-        (np.abs(sums - 1.0) > _SUM_TOL,
-         lambda i: f"eigenvalue sum {sums[i]!r} deviates from 1"),
+        ((by_col.min(axis=0) < -_EIGENVALUE_SLACK)
+         | (by_col.max(axis=0) > 1.0 + _EIGENVALUE_SLACK + drift),
+         lambda i: f"eigenvalues outside [0, 1] beyond slack: {values[i].tolist()!r}"),
+        (np.abs(sums - 1.0) > _SUM_TOL + drift,
+         lambda i: f"eigenvalue sum {float(sums[i])!r} deviates from 1"),
         (np.maximum(row_dev, col_dev) > _SUM_TOL,
          lambda i: f"overlap matrix not doubly stochastic "
                    f"(row dev {row_dev[i]:.3e}, col dev {col_dev[i]:.3e})"),

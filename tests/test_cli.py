@@ -29,6 +29,7 @@ NUMBER_RE = re.compile(r"-?\d\.\d{11}e[+-]\d{2,3}")
 ROOT = Path(__file__).parents[1]
 PHASE_DAMPING_CUSTOM = ROOT / "tests" / "data" / "phase_damping_custom.json"
 ROUNDED_PHASE_FLIP_CUSTOM = ROOT / "tests" / "data" / "rounded_phase_flip_custom.json"
+TINY_BIT_FLIP_CUSTOM = ROOT / "tests" / "data" / "tiny_bit_flip_custom.json"
 
 
 def small_config(**overrides):
@@ -326,6 +327,20 @@ class TestSimulateCommand:
         assert len(builtin.tau) == 4001
         for column in ("tau", "delta_u", "work", "heat", "coherence"):
             assert np.max(np.abs(getattr(custom, column) - getattr(builtin, column))) <= 1e-10
+
+    def test_custom_channel_inside_the_cptp_tolerance_simulates(self, tmp_path, capsys):
+        # K2 = 6.7082039325e-6 (I + X) next to K1 = I: deviation 9.0e-11 passes
+        # the CPTP check, and the trace 1 + 1.8e-10 it leaves passes the
+        # eigenvalue checks, which allow the same drift as apply
+        info = cli.main(["channel-info", "--channel", f"custom:{TINY_BIT_FLIP_CUSTOM}",
+                         "--t", "0.5"])
+        assert info == 0
+        assert "= 9.000e-11  PASS" in capsys.readouterr().out
+        flags = ["--channel", f"custom:{TINY_BIT_FLIP_CUSTOM}", "--theta", "pi/4"]
+        code = cli.main(["simulate", *flags, "--out", str(tmp_path / "tiny.csv")])
+        assert code == 0, capsys.readouterr().err
+        written = np.loadtxt(tmp_path / "tiny.csv", delimiter=",", skiprows=1)
+        assert written.shape == (4001, 5)
 
     def test_readme_library_example_runs(self, capsys):
         # the README's "Library use" block, verbatim

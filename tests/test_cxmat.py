@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfirstlaw import cxmat
+from qfirstlaw.channel import ChannelSpec, evolve
+from qfirstlaw.cxmat import (
+    MAX_SWEEPS,
+    OFFDIAG_FACTOR,
+    ConvergenceError,
+    HermitianEigenDecomposition,
+    NonHermitianError,
+    ShapeError,
+    _raise_at,
+    as_matrix,
+    entry_max,
+)
+from qfirstlaw.firstlaw import TimeGrid
+from qfirstlaw.qstate import InitialStatePrep, prepare_pure_state
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -132,8 +147,8 @@ def _assert_stack_matches_single_calls(stack, **kwargs):
     assert eig.eigenvectors.shape == stack.shape
     for index in np.ndindex(stack.shape[:-2]):
         one = cxmat.hermitian_eigen(stack[index], **kwargs)
-        assert np.max(np.abs(eig.eigenvalues[index] - one.eigenvalues)) <= 1e-14
-        assert np.max(np.abs(eig.eigenvectors[index] - one.eigenvectors)) <= 1e-14
+        assert np.array_equal(eig.eigenvalues[index], one.eigenvalues)
+        assert np.array_equal(eig.eigenvectors[index], one.eigenvectors)
     return eig
 
 
@@ -217,6 +232,220 @@ class TestHermitianEigenStack:
         with pytest.raises(cxmat.NonHermitianError) as info:
             cxmat.hermitian_eigen(stack, max_sweeps=0)
         assert info.value.index == (1,)
+
+
+def reference_eigen(a, tol: float = 1e-12, max_sweeps: int = MAX_SWEEPS) -> HermitianEigenDecomposition:
+    """Diagonalize a Hermitian matrix, or every matrix of a ``(..., n, n)``
+    stack at once, by cyclic complex Jacobi rotations.
+
+    Each matrix must satisfy max|a - a†| <= tol.  Sweeps run until every
+    off-diagonal magnitude of a matrix is at most OFFDIAG_FACTOR times the
+    largest entry of that matrix; a (p, q) rotation is applied only to the
+    matrices whose |a_pq| still exceeds their own threshold, so each matrix
+    gets exactly the rotations it would get alone.  A matrix still above its
+    threshold after ``max_sweeps`` sweeps raises ConvergenceError.  Errors
+    on a stack name the first failing matrix and carry its ``index``.
+    """
+    m = np.asarray(a, dtype=np.complex128)
+    batch = m.shape[:-2]
+    stack = as_matrix(m.reshape((-1,) + m.shape[-2:]) if m.ndim >= 2 else m)
+    n = stack.shape[-1]
+    if stack.shape[-2] != n:
+        raise ShapeError(f"eigendecomposition requires a square matrix, got {m.shape}")
+    adj = stack.conj().swapaxes(-1, -2)
+    dev = entry_max(np.abs(stack - adj))
+
+    # A rotation multiplies both A and the accumulated eigenvectors V by J on
+    # the right, so they are stored one above the other and rotated together.
+    aug = np.zeros((len(stack), 2 * n, n), dtype=np.complex128)
+    work, vecs = aug[:, :n], aug[:, n:]
+    # Fold round-off asymmetry away before iterating.
+    work[...] = 0.5 * (stack + adj)
+    vecs[:, range(n), range(n)] = 1.0
+    thresh = OFFDIAG_FACTOR * entry_max(np.abs(work))
+    # Entry-major view of A (a view, so it follows the rotations): a gather
+    # from it puts the grid axis last, so the per-sweep max is elementwise.
+    entries = aug.reshape(len(aug), 2 * n * n)[:, :n * n].T
+    off_diagonal = ~np.eye(n, dtype=bool).ravel()
+    sweeps = 0
+    while True:
+        off_max = np.abs(entries[off_diagonal]).max(axis=0, initial=0.0)
+        active = off_max > thresh
+        if sweeps >= max_sweeps or not active.any():
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                rotate = np.abs(work[:, p, q]) > thresh
+                if rotate.any():
+                    rows = slice(None) if rotate.all() else np.flatnonzero(rotate)
+                    _reference_rotate(aug, rows, p, q)
+        sweeps += 1
+
+    # The first failing matrix is reported, whichever check it fails.
+    skew = np.flatnonzero(dev > tol)
+    stuck = np.flatnonzero(active)
+    if skew.size and not (stuck.size and stuck[0] < skew[0]):
+        _raise_at(NonHermitianError, batch, skew[0],
+                  f"matrix is not Hermitian: max|a - a†| = {dev[skew[0]]:.3e} > tol {tol:.3e}")
+    if stuck.size:
+        _raise_at(ConvergenceError, batch, stuck[0],
+                  f"Jacobi sweep cap ({max_sweeps}) exceeded; "
+                  f"max off-diagonal {off_max[stuck[0]]:.3e} > {thresh[stuck[0]]:.3e}")
+
+    values = np.diagonal(work, axis1=-2, axis2=-1).real
+    order = np.argsort(values, axis=-1, kind="stable")
+    each = np.arange(len(work))[:, None]
+    values = values[each, order]
+    vecs = vecs.swapaxes(-1, -2)[each, order].swapaxes(-1, -2)
+    # Rotate each column so its largest-magnitude component is real positive.
+    pivot = vecs[each, np.abs(vecs).argmax(axis=-2), range(n)]
+    vecs = vecs * (np.conj(pivot) / np.abs(pivot))[:, None, :]
+    return HermitianEigenDecomposition(values.reshape(batch + (n,)), vecs.reshape(batch + (n, n)))
+
+
+def _reference_rotate(aug, rows, p, q):
+    """Zero the (p, q) entry of each selected matrix A by the unitary plane
+    rotation J = [[c, s*phase], [-s*conj(phase), c]]: A <- J† A J and
+    V <- V J, with ``aug`` holding A above V.
+
+    t = s/c satisfies t^2 + 2*phi*t - 1 = 0 with phi = (aqq - app) / (2|apq|),
+    and the smaller-magnitude root keeps the rotation angle below pi/4 (the
+    classic stability choice).  A is exactly Hermitian (folded on entry, and
+    the products below keep conjugate symmetry bit for bit), so rows p and q
+    of J† A J are the conjugates of its columns p and q."""
+    n = aug.shape[-1]
+    # These may be views (``rows`` may be a slice): use them before any write.
+    apq = aug[rows, p, q]
+    app = aug[rows, p, p].real
+    aqq = aug[rows, q, q].real
+    r = np.abs(apq)
+    phase = apq / r
+    phi = (aqq - app) / (2.0 * r)
+    t = np.copysign(1.0, phi) / (np.abs(phi) + np.hypot(1.0, phi))
+    # Analytic updates for the rotated block kill round-off drift.
+    new_pp = app - t * r
+    new_qq = aqq + t * r
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    s = t * c
+    c_ = c[:, None]
+    s_phase = (s * phase)[:, None]
+    s_conj = (s * np.conj(phase))[:, None]
+    colp = aug[rows, :, p].copy()
+    colq = aug[rows, :, q]
+    aug[rows, :, p] = c_ * colp - s_conj * colq
+    aug[rows, :, q] = s_phase * colp + c_ * colq
+    aug[rows, p, :] = np.conj(aug[rows, :n, p])
+    aug[rows, q, :] = np.conj(aug[rows, :n, q])
+    aug[rows, p, p] = new_pp
+    aug[rows, q, q] = new_qq
+    aug[rows, p, q] = 0.0
+    aug[rows, q, p] = 0.0
+
+
+def _assert_matches_reference(stack, **kwargs):
+    """The solver returns the matrix-major reference's eigensystem bit for bit."""
+    eig = cxmat.hermitian_eigen(stack, **kwargs)
+    ref = reference_eigen(stack, **kwargs)
+    for got, want in ((eig.eigenvalues, ref.eigenvalues), (eig.eigenvectors, ref.eigenvectors)):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+    return eig
+
+
+def _mixed_stack(rng, d, length=12):
+    """Seeded dense Hermitian matrices between members that need no sweep
+    (zero, diagonal, scaled identity), have an exactly degenerate pair or
+    have eigenvectors whose two largest components tie (a sigma_x block)."""
+    stack = np.array([_random_hermitian(rng, d) * rng.uniform(0.01, 10) for _ in range(length)])
+    stack[1] = 0.0
+    stack[4] = np.diag(rng.normal(size=d))
+    stack[7] = 0.5 * np.eye(d)
+    stack[9, :2, 2:] = stack[9, 2:, :2] = 0.0
+    stack[9, :2, :2] = np.eye(2)
+    stack[10] = 0.0
+    stack[10, :2, :2] = SIGMA_X
+    return stack
+
+
+def _qudit_d4_stack(seed):
+    """Like one ``qudit-d4`` benchmark input: the 401 states of a d = 4
+    mixed-unitary channel from a pure state, tau in [0, 4], above the 401
+    matrices of the driven H(t) = (1 + 0.1 t) H0."""
+    rng = np.random.default_rng(seed)
+    d, tau = 4, np.linspace(0.0, 4.0, 401)
+    weights = rng.dirichlet(np.ones(3))
+    unitaries = [np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+                 for _ in weights]
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    psi /= np.linalg.norm(psi)
+    rho0 = np.outer(psi, psi.conj())
+    decay = np.exp(-tau)[:, None, None]
+    rho = decay * rho0 + (1 - decay) * sum(w * u @ rho0 @ u.conj().T
+                                           for w, u in zip(weights, unitaries))
+    h0 = 0.25 * _random_hermitian(rng, d)
+    return np.concatenate([rho, (1 + 0.1 * tau)[:, None, None] * h0])
+
+
+class TestMatchesReference:
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_random_stacks_with_converged_members(self, d):
+        _assert_matches_reference(_mixed_stack(np.random.default_rng(900 + d), d))
+
+    def test_phase_damping_stack(self):
+        spec = ChannelSpec.phase_damping()
+        rho0 = prepare_pure_state(InitialStatePrep(math.pi / 6))
+        rho = evolve(spec, rho0, spec.physical_time(TimeGrid(8.0, 4000).points)).matrix
+        assert rho.shape == (4001, 2, 2)
+        _assert_matches_reference(rho)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_qudit_d4_stack(self, seed):
+        stack = _qudit_d4_stack(seed)
+        assert stack.shape == (802, 4, 4)
+        _assert_matches_reference(stack)
+
+    def test_leading_axes_and_empty_stacks(self):
+        rng = np.random.default_rng(31)
+        _assert_matches_reference(np.array([_random_hermitian(rng, 3) for _ in range(6)])
+                                  .reshape(2, 3, 3, 3))
+        _assert_matches_reference(_random_hermitian(rng, 5))
+        _assert_matches_reference(np.zeros((0, 3, 3)))
+        _assert_matches_reference(np.ones((3, 1, 1)))
+
+    @pytest.mark.parametrize("case", ["sweep_cap", "non_hermitian"])
+    def test_errors_match(self, case):
+        rng = np.random.default_rng(15)
+        stack = np.array([np.diag([0.2, 0.3, 0.5]), np.zeros((3, 3)), _random_hermitian(rng, 3),
+                          _random_hermitian(rng, 3)]).astype(complex).reshape(2, 2, 3, 3)
+        kwargs = {"max_sweeps": 0}
+        if case == "non_hermitian":
+            stack[1, 1, 0, 2] += 1e-6
+            kwargs = {}
+        with pytest.raises((ConvergenceError, NonHermitianError)) as ref:
+            reference_eigen(stack, **kwargs)
+        with pytest.raises(type(ref.value)) as got:
+            cxmat.hermitian_eigen(stack, **kwargs)
+        assert got.value.index == ref.value.index == ((1, 0) if case == "sweep_cap" else (1, 1))
+        assert str(got.value) == str(ref.value)
+
+    def test_no_floating_point_warning_escapes(self):
+        # Every matrix is rotated and the unpicked ones are dropped: those
+        # with an exactly zero (p, q) entry divide by zero, and one with a
+        # subnormal (p, q) entry below its threshold overflows.
+        rng = np.random.default_rng(17)
+        stack = np.array([_random_hermitian(rng, 3) for _ in range(6)])
+        stack[0] = np.diag([1.0, 2.0, 3.0])
+        stack[2, 0, 1] = stack[2, 1, 0] = 0.0
+        stack[3, 1, 2] = stack[3, 2, 1] = 0.0
+        stack[4] = np.diag([1.0, -1.0, 0.5])
+        stack[4, 0, 1] = stack[4, 1, 0] = 1e-320
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            eig = cxmat.hermitian_eigen(stack)
+        ref = reference_eigen(stack)
+        assert np.array_equal(eig.eigenvalues, ref.eigenvalues)
+        assert np.array_equal(eig.eigenvectors, ref.eigenvectors)
 
 
 class TestStackKernels:

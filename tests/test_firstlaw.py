@@ -693,6 +693,21 @@ class TestSpectralTrajectory:
         with pytest.raises(cxmat.NumericError, match=r"at tau=0.5: overlap matrix"):
             firstlaw._validate_snapshot(tau, values, overlap)
 
+    def test_invariant_checks_allow_the_drift_of_an_accepted_kraus_set(self):
+        # apply accepts a trace drift of up to d * CPTP_TOL + 1e-12
+        tau = np.array([0.0, 0.5])
+        overlap = np.tile(np.eye(2), (2, 1, 1))
+        values = np.array([[1.0 + 1.8e-10, 0.0], [0.75, 0.25 + 1.8e-10]])
+        firstlaw._validate_snapshot(tau, values, overlap)
+        values[1, 1] = 0.25 + 1e-9
+        with pytest.raises(cxmat.NumericError, match=r"at tau=0.5: eigenvalue sum 1\.000000001"):
+            firstlaw._validate_snapshot(tau, values, overlap)
+        values[1] = [0.75, 0.25]
+        values[0] = [1.0 + 1e-9, -1e-9]
+        with pytest.raises(cxmat.NumericError, match=r"at tau=0: eigenvalues outside \[0, 1\] "
+                                                     r"beyond slack: \[1\.000000001, -1e-09\]"):
+            firstlaw._validate_snapshot(tau, values, overlap)
+
     def test_hamiltonian_domain_error_names_time(self):
         h = Hamiltonian.diagonal([0.0, "log(t)"])
         with pytest.raises(exprparse.DomainError, match=r"log\(\) .* at t=0\.0 "):
