@@ -183,16 +183,19 @@ def kraus_at(spec: ChannelSpec, t) -> KrausSet:
     if np.any(bad):
         raise ValueError(f"time must be finite and non-negative, got {times[bad].flat[0]}")
     if spec.kind in BUILTIN_KINDS:
-        # gamma = p = 1 - exp(-rate*t), via expm1 for small-t accuracy
-        p = -np.expm1(-spec.rate * times)[..., None, None]
+        # gamma = p = 1 - exp(-rate*t), via expm1 for small-t accuracy; the
+        # matrix axes lead, so each operator over a grid is a grid-last stack
+        p = -np.expm1(-spec.rate * times)
+        shape = (2, 2) + (1,) * p.ndim
         if spec.kind == PHASE_DAMPING:
             # K1 = |0><0| + sqrt(1 - gamma) |1><1|,  K2 = sqrt(gamma) |1><1|
-            k1 = np.diag([1.0, 0.0]) + np.sqrt(1.0 - p) * np.diag([0.0, 1.0])
-            k2 = np.sqrt(p) * np.diag([0.0, 1.0])
+            low, high = np.diag([1.0, 0.0]).reshape(shape), np.diag([0.0, 1.0]).reshape(shape)
+            k1 = low + np.sqrt(1.0 - p) * high
+            k2 = np.sqrt(p) * high
         else:
-            k1 = np.sqrt(1.0 - p) * np.eye(2)
-            k2 = np.sqrt(p) * _FLIP_PAULI[spec.kind]
-        return KrausSet((k1, k2), t)
+            k1 = np.sqrt(1.0 - p) * np.eye(2).reshape(shape)
+            k2 = np.sqrt(p) * _FLIP_PAULI[spec.kind].reshape(shape)
+        return KrausSet((cxmat.stack_view(k1), cxmat.stack_view(k2)), t)
     ops = []
     for index, cells in enumerate(spec.custom_operators):
         try:
@@ -250,8 +253,8 @@ def apply(kraus: KrausSet, rho: DensityOperator) -> DensityOperator:
 
 
 def _trace(m):
-    """Traces of a matrix or a stack, summed on a copy with the grid axis last."""
-    return np.diagonal(m, axis1=-2, axis2=-1).T.copy().sum(axis=0)
+    """Traces of a matrix or a grid-last stack, adding diagonal entries in index order."""
+    return np.diagonal(m, axis1=-2, axis2=-1).T.sum(axis=0)
 
 
 def evolve(spec: ChannelSpec, rho0: DensityOperator, t) -> DensityOperator:

@@ -4,10 +4,11 @@ self-contained Hermitian eigensolver.
 ``as_matrix`` turns input into a complex128 matrix or 3-D stack of
 matrices with finite entries.  Matrices in this package are tiny (qubits,
 dim <= 8 for branch tracking) but come in long stacks, one per grid point.
-numpy runs a product or reduction over the matrix axes of such a stack as
-one short inner loop per matrix, so the grid path keeps those axes out of
-the inner loops: ``stack_matmul`` contracts as d broadcast multiply-adds
-over the whole stack and ``entry_max`` reduces with the grid axis last.
+numpy loops over an array in memory order, so the grid path keeps every
+``(T, d, d)`` or ``(T, d)`` stack grid-last in memory, as a view of a
+``(d, d, T)`` or ``(d, T)`` buffer (``stack_view``): each product,
+reduction and check over the matrix entries then runs its inner loop over
+the grid.  ``stack_matmul`` writes such a buffer whatever its operands' layout.
 
 The eigensolver is a hand-written cyclic complex Jacobi sweep rather than a
 LAPACK call, so the whole numerical path stays auditable.  It holds a
@@ -18,6 +19,7 @@ grid points.  A single matrix is a stack of one."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,34 +60,45 @@ MAX_SWEEPS = 100
 
 def as_matrix(a) -> np.ndarray:
     """Coerce ``a`` to a complex128 matrix (2-D) or stack of matrices (3-D),
-    rejecting non-finite entries.
+    rejecting non-finite entries and empty matrices (not empty stacks).
 
     No copy is made when the input already has the right dtype; arrays
     handed to the wrapper types are treated as immutable by convention."""
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim not in (2, 3):
         raise ShapeError(f"expected a 2-D matrix or a 3-D stack of matrices, got ndim={m.ndim}")
+    if 0 in m.shape[-2:]:
+        raise ShapeError(f"matrices need at least one row and one column, got shape {m.shape}")
     # Test entries, not their sum: large finite entries can overflow a sum.
     if not np.isfinite(m).all():
         raise NumericError("matrix contains non-finite entries")
     return m
 
 
+def stack_view(buffer) -> np.ndarray:
+    """The ``(*grid, d, d)`` view of a ``(d, d, *grid)`` buffer: a grid-last stack."""
+    return buffer.transpose(tuple(range(2, buffer.ndim)) + (0, 1))
+
+
 def stack_matmul(a, b) -> np.ndarray:
-    """``a @ b`` over broadcast stacks of d x d matrices, as d multiply-adds
-    of whole stacks summed in index order (a 2-D operand is one matrix
-    shared by the stack)."""
-    out = a[..., :, 0, None] * b[..., None, 0, :]
-    for j in range(1, a.shape[-1]):
-        out += a[..., :, j, None] * b[..., None, j, :]
-    return out
+    """``a @ b`` over stacks of d x d matrices (a 2-D operand is one matrix
+    shared by the stack): d multiply-adds of the operands' ``(d, d, *grid)``
+    views, summed in index order into a C-ordered buffer, so the grid is the
+    inner loop whatever the operands' layout.  Returns its ``stack_view``."""
+    ea, eb = (x.transpose((-2, -1) + tuple(range(x.ndim - 2))) if x.ndim > 2 else x[..., None]
+              for x in (a, b))
+    out = np.empty(np.broadcast(ea[:, 0, None], eb[None, 0]).shape, np.result_type(ea, eb))
+    np.multiply(ea[:, 0, None], eb[None, 0], out=out)
+    term = np.empty_like(out)
+    for j in range(1, len(eb)):
+        out += np.multiply(ea[:, j, None], eb[None, j], out=term)
+    return out[..., 0] if a.ndim == b.ndim == 2 else stack_view(out)
 
 
 def entry_max(x) -> np.ndarray:
-    """``x.max(axis=(-2, -1))``, reduced on one copy with the grid axis last."""
-    x = np.asarray(x)
-    by_entry = x.reshape(-1, x.shape[-2] * x.shape[-1]).T.copy()
-    return by_entry.max(axis=0).reshape(x.shape[:-2])
+    """``x.max(axis=(-2, -1))``: numpy reduces in memory order, so the grid
+    is the inner loop of a grid-last stack."""
+    return np.asarray(x).max(axis=(-2, -1))
 
 
 @dataclass(frozen=True)
@@ -120,20 +133,21 @@ def hermitian_eigen(a, tol: float = 1e-12, max_sweeps: int = MAX_SWEEPS) -> Herm
     """
     m = np.asarray(a, dtype=np.complex128)
     batch = m.shape[:-2]
-    stack = as_matrix(m.reshape((-1,) + m.shape[-2:]) if m.ndim >= 2 else m)
+    stack = as_matrix(m if m.ndim < 4 else m.reshape((math.prod(batch),) + m.shape[-2:]))
     n = stack.shape[-1]
     if stack.shape[-2] != n:
         raise ShapeError(f"eigendecomposition requires a square matrix, got {m.shape}")
-    # The one transpose in: by_col[j, i] is entry (i, j) of every matrix.
-    by_col = np.ascontiguousarray(stack.transpose(2, 1, 0))
+    # A view: by_col[j, i] is entry (i, j) of every matrix.
+    by_col = stack.reshape(-1, n, n).transpose(2, 1, 0)
+    count = by_col.shape[-1]
     adj = by_col.conj().swapaxes(0, 1)
-    dev = np.abs(by_col - adj).reshape(n * n, len(stack)).max(axis=0)
+    dev = np.abs(by_col - adj).reshape(n * n, count).max(axis=0)
     # A rotation multiplies both A and V by J on the right, so each column
     # of A is stored above the same column of V and they rotate together.
-    cols = np.zeros((n, 2 * n, len(stack)), dtype=np.complex128)
+    cols = np.zeros((n, 2 * n, count), dtype=np.complex128)
     cols[:, :n] = 0.5 * (by_col + adj)  # fold round-off asymmetry away
     cols[range(n), range(n, 2 * n)] = 1.0
-    thresh = OFFDIAG_FACTOR * np.abs(cols[:, :n]).reshape(n * n, len(stack)).max(axis=0)
+    thresh = OFFDIAG_FACTOR * np.abs(cols[:, :n]).reshape(n * n, count).max(axis=0)
     off_diagonal = ~np.eye(n, dtype=bool)
     sweeps = 0
     while True:
@@ -172,8 +186,9 @@ def hermitian_eigen(a, tol: float = 1e-12, max_sweeps: int = MAX_SWEEPS) -> Herm
         pivot = np.where(higher, vecs[:, i], pivot)
         peak = np.where(higher, mag[:, i], peak)
     vecs = vecs * (np.conj(pivot) / peak)[:, None]
-    return HermitianEigenDecomposition(np.ascontiguousarray(values.T).reshape(batch + (n,)),
-                                       np.ascontiguousarray(vecs.T).reshape(batch + (n, n)))
+    # Transposed views: both results keep the grid axis last in memory.
+    return HermitianEigenDecomposition(values.T.reshape(batch + (n,)),
+                                       vecs.T.reshape(batch + (n, n)))
 
 
 def _raise_at(cls, batch, i, message):

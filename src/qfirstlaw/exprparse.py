@@ -40,6 +40,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import cxmat
+
 #: Function names; each is the numpy ufunc of the same name.
 FUNCTIONS = ("exp", "sqrt", "log", "sin", "cos")
 
@@ -378,19 +380,19 @@ def evaluate_matrix(cells, dim: int, t) -> np.ndarray:
     (T, dim, dim) stack over an array of times.  A literal-0 part is not
     evaluated; every part shares one memo, so a subexpression shared by
     several cells is evaluated once.  A DomainError names the entry and the
-    first bad t."""
+    first bad t.  A stack is grid-last in memory (see cxmat.stack_view)."""
     times = np.asarray(t, dtype=float)
-    out = np.zeros(times.shape + (dim, dim), dtype=np.complex128)
+    out = np.zeros((dim, dim) + times.shape, dtype=np.complex128)
     memo: dict = {}
     for (i, j), (re_part, im_part) in cells:
         try:
             if re_part != ZERO:
-                out.real[..., i, j] = evaluate(re_part, times, memo)
+                out.real[i, j] = evaluate(re_part, times, memo)
             if im_part != ZERO:
-                out.imag[..., i, j] = evaluate(im_part, times, memo)
+                out.imag[i, j] = evaluate(im_part, times, memo)
         except DomainError as exc:
             raise DomainError(f"entry ({i},{j}): {exc.message}", exc.position) from exc
-    return out
+    return cxmat.stack_view(out)
 
 
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}

@@ -230,12 +230,12 @@ def _validate_snapshot(tau, values, overlap):
     """Check every grid row at once: eigenvalues in [0, 1] summing to 1, and
     doubly stochastic overlaps.  An error names the first tau that fails.
     The upper eigenvalue bound and the sum also allow the trace drift that
-    ``apply`` accepts from a Kraus set within CPTP_TOL.  The reductions run
-    on copies with the grid axis last."""
-    by_col = values.T.copy()
+    ``apply`` accepts from a Kraus set within CPTP_TOL.  Reductions add
+    whole grid rows of the grid-last stacks in index order."""
+    by_col = values.T
     sums = by_col.sum(axis=0)
     drift = values.shape[1] * CPTP_TOL + 1e-12
-    entries = overlap.transpose(1, 2, 0).copy()
+    entries = overlap.transpose(1, 2, 0)
     row_dev = np.abs(entries.sum(axis=1) - 1.0).max(axis=0)
     col_dev = np.abs(entries.sum(axis=0) - 1.0).max(axis=0)
     checks = (
@@ -260,9 +260,9 @@ def _certificate(raw_values, overlap):
     each interval's raw-basis overlap (ties to the first column).  Settled:
     every row peak exceeds 1/2 + 2 _TIE_EPS, the argmaxes are distinct and
     no two eigenvalues at either endpoint lie within _DEGENERACY_GAP.  Each
-    pass is elementwise over one matrix index, with the grid axis last."""
+    pass is elementwise over one matrix index, over the grid-last stacks."""
     d = raw_values.shape[1]
-    by_col = overlap.transpose(2, 1, 0).copy()
+    by_col = overlap.transpose(2, 1, 0)
     peaks = by_col[0].copy()
     cols = np.zeros(peaks.shape, dtype=np.intp)
     for k in range(1, d):
@@ -270,7 +270,7 @@ def _certificate(raw_values, overlap):
         np.maximum(peaks, by_col[k], out=peaks)
         cols[better] = k
     distinct = np.ones(len(overlap), dtype=bool)
-    values = raw_values.T.copy()
+    values = raw_values.T
     plain = np.ones(len(raw_values), dtype=bool)
     for j in range(d - 1):
         distinct &= (cols[j + 1:] != cols[j]).all(axis=0)
@@ -323,9 +323,10 @@ def _match_branches(rho, raw_values, raw_vectors):
 
     latest = np.zeros(count, dtype=np.intp)
     latest[moves + 1] = moves + 1
-    order = order[np.maximum.accumulate(latest)]
-    values = np.take_along_axis(raw_values, order, axis=1)
-    vectors = np.take_along_axis(raw_vectors, order[:, None, :], axis=2)
+    # Gathers by a C-ordered order.T on transposed views: grid-last results.
+    order = np.ascontiguousarray(order[np.maximum.accumulate(latest)].T)
+    values = np.take_along_axis(raw_values.T, order, axis=0).T
+    vectors = np.take_along_axis(raw_vectors.T, order[:, None], axis=0).T
     for i, inherited in walked.items():
         vectors[i] = inherited
     return values, vectors
@@ -360,8 +361,9 @@ def spectral_trajectory(
     # one non-zero term, and the overlap equals the stacked @'s bit for bit.
     overlap = np.abs(cxmat.stack_matmul(np.swapaxes(basis.basis.conj(), -1, -2), vectors)) ** 2
     _validate_snapshot(tau, values, overlap)
-    return SpectralTrajectory(grid, tau, time, rho.matrix, values, vectors, basis.energies,
-                              overlap, qstate.internal_energy(rho, hm))
+    # rho is kept C-ordered, as internal_energy reads it for Tr(rho H).
+    return SpectralTrajectory(grid, tau, time, np.ascontiguousarray(rho.matrix), values, vectors,
+                              basis.energies, overlap, qstate.internal_energy(rho, hm))
 
 
 def integrate_first_law(traj: SpectralTrajectory) -> EnergeticsLedger:

@@ -222,7 +222,7 @@ def energy_eigenbasis(hm, states=None, tau=None):
         values, vectors = eig.eigenvalues[count:], eig.eigenvectors[count:]
     if diagonal:
         basis = EnergyEigenbasis(np.diagonal(hm, axis1=-2, axis2=-1).real.copy(),
-                                 np.broadcast_to(np.eye(d), hm.shape) + 0j)
+                                 np.zeros_like(hm) + np.eye(d))
     elif static:
         basis = EnergyEigenbasis(np.broadcast_to(values[0], hm.shape[:-1]).copy(),
                                  np.broadcast_to(vectors[0], hm.shape).copy())
@@ -242,7 +242,9 @@ def internal_energy(rho: DensityOperator, hm):
         raise cxmat.ShapeError(
             f"dimension mismatch: state dim {rho.dim}, Hamiltonian dim {hm.shape[-1]}"
         )
-    value = np.einsum("...ij,...ji->...", rho.matrix, hm)
+    # The unoptimized einsum sums in an order set by its operands' strides:
+    # a C-ordered rho keeps it the C order whatever the layout of hm.
+    value = np.einsum("...ij,...ji->...", np.ascontiguousarray(rho.matrix), hm)
     bad = np.flatnonzero(np.abs(value.imag) > 1e-12)
     if bad.size:
         where = f"at grid point {bad[0]}: " if value.ndim else ""

@@ -363,6 +363,11 @@ class TestKrausSet:
         with pytest.raises(ValueError):
             KrausSet((), 0.0)
 
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0)])
+    def test_empty_operators_rejected(self, shape):
+        with pytest.raises(cxmat.ShapeError, match=r"at least one row and one column"):
+            KrausSet((np.zeros(shape),), 0.0)
+
 
 def test_physical_time_conversion():
     assert ChannelSpec.phase_damping(rate=4.0).physical_time(2.0) == 0.5

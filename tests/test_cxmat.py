@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -118,6 +119,19 @@ class TestHermitianEigen:
         eig = cxmat.hermitian_eigen(np.zeros((3, 3)))
         assert np.array_equal(eig.eigenvalues, np.zeros(3))
         assert np.array_equal(eig.eigenvectors, np.eye(3))
+
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0), (2, 0), (3, 2, 0), (2, 2, 0, 0)])
+    def test_empty_matrices_rejected(self, shape):
+        with pytest.raises(cxmat.ShapeError, match=r"got shape \(\d+(, \d+)+\)"):
+            cxmat.hermitian_eigen(np.zeros(shape))
+        if len(shape) < 4:
+            with pytest.raises(cxmat.ShapeError, match=re.escape(f"got shape {shape}")):
+                cxmat.as_matrix(np.zeros(shape))
+
+    def test_empty_stack_of_matrices_accepted(self):
+        assert cxmat.as_matrix(np.zeros((0, 2, 2))).shape == (0, 2, 2)
+        eig = cxmat.hermitian_eigen(np.zeros((0, 2, 2)))
+        assert eig.eigenvalues.shape == (0, 2) and eig.eigenvectors.shape == (0, 2, 2)
 
     def test_non_finite_rejected(self):
         m = np.eye(2, dtype=complex)
@@ -448,7 +462,45 @@ class TestMatchesReference:
         assert np.array_equal(eig.eigenvectors, ref.eigenvectors)
 
 
+def reference_stack_matmul(a, b):
+    """The stack_matmul that ran on C-ordered stacks, kept verbatim as the reference."""
+    out = a[..., :, 0, None] * b[..., None, 0, :]
+    for j in range(1, a.shape[-1]):
+        out += a[..., :, j, None] * b[..., None, j, :]
+    return out
+
+
+def grid_last(x):
+    """A copy of ``x`` with the same values and its first (grid) axis last in memory."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 0, -1)), -1, 0)
+
+
 class TestStackKernels:
+    @pytest.mark.parametrize("length", [0, 1, 17, 4001])
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_stack_matmul_is_bit_identical_across_layouts(self, d, length):
+        rng = np.random.default_rng([d, length, 3])
+        a, b = rng.normal(size=(2, length, d, d, 2)) @ [1, 1j]
+        m = rng.normal(size=(d, d, 2)) @ [1, 1j]
+        adjoint = np.swapaxes(grid_last(a).conj(), -1, -2)
+        cases = [(a, b), (grid_last(a), grid_last(b)), (a, grid_last(b)), (grid_last(a), b),
+                 (adjoint, b), (adjoint, grid_last(b)), (b, np.swapaxes(a.conj(), -1, -2)),
+                 (m, grid_last(b)), (grid_last(a), m), (m, b), (a, m), (m, np.swapaxes(m, 0, 1))]
+        for x, y in cases:
+            if d == length == 1 and x.ndim != y.ndim:
+                # numpy runs a one-element complex product of a matrix and a
+                # stack through its scalar loop or its fused multiply-add loop
+                # depending on how the operands are presented: the reference
+                # itself gives either
+                continue
+            expected = reference_stack_matmul(np.ascontiguousarray(x), np.ascontiguousarray(y))
+            got = cxmat.stack_matmul(x, y)
+            assert got.shape == expected.shape
+            assert np.array_equal(got, expected)
+            assert np.ascontiguousarray(got).tobytes() == expected.tobytes()
+            if got.ndim == 3 and length > 1:
+                assert got.strides[0] == got.itemsize
+
     @pytest.mark.parametrize("length", [1, 2, 17, 4001])
     @pytest.mark.parametrize("d", range(1, 9))
     def test_stack_matmul_equals_matmul(self, d, length):

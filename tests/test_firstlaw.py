@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from qfirstlaw import cxmat, exprparse, firstlaw, qstate
-from qfirstlaw.channel import ChannelSpec, evolve
+from qfirstlaw.channel import ChannelSpec, evolve, kraus_at
 from qfirstlaw.firstlaw import (
     MAX_BRANCH_DIM,
     TimeGrid,
@@ -919,6 +920,56 @@ class TestIntegrateFirstLaw:
 
         ratio = max_error(250) / max_error(500)
         assert 3.5 <= ratio <= 4.5
+
+
+def _grid_last(x):
+    """A copy of ``x`` with the same values and its first (grid) axis last in memory."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 0, -1)), -1, 0)
+
+
+def _driven_qudit(d, seed):
+    rng = np.random.default_rng([d, seed])
+    spec = _mixed_unitary_channel(rng, d)
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    rho0 = DensityOperator(np.outer(psi, psi.conj()) / np.vdot(psi, psi).real)
+    return spec, rho0, _hamiltonian(rng, d, "driven")
+
+
+class TestGridLastLayout:
+    def test_pipeline_stacks_are_grid_last(self):
+        # every stack over the grid keeps the grid axis last in memory
+        spec, rho0, h = _driven_qudit(3, 1)
+        grid = TimeGrid(2.0, 40)
+        time = spec.physical_time(grid.points)
+        traj = spectral_trajectory(spec, rho0, h, grid)
+        eig = cxmat.hermitian_eigen(evolve(spec, rho0, time).matrix)
+        stacks = [*kraus_at(ChannelSpec.bit_phase_flip(), time).operators,
+                  *kraus_at(ChannelSpec.phase_damping(), time).operators,
+                  *kraus_at(spec, time).operators, evolve(spec, rho0, time).matrix,
+                  h.matrix(time), eig.eigenvalues, eig.eigenvectors,
+                  traj.eigenvalues, traj.eigenvectors, traj.overlap]
+        for x in stacks:
+            assert len(x) == len(time) and x.strides[0] == x.itemsize
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_ledger_does_not_depend_on_operand_layout(self, d, seed):
+        # einsum picks its summation order from its operands' strides: grid-last
+        # operands must give the bytes of C-ordered ones
+        spec, rho0, h = _driven_qudit(d, seed)
+        traj = spectral_trajectory(spec, rho0, h, TimeGrid(2.0, 64))
+        rho, hm = np.ascontiguousarray(traj.rho), np.ascontiguousarray(h.matrix(traj.time))
+        expected = qstate.internal_energy(DensityOperator(rho), hm)
+        got = qstate.internal_energy(DensityOperator(_grid_last(rho)), _grid_last(hm))
+        assert got.tobytes() == expected.tobytes()
+        fields = ("rho", "eigenvalues", "eigenvectors", "energies", "overlap", "energy")
+        c_ordered = dataclasses.replace(
+            traj, **{f: np.ascontiguousarray(getattr(traj, f)) for f in fields})
+        relaid = dataclasses.replace(traj, **{f: _grid_last(getattr(traj, f)) for f in fields})
+        assert relaid.overlap.strides[0] == relaid.overlap.itemsize
+        expected = _ledger_columns(integrate_first_law(c_ordered))
+        assert _ledger_columns(integrate_first_law(relaid)).tobytes() == expected.tobytes()
+        assert _ledger_columns(integrate_first_law(traj)).tobytes() == expected.tobytes()
 
 
 def _ledger_columns(ledger):

@@ -239,6 +239,12 @@ def test_density_operator_requires_square():
         DensityOperator(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0)])
+def test_density_operator_rejects_empty_matrices(shape):
+    with pytest.raises(cxmat.ShapeError, match=r"at least one row and one column"):
+        DensityOperator(np.zeros(shape))
+
+
 def test_density_operator_rejects_non_finite():
     m = np.eye(2, dtype=complex)
     m[1, 1] = np.inf
