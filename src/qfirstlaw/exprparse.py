@@ -5,10 +5,14 @@ kinds of matrix are stored as cells and evaluated by ``evaluate_matrix``.
 
 The parser hash-conses: equal subtrees parsed with one table become one
 node object (value numbering), and ``matrix_cells`` shares a table across
-the cells of a matrix.  ``evaluate_matrix`` then hands one memo to every
-``evaluate`` call of that matrix, so a subexpression repeated across cells,
+the cells of a matrix.  From that table it builds the matrix's Plan once:
+every distinct node with ``t`` gets one row of a (nodes, grid) buffer, and
+the nodes of one depth that apply one operator or function are computed by
+one numpy call and checked once.  So a subexpression repeated across cells,
 such as the ``sqrt(w*(1-exp(-t)))`` factor of every entry of a
-mixed-unitary Kraus operator, is evaluated and checked once per call.
+mixed-unitary Kraus operator, is evaluated and checked once per call, and
+one call of ``evaluate`` fills the whole matrix.  A single expression is a
+Plan with one root.
 
 Grammar::
 
@@ -64,7 +68,8 @@ class ParseError(ExpressionError):
 
 
 class DomainError(ExpressionError):
-    """Evaluation produced a non-finite or mathematically undefined value."""
+    """Evaluation produced a non-finite or mathematically undefined value;
+    ``root`` is the index of the failing root of the Plan evaluated."""
 
 
 class Token(NamedTuple):
@@ -153,19 +158,17 @@ def _shared(table: dict, cls: type, key: tuple, *fields) -> Expression:
 
 class _Parser:
     def __init__(self, tokens: list[Token], table: dict):
-        self.tokens = tokens
+        # an "end" token after the last one stands for the end of the input
+        end = tokens[-1].position + len(tokens[-1].lexeme) if tokens else 0
+        self.tokens = [*tokens, Token("end", "", end)]
         self.i = 0
         self.table = table
 
-    def _peek(self) -> Token | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
     def _next(self, kind: str | None = None, what: str = "") -> Token:
         """The next token, which must be of ``kind`` (named ``what``) if given."""
-        tok = self._peek()
-        if tok is None:
-            end = self.tokens[-1].position + len(self.tokens[-1].lexeme) if self.tokens else 0
-            raise ParseError("unexpected end of expression", end)
+        tok = self.tokens[self.i]
+        if tok.kind == "end":
+            raise ParseError("unexpected end of expression", tok.position)
         if kind is not None and tok.kind != kind:
             raise ParseError(f"expected {what}, found {tok.lexeme!r}", tok.position)
         self.i += 1
@@ -180,7 +183,7 @@ class _Parser:
     def _chain(self, kinds: tuple, operand) -> Expression:
         """operand (op operand)* grouped to the left, op a token of ``kinds``."""
         node = operand()
-        while (tok := self._peek()) is not None and tok.kind in kinds:
+        while (tok := self.tokens[self.i]).kind in kinds:
             self.i += 1
             rhs = operand()
             op = tok.lexeme
@@ -188,7 +191,7 @@ class _Parser:
         return node
 
     def factor(self) -> Expression:
-        if (tok := self._peek()) is not None and tok.kind == "minus":
+        if (tok := self.tokens[self.i]).kind == "minus":
             self.i += 1
             child = self.factor()
             return _shared(self.table, Negate, (id(child),), child, tok.position)
@@ -196,7 +199,7 @@ class _Parser:
 
     def power(self) -> Expression:
         node = self.primary()
-        if (tok := self._peek()) is not None and tok.kind == "caret":
+        if (tok := self.tokens[self.i]).kind == "caret":
             self.i += 1
             rhs = self.factor()
             return _shared(self.table, Binary, ("^", id(node), id(rhs)), "^", node, rhs, tok.position)
@@ -231,7 +234,7 @@ def parse(tokens: list[Token], table: dict | None = None) -> Expression:
     ``table`` with earlier parses (a fresh table by default)."""
     parser = _Parser(tokens, {} if table is None else table)
     node = parser.expr()
-    if (leftover := parser._peek()) is not None:
+    if (leftover := parser.tokens[parser.i]).kind != "end":
         raise ParseError(f"unexpected trailing token {leftover.lexeme!r}", leftover.position)
     if not isinstance(node, (Binary, Call)):
         # A root that is a literal, t or a negation is checked only as the
@@ -247,63 +250,200 @@ def parse_source(src: str, table: dict | None = None) -> Expression:
     return parse(tokenize(src), table)
 
 
-# On numpy scalars and arrays these give inf or NaN, never an exception.
+# On numpy scalars these give inf or NaN, never an exception.  A subtree
+# without ``t`` is evaluated with them, as a scalar.
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
            "/": operator.truediv, "^": operator.pow}
 
-
-def evaluate(expr: Expression, t, memo: dict | None = None):
-    """IEEE double evaluation at a float ``t`` (a float) or at each entry of an
-    array of times (an array of its shape).  Raises DomainError at the node
-    that divides by zero or yields a non-finite value, naming the first bad t.
-
-    ``memo`` maps the ids of nodes already evaluated at this same ``t`` to
-    their values (only values that passed their checks, in a call that had
-    no failure); a node found there is not evaluated again.  The nodes must
-    stay alive while the memo is in use."""
-    times = np.asarray(t, dtype=float)
-    failures: list = []
-    with np.errstate(all="ignore"):
-        value = _eval(expr, times, failures, {} if memo is None else memo)
-    if not isinstance(expr, (Binary, Call)):  # those were checked in _eval
-        _check(expr, value, (), times, failures)
-    if failures:
-        # The first failing time, and there the node a one-time evaluation
-        # would stop at: the earliest check in evaluation order.
-        index, _, message, pos = min(failures)
-        raise DomainError(f"{message} at t={float(times.flat[index])!r}", pos)
-    if times.ndim == 0:
-        return float(value)
-    out = np.empty(times.shape)
-    out[...] = value
-    return out
+#: The numpy ufunc that applies an operator to a block of rows.
+_UFUNC = {"+": "add", "-": "subtract", "*": "multiply", "/": "divide", "^": "power"}
 
 
-def _eval(expr: Expression, times: np.ndarray, failures: list, memo: dict):
-    """Value of ``expr`` over ``times``, a scalar for a subtree without ``t``.
-    Checked nodes (operators and calls) are memoized while nothing failed."""
-    value = memo.get(id(expr))
-    if value is not None:
-        return value
+def _operands(expr: Expression) -> tuple:
     if isinstance(expr, Binary):
-        operands = (_eval(expr.left, times, failures, memo),
-                    _eval(expr.right, times, failures, memo))
-        value = _BINARY[expr.op](*operands)
-    elif isinstance(expr, Number):
-        return np.float64(expr.value)
-    elif isinstance(expr, Call):
-        operands = (_eval(expr.arg, times, failures, memo),)
-        value = getattr(np, expr.fn)(*operands)
-    elif isinstance(expr, TimeVar):
-        return times if times.ndim else times[()]
-    elif isinstance(expr, Negate):
-        return -_eval(expr.child, times, failures, memo)
-    else:
-        raise TypeError(f"not an Expression node: {expr!r}")
-    _check(expr, value, operands, times, failures)
-    if not failures:
-        memo[id(expr)] = value
-    return value
+        return expr.left, expr.right
+    if isinstance(expr, Call):
+        return (expr.arg,)
+    if isinstance(expr, Negate):
+        return (expr.child,)
+    if isinstance(expr, (Number, TimeVar)):
+        return ()
+    raise TypeError(f"not an Expression node: {expr!r}")
+
+
+def _post_order(expr: Expression, entered: set, order: list):
+    """Append to ``order`` the nodes under ``expr`` not in ``entered``, operands first."""
+    if id(expr) in entered:
+        return
+    entered.add(id(expr))
+    for operand in _operands(expr):
+        _post_order(operand, entered, order)
+    order.append(expr)
+
+
+class Plan:
+    """How ``evaluate`` computes ``roots`` over a grid of times, built once.
+
+    A subtree without ``t`` is evaluated here, as numpy scalars, and so is
+    its check.  Every other distinct node (by identity) owns one row of a
+    (rows, grid) buffer, row 0 holding ``t``.  The nodes of one depth (the
+    longest path down to ``t``) that apply one operator or function, with
+    their t-free operands on the same side, form a group: contiguous rows
+    filled by one ufunc call.  A t-free operand is a column, but the
+    exponent of '^' is one scalar per group, so that numpy takes the same
+    shortcuts for an exponent of -1, 0.5 or 2 as for a lone expression.  A
+    t-free root fills a row of its own.  One finiteness test of the whole
+    buffer stands for the checks, which are made node by node only when it
+    fails.
+
+    ``nodes``, the entries of the parse table the roots were parsed with,
+    lists each node after its operands; a walk from the roots adds the
+    nodes it lacks."""
+
+    def __init__(self, roots, nodes=()):
+        self.roots = tuple(roots)
+        order = list(nodes)
+        entered = set(map(id, order))
+        for root in self.roots:
+            if id(root) not in entered:
+                _post_order(root, entered, order)
+        self.scalars: dict = {}  # id -> value of a t-free node
+        self.rows: dict = {}     # id -> buffer row of a t-dependent node
+        self.failed = False      # whether a t-free check failed
+        self.steps = []
+        groups = self._group(order)
+        # row 0 holds t if a node reads it
+        self.time_rows = np.arange(1 if self.rows else 0)
+        row = len(self.time_rows)
+        for (_, name, *sides), members in sorted(groups.items(), key=lambda item: item[0][0]):
+            keys, *operands = zip(*members)
+            start, row = row, row + len(keys)
+            self.rows.update(zip(keys, range(start, row)))
+            args = []
+            for ids, side in zip(operands, sides):
+                if side is None:
+                    args.append((True, np.fromiter(map(self.rows.get, ids), np.intp)))
+                elif side == "column":
+                    args.append((False, np.fromiter(map(self.scalars.get, ids), float)[:, None]))
+                else:
+                    args.append((False, np.float64(self.scalars[ids[0]])))
+            self.steps.append((getattr(np, name), start, row, tuple(args)))
+        root_rows, scalar_rows, scalar_values = [], [], []
+        for root in self.roots:
+            key = id(root)
+            if key in self.rows:
+                root_rows.append(self.rows[key])
+            else:
+                root_rows.append(row)
+                scalar_rows.append(row)
+                scalar_values.append(self.scalars[key])
+                row += 1
+        self.size = row
+        self.root_rows = np.array(root_rows, dtype=np.intp)
+        self.scalar_rows = np.array(scalar_rows, dtype=np.intp)
+        self.scalar_values = np.array(scalar_values, dtype=float).reshape(-1, 1)
+
+    def _group(self, order: list) -> dict:
+        """Evaluate the t-free nodes of ``order`` into ``scalars``, and group
+        the others: (depth, ufunc name, side of each operand) -> [(id,
+        operand ids)], a side being None for an operand with ``t``."""
+        scalars, rows, groups = self.scalars, self.rows, {}
+        depth: dict = {}  # id -> depth of a node with t
+        with np.errstate(all="ignore"):
+            for expr in order:
+                key = id(expr)
+                if isinstance(expr, Number):
+                    scalars[key] = expr.value
+                    continue
+                if isinstance(expr, TimeVar):
+                    depth[key] = rows[key] = 0
+                    continue
+                # spelled out per arity: this loop is most of a plan's cost
+                if isinstance(expr, Binary):
+                    ids = (id(expr.left), id(expr.right))
+                    below = (depth.get(ids[0], -1), depth.get(ids[1], -1))
+                else:
+                    ids = (id(_operands(expr)[0]),)
+                    below = (depth.get(ids[0], -1),)
+                level = 1 + max(below)
+                if level == 0:
+                    values = [np.float64(scalars[i]) for i in ids]
+                    if isinstance(expr, Negate):
+                        scalars[key] = -values[0]
+                        continue
+                    value = scalars[key] = (_BINARY[expr.op](*values) if isinstance(expr, Binary)
+                                            else getattr(np, expr.fn)(*values))
+                    # on a numpy scalar, comparisons cost a fraction of np.isfinite
+                    self.failed = self.failed or not -np.inf < value < np.inf
+                    continue
+                if isinstance(expr, Binary):
+                    right = None
+                    if below[1] < 0:
+                        right = "column" if expr.op != "^" else float(scalars[ids[1]]).hex()
+                    group = (level, _UFUNC[expr.op], "column" if below[0] < 0 else None, right)
+                else:
+                    group = (level, expr.fn if isinstance(expr, Call) else "negative", None)
+                depth[key] = level
+                groups.setdefault(group, []).append((key, *ids))
+        return groups
+
+    def _raise_first_failure(self, buf: np.ndarray, times: np.ndarray):
+        """Raise the DomainError of the first root, in order, that owns a
+        failing check, a node being owned by the first root that reaches it:
+        there the failure at the first bad time, ties going to the earliest
+        check of a post-order walk."""
+        def value(expr):
+            key = id(expr)
+            return self.scalars[key] if key in self.scalars else buf[self.rows[key]]
+
+        seen: set = set()
+
+        def walk(expr, failures):
+            if id(expr) in seen:
+                return
+            seen.add(id(expr))
+            operands = _operands(expr)
+            for operand in operands:
+                walk(operand, failures)
+            if isinstance(expr, (Binary, Call)):
+                _check(expr, value(expr), [value(x) for x in operands], times, failures)
+
+        for k, root in enumerate(self.roots):
+            failures: list = []
+            walk(root, failures)
+            if not isinstance(root, (Binary, Call)):
+                _check(root, value(root), (), times, failures)
+            if failures:
+                index, _, message, pos = min(failures)
+                error = DomainError(f"{message} at t={float(times[index])!r}", pos)
+                error.root = k
+                raise error
+
+
+def evaluate(expr, t):
+    """IEEE double evaluation of an Expression at a float ``t`` (a float) or
+    at each entry of an array of times (an array of its shape), or of a
+    Plan's roots (an array of shape (roots,) + the shape of ``t``).  A float
+    ``t`` is the one-point grid, so it gets the bits of any grid that holds
+    it.  Raises DomainError at the node that divides by zero or yields a
+    non-finite value, naming the first bad t."""
+    plan = expr if isinstance(expr, Plan) else Plan((expr,))
+    times = np.asarray(t, dtype=float)
+    grid = times.reshape(-1)
+    buf = np.empty((plan.size, grid.size))
+    buf[plan.time_rows] = grid
+    buf[plan.scalar_rows] = plan.scalar_values
+    with np.errstate(all="ignore"):
+        for ufunc, start, stop, args in plan.steps:
+            ufunc(*[buf[arg] if row else arg for row, arg in args], out=buf[start:stop])
+    # a failed check leaves a value that is not finite; so can t itself, or a
+    # negation, which are checked only as roots
+    if plan.failed or not np.isfinite(buf).all():
+        plan._raise_first_failure(buf, grid)
+    values = buf[plan.root_rows].reshape((len(plan.roots),) + times.shape)
+    if plan is expr:
+        return values
+    return float(values[0]) if times.ndim == 0 else values[0]
 
 
 def _check(expr: Expression, value, operands: tuple, times: np.ndarray, failures: list):
@@ -359,7 +499,29 @@ def as_cell(value, table: dict | None = None) -> tuple[Expression, Expression]:
     return as_expression(value, table), ZERO
 
 
-def matrix_cells(entries) -> tuple[Cell, ...]:
+class Cells(tuple):
+    """The non-zero cells of one matrix, a tuple of Cell.  ``plan`` evaluates
+    every part that is not the literal 0, in cell order and the real part
+    first; ``parts`` holds, for the real and then the imaginary part, the
+    indices of the plan's roots and the rows and columns they fill."""
+
+    def __new__(cls, cells, nodes=()):
+        self = super().__new__(cls, cells)
+        roots, parts, owners = [], ([], []), []
+        for index, cell in self:
+            for part, expr in zip(parts, cell):
+                if type(expr) is not Number or expr.value != 0.0:  # not ZERO
+                    part.append(len(roots))
+                    roots.append(expr)
+                    owners.append(index)
+        self.plan = Plan(roots, nodes)
+        self.owners = owners
+        at = np.array(owners, dtype=np.intp).reshape(-1, 2)
+        self.parts = tuple((np.array(part, dtype=np.intp), *at[part].T) for part in parts)
+        return self
+
+
+def matrix_cells(entries) -> Cells:
     """The cells of ((i, j), entry) items whose parts are not both the literal 0,
     parsed with one table, so equal subexpressions of different cells are
     one node.  An entry of another type raises a TypeError naming it."""
@@ -372,26 +534,25 @@ def matrix_cells(entries) -> tuple[Cell, ...]:
             raise TypeError(f"entry ({i},{j}): {exc}") from exc
         if cell != (ZERO, ZERO):
             cells.append(((i, j), cell))
-    return tuple(cells)
+    return Cells(cells, table.values())
 
 
-def evaluate_matrix(cells, dim: int, t) -> np.ndarray:
+def evaluate_matrix(cells: Cells, dim: int, t) -> np.ndarray:
     """The (dim, dim) complex matrix of ``cells`` at a float ``t``, or the
-    (T, dim, dim) stack over an array of times.  A literal-0 part is not
-    evaluated; every part shares one memo, so a subexpression shared by
-    several cells is evaluated once.  A DomainError names the entry and the
-    first bad t.  A stack is grid-last in memory (see cxmat.stack_view)."""
+    (T, dim, dim) stack over an array of times: one ``evaluate`` of the
+    cells' plan, so a literal-0 part is not evaluated and a subexpression
+    shared by several cells is evaluated once.  A DomainError names the
+    entry and the first bad t.  A stack is grid-last in memory (see
+    cxmat.stack_view)."""
     times = np.asarray(t, dtype=float)
+    try:
+        values = evaluate(cells.plan, times)
+    except DomainError as exc:
+        i, j = cells.owners[exc.root]
+        raise DomainError(f"entry ({i},{j}): {exc.message}", exc.position) from exc
     out = np.zeros((dim, dim) + times.shape, dtype=np.complex128)
-    memo: dict = {}
-    for (i, j), (re_part, im_part) in cells:
-        try:
-            if re_part != ZERO:
-                out.real[i, j] = evaluate(re_part, times, memo)
-            if im_part != ZERO:
-                out.imag[i, j] = evaluate(im_part, times, memo)
-        except DomainError as exc:
-            raise DomainError(f"entry ({i},{j}): {exc.message}", exc.position) from exc
+    for target, (roots, i, j) in zip((out.real, out.imag), cells.parts):
+        target[i, j] = values[roots]
     return cxmat.stack_view(out)
 
 

@@ -53,7 +53,6 @@ passing through the maximally mixed state.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -154,7 +153,9 @@ def branch_match(prev_values, prev_vectors, cur_values, cur_vectors) -> tuple[in
     * otherwise a row with m_j > 2/3 is pinned to c_j: moving it elsewhere
       costs at least 3 m_j - 2, so every optimum keeps it, and only the
       remaining rows and columns are searched (score, then drift, first
-      in lexicographic order wins).
+      in lexicographic order wins).  Permutations whose score lies far
+      below the best score before them are skipped: the search could
+      never pick them, so the result is that of the full search.
 
     Inputs that are not orthonormal get the search over all rows.
     """
@@ -176,16 +177,19 @@ def branch_match(prev_values, prev_vectors, cur_values, cur_vectors) -> tuple[in
         pins = {}
     free_rows = [j for j in range(d) if j not in pins]
     free_cols = sorted(set(range(d)) - set(pins.values()))
-    table = np.array(list(itertools.permutations(free_cols)), dtype=np.intp)
-    scores = overlap[free_rows, table].sum(axis=1).tolist()
-    drifts = (
-        np.abs(np.asarray(prev_values, dtype=float)[free_rows]
-               - np.asarray(cur_values, dtype=float)[table]).sum(axis=1).tolist()
-    )
+    table = np.array(free_cols, dtype=np.intp)[_permutation_table(len(free_cols))]
+    scores = overlap[free_rows, table].sum(axis=1)
+    # once the best score so far has been seen, each replacement on drift
+    # lowers the fold's score by at most _TIE_EPS, so an entry this far below
+    # an earlier score is never picked
+    kept = np.flatnonzero(
+        scores >= np.maximum.accumulate(scores) - (len(table) + 2) * 4.0 * _TIE_EPS)
+    drifts = np.abs(np.asarray(prev_values, dtype=float)[free_rows]
+                    - np.asarray(cur_values, dtype=float)[table[kept]]).sum(axis=1)
     best = 0
     best_score = -np.inf
     best_drift = np.inf
-    for i, (score, drift) in enumerate(zip(scores, drifts)):
+    for i, score, drift in zip(kept.tolist(), scores[kept].tolist(), drifts.tolist()):
         if score < best_score - _TIE_EPS:
             continue
         if score > best_score + _TIE_EPS or drift < best_drift - _TIE_EPS:
@@ -193,6 +197,21 @@ def branch_match(prev_values, prev_vectors, cur_values, cur_vectors) -> tuple[in
     for j, k in zip(free_rows, table[best].tolist()):
         cols[j] = k
     return tuple(cols)
+
+
+def _permutation_table(k: int) -> np.ndarray:
+    """The (k!, k) table of the permutations of range(k), in the
+    lexicographic order of itertools.permutations."""
+    table = np.zeros((1, 0), dtype=np.intp)
+    for n in range(1, k + 1):
+        # the permutations of range(n) that start with f are f followed by
+        # those of range(n - 1), each entry at or above f raised by one
+        first = np.arange(n)[:, None, None]
+        grown = np.empty((n, len(table), n), dtype=np.intp)
+        grown[:, :, :1] = first
+        grown[:, :, 1:] = table + (table >= first)
+        table = grown.reshape(-1, n)
+    return table
 
 
 def _inherit_degenerate(rho_matrix, values, vectors, prev_vectors):

@@ -131,6 +131,8 @@ class Hamiltonian:
                 raise ValueError(f"upper-triangle index out of range: {(i, j)}")
             entries.append(((i, j), value))
         self._cells = exprparse.matrix_cells(entries)
+        upper = [index for index, _ in self._cells if index[0] != index[1]]
+        self._upper = tuple(np.array(upper, dtype=np.intp).reshape(-1, 2).T)
 
     @classmethod
     def two_level(cls, e_g=0.0, e_e=1.0) -> "Hamiltonian":
@@ -165,9 +167,9 @@ class Hamiltonian:
         if np.any(bad):
             raise ValueError(f"time must be finite, got {times[bad].flat[0]}")
         out = exprparse.evaluate_matrix(self._cells, self.dim, t)
-        for (i, j), _ in self._cells:
-            if i != j:
-                out[..., j, i] = out[..., i, j].conj()
+        i, j = self._upper
+        upper = out[..., i, j]  # a copy, conjugated in place: one temporary
+        out[..., j, i] = np.conjugate(upper, out=upper)
         return out
 
 

@@ -30,6 +30,7 @@ ROOT = Path(__file__).parents[1]
 PHASE_DAMPING_CUSTOM = ROOT / "tests" / "data" / "phase_damping_custom.json"
 ROUNDED_PHASE_FLIP_CUSTOM = ROOT / "tests" / "data" / "rounded_phase_flip_custom.json"
 TINY_BIT_FLIP_CUSTOM = ROOT / "tests" / "data" / "tiny_bit_flip_custom.json"
+POWER_PHASE_FLIP_CUSTOM = ROOT / "tests" / "data" / "power_phase_flip_custom.json"
 
 
 def small_config(**overrides):
@@ -322,6 +323,20 @@ class TestSimulateCommand:
         assert code == 0, capsys.readouterr().err
         custom = run_experiment(config_from_sources(
             None, {"channel": f"custom:{ROUNDED_PHASE_FLIP_CUSTOM}", "theta": "pi/6"})).ledger
+        builtin = run_experiment(config_from_sources(
+            None, {"channel": "phase-flip", "theta": "pi/6"})).ledger
+        assert len(builtin.tau) == 4001
+        for column in ("tau", "delta_u", "work", "heat", "coherence"):
+            assert np.max(np.abs(getattr(custom, column) - getattr(builtin, column))) <= 1e-10
+
+    def test_custom_channel_written_with_powers_matches_the_builtin(self, tmp_path, capsys):
+        # exp(1)^(-t/2) puts t in an exponent; (1-exp(-t))^0.5 has the
+        # exponent 0.5, for which numpy's power takes a square root
+        flags = ["--channel", f"custom:{POWER_PHASE_FLIP_CUSTOM}", "--theta", "pi/6"]
+        code = cli.main(["simulate", *flags, "--out", str(tmp_path / "power.csv")])
+        assert code == 0, capsys.readouterr().err
+        custom = run_experiment(config_from_sources(
+            None, {"channel": f"custom:{POWER_PHASE_FLIP_CUSTOM}", "theta": "pi/6"})).ledger
         builtin = run_experiment(config_from_sources(
             None, {"channel": "phase-flip", "theta": "pi/6"})).ledger
         assert len(builtin.tau) == 4001

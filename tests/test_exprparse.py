@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 import string
 
@@ -258,15 +259,29 @@ class TestMatrixCells:
             assert np.array_equal(one, grid[k])
             assert one[0, 1] == complex(math.cos(t), math.sin(t))
             assert one[1, 0] == 0
+        # a float t is the one-point grid, so it gets the grid's last bit;
+        # numpy's scalar power and its array power differ there
+        times = np.random.default_rng(20).uniform(0.01, 5.0, 3000)
+        for src in ("t^1.37", "2^(-t)", "(1+t)^t", "t^0.5", "t^2",
+                    "exp(t)", "log(t)", "sin(t)", "cos(t)", "sqrt(t)"):
+            expr = parse_source(src)
+            one = np.array([evaluate(expr, float(t)) for t in times])
+            assert one.tobytes() == evaluate(expr, times).tobytes(), src
+            cells = exprparse.matrix_cells([((1, 1), [src, "0"])])
+            one = [exprparse.evaluate_matrix(cells, 2, float(t))[1, 1] for t in times[:100]]
+            assert np.array(one).tobytes() == exprparse.evaluate_matrix(
+                cells, 2, times[:100])[:, 1, 1].tobytes(), src
 
     def test_literal_zero_part_is_not_evaluated(self, monkeypatch):
         seen = []
         original = exprparse.evaluate
         monkeypatch.setattr(exprparse, "evaluate",
-                            lambda expr, t, memo: seen.append(expr) or original(expr, t, memo))
+                            lambda plan, t: seen.append(plan) or original(plan, t))
         cells = exprparse.matrix_cells([((0, 0), ["exp(-t)", "0"]), ((1, 1), ["0", "t"])])
         exprparse.evaluate_matrix(cells, 2, np.linspace(0.0, 1.0, 5))
-        assert seen == [parse_source("exp(-t)"), parse_source("t")]
+        # one evaluation, of a plan whose roots are the two non-zero parts
+        assert seen == [cells.plan]
+        assert cells.plan.roots == (parse_source("exp(-t)"), parse_source("t"))
 
     def test_domain_error_names_entry_and_first_bad_time(self):
         cells = exprparse.matrix_cells([((1, 0), ["1", "sqrt(1-t)"])])
@@ -314,14 +329,77 @@ def _random_source(rng, pool, depth):
     return src
 
 
+_REFERENCE_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+                     "/": operator.truediv, "^": operator.pow}
+
+
+def _reference_value(expr, times, failures):
+    """The value of ``expr`` over an array of times, node by node: a numpy
+    scalar for a subtree without t.  Each operator and call appends
+    (first bad time index, check order, message, offset) to ``failures``
+    if its value is not finite."""
+    if isinstance(expr, Number):
+        return np.float64(expr.value)
+    if isinstance(expr, TimeVar):
+        return times
+    if isinstance(expr, Negate):
+        return -_reference_value(expr.child, times, failures)
+    if isinstance(expr, Binary):
+        operands = (_reference_value(expr.left, times, failures),
+                    _reference_value(expr.right, times, failures))
+        value = _REFERENCE_BINARY[expr.op](*operands)
+    else:
+        operands = (_reference_value(expr.arg, times, failures),)
+        value = getattr(np, expr.fn)(*operands)
+    _reference_check(expr, value, operands, times, failures)
+    return value
+
+
+def _reference_check(expr, value, operands, times, failures):
+    finite = np.broadcast_to(np.isfinite(value), times.shape)
+    if finite.all():
+        return
+    index = int(np.argmin(finite))
+    at = [float(np.broadcast_to(x, times.shape)[index]) for x in (value, *operands)]
+    if not operands:
+        message = "expression evaluated to a non-finite value"
+    elif isinstance(expr, Call):
+        message = ("overflow in exp()" if expr.fn == "exp"
+                   else f"{expr.fn}() of out-of-domain argument {at[1]!r}")
+    elif expr.op == "/" and at[2] == 0.0:
+        message = "division by zero"
+    elif expr.op == "^":
+        undefined = np.isnan(at[0]) or (at[1] == 0.0 and at[2] < 0.0)
+        message = "invalid operands for '^'" if undefined else "overflow in '^'"
+    else:
+        message = f"non-finite result from '{expr.op}'"
+    failures.append((index, len(failures), message, expr.pos))
+
+
+def _reference_evaluate(expr, t):
+    """One expression at a float t (the one-point grid) or over an array of
+    times, checked node by node, independently of ``exprparse.evaluate``."""
+    times = np.asarray(t, dtype=float).reshape(-1)
+    failures = []
+    with np.errstate(all="ignore"):
+        value = _reference_value(expr, times, failures)
+    if not isinstance(expr, (Binary, Call)):
+        _reference_check(expr, value, (), times, failures)
+    if failures:
+        index, _, message, pos = min(failures)
+        raise DomainError(f"{message} at t={float(times[index])!r}", pos)
+    return np.broadcast_to(value, times.shape).reshape(np.shape(t))
+
+
 def _per_cell(sources, dim, times):
-    """The matrix from one evaluate call per part, each part parsed on its
-    own without sharing: the reference for evaluate_matrix."""
+    """The matrix from one reference evaluation per part, each part parsed on
+    its own without sharing: the reference for evaluate_matrix."""
     out = np.zeros(np.shape(times) + (dim, dim), dtype=np.complex128)
     for (i, j), parts in sources:
         for k, src in enumerate(parts):
             try:
-                value = evaluate(exprparse.parse(exprparse.tokenize(src), _NoSharing()), times)
+                value = _reference_evaluate(exprparse.parse(exprparse.tokenize(src), _NoSharing()),
+                                            times)
             except DomainError as exc:
                 raise DomainError(f"entry ({i},{j}): {exc.message}", exc.position) from exc
             (out.real, out.imag)[k][..., i, j] = value
@@ -348,16 +426,18 @@ class TestSharedSubexpressions:
 
     def test_each_distinct_subexpression_is_checked_once(self, monkeypatch):
         checked = []
-        check = exprparse._check
-        monkeypatch.setattr(exprparse, "_check",
-                            lambda expr, *args: checked.append(expr) or check(expr, *args))
+        isfinite = np.isfinite
+        monkeypatch.setattr(exprparse.np, "isfinite",
+                            lambda x: checked.append(np.shape(x)) or isfinite(x))
         scale = "sqrt(0.3*(1-exp(-t)))"
         cells = exprparse.matrix_cells([((i, j), [f"{i + 1}*{scale}", f"{j + 2}*{scale}"])
                                         for i in range(3) for j in range(3)])
         exprparse.evaluate_matrix(cells, 3, np.linspace(0.0, 2.0, 7))
         # exp, 1-exp, 0.3*(...) and sqrt once, then one product for each
-        # distinct factor 1, 2, 3 and 4
-        assert len(checked) == len({id(expr) for expr in checked}) == 4 + 4
+        # distinct factor 1, 2, 3 and 4: with t and -t, ten rows, one node
+        # each, and one finiteness test over them
+        assert checked == [(10, 7)]
+        assert sorted(cells.plan.rows.values()) == list(range(10))
 
     @pytest.mark.parametrize("seed", range(40))
     def test_matrix_equals_per_cell_evaluation(self, seed):
@@ -376,6 +456,31 @@ class TestSharedSubexpressions:
             else:
                 assert not isinstance(got, tuple), got
                 assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("sources", [
+        # roots without t, one of them failing
+        [((0, 0), ["2*3", "sqrt(2)"]), ((0, 1), ["-1.5", "-(2^0.5)"]), ((1, 1), ["t", "1e-3"])],
+        [((0, 0), ["exp(-t)", "0"]), ((1, 0), ["2*3", "log(0)"]), ((1, 1), ["1/(t-t)", "0"])],
+        # Negate roots, over t-free and t-dependent operands
+        [((0, 0), ["-t", "--t"]), ((0, 1), ["-exp(t)", "-(t*t)"]), ((1, 0), ["-(1/t)", "-2"])],
+        # t-free exponents that numpy's power treats specially, beside others
+        [((0, 0), ["t^-1", "t^0"]), ((0, 1), ["t^0.5", "t^1"]), ((1, 0), ["t^2", "t^1.37"]),
+         ((1, 1), ["(1+t)^(1-0.5)", "(t*t)^2"])],
+        [((0, 0), ["(t-1)^0.5", "0"]), ((1, 1), ["t^-1", "0"])],
+        # t-free bases and exponents with t
+        [((0, 0), ["2^(-t)", "0.5^t"]), ((1, 1), ["(1+t)^t", "t^(t-1)"])],
+    ], ids=["t-free", "t-free-failing", "negate", "exponents", "exponents-failing", "bases"])
+    @pytest.mark.parametrize("times", [np.linspace(0.01, 5.0, 3001), np.array([0.3, np.inf]),
+                                       np.array([np.inf, 1.0]), 0.7, np.inf, 0.0],
+                             ids=["grid", "inf-last", "inf-first", "float", "float-inf", "zero"])
+    def test_matrix_equals_reference_on_special_roots(self, sources, times):
+        got = _outcome(lambda: exprparse.evaluate_matrix(exprparse.matrix_cells(sources), 2, times))
+        want = _outcome(lambda: _per_cell(sources, 2, times))
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert not isinstance(got, tuple), got
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
     def test_shared_failing_subexpression_names_the_first_cell(self):
         # sqrt(1-t) fails from t = 2 on; its first occurrence is in entry

@@ -253,6 +253,39 @@ class TestBranchMatchAgreesWithExhaustive:
         assert branch_match(*args) == reference_branch_match(*args)
 
 
+    @pytest.mark.parametrize("k", range(1, MAX_BRANCH_DIM + 1))
+    def test_permutation_table_is_in_itertools_order(self, k):
+        table = firstlaw._permutation_table(k)
+        assert table.dtype == np.intp
+        assert table.tolist() == [list(p) for p in itertools.permutations(range(k))]
+
+    @pytest.mark.parametrize("spread", [1e-13, 1e-3])
+    @pytest.mark.parametrize("blocks", [(5,), (3, 3), (4, 3), (2, 2, 2), (2, 3, 2)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_plateau_of_near_ties_agrees_with_exhaustive(self, blocks, seed, spread):
+        # Fourier blocks give every permutation that stays inside the blocks
+        # the same score; a rotation by a few 1e-12 spreads those scores over
+        # a few _TIE_EPS.  Eigenvalues ``spread`` apart tie the drifts too
+        # (1e-13) or let them decide among the tied scores (1e-3).
+        # Permutations that cross blocks score far lower and are skipped.
+        rng = np.random.default_rng(seed)
+        d = sum(blocks)
+        u = np.zeros((d, d), dtype=complex)
+        start = 0
+        for b in blocks:
+            u[start:start + b, start:start + b] = np.fft.fft(np.eye(b)) / math.sqrt(b)
+            start += b
+        z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        energies, basis = np.linalg.eigh(z + z.conj().T)
+        nudge = (basis * np.exp(3e-12j * energies)) @ basis.conj().T
+        cur_vectors = (u @ nudge)[:, rng.permutation(d)]
+        prev_values = np.full(d, 1.0 / d) + rng.normal(scale=spread, size=d)
+        cur_values = np.full(d, 1.0 / d) + rng.normal(scale=spread, size=d)
+        for prev_vectors in (np.eye(d, dtype=complex), nudge):
+            args = (prev_values, prev_vectors, cur_values, cur_vectors)
+            assert branch_match(*args) == reference_branch_match(*args)
+
+
 def reference_inherit_degenerate(rho_matrix, values, vectors, prev_vectors):
     """Degeneracy inheritance as it stood before its early return, kept as
     the reference for the trajectory loop."""
