@@ -5,7 +5,7 @@ Builtin channels are parameterized cumulatively from t = 0: the Kraus set
 at time t maps rho(0) directly to rho(t) (gamma(t) and p(t) below), exactly
 as the closed-form evolved states are written.  Incremental composition of
 short-time maps is deliberately not offered; the flip family's off-diagonal
-factor (2 e^{-rate t} - 1) changes sign and the family is not divisible
+factor (2 e^{-t} - 1) changes sign and the family is not divisible
 across that zero.
 
 With a 1-D array of times, operators and states gain a leading time axis,
@@ -78,20 +78,17 @@ class KrausSet:
 class ChannelSpec:
     """A time-parameterized family of Kraus sets.
 
-    Builtins carry a decay/dephasing rate; custom channels carry each
-    operator's non-zero cells (see exprparse.matrix_cells), evaluated at the
-    requested time.
+    Builtins are written in the dimensionless time tau = gamma t; custom
+    channels carry each operator's non-zero cells (see
+    exprparse.matrix_cells), evaluated at the requested time.
     """
 
     kind: str
-    rate: float = 1.0
     dim: int = 2
     custom_operators: tuple[tuple[exprparse.Cell, ...], ...] = field(default=(), repr=False)
 
     def __post_init__(self):
         if self.kind in BUILTIN_KINDS:
-            if not (np.isfinite(self.rate) and self.rate > 0):
-                raise ValueError(f"rate must be finite and positive, got {self.rate}")
             if self.dim != 2:
                 raise ValueError("builtin channels are qubit channels (dim 2)")
         elif self.kind == CUSTOM:
@@ -103,20 +100,20 @@ class ChannelSpec:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def phase_damping(cls, rate: float = 1.0) -> "ChannelSpec":
-        return cls(PHASE_DAMPING, rate=rate)
+    def phase_damping(cls) -> "ChannelSpec":
+        return cls(PHASE_DAMPING)
 
     @classmethod
-    def phase_flip(cls, rate: float = 1.0) -> "ChannelSpec":
-        return cls(PHASE_FLIP, rate=rate)
+    def phase_flip(cls) -> "ChannelSpec":
+        return cls(PHASE_FLIP)
 
     @classmethod
-    def bit_flip(cls, rate: float = 1.0) -> "ChannelSpec":
-        return cls(BIT_FLIP, rate=rate)
+    def bit_flip(cls) -> "ChannelSpec":
+        return cls(BIT_FLIP)
 
     @classmethod
-    def bit_phase_flip(cls, rate: float = 1.0) -> "ChannelSpec":
-        return cls(BIT_PHASE_FLIP, rate=rate)
+    def bit_phase_flip(cls) -> "ChannelSpec":
+        return cls(BIT_PHASE_FLIP)
 
     @classmethod
     def custom(cls, operators, dim: int | None = None) -> "ChannelSpec":
@@ -163,13 +160,6 @@ class ChannelSpec:
             raise ValueError("channel JSON is missing the 'kraus' list")
         return cls.custom(obj["kraus"], dim=obj.get("dim"))
 
-    # -- time bookkeeping ---------------------------------------------
-
-    def physical_time(self, tau: float) -> float:
-        """Physical time for a dimensionless time tau = rate * t.  Custom
-        channels have no rate and take the grid variable as-is."""
-        return tau / self.rate if self.kind in BUILTIN_KINDS else tau
-
 
 def _length(value):
     """len() of a list, tuple or array, else None: a string is not a list of rows."""
@@ -183,9 +173,9 @@ def kraus_at(spec: ChannelSpec, t) -> KrausSet:
     if np.any(bad):
         raise ValueError(f"time must be finite and non-negative, got {times[bad].flat[0]}")
     if spec.kind in BUILTIN_KINDS:
-        # gamma = p = 1 - exp(-rate*t), via expm1 for small-t accuracy; the
+        # gamma = p = 1 - exp(-t), via expm1 for small-t accuracy; the
         # matrix axes lead, so each operator over a grid is a grid-last stack
-        p = -np.expm1(-spec.rate * times)
+        p = -np.expm1(-times)
         shape = (2, 2) + (1,) * p.ndim
         if spec.kind == PHASE_DAMPING:
             # K1 = |0><0| + sqrt(1 - gamma) |1><1|,  K2 = sqrt(gamma) |1><1|

@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     info = sub.add_parser("channel-info", help="print Kraus operators at one time")
     info.add_argument("--channel", required=True, help="channel name or custom:<file>")
-    info.add_argument("--t", type=float, required=True, help="time at which to instantiate")
+    info.add_argument("--t", type=float, required=True, help="time tau at which to instantiate")
     return parser
 
 

@@ -169,7 +169,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     ledger = run_energetics(config.channel, rho0, h, TimeGrid(config.tau_max, config.steps))
     heat_ref = coh_ref = None
     if config.emit_oracle:
-        cfg = oracle.OracleConfig(e_g=config.e_g, e_e=config.e_e, theta=config.theta)
+        cfg = oracle.OracleConfig(e_g=config.e_g, e_e=config.e_e)
         heat_fn = _ORACLE_HEAT[config.channel.kind]
         coh_fn = _ORACLE_COHERENCE[config.channel.kind]
         heat_ref = heat_fn(ledger.tau, cfg)
@@ -183,9 +183,11 @@ def format_number(x: float) -> str:
 
 
 # The array path scales by 10**(11 - e), a correctly rounded double parsed
-# once per chunk for each exponent in its range.  e is clipped to
-# +-_MAX_EXP, where every such power is normal and no product overflows; a
-# clipped value scales outside [1e11, 1e12) and so falls back.
+# once per chunk for each exponent in its range, and prints e plus any carry.
+# e is clipped to +-_MAX_EXP, where every such power is normal and no product
+# overflows.  Where float log10 or the clip leaves e off by one, the value
+# scales outside [1e11, 1e12) and falls back, unless the clip undid a log10
+# that rounded up (9.9999999999996e290: 291 clipped to 290), so e is right.
 _MAX_EXP = 290
 # |s - exact| < 2.3e-4 for the scaled value s < 1e12 below (the power of ten
 # and the product each round by at most 2**-53 relative); 1e-3 away from a
@@ -204,11 +206,10 @@ def _format_block(block: np.ndarray) -> bytes:
     a = np.abs(x)
     normal = np.isfinite(a) & (a >= np.finfo(float).tiny)
     a = np.where(normal, a, 0.0)
-    e = np.floor(np.log10(np.where(normal, a, 1.0))).astype(np.int16)
-    k = np.clip(e, -_MAX_EXP, _MAX_EXP)
-    lo = int(k.min())
-    pow10 = np.array([float("1e%d" % (11 - j)) for j in range(lo, int(k.max()) + 1)])
-    s = a * pow10[k - lo]
+    e = np.clip(np.floor(np.log10(np.where(normal, a, 1.0))), -_MAX_EXP, _MAX_EXP).astype(np.int16)
+    lo = int(e.min())
+    pow10 = np.array([float("1e%d" % (11 - j)) for j in range(lo, int(e.max()) + 1)])
+    s = a * pow10[e - lo]
     mantissa = np.rint(s)
     fast = (x == 0) | (normal & (s >= 1e11 + _MARGIN) & (s <= 1e12 - _MARGIN)
                        & (np.abs(np.abs(s - mantissa) - 0.5) > _MARGIN))

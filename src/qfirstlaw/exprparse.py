@@ -437,8 +437,8 @@ def evaluate(expr, t):
         for ufunc, start, stop, args in plan.steps:
             ufunc(*[buf[arg] if row else arg for row, arg in args], out=buf[start:stop])
     # a failed check leaves a value that is not finite; so can t itself, or a
-    # negation, which are checked only as roots
-    if plan.failed or not np.isfinite(buf).all():
+    # negation, which are checked only as roots; an empty grid has no t to fail at
+    if grid.size and (plan.failed or not np.isfinite(buf).all()):
         plan._raise_first_failure(buf, grid)
     values = buf[plan.root_rows].reshape((len(plan.roots),) + times.shape)
     if plan is expr:

@@ -100,15 +100,13 @@ class TimeGrid:
 class SpectralTrajectory:
     """Branch-ordered spectral data, one array row per grid point.
 
-    ``time`` is the physical time fed to the channel and Hamiltonian
-    (tau / rate for builtins).  ``overlap[i, n, k]`` is |<n|k>|^2 between
-    Hamiltonian eigenvector n and state eigenvector k at grid point i; each
-    such matrix is doubly stochastic.  ``energies`` are the Hamiltonian
-    eigenvalues E_n and ``energy`` is the internal energy Tr(rho_i H_i)."""
+    ``tau`` is the grid's time, fed as-is to the channel and Hamiltonian.
+    ``overlap[i, n, k]`` is |<n|k>|^2 between Hamiltonian eigenvector n and
+    state eigenvector k at grid point i; each such matrix is doubly
+    stochastic.  ``energies`` are the Hamiltonian eigenvalues E_n and
+    ``energy`` is the internal energy Tr(rho_i H_i)."""
 
-    grid: TimeGrid
     tau: np.ndarray
-    time: np.ndarray
     rho: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -371,9 +369,8 @@ def spectral_trajectory(
             f"dimension mismatch: state dim {rho0.dim}, Hamiltonian dim {h.dim}"
         )
     tau = grid.points
-    time = spec.physical_time(tau)
-    rho = evolve(spec, rho0, time)
-    hm = h.matrix(time)
+    rho = evolve(spec, rho0, tau)
+    hm = h.matrix(tau)
     eig, basis = qstate.energy_eigenbasis(hm, rho.matrix, tau)
     values, vectors = _match_branches(rho.matrix, eig.eigenvalues, eig.eigenvectors)
     # For a diagonal H (every figure) the basis is the identity: each sum has
@@ -381,7 +378,7 @@ def spectral_trajectory(
     overlap = np.abs(cxmat.stack_matmul(np.swapaxes(basis.basis.conj(), -1, -2), vectors)) ** 2
     _validate_snapshot(tau, values, overlap)
     # rho is kept C-ordered, as internal_energy reads it for Tr(rho H).
-    return SpectralTrajectory(grid, tau, time, np.ascontiguousarray(rho.matrix), values, vectors,
+    return SpectralTrajectory(tau, np.ascontiguousarray(rho.matrix), values, vectors,
                               basis.energies, overlap, qstate.internal_energy(rho, hm))
 
 

@@ -2,14 +2,14 @@
 
 These are the analytic ground truths the numerical pipeline is validated
 against: the spectral decomposition of the phase-damped state at any time,
-and the cumulative heat/coherence curves for both dephasing families at
-theta = pi/6.  The heat/coherence closed forms are gated to theta = pi/6;
-anything else must go through the numerical pipeline.  They take a float tau
-and return a float, or take an array of tau and return an array, so a whole
-grid is one call; an out-of-domain tau raises a ValueError naming the first
-failing tau.
+and the cumulative heat/coherence curves for both dephasing families.
+The heat/coherence closed forms are the theta = pi/6 curves; they check no
+angle (ExperimentConfig does), and any other angle must go through the
+numerical pipeline.  They take a float tau and return a float, or take an
+array of tau and return an array, so a whole grid is one call; an
+out-of-domain tau raises a ValueError naming the first failing tau.
 
-Conventions: tau is the dimensionless time (rate * t), log means the
+Conventions: tau is the dimensionless time gamma t, log means the
 natural logarithm, and amplitudes may be complex -- the eigenvector
 formulas use |rho10|^2 where the real-amplitude special case would read
 rho10^2.
@@ -25,27 +25,17 @@ import numpy as np
 
 from .qstate import DensityOperator
 
-_THETA_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Energy splitting and preparation angle for the closed-form curves."""
+    """Energy splitting for the closed-form curves."""
 
     e_g: float = 0.0
     e_e: float = 1.0
-    theta: float = math.pi / 6
 
     def __post_init__(self):
         if self.e_e < self.e_g:
             raise ValueError(f"require e_e >= e_g, got ({self.e_g}, {self.e_e})")
-
-    def require_reference_angle(self):
-        if abs(self.theta - math.pi / 6) > _THETA_TOL:
-            raise ValueError(
-                "closed-form heat/coherence curves are only valid at theta = pi/6; "
-                f"got theta = {self.theta}"
-            )
 
 
 def pd_eigensystem(tau: float, rho0: DensityOperator):
@@ -85,11 +75,10 @@ def pd_eigensystem(tau: float, rho0: DensityOperator):
 
 def _closed_form(curve):
     """Let ``curve(t, cfg)`` take a float tau, returning a float, or an array
-    of tau, returning an array; the reference angle is checked once per call."""
+    of tau, returning an array."""
 
     @functools.wraps(curve)
     def closed_form(tau, cfg: OracleConfig):
-        cfg.require_reference_angle()
         t = np.asarray(tau, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             values = curve(t, cfg)

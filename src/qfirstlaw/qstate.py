@@ -190,7 +190,9 @@ def energy_eigenbasis(hm, states=None, tau=None):
     short-circuits to the computational basis in entry order, with no
     numerical perturbation; anything else goes through the Jacobi
     eigensolver (ascending energies): on one matrix if H is the same at
-    every point, otherwise on the whole stack.
+    every point, otherwise on the whole stack.  A basis (or a static H's
+    energies) that is the same at every point is a read-only
+    ``np.broadcast_to`` view, with stride 0 along the grid.
 
     With ``states``, a (T, d, d) stack of density matrices on the grid
     ``tau``, the states and the H matrices that need the solver (none, one
@@ -224,10 +226,10 @@ def energy_eigenbasis(hm, states=None, tau=None):
         values, vectors = eig.eigenvalues[count:], eig.eigenvectors[count:]
     if diagonal:
         basis = EnergyEigenbasis(np.diagonal(hm, axis1=-2, axis2=-1).real.copy(),
-                                 np.zeros_like(hm) + np.eye(d))
+                                 np.broadcast_to(np.eye(d, dtype=hm.dtype), hm.shape))
     elif static:
-        basis = EnergyEigenbasis(np.broadcast_to(values[0], hm.shape[:-1]).copy(),
-                                 np.broadcast_to(vectors[0], hm.shape).copy())
+        basis = EnergyEigenbasis(np.broadcast_to(values[0], hm.shape[:-1]),
+                                 np.broadcast_to(vectors[0], hm.shape))
     else:
         basis = EnergyEigenbasis(values.reshape(hm.shape[:-1]), vectors.reshape(hm.shape))
     if states is None:

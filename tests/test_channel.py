@@ -63,11 +63,6 @@ class TestKrausAt:
         assert np.allclose(ks.operators[0], math.sqrt(0.5) * np.eye(2), atol=1e-15)
         assert np.allclose(ks.operators[1], math.sqrt(0.5) * PAULI_Z, atol=1e-15)
 
-    def test_rate_scales_time(self):
-        fast = kraus_at(ChannelSpec.phase_damping(rate=2.0), math.log(4) / 2)
-        slow = kraus_at(ChannelSpec.phase_damping(rate=1.0), math.log(4))
-        assert np.allclose(fast.operators[0], slow.operators[0], atol=1e-15)
-
     def test_pauli_assignments(self):
         for spec, pauli in [
             (ChannelSpec.bit_flip(), PAULI_X),
@@ -307,17 +302,6 @@ class TestCustomChannels:
         with pytest.raises(ValueError):
             ChannelSpec("amplitude_damping")
 
-    def test_bad_rate_rejected(self):
-        with pytest.raises(ValueError):
-            ChannelSpec.phase_damping(rate=0.0)
-
-    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("family", [ChannelSpec.phase_damping, ChannelSpec.phase_flip,
-                                        ChannelSpec.bit_flip, ChannelSpec.bit_phase_flip])
-    def test_non_finite_rate_rejected(self, family, rate):
-        with pytest.raises(ValueError, match="rate must be finite and positive"):
-            family(rate=rate)
-
 
 def _einsum_apply(kraus, rho):
     """The contraction apply used before the stack kernels."""
@@ -333,7 +317,7 @@ def _einsum_completeness(kraus):
 
 
 class TestStackKernelsMatchEinsum:
-    TIMES = ChannelSpec.phase_damping().physical_time(TimeGrid(8.0, 400).points)
+    TIMES = TimeGrid(8.0, 400).points
 
     def _assert_bit_equal(self, spec, rho0):
         for t in [self.TIMES, 1.3]:
@@ -367,8 +351,3 @@ class TestKrausSet:
     def test_empty_operators_rejected(self, shape):
         with pytest.raises(cxmat.ShapeError, match=r"at least one row and one column"):
             KrausSet((np.zeros(shape),), 0.0)
-
-
-def test_physical_time_conversion():
-    assert ChannelSpec.phase_damping(rate=4.0).physical_time(2.0) == 0.5
-    assert ChannelSpec.identity().physical_time(2.0) == 2.0

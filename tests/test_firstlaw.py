@@ -335,11 +335,10 @@ def reference_match(rho, raw_values, raw_vectors, match=branch_match):
 def reference_trajectory(spec, rho0, h, grid, match=branch_match):
     """(eigenvalues, eigenvectors, overlap) from the indexed per-step loop,
     kept as the reference that spectral_trajectory must reproduce bit for bit."""
-    time = spec.physical_time(grid.points)
-    rho = evolve(spec, rho0, time).matrix
+    rho = evolve(spec, rho0, grid.points).matrix
     eig = cxmat.hermitian_eigen(rho)
     values, vectors = reference_match(rho, eig.eigenvalues, eig.eigenvectors, match)
-    basis = qstate.energy_eigenbasis(h.matrix(time)).basis
+    basis = qstate.energy_eigenbasis(h.matrix(grid.points)).basis
     overlap = np.abs(cxmat.stack_matmul(np.swapaxes(basis.conj(), -1, -2), vectors)) ** 2
     return values, vectors, overlap
 
@@ -386,7 +385,7 @@ def walk(monkeypatch):
 def _walked_points(calls, spec, rho0, grid):
     """Grid points whose step was walked, and those that inherited, from the
     state each inheritance was given."""
-    rho = evolve(spec, rho0, spec.physical_time(grid.points)).matrix
+    rho = evolve(spec, rho0, grid.points).matrix
     points = [(int(np.flatnonzero((rho == m).all(axis=(1, 2)))[0]), replaced)
               for kind, m, replaced in calls if kind == "inherit"]
     return [p for p, _ in points], [p for p, replaced in points if replaced]
@@ -600,6 +599,12 @@ class TestMatchingLoop:
 
 
 class TestSpectralTrajectory:
+    def test_channel_and_hamiltonian_share_the_grid_time(self):
+        # tau is the one time variable: H(t) is evaluated at the grid's tau as-is
+        h = Hamiltonian.diagonal([0.0, "1+0.1*t"])
+        traj = spectral_trajectory(ChannelSpec.phase_flip(), REFERENCE_STATE, h, TimeGrid(3.0, 30))
+        assert traj.energies[:, 1].tobytes() == (1 + 0.1 * traj.tau).tobytes()
+
     def test_initial_snapshot_descending_with_overlap_row(self):
         traj = spectral_trajectory(
             ChannelSpec.phase_damping(), REFERENCE_STATE, H_DEFAULT, TimeGrid(1.0, 4)
@@ -780,12 +785,10 @@ def _hamiltonian(rng, d, kind):
 def two_solve_trajectory(spec, rho0, h, grid):
     """The trajectory's arrays with the state stack and H diagonalized in
     separate eigensolver calls, kept as the reference for the single call."""
-    tau = grid.points
-    time = spec.physical_time(tau)
-    rho = evolve(spec, rho0, time)
+    rho = evolve(spec, rho0, grid.points)
     eig = cxmat.hermitian_eigen(rho.matrix)
     values, vectors = firstlaw._match_branches(rho.matrix, eig.eigenvalues, eig.eigenvectors)
-    hm = h.matrix(time)
+    hm = h.matrix(grid.points)
     basis = qstate.energy_eigenbasis(hm)
     overlap = np.abs(cxmat.stack_matmul(np.swapaxes(basis.basis.conj(), -1, -2), vectors)) ** 2
     return values, vectors, basis.energies, overlap, qstate.internal_energy(rho, hm)
@@ -937,7 +940,7 @@ class TestIntegrateFirstLaw:
         run_energetics(spec, rho0, h, grid)
         assert len(calls) == 1
         traj = spectral_trajectory(spec, rho0, h, grid)
-        expected = np.einsum("...ij,...ji->...", traj.rho, matrix(h, traj.time)).real
+        expected = np.einsum("...ij,...ji->...", traj.rho, matrix(h, traj.tau)).real
         assert np.array_equal(traj.energy, expected)
         assert np.array_equal(integrate_first_law(traj).delta_u, traj.energy - traj.energy[0])
 
@@ -973,7 +976,7 @@ class TestGridLastLayout:
         # every stack over the grid keeps the grid axis last in memory
         spec, rho0, h = _driven_qudit(3, 1)
         grid = TimeGrid(2.0, 40)
-        time = spec.physical_time(grid.points)
+        time = grid.points
         traj = spectral_trajectory(spec, rho0, h, grid)
         eig = cxmat.hermitian_eigen(evolve(spec, rho0, time).matrix)
         stacks = [*kraus_at(ChannelSpec.bit_phase_flip(), time).operators,
@@ -991,7 +994,7 @@ class TestGridLastLayout:
         # operands must give the bytes of C-ordered ones
         spec, rho0, h = _driven_qudit(d, seed)
         traj = spectral_trajectory(spec, rho0, h, TimeGrid(2.0, 64))
-        rho, hm = np.ascontiguousarray(traj.rho), np.ascontiguousarray(h.matrix(traj.time))
+        rho, hm = np.ascontiguousarray(traj.rho), np.ascontiguousarray(h.matrix(traj.tau))
         expected = qstate.internal_energy(DensityOperator(rho), hm)
         got = qstate.internal_energy(DensityOperator(_grid_last(rho)), _grid_last(hm))
         assert got.tobytes() == expected.tobytes()

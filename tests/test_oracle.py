@@ -30,11 +30,6 @@ class TestOracleConfig:
         with pytest.raises(ValueError):
             OracleConfig(e_g=1.0, e_e=0.0)
 
-    def test_reference_angle_gate(self):
-        cfg = OracleConfig(theta=0.5)
-        with pytest.raises(ValueError, match="pi/6"):
-            pd_heat(1.0, cfg)
-
 
 class TestPdEigensystem:
     def test_initial_pure_state(self):
@@ -269,20 +264,6 @@ class TestArrayInput:
             fn(np.array([1.0, 800.0]), CFG)
         with pytest.raises(ValueError, match=r"at tau=800\.0$"):
             fn(800.0, CFG)
-
-    @pytest.mark.parametrize("fn", CLOSED_FORMS, ids=lambda fn: fn.__name__)
-    def test_reference_angle_gate_on_arrays(self, fn):
-        with pytest.raises(ValueError, match="pi/6"):
-            fn(GRID_4001, OracleConfig(theta=0.5))
-
-    def test_reference_angle_checked_once_per_call(self, monkeypatch):
-        calls = []
-        check = OracleConfig.require_reference_angle
-        monkeypatch.setattr(OracleConfig, "require_reference_angle",
-                            lambda cfg: calls.append(cfg) or check(cfg))
-        for fn in CLOSED_FORMS:
-            fn(GRID_4001, CFG)
-        assert len(calls) == len(CLOSED_FORMS)
 
     @pytest.mark.parametrize("fn", [pd_heat, pd_coherence], ids=lambda fn: fn.__name__)
     def test_zero_at_origin_is_positive(self, fn):

@@ -227,6 +227,16 @@ class TestEnergyEigenbasis:
         assert np.array_equal(basis.energies, np.array([[1.0, 0.5], [2.0, 0.5]]))
         assert np.array_equal(basis.basis, np.broadcast_to(np.eye(2), (2, 2, 2)))
 
+    @pytest.mark.parametrize("h", [Hamiltonian.from_matrix(np.array([[0.3, 0.2], [0.2, 1.7]])),
+                                   Hamiltonian.two_level(0.0, 1.0)],
+                             ids=["static", "diagonal"])
+    def test_basis_same_at_every_point_is_one_matrix(self, h):
+        # a basis that does not move is a broadcast view, not a per-point copy
+        basis = energy_eigenbasis(h.matrix(np.linspace(0.0, 1.0, 5)))
+        assert basis.basis.shape == (5, 2, 2) and basis.basis.strides[0] == 0
+        assert basis.energies.shape == (5, 2)
+        assert np.array_equal(basis.basis[3], energy_eigenbasis(h.matrix(0.0)).basis)
+
     def test_driven_diagonal_keeps_entry_order(self):
         h = Hamiltonian.diagonal(["1+t", "0.5"])
         basis = energy_eigenbasis(h.matrix(0.0))
