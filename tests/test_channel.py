@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -46,6 +47,10 @@ def dephased_state(rho0: DensityOperator, factor: float) -> np.ndarray:
     return m
 
 
+BUILTIN_FAMILIES = [ChannelSpec.phase_damping, ChannelSpec.phase_flip,
+                    ChannelSpec.bit_flip, ChannelSpec.bit_phase_flip]
+
+
 class TestKrausAt:
     def test_phase_damping_at_zero(self):
         ks = kraus_at(ChannelSpec.phase_damping(), 0.0)
@@ -75,6 +80,27 @@ class TestKrausAt:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             kraus_at(ChannelSpec.phase_damping(), -0.1)
+
+    @pytest.mark.parametrize("family", BUILTIN_FAMILIES, ids=lambda f: f.__name__)
+    def test_builtin_probability_is_one_minus_exp_of_tau(self, family):
+        # builtins read tau as-is: p = 1 - exp(-tau), computed via expm1
+        times = TimeGrid(8.0, 80).points
+        p = -np.expm1(-times)
+        k1, k2 = kraus_at(family(), times).operators
+        assert np.array_equal(np.abs(k2).max(axis=(-2, -1)), np.sqrt(p))
+        assert np.array_equal(k1[:, 1, 1], np.sqrt(1.0 - p))
+
+    @pytest.mark.parametrize("family", BUILTIN_FAMILIES, ids=lambda f: f.__name__)
+    def test_builtin_takes_no_rate(self, family):
+        with pytest.raises(TypeError):
+            family(rate=2.0)
+
+    @pytest.mark.parametrize("t, shown", [(math.nan, "nan"), (math.inf, "inf"),
+                                          (-math.inf, "-inf")])
+    def test_builtins_reject_non_finite_grid_time(self, t, shown):
+        for family in BUILTIN_FAMILIES:
+            with pytest.raises(ValueError, match=f"time must be finite and non-negative, got {shown}"):
+                kraus_at(family(), np.array([0.0, 1.0, t, 2.0]))
 
     @pytest.mark.parametrize("t, shown", [(math.nan, "nan"), (math.inf, "inf"),
                                           ([0.0, 1.0, math.nan], "nan")])
@@ -297,6 +323,11 @@ class TestCustomChannels:
     def test_from_json_rejects_missing_kraus(self):
         with pytest.raises(ValueError, match="kraus"):
             ChannelSpec.from_json({"kind": "custom", "dim": 2})
+
+    def test_spec_fields(self):
+        # tau is the one time variable: a spec carries no rate
+        names = [f.name for f in dataclasses.fields(ChannelSpec)]
+        assert names == ["kind", "dim", "custom_operators"]
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -229,6 +229,13 @@ class TestCsvExactness:
         result = block_result(block)
         assert csv_text(result) == per_value_csv(result)
 
+    @pytest.mark.parametrize("value", [9.9999999999996e290, -9.9999999999996e290,
+                                       9.99999999999995e290])
+    def test_exponent_at_the_clip(self, value):
+        # float log10 reads 291 for these, clipped to 290: the rounding carry must print e+291
+        line = experiment._format_block(np.array([[value]]))
+        assert line == f"{format_number(value)}\n".encode() == f"{value:.11e}\n".encode()
+
     def test_random_bit_patterns_across_chunks(self):
         # 2500 rows span three row chunks; any 64-bit pattern is a float64
         bits = np.random.default_rng(14).integers(0, 2**64, size=(2500, 7), dtype=np.uint64)

@@ -197,11 +197,12 @@ class TestEvaluate:
         with pytest.raises(DomainError, match=r"division by zero at t=0\.0"):
             evaluate(parse_source("1/(t-t)"), times)
 
-    def test_empty_grid_has_no_failing_time(self):
+    @pytest.mark.parametrize("source", ["sqrt(-1)", "log(0)", "1/0", "log(t-1)"])
+    def test_empty_grid_has_no_failing_time(self, source):
         # a t-free failure, like a t-dependent one such as log(t-1), has no t
         # to name on an empty grid
-        assert evaluate(parse_source("sqrt(-1)"), np.array([])).shape == (0,)
-        cells = exprparse.matrix_cells([((0, 0), "sqrt(-1)")])
+        assert evaluate(parse_source(source), np.array([])).shape == (0,)
+        cells = exprparse.matrix_cells([((0, 0), source)])
         assert exprparse.evaluate_matrix(cells, 1, np.array([])).shape == (0, 1, 1)
 
     def test_decay_stays_in_unit_interval_and_monotone(self):

@@ -599,11 +599,22 @@ class TestMatchingLoop:
 
 
 class TestSpectralTrajectory:
-    def test_channel_and_hamiltonian_share_the_grid_time(self):
+    @pytest.mark.parametrize("family", [ChannelSpec.phase_damping, ChannelSpec.phase_flip,
+                                        ChannelSpec.bit_flip, ChannelSpec.bit_phase_flip],
+                             ids=lambda f: f.__name__)
+    def test_channel_and_hamiltonian_share_the_grid_time(self, family):
         # tau is the one time variable: H(t) is evaluated at the grid's tau as-is
         h = Hamiltonian.diagonal([0.0, "1+0.1*t"])
-        traj = spectral_trajectory(ChannelSpec.phase_flip(), REFERENCE_STATE, h, TimeGrid(3.0, 30))
+        grid = TimeGrid(3.0, 30)
+        traj = spectral_trajectory(family(), REFERENCE_STATE, h, grid)
+        assert np.array_equal(traj.tau, grid.points)
         assert traj.energies[:, 1].tobytes() == (1 + 0.1 * traj.tau).tobytes()
+
+    def test_fields(self):
+        # the grid's tau is stored once: no grid, no separate time
+        names = [f.name for f in dataclasses.fields(firstlaw.SpectralTrajectory)]
+        assert names == ["tau", "rho", "eigenvalues", "eigenvectors", "energies", "overlap",
+                         "energy"]
 
     def test_initial_snapshot_descending_with_overlap_row(self):
         traj = spectral_trajectory(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -29,6 +30,13 @@ class TestOracleConfig:
     def test_requires_ordered_energies(self):
         with pytest.raises(ValueError):
             OracleConfig(e_g=1.0, e_e=0.0)
+
+
+    def test_fields(self):
+        # the closed forms are the theta = pi/6 curves: the config has no angle
+        assert [f.name for f in dataclasses.fields(OracleConfig)] == ["e_g", "e_e"]
+        with pytest.raises(TypeError):
+            OracleConfig(theta=math.pi / 6)
 
 
 class TestPdEigensystem:
