@@ -200,7 +200,8 @@ def kraus_at(spec: ChannelSpec, t) -> KrausSet:
 def completeness_deviation(kraus: KrausSet):
     """max-norm of sum_i K_i† K_i - I: a float, or one per time of a stack."""
     total = sum(cxmat.stack_matmul(np.swapaxes(k.conj(), -1, -2), k) for k in kraus.operators)
-    deviation = cxmat.entry_max(np.abs(total - np.eye(kraus.dim)))
+    # numpy reduces in memory order, so the grid is the inner loop of a grid-last stack
+    deviation = np.abs(total - np.eye(kraus.dim)).max(axis=(-2, -1))
     return float(deviation) if deviation.ndim == 0 else deviation
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -44,11 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("figure", choices=sorted(experiment.FIGURE_PRESETS))
     rep.add_argument("--out-dir", required=True, help="directory for CSV and report")
 
-    ver = sub.add_parser("verify", help="run the verification battery")
-    ver.add_argument(
-        "--tol", type=float, default=verification.DEFAULT_ORACLE_TOL,
-        help="closed-form agreement tolerance (default %(default)g)",
-    )
+    sub.add_parser("verify", help="run the verification battery")
 
     info = sub.add_parser("channel-info", help="print Kraus operators at one time")
     info.add_argument("--channel", required=True, help="channel name or custom:<file>")
@@ -101,10 +96,7 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # an infinite tolerance would pass every closed-form check unread
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        raise ConfigError(f"--tol must be a finite number > 0, got {args.tol!r}")
-    results = verification.run_all_checks(oracle_tol=args.tol)
+    results = verification.run_all_checks()
     for result in results:
         print(result.line())
     failed = sum(not r.passed for r in results)

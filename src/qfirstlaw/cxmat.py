@@ -95,12 +95,6 @@ def stack_matmul(a, b) -> np.ndarray:
     return out[..., 0] if a.ndim == b.ndim == 2 else stack_view(out)
 
 
-def entry_max(x) -> np.ndarray:
-    """``x.max(axis=(-2, -1))``: numpy reduces in memory order, so the grid
-    is the inner loop of a grid-last stack."""
-    return np.asarray(x).max(axis=(-2, -1))
-
-
 @dataclass(frozen=True)
 class HermitianEigenDecomposition:
     """Eigenvalues in ascending order; column j of ``eigenvectors`` pairs with

@@ -375,10 +375,12 @@ def spectral_trajectory(
     values, vectors = _match_branches(rho.matrix, eig.eigenvalues, eig.eigenvectors)
     # For a diagonal H (every figure) the basis is the identity: each sum has
     # one non-zero term, and the overlap equals the stacked @'s bit for bit.
-    overlap = np.abs(cxmat.stack_matmul(np.swapaxes(basis.basis.conj(), -1, -2), vectors)) ** 2
+    # A basis that is the same at every point (a stride-0 view) goes in as one
+    # matrix, so its conjugate is not expanded over the grid.
+    u = basis.basis[0] if basis.basis.strides[0] == 0 else basis.basis
+    overlap = np.abs(cxmat.stack_matmul(np.swapaxes(u.conj(), -1, -2), vectors)) ** 2
     _validate_snapshot(tau, values, overlap)
-    # rho is kept C-ordered, as internal_energy reads it for Tr(rho H).
-    return SpectralTrajectory(tau, np.ascontiguousarray(rho.matrix), values, vectors,
+    return SpectralTrajectory(tau, rho.matrix, values, vectors,
                               basis.energies, overlap, qstate.internal_energy(rho, hm))
 
 

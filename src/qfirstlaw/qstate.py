@@ -240,7 +240,8 @@ def energy_eigenbasis(hm, states=None, tau=None):
 
 def internal_energy(rho: DensityOperator, hm):
     """U = Tr(rho H) for an evaluated Hamiltonian: a float for one state and
-    one matrix, an array over (T, d, d) stacks; |Im U| must stay below 1e-12."""
+    one matrix, an array over (T, d, d) stacks; |Im U| must stay below
+    1e-12 max(1, max|H|), as its round-off grows with the entries of H."""
     hm = np.asarray(hm)
     if hm.shape[-1] != rho.dim:
         raise cxmat.ShapeError(
@@ -249,7 +250,7 @@ def internal_energy(rho: DensityOperator, hm):
     # The unoptimized einsum sums in an order set by its operands' strides:
     # a C-ordered rho keeps it the C order whatever the layout of hm.
     value = np.einsum("...ij,...ji->...", np.ascontiguousarray(rho.matrix), hm)
-    bad = np.flatnonzero(np.abs(value.imag) > 1e-12)
+    bad = np.flatnonzero(np.abs(value.imag) > 1e-12 * max(1.0, np.max(np.abs(hm))))
     if bad.size:
         where = f"at grid point {bad[0]}: " if value.ndim else ""
         raise cxmat.NumericError(

@@ -3,10 +3,8 @@
 Each check returns CheckResult records with a measured value and its bound.
 Only the three ledgers that more than one check reads are cached per process
 (`_shared`); every other ledger is built where it is read and dropped after.
-`oracle_tol` moves only the bounds of the comparisons against the phase
-damping and phase flip closed-form curves.  Every other bound is fixed,
-including the 1e-5 on the phase-flip heat at tau=8, which compares against a
-frozen value rather than a curve.
+Every bound is a constant: `ORACLE_TOL` bounds the comparisons against the
+phase damping and phase flip closed-form curves, read when a check runs.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from .channel import ChannelSpec, KrausSet, completeness_deviation, kraus_at
 from .firstlaw import DEFAULT_STEPS, DEFAULT_TAU_MAX, TimeGrid, run_energetics
 from .qstate import DensityOperator, Hamiltonian, InitialStatePrep, prepare_pure_state
 
-DEFAULT_ORACLE_TOL = 1e-5
+ORACLE_TOL = 1e-5
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 #: Columns are the sigma_y eigenvectors; conjugation maps sigma_z to sigma_y.
@@ -101,7 +99,7 @@ def _shared(tag: str):
 # -- phase damping vs closed forms --------------------------------------------
 
 
-def check_phase_damping_curves(oracle_tol: float = DEFAULT_ORACLE_TOL) -> list[CheckResult]:
+def check_phase_damping_curves() -> list[CheckResult]:
     ledger = _shared("phase_damping:pi/6")
     cfg = oracle.OracleConfig()
     heat_ref = oracle.pd_heat(ledger.tau, cfg)
@@ -109,12 +107,12 @@ def check_phase_damping_curves(oracle_tol: float = DEFAULT_ORACLE_TOL) -> list[C
     final_ref = heat_ref[-1]
     return [
         _within("phase-damping heat matches closed form",
-                np.max(np.abs(ledger.heat - heat_ref)), oracle_tol),
+                np.max(np.abs(ledger.heat - heat_ref)), ORACLE_TOL),
         _within("phase-damping final heat value",
-                abs(ledger.heat[-1] - final_ref), oracle_tol,
+                abs(ledger.heat[-1] - final_ref), ORACLE_TOL,
                 detail=f"heat(8)={ledger.heat[-1]:.7f}, closed form {final_ref:.7f}"),
         _within("phase-damping coherence matches closed form",
-                np.max(np.abs(ledger.coherence - coh_ref)), oracle_tol),
+                np.max(np.abs(ledger.coherence - coh_ref)), ORACLE_TOL),
         _within("phase-damping heat+coherence cancellation",
                 np.max(np.abs(ledger.heat + ledger.coherence)), 5e-6),
     ]
@@ -165,7 +163,7 @@ def check_non_dissipative_invariants() -> list[CheckResult]:
 # -- phase flip vs closed forms ------------------------------------------------
 
 
-def check_phase_flip_curves(oracle_tol: float = DEFAULT_ORACLE_TOL) -> list[CheckResult]:
+def check_phase_flip_curves() -> list[CheckResult]:
     ledger = _shared("phase_flip:pi/6")
     cfg = oracle.OracleConfig()
     heat_ref = oracle.pf_heat(ledger.tau, cfg)
@@ -173,9 +171,9 @@ def check_phase_flip_curves(oracle_tol: float = DEFAULT_ORACLE_TOL) -> list[Chec
     peak_index = int(np.argmin(np.abs(ledger.tau - math.log(2))))
     results = [
         _within("phase-flip heat matches closed form",
-                np.max(np.abs(ledger.heat - heat_ref)), oracle_tol),
+                np.max(np.abs(ledger.heat - heat_ref)), ORACLE_TOL),
         _within("phase-flip coherence matches closed form",
-                np.max(np.abs(ledger.coherence - coh_ref)), oracle_tol),
+                np.max(np.abs(ledger.coherence - coh_ref)), ORACLE_TOL),
         _within("phase-flip heat peak at the grid point nearest tau=ln2",
                 abs(ledger.heat[peak_index] - math.log(4) / 8), 1e-4,
                 detail=f"peak {ledger.heat[peak_index]:.7f} vs ln4/8 = {math.log(4) / 8:.7f}"),
@@ -190,7 +188,7 @@ def check_phase_flip_curves(oracle_tol: float = DEFAULT_ORACLE_TOL) -> list[Chec
     results.append(_within(
         "phase-flip general-energy curves match closed forms",
         max(np.max(np.abs(wide.heat - wide_heat_ref)), np.max(np.abs(wide.coherence - wide_coh_ref))),
-        oracle_tol))
+        ORACLE_TOL))
     results.append(_within(
         "phase-flip curves scale linearly with the energy splitting",
         max(np.max(np.abs(wide.heat - 1.4 * ledger.heat)),
@@ -369,16 +367,9 @@ ALL_CHECKS = (
     check_reproduce_determinism,
 )
 
-_TOL_AWARE = {check_phase_damping_curves, check_phase_flip_curves}
 
-
-def run_all_checks(oracle_tol: float = DEFAULT_ORACLE_TOL, workdir=None) -> list[CheckResult]:
+def run_all_checks(workdir=None) -> list[CheckResult]:
     results: list[CheckResult] = []
     for check in ALL_CHECKS:
-        if check is check_reproduce_determinism:
-            results.extend(check(workdir=workdir))
-        elif check in _TOL_AWARE:
-            results.extend(check(oracle_tol=oracle_tol))
-        else:
-            results.extend(check())
+        results.extend(check(workdir=workdir) if check is check_reproduce_determinism else check())
     return results

@@ -2,7 +2,9 @@
 must keep working on the package: every observer accepts what its layer
 returns, and branch matching, degeneracy inheritance, expression evaluation,
 H(t), its eigenbasis and the eigensolver record at least one call per
-trajectory, which the benchmark requires of every layer it lists."""
+trajectory, which the benchmark requires of every layer it lists.  The
+benchmark's seeded qudit inputs (perfbench/inputs.py) also show that a ledger
+does not depend on the energy unit."""
 
 import importlib.util
 import json
@@ -35,11 +37,16 @@ def _qubit_ledger():
             TimeGrid(8.0, 4000))
 
 
+def _seeded_inputs(*args):
+    """``inputs.qudit_inputs(*args)`` with static H, built as the benchmark builds them."""
+    return [(ChannelSpec.from_json(doc["channel"]), DensityOperator(_complex_matrix(doc["rho0"])),
+             Hamiltonian.from_matrix(_complex_matrix(doc["hamiltonian"]["matrix"])),
+             TimeGrid(doc["tau_max"], doc["steps"]))
+            for doc in json.loads(_load("inputs").qudit_inputs(*args))]
+
+
 def _seeded_d8_input():
-    doc = json.loads(_load("inputs").qudit_inputs(1, 1, 8, False, 4.0, 16))[0]
-    return (ChannelSpec.from_json(doc["channel"]), DensityOperator(_complex_matrix(doc["rho0"])),
-            Hamiltonian.from_matrix(_complex_matrix(doc["hamiltonian"]["matrix"])),
-            TimeGrid(doc["tau_max"], doc["steps"]))
+    return _seeded_inputs(1, 1, 8, False, 4.0, 16)[0]
 
 
 @pytest.mark.parametrize("case", [_qubit_ledger, _seeded_d8_input], ids=["qubit-4000", "d8"])
@@ -60,3 +67,20 @@ def test_traced_layers_record_calls_on_every_trajectory(case):
                   "exprparse.evaluate", "qstate.Hamiltonian.matrix",
                   "qstate.energy_eigenbasis", "cxmat.hermitian_eigen"):
         assert stats[layer]["calls"] >= 1, layer
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_ledger_does_not_depend_on_the_energy_unit(index):
+    """Scaling H by 2^20 is exact through Jacobi, the overlaps and the
+    quadrature, so the ledger scales bit for bit: no bound on the way may
+    refuse a Hamiltonian for the size of its entries."""
+    spec, rho0, h, grid = _seeded_inputs(3, 4, 4, False, 2.0, 40)[index]
+    scale = 2.0 ** 20
+
+    def columns(hamiltonian):
+        ledger = firstlaw.run_energetics(spec, rho0, hamiltonian, grid)
+        return np.stack([ledger.delta_u, ledger.work, ledger.heat, ledger.coherence])
+
+    base = columns(h)
+    scaled = columns(Hamiltonian.from_matrix(scale * h.matrix(0.0)))
+    assert scaled.tobytes() == (scale * base).tobytes()

@@ -499,7 +499,7 @@ class TestVerifyCommand:
             verification.CheckResult("alpha", True, 1e-9, 1e-5),
             verification.CheckResult("beta", True, 2e-9, 1e-5, detail="spot"),
         ]
-        monkeypatch.setattr(verification, "run_all_checks", lambda oracle_tol: fabricated)
+        monkeypatch.setattr(verification, "run_all_checks", lambda: fabricated)
         assert cli.main(["verify"]) == 0
         out = capsys.readouterr().out
         assert "[PASS] alpha" in out
@@ -507,30 +507,22 @@ class TestVerifyCommand:
 
     def test_exit_one_on_failure(self, capsys, monkeypatch):
         fabricated = [verification.CheckResult("gamma", False, 3e-3, 1e-5)]
-        monkeypatch.setattr(verification, "run_all_checks", lambda oracle_tol: fabricated)
+        monkeypatch.setattr(verification, "run_all_checks", lambda: fabricated)
         assert cli.main(["verify"]) == 1
         assert "[FAIL] gamma" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
-    def test_tolerance_must_be_finite_and_positive(self, tol, capsys, monkeypatch):
-        def never(oracle_tol):
+    def test_tolerance_flag_is_an_unrecognized_argument(self, capsys, monkeypatch):
+        def never():
             raise AssertionError("the battery ran")
 
         monkeypatch.setattr(verification, "run_all_checks", never)
-        assert cli.main(["verify", "--tol", tol]) == 2
-        assert "--tol must be a finite number > 0" in capsys.readouterr().err
+        assert cli.main(["verify", "--tol", "1e-4"]) == 2
+        assert "unrecognized arguments: --tol 1e-4" in capsys.readouterr().err
 
-    def test_tolerance_reaches_the_battery(self, capsys, monkeypatch):
-        seen = []
-        fabricated = [verification.CheckResult("delta", True, 1e-9, 1e-5)]
-        monkeypatch.setattr(verification, "run_all_checks",
-                            lambda oracle_tol: seen.append(oracle_tol) or fabricated)
-        assert cli.main(["verify", "--tol", "1e-5"]) == 0
-        assert seen == [1e-5]
-        assert "1/1 checks passed" in capsys.readouterr().out
-
-    def test_overtight_tolerance_fails_closed_form_checks(self):
-        results = verification.check_phase_damping_curves(oracle_tol=1e-12)
+    def test_overtight_tolerance_fails_closed_form_checks(self, monkeypatch):
+        # the checks read the bound when they run, so it stays live
+        monkeypatch.setattr(verification, "ORACLE_TOL", 1e-12)
+        results = verification.check_phase_damping_curves()
         failed = [r for r in results if not r.passed]
         assert failed
         assert all(r.measured > 1e-12 for r in failed)

@@ -951,7 +951,9 @@ class TestIntegrateFirstLaw:
         run_energetics(spec, rho0, h, grid)
         assert len(calls) == 1
         traj = spectral_trajectory(spec, rho0, h, grid)
-        expected = np.einsum("...ij,...ji->...", traj.rho, matrix(h, traj.tau)).real
+        # internal_energy sums Tr(rho H) over a C-ordered rho; traj.rho is grid-last
+        rho = np.ascontiguousarray(traj.rho)
+        expected = np.einsum("...ij,...ji->...", rho, matrix(h, traj.tau)).real
         assert np.array_equal(traj.energy, expected)
         assert np.array_equal(integrate_first_law(traj).delta_u, traj.energy - traj.energy[0])
 
@@ -994,7 +996,7 @@ class TestGridLastLayout:
                   *kraus_at(ChannelSpec.phase_damping(), time).operators,
                   *kraus_at(spec, time).operators, evolve(spec, rho0, time).matrix,
                   h.matrix(time), eig.eigenvalues, eig.eigenvectors,
-                  traj.eigenvalues, traj.eigenvectors, traj.overlap]
+                  traj.rho, traj.eigenvalues, traj.eigenvectors, traj.overlap]
         for x in stacks:
             assert len(x) == len(time) and x.strides[0] == x.itemsize
 
