@@ -130,6 +130,26 @@ class TestValidateCptp:
         assert not deviation <= 1e-12
         assert deviation == 1.0
 
+    @pytest.mark.parametrize("shape, grid_last", [
+        ((3, 3), False), ((1, 2, 2), False), ((17, 5, 5), False),
+        ((4001, 2, 2), False), ((4001, 2, 2), True),
+    ])
+    def test_deviation_is_the_max_over_the_matrix_axes(self, shape, grid_last):
+        rng = np.random.default_rng(len(shape))
+        ops = rng.normal(size=(2, *shape)) + 1j * rng.normal(size=(2, *shape))
+        # at the first and last time the first operator's K†K is inf - inf = nan off the diagonal
+        ops.reshape(2, -1, *shape[-2:])[0, [0, -1], :2, :2] = 1e200 * np.array([[1, 1], [1, -1]])
+        if grid_last:
+            ops = [cxmat.stack_view(np.ascontiguousarray(np.moveaxis(k, 0, -1))) for k in ops]
+        with np.errstate(over="ignore", invalid="ignore"):
+            deviation = completeness_deviation(KrausSet(tuple(ops), 0.0))
+            # elementwise, not matmul: BLAS can turn an inf - inf cell into inf + nan j
+            total = sum((k.conj()[..., :, None] * k[..., None, :]).sum(axis=-3) for k in ops)
+        expected = np.abs(total - np.eye(shape[-1])).max(axis=(-2, -1))
+        assert np.shape(deviation) == expected.shape == shape[:-2]
+        assert np.isnan(np.ravel(expected)[[0, -1]]).all()
+        np.testing.assert_allclose(deviation, expected, rtol=1e-13, atol=0)
+
     def test_validate_returns_the_deviation_or_raises_at_the_first_bad_time(self):
         times = np.array([0.0, 1.3, 4.0])
         kraus = kraus_at(ChannelSpec.phase_flip(), times)
