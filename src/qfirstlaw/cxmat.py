@@ -15,7 +15,11 @@ LAPACK call, so the whole numerical path stays auditable.  It holds a
 ``(..., n, n)`` stack column-major with the grid axis last, computes each
 rotation for every matrix and writes it under the mask of the matrices that
 still need it: the Python loop is over sweeps and index pairs, never over
-grid points.  A single matrix is a stack of one."""
+grid points.  A single matrix is a stack of one.
+
+A matrix counts as Hermitian when max|a - a†| <= HERMITIAN_TOL * max(1,
+max|a|), judged per matrix of a stack: the bound grows with the entries, as
+their round-off does, so no choice of energy unit decides the test."""
 
 from __future__ import annotations
 
@@ -39,7 +43,7 @@ class _StackIndexed:
 
 
 class NonHermitianError(_StackIndexed, ValueError):
-    """Input matrix deviates from its adjoint beyond the allowed tolerance."""
+    """Input matrix breaks the Hermiticity rule (module docstring)."""
 
 
 class ConvergenceError(_StackIndexed, RuntimeError):
@@ -54,8 +58,11 @@ class NumericError(RuntimeError):
 #: input entry before the Jacobi iteration is declared converged.
 OFFDIAG_FACTOR = 1e-14
 
-#: Hard cap on the number of full cyclic sweeps.
+#: Hard cap on the number of full cyclic sweeps, read when the solver runs.
 MAX_SWEEPS = 100
+
+#: Relative bound of the Hermiticity rule (module docstring).
+HERMITIAN_TOL = 1e-12
 
 
 def as_matrix(a) -> np.ndarray:
@@ -111,17 +118,24 @@ class HermitianEigenDecomposition:
         return self.eigenvalues.shape[-1]
 
 
-def hermitian_eigen(a, tol: float = 1e-12, max_sweeps: int = MAX_SWEEPS) -> HermitianEigenDecomposition:
+def hermitian_deviation(a):
+    """Per matrix of a ``(..., n, n)`` array: max|a - a†| and its bound under the rule."""
+    entries = np.moveaxis(a, (-2, -1), (0, 1))  # reduce with the stack axes innermost
+    dev = np.abs(entries - entries.conj().swapaxes(0, 1)).max(axis=(0, 1))
+    return dev, HERMITIAN_TOL * np.maximum(1.0, np.abs(entries).max(axis=(0, 1)))
+
+
+def hermitian_eigen(a) -> HermitianEigenDecomposition:
     """Diagonalize a Hermitian matrix, or every matrix of a ``(..., n, n)``
     stack at once, by cyclic complex Jacobi rotations.
 
-    Each matrix must satisfy max|a - a†| <= tol.  Sweeps run until every
-    off-diagonal magnitude of a matrix is at most OFFDIAG_FACTOR times the
-    largest entry of that matrix; a (p, q) rotation is applied only to the
-    matrices whose |a_pq| still exceeds their own threshold, so each matrix
-    gets exactly the rotations it would get alone.  A matrix still above its
-    threshold after ``max_sweeps`` sweeps raises ConvergenceError.  Errors
-    on a stack name the first failing matrix and carry its ``index``.
+    Each matrix must pass the Hermiticity rule (module docstring).  Sweeps
+    run until every off-diagonal magnitude of a matrix is at most
+    OFFDIAG_FACTOR times its largest entry; a (p, q) rotation is applied only
+    to the matrices whose |a_pq| still exceeds their own threshold, so each
+    matrix gets exactly the rotations it would get alone.  A matrix still
+    above its threshold after MAX_SWEEPS sweeps raises ConvergenceError.
+    Errors on a stack name the first failing matrix and carry its ``index``.
     Every pass runs on ``cols``, the N matrices column-major with the grid
     axis last: ``cols[j]`` is column j of A above column j of V, ``(2n, N)``.
     """
@@ -134,12 +148,10 @@ def hermitian_eigen(a, tol: float = 1e-12, max_sweeps: int = MAX_SWEEPS) -> Herm
     # A view: by_col[j, i] is entry (i, j) of every matrix.
     by_col = stack.reshape(-1, n, n).transpose(2, 1, 0)
     count = by_col.shape[-1]
-    adj = by_col.conj().swapaxes(0, 1)
-    dev = np.abs(by_col - adj).reshape(n * n, count).max(axis=0)
     # A rotation multiplies both A and V by J on the right, so each column
     # of A is stored above the same column of V and they rotate together.
     cols = np.zeros((n, 2 * n, count), dtype=np.complex128)
-    cols[:, :n] = 0.5 * (by_col + adj)  # fold round-off asymmetry away
+    cols[:, :n] = 0.5 * (by_col + by_col.conj().swapaxes(0, 1))  # fold round-off asymmetry away
     cols[range(n), range(n, 2 * n)] = 1.0
     thresh = OFFDIAG_FACTOR * np.abs(cols[:, :n]).reshape(n * n, count).max(axis=0)
     off_diagonal = ~np.eye(n, dtype=bool)
@@ -147,7 +159,7 @@ def hermitian_eigen(a, tol: float = 1e-12, max_sweeps: int = MAX_SWEEPS) -> Herm
     while True:
         off_max = np.abs(cols[:, :n][off_diagonal]).max(axis=0, initial=0.0)
         active = off_max > thresh
-        if sweeps >= max_sweeps or not active.any():
+        if sweeps >= MAX_SWEEPS or not active.any():
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -157,14 +169,15 @@ def hermitian_eigen(a, tol: float = 1e-12, max_sweeps: int = MAX_SWEEPS) -> Herm
         sweeps += 1
 
     # The first failing matrix is reported, whichever check it fails.
-    skew = np.flatnonzero(dev > tol)
+    dev, bound = hermitian_deviation(stack.reshape(-1, n, n))
+    skew = np.flatnonzero(dev > bound)
     stuck = np.flatnonzero(active)
     if skew.size and not (stuck.size and stuck[0] < skew[0]):
-        _raise_at(NonHermitianError, batch, skew[0],
-                  f"matrix is not Hermitian: max|a - a†| = {dev[skew[0]]:.3e} > tol {tol:.3e}")
+        _raise_at(NonHermitianError, batch, skew[0], "matrix is not Hermitian: "
+                  f"max|a - a†| = {dev[skew[0]]:.3e} > {bound[skew[0]]:.3e}")
     if stuck.size:
         _raise_at(ConvergenceError, batch, stuck[0],
-                  f"Jacobi sweep cap ({max_sweeps}) exceeded; "
+                  f"Jacobi sweep cap ({MAX_SWEEPS}) exceeded; "
                   f"max off-diagonal {off_max[stuck[0]]:.3e} > {thresh[stuck[0]]:.3e}")
 
     values = cols[range(n), range(n)].real

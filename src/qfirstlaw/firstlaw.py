@@ -114,10 +114,6 @@ class SpectralTrajectory:
     overlap: np.ndarray
     energy: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[1]
-
 
 @dataclass(frozen=True)
 class EnergeticsLedger:
@@ -418,13 +414,7 @@ def integrate_first_law(traj: SpectralTrajectory) -> EnergeticsLedger:
     return EnergeticsLedger(traj.tau, traj.energy - traj.energy[0], work, heat, coherence)
 
 
-def run_energetics(
-    spec: ChannelSpec,
-    rho0: DensityOperator,
-    h: Hamiltonian,
-    grid: TimeGrid | None = None,
-) -> EnergeticsLedger:
-    """Convenience wrapper: trajectory plus integration on the default grid."""
-    if grid is None:
-        grid = TimeGrid(DEFAULT_TAU_MAX, DEFAULT_STEPS)
+def run_energetics(spec: ChannelSpec, rho0: DensityOperator, h: Hamiltonian,
+                   grid: TimeGrid) -> EnergeticsLedger:
+    """Convenience wrapper: trajectory plus integration on ``grid``."""
     return integrate_first_law(spectral_trajectory(spec, rho0, h, grid))

@@ -86,30 +86,28 @@ class ValidationReport:
         )
 
 
-def validate_density(rho: DensityOperator, tol: float = 1e-12) -> ValidationReport:
-    """Check Hermiticity and unit trace within ``tol`` and positive
-    semidefiniteness down to -max(tol, 1e-10); on a stack, each check
-    reports the worst matrix.
+#: validate_density's bound on |Tr(rho) - 1|, and its floor for eigenvalues:
+#: pure states carry an exactly zero eigenvalue that round-off must not reject.
+TRACE_TOL, PSD_FLOOR = 1e-12, 1e-10
 
-    The PSD floor never tightens below 1e-10: pure states carry an exactly
-    zero eigenvalue and round-off must not reject them.
-    """
+
+def validate_density(rho: DensityOperator) -> ValidationReport:
+    """Check Hermiticity by the rule of ``cxmat``, unit trace within TRACE_TOL
+    and eigenvalues down to -PSD_FLOOR; on a stack, each check reports the
+    worst matrix (for Hermiticity, the one furthest past its own bound)."""
     m = rho.matrix
-    adjoint = m.conj().swapaxes(-1, -2)
-    herm_dev = float(np.max(np.abs(m - adjoint)))
+    dev, bound = cxmat.hermitian_deviation(m)
+    worst = np.unravel_index(np.argmax(dev / bound), dev.shape)
+    herm_dev, herm_bound = float(dev[worst]), float(bound[worst])
     trace_dev = float(np.max(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)))
-    psd_floor = max(tol, 1e-10)
-    # Eigenvalues of the Hermitian part, so the PSD check stays meaningful
-    # even when the Hermiticity check itself fails.
-    eig = cxmat.hermitian_eigen(0.5 * (m + adjoint), tol=1.0)
+    # Eigenvalues of the Hermitian part, which is Hermitian bit for bit, so
+    # the PSD check stays meaningful even when the Hermiticity check fails.
+    eig = cxmat.hermitian_eigen(0.5 * (m + m.conj().swapaxes(-1, -2)))
     min_eig = float(np.min(eig.eigenvalues))
-    return ValidationReport(
-        (
-            ValidationCheck("hermiticity", herm_dev, tol, herm_dev <= tol),
-            ValidationCheck("trace", trace_dev, tol, trace_dev <= tol),
-            ValidationCheck("positivity", min_eig, -psd_floor, min_eig >= -psd_floor),
-        )
-    )
+    return ValidationReport((
+        ValidationCheck("hermiticity", herm_dev, herm_bound, herm_dev <= herm_bound),
+        ValidationCheck("trace", trace_dev, TRACE_TOL, trace_dev <= TRACE_TOL),
+        ValidationCheck("positivity", min_eig, -PSD_FLOOR, min_eig >= -PSD_FLOOR)))
 
 
 class Hamiltonian:
@@ -144,21 +142,18 @@ class Hamiltonian:
         return cls(list(entries))
 
     @classmethod
-    def from_matrix(cls, m, tol: float = 1e-12) -> "Hamiltonian":
-        """Constant Hamiltonian from an explicit Hermitian matrix."""
+    def from_matrix(cls, m) -> "Hamiltonian":
+        """Constant Hamiltonian from the upper triangle of a matrix that passes
+        the Hermiticity rule of ``cxmat``."""
         m = cxmat.as_matrix(m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise cxmat.ShapeError(f"Hamiltonian must be one square matrix, got shape {m.shape}")
-        dev = float(np.max(np.abs(m - m.conj().T)))
-        if dev > tol:
-            raise cxmat.NonHermitianError(f"matrix is not Hermitian: deviation {dev:.3e}")
-        diag = [float(m[i, i].real) for i in range(m.shape[0])]
-        upper = {
-            (i, j): (float(m[i, j].real), float(m[i, j].imag))
-            for i in range(m.shape[0])
-            for j in range(i + 1, m.shape[0])
-        }
-        return cls(diag, upper)
+        dev, bound = cxmat.hermitian_deviation(m)
+        if dev > bound:
+            cxmat.hermitian_eigen(m)  # raises the solver's NonHermitianError for m
+        d = len(m)
+        return cls(m.diagonal().real.tolist(), {(i, j): (m[i, j].real.item(), m[i, j].imag.item())
+                                                for i in range(d) for j in range(i + 1, d)})
 
     def matrix(self, t) -> np.ndarray:
         """Entries at time t, or (T, d, d) over an array of times; Hermitian exactly."""
@@ -241,7 +236,7 @@ def energy_eigenbasis(hm, states=None, tau=None):
 def internal_energy(rho: DensityOperator, hm):
     """U = Tr(rho H) for an evaluated Hamiltonian: a float for one state and
     one matrix, an array over (T, d, d) stacks; |Im U| must stay below
-    1e-12 max(1, max|H|), as its round-off grows with the entries of H."""
+    HERMITIAN_TOL max(1, max|H|), as its round-off grows with the entries of H."""
     hm = np.asarray(hm)
     if hm.shape[-1] != rho.dim:
         raise cxmat.ShapeError(
@@ -250,7 +245,7 @@ def internal_energy(rho: DensityOperator, hm):
     # The unoptimized einsum sums in an order set by its operands' strides:
     # a C-ordered rho keeps it the C order whatever the layout of hm.
     value = np.einsum("...ij,...ji->...", np.ascontiguousarray(rho.matrix), hm)
-    bad = np.flatnonzero(np.abs(value.imag) > 1e-12 * max(1.0, np.max(np.abs(hm))))
+    bad = np.flatnonzero(np.abs(value.imag) > cxmat.HERMITIAN_TOL * max(1.0, np.max(np.abs(hm))))
     if bad.size:
         where = f"at grid point {bad[0]}: " if value.ndim else ""
         raise cxmat.NumericError(

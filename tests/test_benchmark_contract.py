@@ -69,18 +69,37 @@ def test_traced_layers_record_calls_on_every_trajectory(case):
         assert stats[layer]["calls"] >= 1, layer
 
 
-@pytest.mark.parametrize("index", range(4))
-def test_ledger_does_not_depend_on_the_energy_unit(index):
+def _rotated_spectrum(d):
+    """A seeded Q diag(linspace(0, 1, d)) Q† with Q unitary: its round-off
+    leaves it short of Hermitian by a few times 1e-17."""
+    rng = np.random.default_rng([23, d])
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q @ np.diag(np.linspace(0.0, 1.0, d)) @ q.conj().T
+
+
+@pytest.mark.parametrize("case", [0, 1, 2, 3, "d2", "d4", "d8"])
+def test_ledger_does_not_depend_on_the_energy_unit(case):
     """Scaling H by 2^20 is exact through Jacobi, the overlaps and the
     quadrature, so the ledger scales bit for bit: no bound on the way may
-    refuse a Hamiltonian for the size of its entries."""
-    spec, rho0, h, grid = _seeded_inputs(3, 4, 4, False, 2.0, 40)[index]
+    refuse a Hamiltonian for the size of its entries.  The integer cases
+    take the seeded benchmark inputs as they are; the others put a matrix
+    that is Hermitian only up to round-off into ``from_matrix``, whose
+    skew at 2^20 exceeds 1e-12."""
     scale = 2.0 ** 20
+    if isinstance(case, int):
+        spec, rho0, h, grid = _seeded_inputs(3, 4, 4, False, 2.0, 40)[case]
+        matrix = h.matrix(0.0)
+    else:
+        d = int(case[1:])
+        spec, rho0, _, grid = _seeded_inputs(3, 1, d, False, 2.0, 16 if d == 8 else 40)[0]
+        matrix = _rotated_spectrum(d)
+        assert np.max(np.abs(scale * (matrix - matrix.conj().T))) > 1e-12
+        h = Hamiltonian.from_matrix(matrix)
 
     def columns(hamiltonian):
         ledger = firstlaw.run_energetics(spec, rho0, hamiltonian, grid)
         return np.stack([ledger.delta_u, ledger.work, ledger.heat, ledger.coherence])
 
     base = columns(h)
-    scaled = columns(Hamiltonian.from_matrix(scale * h.matrix(0.0)))
+    scaled = columns(Hamiltonian.from_matrix(scale * matrix))
     assert scaled.tobytes() == (scale * base).tobytes()

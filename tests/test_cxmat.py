@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qfirstlaw import cxmat
 from qfirstlaw.channel import ChannelSpec, evolve
 from qfirstlaw.cxmat import (
-    MAX_SWEEPS,
+    HERMITIAN_TOL,
     OFFDIAG_FACTOR,
     ConvergenceError,
     HermitianEigenDecomposition,
@@ -20,7 +20,7 @@ from qfirstlaw.cxmat import (
     as_matrix,
 )
 from qfirstlaw.firstlaw import TimeGrid
-from qfirstlaw.qstate import InitialStatePrep, prepare_pure_state
+from qfirstlaw.qstate import Hamiltonian, InitialStatePrep, prepare_pure_state
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -107,12 +107,13 @@ class TestHermitianEigen:
         with pytest.raises(cxmat.ShapeError):
             cxmat.hermitian_eigen(np.ones((2, 3)))
 
-    def test_sweep_cap(self):
+    def test_sweep_cap(self, monkeypatch):
         rng = np.random.default_rng(13)
         raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         a = raw + raw.conj().T
+        monkeypatch.setattr(cxmat, "MAX_SWEEPS", 0)
         with pytest.raises(cxmat.ConvergenceError):
-            cxmat.hermitian_eigen(a, max_sweeps=0)
+            cxmat.hermitian_eigen(a)
 
     def test_zero_matrix(self):
         eig = cxmat.hermitian_eigen(np.zeros((3, 3)))
@@ -154,12 +155,12 @@ def _random_hermitian(rng, d):
     return z + z.conj().T
 
 
-def _assert_stack_matches_single_calls(stack, **kwargs):
-    eig = cxmat.hermitian_eigen(stack, **kwargs)
+def _assert_stack_matches_single_calls(stack):
+    eig = cxmat.hermitian_eigen(stack)
     assert eig.eigenvalues.shape == stack.shape[:-1]
     assert eig.eigenvectors.shape == stack.shape
     for index in np.ndindex(stack.shape[:-2]):
-        one = cxmat.hermitian_eigen(stack[index], **kwargs)
+        one = cxmat.hermitian_eigen(stack[index])
         assert np.array_equal(eig.eigenvalues[index], one.eigenvalues)
         assert np.array_equal(eig.eigenvectors[index], one.eigenvectors)
     return eig
@@ -224,40 +225,64 @@ class TestHermitianEigenStack:
             cxmat.hermitian_eigen(stack[2])
         assert info.value.index is None
 
-    def test_sweep_cap_names_first_unconverged_matrix(self):
+    def test_sweep_cap_names_first_unconverged_matrix(self, monkeypatch):
         rng = np.random.default_rng(13)
         stack = np.array([np.diag([0.2, 0.3, 0.5]), np.zeros((3, 3)), _random_hermitian(rng, 3),
                           _random_hermitian(rng, 3)]).astype(complex)
+        monkeypatch.setattr(cxmat, "MAX_SWEEPS", 0)
         with pytest.raises(cxmat.ConvergenceError, match=r"^matrix \(2,\) of the stack: ") as info:
-            cxmat.hermitian_eigen(stack, max_sweeps=0)
+            cxmat.hermitian_eigen(stack)
         assert info.value.index == (2,)
-        eig = cxmat.hermitian_eigen(stack[:2], max_sweeps=0)
+        eig = cxmat.hermitian_eigen(stack[:2])
         assert np.array_equal(eig.eigenvalues, [[0.2, 0.3, 0.5], np.zeros(3)])
 
-    def test_first_failing_matrix_wins_across_checks(self):
+    def test_first_failing_matrix_wins_across_checks(self, monkeypatch):
         rng = np.random.default_rng(14)
         stack = np.array([np.eye(3), _random_hermitian(rng, 3), _random_hermitian(rng, 3)])
         stack[2, 0, 1] += 1.0
+        monkeypatch.setattr(cxmat, "MAX_SWEEPS", 0)
         with pytest.raises(cxmat.ConvergenceError) as info:
-            cxmat.hermitian_eigen(stack, max_sweeps=0)
+            cxmat.hermitian_eigen(stack)
         assert info.value.index == (1,)
         stack[1, 0, 1] += 1.0
         with pytest.raises(cxmat.NonHermitianError) as info:
-            cxmat.hermitian_eigen(stack, max_sweeps=0)
+            cxmat.hermitian_eigen(stack)
         assert info.value.index == (1,)
 
+    def test_hermiticity_bound_is_per_matrix_and_scales_with_it(self):
+        # A skew of 1e-10 is round-off next to entries of 2^20 but not next
+        # to entries of order 1: a bound taken over the whole stack would
+        # accept both matrices
+        rng = np.random.default_rng(41)
+        a = _random_hermitian(rng, 3)
+        z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        s = 1e-10 * (z - z.conj().T)
+        stack = np.array([2.0 ** 20 * a + s, a + s])
+        with pytest.raises(cxmat.NonHermitianError) as info:
+            cxmat.hermitian_eigen(stack)
+        assert info.value.index == (1,)
+        cxmat.hermitian_eigen(stack[0])
+        with pytest.raises(cxmat.NonHermitianError) as solver:
+            cxmat.hermitian_eigen(stack[1])
+        with pytest.raises(cxmat.NonHermitianError) as built:
+            Hamiltonian.from_matrix(stack[1])
+        assert str(built.value) == str(solver.value)
+        assert str(solver.value).startswith("matrix is not Hermitian: max|a - a†| = ")
+        assert str(info.value) == f"matrix (1,) of the stack: {solver.value}"
 
-def reference_eigen(a, tol: float = 1e-12, max_sweeps: int = MAX_SWEEPS) -> HermitianEigenDecomposition:
+
+def reference_eigen(a) -> HermitianEigenDecomposition:
     """Diagonalize a Hermitian matrix, or every matrix of a ``(..., n, n)``
     stack at once, by cyclic complex Jacobi rotations.
 
-    Each matrix must satisfy max|a - a†| <= tol.  Sweeps run until every
-    off-diagonal magnitude of a matrix is at most OFFDIAG_FACTOR times the
-    largest entry of that matrix; a (p, q) rotation is applied only to the
-    matrices whose |a_pq| still exceeds their own threshold, so each matrix
-    gets exactly the rotations it would get alone.  A matrix still above its
-    threshold after ``max_sweeps`` sweeps raises ConvergenceError.  Errors
-    on a stack name the first failing matrix and carry its ``index``.
+    Each matrix must satisfy max|a - a†| <= HERMITIAN_TOL * max(1, max|a|).
+    Sweeps run until every off-diagonal magnitude of a matrix is at most
+    OFFDIAG_FACTOR times the largest entry of that matrix; a (p, q) rotation
+    is applied only to the matrices whose |a_pq| still exceeds their own
+    threshold, so each matrix gets exactly the rotations it would get alone.
+    A matrix still above its threshold after cxmat.MAX_SWEEPS sweeps raises
+    ConvergenceError.  Errors on a stack name the first failing matrix and
+    carry its ``index``.
     """
     m = np.asarray(a, dtype=np.complex128)
     batch = m.shape[:-2]
@@ -267,6 +292,7 @@ def reference_eigen(a, tol: float = 1e-12, max_sweeps: int = MAX_SWEEPS) -> Herm
         raise ShapeError(f"eigendecomposition requires a square matrix, got {m.shape}")
     adj = stack.conj().swapaxes(-1, -2)
     dev = np.abs(stack - adj).max(axis=(-2, -1))
+    bound = HERMITIAN_TOL * np.maximum(1.0, np.abs(stack).max(axis=(-2, -1)))
 
     # A rotation multiplies both A and the accumulated eigenvectors V by J on
     # the right, so they are stored one above the other and rotated together.
@@ -284,7 +310,7 @@ def reference_eigen(a, tol: float = 1e-12, max_sweeps: int = MAX_SWEEPS) -> Herm
     while True:
         off_max = np.abs(entries[off_diagonal]).max(axis=0, initial=0.0)
         active = off_max > thresh
-        if sweeps >= max_sweeps or not active.any():
+        if sweeps >= cxmat.MAX_SWEEPS or not active.any():
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -295,14 +321,14 @@ def reference_eigen(a, tol: float = 1e-12, max_sweeps: int = MAX_SWEEPS) -> Herm
         sweeps += 1
 
     # The first failing matrix is reported, whichever check it fails.
-    skew = np.flatnonzero(dev > tol)
+    skew = np.flatnonzero(dev > bound)
     stuck = np.flatnonzero(active)
     if skew.size and not (stuck.size and stuck[0] < skew[0]):
-        _raise_at(NonHermitianError, batch, skew[0],
-                  f"matrix is not Hermitian: max|a - a†| = {dev[skew[0]]:.3e} > tol {tol:.3e}")
+        _raise_at(NonHermitianError, batch, skew[0], "matrix is not Hermitian: "
+                  f"max|a - a†| = {dev[skew[0]]:.3e} > {bound[skew[0]]:.3e}")
     if stuck.size:
         _raise_at(ConvergenceError, batch, stuck[0],
-                  f"Jacobi sweep cap ({max_sweeps}) exceeded; "
+                  f"Jacobi sweep cap ({cxmat.MAX_SWEEPS}) exceeded; "
                   f"max off-diagonal {off_max[stuck[0]]:.3e} > {thresh[stuck[0]]:.3e}")
 
     values = np.diagonal(work, axis1=-2, axis2=-1).real
@@ -355,10 +381,10 @@ def _reference_rotate(aug, rows, p, q):
     aug[rows, q, p] = 0.0
 
 
-def _assert_matches_reference(stack, **kwargs):
+def _assert_matches_reference(stack):
     """The solver returns the matrix-major reference's eigensystem bit for bit."""
-    eig = cxmat.hermitian_eigen(stack, **kwargs)
-    ref = reference_eigen(stack, **kwargs)
+    eig = cxmat.hermitian_eigen(stack)
+    ref = reference_eigen(stack)
     for got, want in ((eig.eigenvalues, ref.eigenvalues), (eig.eigenvectors, ref.eigenvectors)):
         assert got.shape == want.shape
         assert np.array_equal(got, want)
@@ -427,18 +453,18 @@ class TestMatchesReference:
         _assert_matches_reference(np.ones((3, 1, 1)))
 
     @pytest.mark.parametrize("case", ["sweep_cap", "non_hermitian"])
-    def test_errors_match(self, case):
+    def test_errors_match(self, case, monkeypatch):
         rng = np.random.default_rng(15)
         stack = np.array([np.diag([0.2, 0.3, 0.5]), np.zeros((3, 3)), _random_hermitian(rng, 3),
                           _random_hermitian(rng, 3)]).astype(complex).reshape(2, 2, 3, 3)
-        kwargs = {"max_sweeps": 0}
         if case == "non_hermitian":
             stack[1, 1, 0, 2] += 1e-6
-            kwargs = {}
+        else:
+            monkeypatch.setattr(cxmat, "MAX_SWEEPS", 0)
         with pytest.raises((ConvergenceError, NonHermitianError)) as ref:
-            reference_eigen(stack, **kwargs)
+            reference_eigen(stack)
         with pytest.raises(type(ref.value)) as got:
-            cxmat.hermitian_eigen(stack, **kwargs)
+            cxmat.hermitian_eigen(stack)
         assert got.value.index == ref.value.index == ((1, 0) if case == "sweep_cap" else (1, 1))
         assert str(got.value) == str(ref.value)
 

@@ -719,13 +719,11 @@ class TestSpectralTrajectory:
         spec = _mixed_unitary_channel(np.random.default_rng(8), 3)
         rho0 = DensityOperator(np.diag([1.0, 0.0, 0.0]))
         h = Hamiltonian.diagonal([0.0, 1.0, 2.0])
-        hermitian_eigen = cxmat.hermitian_eigen
-        monkeypatch.setattr(cxmat, "hermitian_eigen",
-                            lambda a, **kwargs: hermitian_eigen(a, max_sweeps=0))
-        with pytest.raises(cxmat.ConvergenceError, match=r"^at tau=0\.25: .*sweep cap") as info:
-            spectral_trajectory(spec, rho0, h, TimeGrid(4.0, 16))
+        with monkeypatch.context() as patch:
+            patch.setattr(cxmat, "MAX_SWEEPS", 0)
+            with pytest.raises(cxmat.ConvergenceError, match=r"^at tau=0\.25: .*sweep cap") as info:
+                spectral_trajectory(spec, rho0, h, TimeGrid(4.0, 16))
         assert info.value.index == (1,)
-        monkeypatch.setattr(cxmat, "hermitian_eigen", hermitian_eigen)
         skewed = DensityOperator(np.array([[1.0, 0.5], [0.0, 0.0]]))
         with pytest.raises(cxmat.NonHermitianError, match=r"^at tau=0: .*not Hermitian"):
             spectral_trajectory(ChannelSpec.phase_damping(), skewed, H_DEFAULT, TimeGrid(4.0, 16))
@@ -846,9 +844,7 @@ class TestSingleEigensolve:
         # sweep; the non-diagonal H needs at least one
         rho0 = DensityOperator(np.diag([0.5, 0.3, 0.2]))
         h = _hamiltonian(np.random.default_rng(3), 3, kind)
-        hermitian_eigen = cxmat.hermitian_eigen
-        monkeypatch.setattr(cxmat, "hermitian_eigen",
-                            lambda a, **kwargs: hermitian_eigen(a, max_sweeps=0))
+        monkeypatch.setattr(cxmat, "MAX_SWEEPS", 0)
         with pytest.raises(cxmat.ConvergenceError, match="sweep cap") as info:
             spectral_trajectory(ChannelSpec.identity(3), rho0, h, TimeGrid(4.0, 16))
         assert "tau" not in str(info.value)
@@ -865,9 +861,7 @@ class TestSingleEigensolve:
         spec = _mixed_unitary_channel(np.random.default_rng(8), 3)
         rho0 = DensityOperator(np.diag([1.0, 0.0, 0.0]))
         h = _hamiltonian(np.random.default_rng(3), 3, "static")
-        hermitian_eigen = cxmat.hermitian_eigen
-        monkeypatch.setattr(cxmat, "hermitian_eigen",
-                            lambda a, **kwargs: hermitian_eigen(a, max_sweeps=0))
+        monkeypatch.setattr(cxmat, "MAX_SWEEPS", 0)
         with pytest.raises(cxmat.ConvergenceError, match=r"^at tau=0\.25: matrix \(1,\) ") as info:
             spectral_trajectory(spec, rho0, h, TimeGrid(4.0, 16))
         assert info.value.index == (1,)

@@ -108,6 +108,21 @@ class TestValidateDensity:
         assert by_name["positivity"].deviation == pytest.approx(
             float(np.linalg.eigvalsh(hermitian)[0]), abs=1e-14)
 
+    def test_hermiticity_bound_is_per_matrix_and_scales_with_it(self):
+        # a skew of 1e-10 passes next to entries of 2^19; one of 1e-11 fails
+        # next to entries of 0.5, and that matrix is reported though its
+        # deviation is the smaller one
+        big = np.diag([2.0 ** 19, 2.0 ** 19]).astype(complex)
+        big[0, 1] = 1e-10
+        small = np.diag([0.5, 0.5]).astype(complex)
+        small[0, 1] = 1e-11
+        report = validate_density(DensityOperator(np.array([big, small])))
+        by_name = {c.name: c for c in report.checks}
+        assert not by_name["hermiticity"].passed
+        assert by_name["hermiticity"].deviation == 1e-11
+        assert by_name["hermiticity"].bound == cxmat.HERMITIAN_TOL
+        assert validate_density(DensityOperator(big)).checks[0].passed
+
     def test_summary_mentions_failures(self):
         rho = DensityOperator(np.diag([0.5, 0.4]).astype(complex))
         assert "FAIL" in validate_density(rho).summary()
