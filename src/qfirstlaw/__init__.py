@@ -13,7 +13,6 @@ from .firstlaw import (
     spectral_trajectory,
 )
 from .oracle import (
-    OracleConfig,
     pd_coherence,
     pd_eigensystem,
     pd_heat,
@@ -24,7 +23,6 @@ from .qstate import (
     DensityOperator,
     EnergyEigenbasis,
     Hamiltonian,
-    InitialStatePrep,
     energy_eigenbasis,
     internal_energy,
     prepare_pure_state,
@@ -40,9 +38,7 @@ __all__ = [
     "EnergyEigenbasis",
     "Hamiltonian",
     "HermitianEigenDecomposition",
-    "InitialStatePrep",
     "KrausSet",
-    "OracleConfig",
     "SpectralTrajectory",
     "TimeGrid",
     "apply",

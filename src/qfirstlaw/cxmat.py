@@ -113,10 +113,6 @@ class HermitianEigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[-1]
-
 
 def hermitian_deviation(a):
     """Per matrix of a ``(..., n, n)`` array: max|a - a†| and its bound under the rule."""

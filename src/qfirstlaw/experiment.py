@@ -20,7 +20,7 @@ from . import channel as channel_mod
 from . import oracle
 from .channel import ChannelSpec, CptpError
 from .firstlaw import DEFAULT_STEPS, DEFAULT_TAU_MAX, EnergeticsLedger, TimeGrid, run_energetics
-from .qstate import Hamiltonian, InitialStatePrep, prepare_pure_state
+from .qstate import Hamiltonian, prepare_pure_state
 
 
 class ConfigError(ValueError):
@@ -161,19 +161,15 @@ class ExperimentResult:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     try:
-        prep = InitialStatePrep(config.theta, config.phi)
+        rho0 = prepare_pure_state(config.theta, config.phi)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    rho0 = prepare_pure_state(prep)
-    h = Hamiltonian.two_level(config.e_g, config.e_e)
+    h = Hamiltonian([config.e_g, config.e_e])
     ledger = run_energetics(config.channel, rho0, h, TimeGrid(config.tau_max, config.steps))
     heat_ref = coh_ref = None
     if config.emit_oracle:
-        cfg = oracle.OracleConfig(e_g=config.e_g, e_e=config.e_e)
-        heat_fn = _ORACLE_HEAT[config.channel.kind]
-        coh_fn = _ORACLE_COHERENCE[config.channel.kind]
-        heat_ref = heat_fn(ledger.tau, cfg)
-        coh_ref = coh_fn(ledger.tau, cfg)
+        heat_ref = _ORACLE_HEAT[config.channel.kind](ledger.tau, config.e_g, config.e_e)
+        coh_ref = _ORACLE_COHERENCE[config.channel.kind](ledger.tau, config.e_g, config.e_e)
     return ExperimentResult(config, ledger, heat_ref, coh_ref)
 
 

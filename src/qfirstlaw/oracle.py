@@ -5,9 +5,10 @@ against: the spectral decomposition of the phase-damped state at any time,
 and the cumulative heat/coherence curves for both dephasing families.
 The heat/coherence closed forms are the theta = pi/6 curves; they check no
 angle (ExperimentConfig does), and any other angle must go through the
-numerical pipeline.  They take a float tau and return a float, or take an
-array of tau and return an array, so a whole grid is one call; an
-out-of-domain tau raises a ValueError naming the first failing tau.
+numerical pipeline.  They take (tau, e_g, e_e), linear in the two level
+energies, which may come in either order.  A float tau returns a float and
+an array of tau an array, so a whole grid is one call; an out-of-domain tau
+raises a ValueError naming the first failing tau.
 
 Conventions: tau is the dimensionless time gamma t, log means the
 natural logarithm, and amplitudes may be complex -- the eigenvector
@@ -19,23 +20,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .qstate import DensityOperator
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    """Energy splitting for the closed-form curves."""
-
-    e_g: float = 0.0
-    e_e: float = 1.0
-
-    def __post_init__(self):
-        if self.e_e < self.e_g:
-            raise ValueError(f"require e_e >= e_g, got ({self.e_g}, {self.e_e})")
 
 
 def pd_eigensystem(tau: float, rho0: DensityOperator):
@@ -74,14 +62,14 @@ def pd_eigensystem(tau: float, rho0: DensityOperator):
 
 
 def _closed_form(curve):
-    """Let ``curve(t, cfg)`` take a float tau, returning a float, or an array
-    of tau, returning an array."""
+    """Let ``curve(t, e_g, e_e)`` take a float tau, returning a float, or an
+    array of tau, returning an array."""
 
     @functools.wraps(curve)
-    def closed_form(tau, cfg: OracleConfig):
+    def closed_form(tau, e_g: float, e_e: float):
         t = np.asarray(tau, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
-            values = curve(t, cfg)
+            values = curve(t, e_g, e_e)
         return float(values) if t.ndim == 0 else values
 
     return closed_form
@@ -97,21 +85,21 @@ def _logs(t: np.ndarray, *args) -> tuple[np.ndarray, ...]:
 
 
 @_closed_form
-def pd_heat(tau, cfg: OracleConfig):
+def pd_heat(tau, e_g: float, e_e: float):
     """Cumulative heat under phase damping at theta = pi/6."""
     (log_sum,) = _logs(tau, 3.0 + np.exp(tau))
-    return (cfg.e_e - cfg.e_g) / 8.0 * (tau + math.log(4.0) - log_sum)
+    return (e_e - e_g) / 8.0 * (tau + math.log(4.0) - log_sum)
 
 
 @_closed_form
-def pd_coherence(tau, cfg: OracleConfig):
+def pd_coherence(tau, e_g: float, e_e: float):
     """Cumulative coherence contribution under phase damping; exactly -pd_heat."""
     (log_sum,) = _logs(tau, 3.0 + np.exp(tau))
-    return (cfg.e_e - cfg.e_g) / 8.0 * (-tau - math.log(4.0) + log_sum)
+    return (e_e - e_g) / 8.0 * (-tau - math.log(4.0) + log_sum)
 
 
 @_closed_form
-def pf_heat(tau, cfg: OracleConfig):
+def pf_heat(tau, e_g: float, e_e: float):
     """Cumulative heat under the phase flip channel at theta = pi/6.
 
     Implemented as the printed four-bracket sum over both energies; it
@@ -123,13 +111,13 @@ def pf_heat(tau, cfg: OracleConfig):
     a = 4.0 * np.exp(-tau) * np.sqrt(big)
     term_g = (
         (-4.0 + a - 2.0 * tau + log_big) + (4.0 - a - 2.0 * tau + log_big)
-    ) * cfg.e_g / 16.0
-    term_e = ((-4.0 + a - log_small) + (4.0 - a - log_small)) * cfg.e_e / 16.0
+    ) * e_g / 16.0
+    term_e = ((-4.0 + a - log_small) + (4.0 - a - log_small)) * e_e / 16.0
     return term_g + term_e
 
 
 @_closed_form
-def pf_coherence(tau, cfg: OracleConfig):
+def pf_coherence(tau, e_g: float, e_e: float):
     """Cumulative coherence contribution under phase flip; exactly -pf_heat
     (log(3 + e^{2 tau} - 3 e^{tau}) = 2 tau + log(1 + 3e^{-2 tau} - 3e^{-tau}))."""
     big = np.exp(2.0 * tau) - 3.0 * np.exp(tau) + 3.0
@@ -137,8 +125,8 @@ def pf_coherence(tau, cfg: OracleConfig):
     b = np.exp(tau) / np.sqrt(big)
     term_g = (
         (1.0 + 2.0 * tau - log_big - b) + (-1.0 + 2.0 * tau - log_big + b)
-    ) * cfg.e_g / 16.0
+    ) * e_g / 16.0
     term_e = (
         (-1.0 - 2.0 * tau + log_big + b) + (1.0 - 2.0 * tau + log_big - b)
-    ) * cfg.e_e / 16.0
+    ) * e_e / 16.0
     return term_g + term_e

@@ -18,20 +18,6 @@ from . import cxmat, exprparse
 
 
 @dataclass(frozen=True)
-class InitialStatePrep:
-    """Bloch angles of the prepared pure state cos(theta)|g> + e^{i phi} sin(theta)|e>."""
-
-    theta: float
-    phi: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= math.pi / 2:
-            raise ValueError(f"theta must lie in [0, pi/2], got {self.theta}")
-        if not 0.0 <= self.phi < 2 * math.pi:
-            raise ValueError(f"phi must lie in [0, 2*pi), got {self.phi}")
-
-
-@dataclass(frozen=True)
 class DensityOperator:
     """Thin wrapper around a square complex matrix or a (T, d, d) stack of them.
 
@@ -54,12 +40,13 @@ class DensityOperator:
         return self.matrix.shape[-1]
 
 
-def prepare_pure_state(prep: InitialStatePrep) -> DensityOperator:
-    """Rank-1 projector |psi><psi| for the Bloch-angle preparation."""
-    amp = np.array(
-        [math.cos(prep.theta), np.exp(1j * prep.phi) * math.sin(prep.theta)],
-        dtype=np.complex128,
-    )
+def prepare_pure_state(theta: float, phi: float = 0.0) -> DensityOperator:
+    """Rank-1 projector |psi><psi| of cos(theta)|g> + e^{i phi} sin(theta)|e>."""
+    if not 0.0 <= theta <= math.pi / 2:
+        raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
+    if not 0.0 <= phi < 2 * math.pi:
+        raise ValueError(f"phi must lie in [0, 2*pi), got {phi}")
+    amp = np.array([math.cos(theta), np.exp(1j * phi) * math.sin(theta)], dtype=np.complex128)
     return DensityOperator(np.outer(amp, amp.conj()))
 
 
@@ -94,8 +81,11 @@ TRACE_TOL, PSD_FLOOR = 1e-12, 1e-10
 def validate_density(rho: DensityOperator) -> ValidationReport:
     """Check Hermiticity by the rule of ``cxmat``, unit trace within TRACE_TOL
     and eigenvalues down to -PSD_FLOOR; on a stack, each check reports the
-    worst matrix (for Hermiticity, the one furthest past its own bound)."""
+    worst matrix (for Hermiticity, the one furthest past its own bound).
+    An empty stack has no worst matrix and raises ShapeError."""
     m = rho.matrix
+    if not m.size:
+        raise cxmat.ShapeError(f"cannot validate an empty stack of states, shape {m.shape}")
     dev, bound = cxmat.hermitian_deviation(m)
     worst = np.unravel_index(np.argmax(dev / bound), dev.shape)
     herm_dev, herm_bound = float(dev[worst]), float(bound[worst])
@@ -131,15 +121,6 @@ class Hamiltonian:
         self._cells = exprparse.matrix_cells(entries)
         upper = [index for index, _ in self._cells if index[0] != index[1]]
         self._upper = tuple(np.array(upper, dtype=np.intp).reshape(-1, 2).T)
-
-    @classmethod
-    def two_level(cls, e_g=0.0, e_e=1.0) -> "Hamiltonian":
-        """diag(E_g, E_e); entries may be numbers or expressions over t."""
-        return cls([e_g, e_e])
-
-    @classmethod
-    def diagonal(cls, entries) -> "Hamiltonian":
-        return cls(list(entries))
 
     @classmethod
     def from_matrix(cls, m) -> "Hamiltonian":

@@ -20,7 +20,7 @@ import numpy as np
 from . import cxmat, experiment, exprparse, oracle
 from .channel import ChannelSpec, KrausSet, completeness_deviation, kraus_at
 from .firstlaw import DEFAULT_STEPS, DEFAULT_TAU_MAX, TimeGrid, run_energetics
-from .qstate import DensityOperator, Hamiltonian, InitialStatePrep, prepare_pure_state
+from .qstate import DensityOperator, Hamiltonian, prepare_pure_state
 
 ORACLE_TOL = 1e-5
 
@@ -72,13 +72,12 @@ def _ledger(spec: ChannelSpec, rho0: DensityOperator, h: Hamiltonian, steps: int
 def _qubit(spec: ChannelSpec, theta: float, phi: float = 0.0, e_g: float = 0.0,
            e_e: float = 1.0, steps: int = DEFAULT_STEPS):
     """Ledger of the pure qubit state at (theta, phi) under diag(e_g, e_e)."""
-    return _ledger(spec, prepare_pure_state(InitialStatePrep(theta, phi)),
-                   Hamiltonian.two_level(e_g, e_e), steps)
+    return _ledger(spec, prepare_pure_state(theta, phi), Hamiltonian([e_g, e_e]), steps)
 
 
 def _twin(spec: ChannelSpec, unitary: np.ndarray, theta: float):
     """Ledger for the basis-rotated twin of the z-basis dephasing setup."""
-    rho_z = prepare_pure_state(InitialStatePrep(theta)).matrix
+    rho_z = prepare_pure_state(theta).matrix
     rho0 = DensityOperator(unitary @ rho_z @ unitary.conj().T)
     h = Hamiltonian.from_matrix(unitary @ np.diag([0.0, 1.0]).astype(complex) @ unitary.conj().T)
     return _ledger(spec, rho0, h)
@@ -101,9 +100,8 @@ def _shared(tag: str):
 
 def check_phase_damping_curves() -> list[CheckResult]:
     ledger = _shared("phase_damping:pi/6")
-    cfg = oracle.OracleConfig()
-    heat_ref = oracle.pd_heat(ledger.tau, cfg)
-    coh_ref = oracle.pd_coherence(ledger.tau, cfg)
+    heat_ref = oracle.pd_heat(ledger.tau, 0.0, 1.0)
+    coh_ref = oracle.pd_coherence(ledger.tau, 0.0, 1.0)
     final_ref = heat_ref[-1]
     return [
         _within("phase-damping heat matches closed form",
@@ -128,8 +126,8 @@ def check_first_law_closure() -> list[CheckResult]:
     results = [_within("first-law closure, builtin channels with static energies",
                        _worst(ledger.closure_residual for ledger in static), 5e-5)]
 
-    rho0 = prepare_pure_state(InitialStatePrep(math.pi / 6))
-    driven = Hamiltonian.diagonal([0.0, "1+0.1*t"])
+    rho0 = prepare_pure_state(math.pi / 6)
+    driven = Hamiltonian([0.0, "1+0.1*t"])
     worst = _worst(_ledger(spec, rho0, driven).closure_residual
                    for spec in (ChannelSpec.phase_damping(), ChannelSpec.phase_flip()))
     results.append(_within("first-law closure, driven diagonal Hamiltonian", worst, 5e-5))
@@ -165,9 +163,8 @@ def check_non_dissipative_invariants() -> list[CheckResult]:
 
 def check_phase_flip_curves() -> list[CheckResult]:
     ledger = _shared("phase_flip:pi/6")
-    cfg = oracle.OracleConfig()
-    heat_ref = oracle.pf_heat(ledger.tau, cfg)
-    coh_ref = oracle.pf_coherence(ledger.tau, cfg)
+    heat_ref = oracle.pf_heat(ledger.tau, 0.0, 1.0)
+    coh_ref = oracle.pf_coherence(ledger.tau, 0.0, 1.0)
     peak_index = int(np.argmin(np.abs(ledger.tau - math.log(2))))
     results = [
         _within("phase-flip heat matches closed form",
@@ -182,9 +179,8 @@ def check_phase_flip_curves() -> list[CheckResult]:
                 detail=f"heat(8)={ledger.heat[-1]:.4e}"),
     ]
     wide = _qubit(ChannelSpec.phase_flip(), math.pi / 6, e_g=0.3, e_e=1.7)
-    wide_cfg = oracle.OracleConfig(e_g=0.3, e_e=1.7)
-    wide_heat_ref = oracle.pf_heat(wide.tau, wide_cfg)
-    wide_coh_ref = oracle.pf_coherence(wide.tau, wide_cfg)
+    wide_heat_ref = oracle.pf_heat(wide.tau, 0.3, 1.7)
+    wide_coh_ref = oracle.pf_coherence(wide.tau, 0.3, 1.7)
     results.append(_within(
         "phase-flip general-energy curves match closed forms",
         max(np.max(np.abs(wide.heat - wide_heat_ref)), np.max(np.abs(wide.coherence - wide_coh_ref))),
@@ -203,7 +199,7 @@ def check_phase_flip_curves() -> list[CheckResult]:
 def check_quadrature_order() -> list[CheckResult]:
     def max_error(steps: int) -> float:
         ledger = _qubit(ChannelSpec.phase_damping(), math.pi / 6, steps=steps)
-        return float(np.max(np.abs(ledger.heat - oracle.pd_heat(ledger.tau, oracle.OracleConfig()))))
+        return float(np.max(np.abs(ledger.heat - oracle.pd_heat(ledger.tau, 0.0, 1.0))))
 
     ratio = max_error(500) / max_error(1000)
     return [CheckResult(
@@ -290,7 +286,7 @@ def check_eigensolver() -> list[CheckResult]:
 def check_oracle_eigensystem() -> list[CheckResult]:
     from .channel import evolve
 
-    rho0 = prepare_pure_state(InitialStatePrep(math.pi / 6))
+    rho0 = prepare_pure_state(math.pi / 6)
     taus = np.linspace(0.0, 8.0, 100)
     eig = cxmat.hermitian_eigen(evolve(ChannelSpec.phase_damping(), rho0, taus).matrix)
     closed = [oracle.pd_eigensystem(float(tau), rho0) for tau in taus]

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from qfirstlaw import ChannelSpec, DensityOperator, Hamiltonian, TimeGrid, firstlaw
-from qfirstlaw.qstate import InitialStatePrep, prepare_pure_state
+from qfirstlaw.qstate import prepare_pure_state
 
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
 
@@ -32,8 +32,8 @@ def _complex_matrix(rows):
 
 
 def _qubit_ledger():
-    rho0 = prepare_pure_state(InitialStatePrep(math.pi / 6))
-    return (ChannelSpec.phase_damping(), rho0, Hamiltonian.two_level(0.0, 1.0),
+    rho0 = prepare_pure_state(math.pi / 6)
+    return (ChannelSpec.phase_damping(), rho0, Hamiltonian([0.0, 1.0]),
             TimeGrid(8.0, 4000))
 
 

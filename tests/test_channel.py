@@ -27,12 +27,11 @@ from qfirstlaw.firstlaw import TimeGrid, spectral_trajectory
 from qfirstlaw.qstate import (
     DensityOperator,
     Hamiltonian,
-    InitialStatePrep,
     prepare_pure_state,
     validate_density,
 )
 
-REFERENCE_STATE = prepare_pure_state(InitialStatePrep(math.pi / 6))
+REFERENCE_STATE = prepare_pure_state(math.pi / 6)
 PHASE_DAMPING_CUSTOM = Path(__file__).parent / "data" / "phase_damping_custom.json"
 
 angles_theta = st.floats(min_value=0.0, max_value=math.pi / 2, allow_nan=False)
@@ -217,17 +216,17 @@ class TestEvolve:
 
     @given(angles_theta, angles_phi, st.floats(0.0, 8.0))
     def test_preserves_density_invariants(self, theta, phi, tau):
-        rho0 = prepare_pure_state(InitialStatePrep(theta, phi))
+        rho0 = prepare_pure_state(theta, phi)
         for spec in [ChannelSpec.phase_damping(), ChannelSpec.phase_flip()]:
             out = evolve(spec, rho0, tau)
             assert validate_density(out).passed
 
     def test_invariants_over_grid_all_builtins(self):
         specs = {
-            channel.PHASE_DAMPING: prepare_pure_state(InitialStatePrep(math.pi / 6)),
-            channel.PHASE_FLIP: prepare_pure_state(InitialStatePrep(math.pi / 6)),
-            channel.BIT_FLIP: prepare_pure_state(InitialStatePrep(math.pi / 4, math.pi / 2)),
-            channel.BIT_PHASE_FLIP: prepare_pure_state(InitialStatePrep(math.pi / 4)),
+            channel.PHASE_DAMPING: prepare_pure_state(math.pi / 6),
+            channel.PHASE_FLIP: prepare_pure_state(math.pi / 6),
+            channel.BIT_FLIP: prepare_pure_state(math.pi / 4, math.pi / 2),
+            channel.BIT_PHASE_FLIP: prepare_pure_state(math.pi / 4),
         }
         for kind, rho0 in specs.items():
             spec = ChannelSpec(kind)
@@ -237,7 +236,7 @@ class TestEvolve:
                 assert report.passed, f"{kind} at tau={tau}: {report.summary()}"
 
     def test_diagonals_constant_for_z_dephasing_any_state(self):
-        rho0 = prepare_pure_state(InitialStatePrep(0.9, 2.2))
+        rho0 = prepare_pure_state(0.9, 2.2)
         for spec in [ChannelSpec.phase_damping(), ChannelSpec.phase_flip()]:
             for tau in np.linspace(0.0, 8.0, 25):
                 out = evolve(spec, rho0, float(tau))
@@ -246,13 +245,13 @@ class TestEvolve:
     def test_diagonals_constant_for_xy_flips_on_equal_populations(self):
         # bit flip / bit-phase flip only preserve populations when they start equal
         for spec, phi in [(ChannelSpec.bit_flip(), math.pi / 2), (ChannelSpec.bit_phase_flip(), 0.0)]:
-            rho0 = prepare_pure_state(InitialStatePrep(math.pi / 4, phi))
+            rho0 = prepare_pure_state(math.pi / 4, phi)
             for tau in np.linspace(0.0, 8.0, 25):
                 out = evolve(spec, rho0, float(tau))
                 assert np.max(np.abs(np.diag(out.matrix - rho0.matrix))) <= 1e-15
 
     def test_bit_phase_flip_has_complex_action(self):
-        rho0 = prepare_pure_state(InitialStatePrep(math.pi / 4))
+        rho0 = prepare_pure_state(math.pi / 4)
         out = evolve(ChannelSpec.bit_phase_flip(), rho0, 1.0)
         # sigma_y conjugation flips the sign of the real part of rho01
         expected = (1 - math.exp(-1.0)) * (-0.5) + math.exp(-1.0) * 0.5
@@ -311,14 +310,14 @@ class TestCustomChannels:
         first_bad = float(grid.points[grid.points > 1.0][0])
         with pytest.raises(exprparse.DomainError,
                            match=rf"entry \(1,1\): .* at t={re.escape(repr(first_bad))} "):
-            spectral_trajectory(spec, REFERENCE_STATE, Hamiltonian.two_level(), grid)
+            spectral_trajectory(spec, REFERENCE_STATE, Hamiltonian([0.0, 1.0]), grid)
 
     def test_drifting_channel_names_first_failing_grid_time(self):
         drifting = ChannelSpec.custom([[["1", "0"], ["0", "1-0.1*t"]]])
         grid = TimeGrid(4.0, 40)
         first_bad = re.escape(repr(float(grid.points[1])))
         with pytest.raises(CptpError, match=rf"t={first_bad} is not CPTP") as info:
-            spectral_trajectory(drifting, REFERENCE_STATE, Hamiltonian.two_level(), grid)
+            spectral_trajectory(drifting, REFERENCE_STATE, Hamiltonian([0.0, 1.0]), grid)
         assert info.value.deviation == pytest.approx(1.0 - (1.0 - 0.1 * grid.points[1]) ** 2)
 
     def test_from_json_round_trip(self):
@@ -381,12 +380,12 @@ class TestStackKernelsMatchEinsum:
     @pytest.mark.parametrize("family", [ChannelSpec.phase_damping, ChannelSpec.phase_flip,
                                         ChannelSpec.bit_flip, ChannelSpec.bit_phase_flip])
     def test_builtin_families(self, family, theta, phi):
-        self._assert_bit_equal(family(), prepare_pure_state(InitialStatePrep(theta, phi)))
+        self._assert_bit_equal(family(), prepare_pure_state(theta, phi))
 
     @pytest.mark.parametrize("theta", [math.pi / 6, math.pi / 4])
     def test_custom_phase_damping_fixture(self, theta):
         spec = ChannelSpec.from_json(PHASE_DAMPING_CUSTOM.read_text())
-        self._assert_bit_equal(spec, prepare_pure_state(InitialStatePrep(theta)))
+        self._assert_bit_equal(spec, prepare_pure_state(theta))
 
 
 class TestKrausSet:

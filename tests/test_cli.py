@@ -103,6 +103,14 @@ class TestExperimentConfig:
             ExperimentConfig(channel=parse_channel("phase-damping"),
                              theta=0.4, emit_oracle=True)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("theta", 2.0, r"theta must lie in \[0, pi/2\], got 2.0"),
+        ("phi", 7.0, r"phi must lie in \[0, 2\*pi\), got 7.0"),
+    ])
+    def test_preparation_angles_out_of_range(self, key, value, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            run_experiment(small_config(**{key: value}))
+
     def test_flags_override_file(self):
         config = config_from_sources(
             {"channel": "phase-flip", "steps": 100, "theta": "pi/4"},
@@ -274,6 +282,19 @@ class TestSimulateCommand:
                          "--out", str(out)])
         assert code == 0
         assert len(out.read_text().splitlines()) == 82  # header + 81 rows
+
+    def test_oracle_columns_for_inverted_energies(self, tmp_path):
+        out = tmp_path / "inverted.csv"
+        code = cli.main(["simulate", "--channel", "phase-flip", "--theta", "pi/6",
+                         "--eg", "1.7", "--ee", "0.3", "--emit-oracle", "--out", str(out)])
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "tau,delta_u,work,heat,coherence,heat_oracle,coherence_oracle"
+        rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+        assert len(rows) == 4001
+        assert np.max(np.abs(rows[:, 3] - rows[:, 5])) <= verification.ORACLE_TOL
+        assert np.max(np.abs(rows[:, 4] - rows[:, 6])) <= verification.ORACLE_TOL
+        assert np.max(np.abs(rows[:, 5])) > 0.01  # the splitting is -1.4, not zero
 
     def test_too_few_steps_exits_2(self, tmp_path, capsys):
         code = cli.main(["simulate", "--channel", "phase-damping", "--steps", "5",

@@ -20,7 +20,7 @@ from qfirstlaw.cxmat import (
     as_matrix,
 )
 from qfirstlaw.firstlaw import TimeGrid
-from qfirstlaw.qstate import Hamiltonian, InitialStatePrep, prepare_pure_state
+from qfirstlaw.qstate import Hamiltonian, prepare_pure_state
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -180,7 +180,7 @@ class TestHermitianEigenStack:
         rng = np.random.default_rng(9)
         stack = np.array([_random_hermitian(rng, 3) for _ in range(6)]).reshape(2, 3, 3, 3)
         eig = _assert_stack_matches_single_calls(stack)
-        assert eig.dim == 3
+        assert eig.eigenvalues.shape[-1] == 3
 
     def test_converged_members_next_to_unconverged_ones(self):
         rng = np.random.default_rng(21)
@@ -208,7 +208,7 @@ class TestHermitianEigenStack:
         eig = cxmat.hermitian_eigen(SIGMA_X)
         assert eig.eigenvalues.shape == (2,)
         assert eig.eigenvectors.shape == (2, 2)
-        assert eig.dim == 2
+        assert eig.eigenvalues.shape[-1] == 2
 
     def test_non_hermitian_names_first_failing_matrix(self):
         rng = np.random.default_rng(3)
@@ -433,7 +433,7 @@ class TestMatchesReference:
 
     def test_phase_damping_stack(self):
         spec = ChannelSpec.phase_damping()
-        rho0 = prepare_pure_state(InitialStatePrep(math.pi / 6))
+        rho0 = prepare_pure_state(math.pi / 6)
         rho = evolve(spec, rho0, TimeGrid(8.0, 4000).points).matrix
         assert rho.shape == (4001, 2, 2)
         _assert_matches_reference(rho)

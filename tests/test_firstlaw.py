@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qfirstlaw import cxmat, exprparse, firstlaw, qstate
+from qfirstlaw import cxmat, exprparse, firstlaw, oracle, qstate
 from qfirstlaw.channel import ChannelSpec, evolve, kraus_at
 from qfirstlaw.firstlaw import (
     MAX_BRANCH_DIM,
@@ -16,16 +16,11 @@ from qfirstlaw.firstlaw import (
     run_energetics,
     spectral_trajectory,
 )
-from qfirstlaw.oracle import OracleConfig, pd_heat
-from qfirstlaw.qstate import (
-    DensityOperator,
-    Hamiltonian,
-    InitialStatePrep,
-    prepare_pure_state,
-)
+from qfirstlaw.qstate import DensityOperator, Hamiltonian, prepare_pure_state
+from qfirstlaw.verification import ORACLE_TOL
 
-REFERENCE_STATE = prepare_pure_state(InitialStatePrep(math.pi / 6))
-H_DEFAULT = Hamiltonian.two_level(0.0, 1.0)
+REFERENCE_STATE = prepare_pure_state(math.pi / 6)
+H_DEFAULT = Hamiltonian([0.0, 1.0])
 
 _REFERENCE_TIE_EPS = 1e-12
 
@@ -188,7 +183,7 @@ class TestBranchMatchAgreesWithExhaustive:
     @pytest.mark.parametrize("grid", [TimeGrid(8.0, 400), TimeGrid(4 * math.log(2), 200)],
                              ids=["tau8", "through-ln2"])
     def test_builtin_ledgers(self, checked_matches, spec, theta, grid):
-        rho0 = prepare_pure_state(InitialStatePrep(theta))
+        rho0 = prepare_pure_state(theta)
         _assert_checked_reference(checked_matches, spec, rho0, H_DEFAULT, grid)
 
     @pytest.mark.parametrize(
@@ -471,7 +466,7 @@ class TestMatchingLoop:
     @pytest.mark.parametrize("theta", [math.pi / 6, math.pi / 4])
     @pytest.mark.parametrize("spec", BUILTIN_SPECS, ids=lambda spec: spec.kind)
     def test_builtin_channels_match_the_indexed_loop(self, spec, theta, grid):
-        rho0 = prepare_pure_state(InitialStatePrep(theta))
+        rho0 = prepare_pure_state(theta)
         self._assert_matches_reference(spec, rho0, H_DEFAULT, grid)
 
     @pytest.mark.parametrize("d", range(3, MAX_BRANCH_DIM + 1))
@@ -487,7 +482,7 @@ class TestMatchingLoop:
     def test_one_inheritance_call_per_step(self, walk, grid):
         # every walked step is one match followed by one inheritance, and
         # the first step is always walked
-        rho0 = prepare_pure_state(InitialStatePrep(math.pi / 4))
+        rho0 = prepare_pure_state(math.pi / 4)
         spectral_trajectory(ChannelSpec.phase_flip(), rho0, H_DEFAULT, grid)
         kinds = [kind for kind, *_ in walk]
         assert len(kinds) >= 2
@@ -498,7 +493,7 @@ class TestMatchingLoop:
     def test_only_the_crossing_point_inherits(self, walk):
         # tau = ln 2 (grid point 50) is the maximally mixed state: both
         # steps that touch it are walked, and only it inherits
-        rho0 = prepare_pure_state(InitialStatePrep(math.pi / 4))
+        rho0 = prepare_pure_state(math.pi / 4)
         grid = GRIDS["through-ln2"]
         spectral_trajectory(ChannelSpec.phase_flip(), rho0, H_DEFAULT, grid)
         points, inherited = _walked_points(walk, ChannelSpec.phase_flip(), rho0, grid)
@@ -604,7 +599,7 @@ class TestSpectralTrajectory:
                              ids=lambda f: f.__name__)
     def test_channel_and_hamiltonian_share_the_grid_time(self, family):
         # tau is the one time variable: H(t) is evaluated at the grid's tau as-is
-        h = Hamiltonian.diagonal([0.0, "1+0.1*t"])
+        h = Hamiltonian([0.0, "1+0.1*t"])
         grid = TimeGrid(3.0, 30)
         traj = spectral_trajectory(family(), REFERENCE_STATE, h, grid)
         assert np.array_equal(traj.tau, grid.points)
@@ -661,7 +656,7 @@ class TestSpectralTrajectory:
     def test_branch_continuity_through_eigenvalue_crossing(self):
         # theta = pi/4 phase flip crosses the maximally mixed state: the
         # matched branches follow the eigenvectors through the crossing
-        rho0 = prepare_pure_state(InitialStatePrep(math.pi / 4))
+        rho0 = prepare_pure_state(math.pi / 4)
         traj = spectral_trajectory(
             ChannelSpec.phase_flip(), rho0, H_DEFAULT, TimeGrid(2.0, 200)
         )
@@ -678,7 +673,7 @@ class TestSpectralTrajectory:
         # grid hits the maximally mixed state exactly; the computational-basis
         # vectors the eigensolver returns there must be replaced by the
         # previous snapshot's branches
-        rho0 = prepare_pure_state(InitialStatePrep(math.pi / 4))
+        rho0 = prepare_pure_state(math.pi / 4)
         grid = TimeGrid(2 * math.log(2), 2)
         traj = spectral_trajectory(ChannelSpec.phase_flip(), rho0, H_DEFAULT, grid)
         gap = abs(traj.eigenvalues[1][0] - traj.eigenvalues[1][1])
@@ -718,7 +713,7 @@ class TestSpectralTrajectory:
         # the mixed state at the next grid point needs at least one
         spec = _mixed_unitary_channel(np.random.default_rng(8), 3)
         rho0 = DensityOperator(np.diag([1.0, 0.0, 0.0]))
-        h = Hamiltonian.diagonal([0.0, 1.0, 2.0])
+        h = Hamiltonian([0.0, 1.0, 2.0])
         with monkeypatch.context() as patch:
             patch.setattr(cxmat, "MAX_SWEEPS", 0)
             with pytest.raises(cxmat.ConvergenceError, match=r"^at tau=0\.25: .*sweep cap") as info:
@@ -757,7 +752,7 @@ class TestSpectralTrajectory:
             firstlaw._validate_snapshot(tau, values, overlap)
 
     def test_hamiltonian_domain_error_names_time(self):
-        h = Hamiltonian.diagonal([0.0, "log(t)"])
+        h = Hamiltonian([0.0, "log(t)"])
         with pytest.raises(exprparse.DomainError, match=r"log\(\) .* at t=0\.0 "):
             spectral_trajectory(ChannelSpec.phase_damping(), REFERENCE_STATE, h,
                                 TimeGrid(1.0, 4))
@@ -766,7 +761,7 @@ class TestSpectralTrajectory:
         rho0 = DensityOperator(np.eye(9, dtype=complex) / 9)
         with pytest.raises(UnsupportedDimensionError):
             spectral_trajectory(
-                ChannelSpec.identity(dim=9), rho0, Hamiltonian.diagonal(range(9)), TimeGrid(1.0, 2)
+                ChannelSpec.identity(dim=9), rho0, Hamiltonian(range(9)), TimeGrid(1.0, 2)
             )
 
     def test_dim_mismatch(self):
@@ -774,7 +769,7 @@ class TestSpectralTrajectory:
             spectral_trajectory(
                 ChannelSpec.phase_damping(),
                 REFERENCE_STATE,
-                Hamiltonian.diagonal([0.0, 1.0, 2.0]),
+                Hamiltonian([0.0, 1.0, 2.0]),
                 TimeGrid(1.0, 2),
             )
 
@@ -784,7 +779,7 @@ def _hamiltonian(rng, d, kind):
     z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     m = 0.25 * (z + z.conj().T)
     if kind == "diagonal":
-        return Hamiltonian.diagonal([f"{float(m[i, i].real)!r}*(1+0.1*t)" for i in range(d)])
+        return Hamiltonian([f"{float(m[i, i].real)!r}*(1+0.1*t)" for i in range(d)])
     drive = "*(1+0.1*t)" if kind == "driven" else ""
     return Hamiltonian([f"{float(m[i, i].real)!r}{drive}" for i in range(d)],
                        {(i, j): (f"{float(m[i, j].real)!r}{drive}", f"{float(m[i, j].imag)!r}{drive}")
@@ -885,9 +880,20 @@ class TestIntegrateFirstLaw:
         ledger = run_energetics(
             ChannelSpec.phase_damping(), REFERENCE_STATE, H_DEFAULT, TimeGrid(8.0, 500)
         )
-        cfg = OracleConfig()
-        reference = np.array([pd_heat(float(t), cfg) for t in ledger.tau])
+        reference = np.array([oracle.pd_heat(float(t), 0.0, 1.0) for t in ledger.tau])
         assert np.max(np.abs(ledger.heat - reference)) <= 1e-6
+
+    @pytest.mark.parametrize("energies", [(0.0, 1.0), (1.7, 0.3), (2.0, -1.0)],
+                             ids=["unit", "inverted", "negative"])
+    @pytest.mark.parametrize("spec, heat, coherence", [
+        (ChannelSpec.phase_damping(), oracle.pd_heat, oracle.pd_coherence),
+        (ChannelSpec.phase_flip(), oracle.pf_heat, oracle.pf_coherence),
+    ], ids=["phase_damping", "phase_flip"])
+    def test_ledger_matches_closed_forms_for_any_energy_order(self, spec, heat, coherence,
+                                                             energies):
+        ledger = run_energetics(spec, REFERENCE_STATE, Hamiltonian(energies), TimeGrid(8.0, 4000))
+        assert np.max(np.abs(ledger.heat - heat(ledger.tau, *energies))) <= ORACLE_TOL
+        assert np.max(np.abs(ledger.coherence - coherence(ledger.tau, *energies))) <= ORACLE_TOL
 
     def test_heat_plus_coherence_cancels_at_machine_precision(self):
         # two-factor product rule is exact, so Q + C telescopes to delta U = 0
@@ -903,7 +909,7 @@ class TestIntegrateFirstLaw:
 
     def test_driven_identity_channel_exact(self):
         rho0 = DensityOperator(np.diag([0.25, 0.75]).astype(complex))
-        h = Hamiltonian.diagonal([0.0, "1+0.1*t"])
+        h = Hamiltonian([0.0, "1+0.1*t"])
         ledger = run_energetics(ChannelSpec.identity(), rho0, h, TimeGrid(8.0, 200))
         assert np.max(np.abs(ledger.heat)) == 0.0
         assert np.max(np.abs(ledger.coherence)) == 0.0
@@ -912,7 +918,7 @@ class TestIntegrateFirstLaw:
         assert ledger.work[-1] == pytest.approx(0.75 * 0.8, abs=1e-12)
 
     def test_driven_closure_with_evolving_state(self):
-        h = Hamiltonian.diagonal([0.0, "1+0.1*t"])
+        h = Hamiltonian([0.0, "1+0.1*t"])
         ledger = run_energetics(
             ChannelSpec.phase_damping(), REFERENCE_STATE, h, TimeGrid(8.0, 500)
         )
@@ -952,13 +958,11 @@ class TestIntegrateFirstLaw:
         assert np.array_equal(integrate_first_law(traj).delta_u, traj.energy - traj.energy[0])
 
     def test_quadrature_error_shrinks_second_order(self):
-        cfg = OracleConfig()
-
         def max_error(steps):
             ledger = run_energetics(
                 ChannelSpec.phase_damping(), REFERENCE_STATE, H_DEFAULT, TimeGrid(8.0, steps)
             )
-            reference = np.array([pd_heat(float(t), cfg) for t in ledger.tau])
+            reference = np.array([oracle.pd_heat(float(t), 0.0, 1.0) for t in ledger.tau])
             return np.max(np.abs(ledger.heat - reference))
 
         ratio = max_error(250) / max_error(500)

@@ -9,7 +9,6 @@ from qfirstlaw import cxmat, exprparse, qstate
 from qfirstlaw.qstate import (
     DensityOperator,
     Hamiltonian,
-    InitialStatePrep,
     energy_eigenbasis,
     internal_energy,
     prepare_pure_state,
@@ -22,39 +21,39 @@ angles_phi = st.floats(min_value=0.0, max_value=2 * math.pi, exclude_max=True, a
 
 class TestPreparePureState:
     def test_ground_state(self):
-        rho = prepare_pure_state(InitialStatePrep(0.0))
+        rho = prepare_pure_state(0.0)
         assert np.array_equal(rho.matrix, np.diag([1.0, 0.0]).astype(complex))
 
     def test_reference_angle(self):
-        rho = prepare_pure_state(InitialStatePrep(math.pi / 6))
+        rho = prepare_pure_state(math.pi / 6)
         expected = np.array(
             [[0.75, math.sqrt(3) / 4], [math.sqrt(3) / 4, 0.25]], dtype=complex
         )
         assert np.allclose(rho.matrix, expected, atol=1e-15)
 
     def test_equator_with_pi_phase(self):
-        rho = prepare_pure_state(InitialStatePrep(math.pi / 4, math.pi))
+        rho = prepare_pure_state(math.pi / 4, math.pi)
         expected = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
         assert np.allclose(rho.matrix, expected, atol=1e-15)
 
     @given(angles_theta, angles_phi)
     def test_valid_and_idempotent(self, theta, phi):
-        rho = prepare_pure_state(InitialStatePrep(theta, phi))
+        rho = prepare_pure_state(theta, phi)
         assert validate_density(rho).passed
         assert np.max(np.abs(rho.matrix @ rho.matrix - rho.matrix)) <= 1e-12
 
     def test_theta_out_of_range(self):
-        with pytest.raises(ValueError):
-            InitialStatePrep(math.pi)
+        with pytest.raises(ValueError, match=r"^theta must lie in \[0, pi/2\], got 3\.14"):
+            prepare_pure_state(math.pi)
 
     def test_phi_out_of_range(self):
-        with pytest.raises(ValueError):
-            InitialStatePrep(0.3, 2 * math.pi)
+        with pytest.raises(ValueError, match=r"^phi must lie in \[0, 2\*pi\), got 6\.28"):
+            prepare_pure_state(0.3, 2 * math.pi)
 
 
 class TestValidateDensity:
     def test_pure_state_passes(self):
-        report = validate_density(prepare_pure_state(InitialStatePrep(math.pi / 6)))
+        report = validate_density(prepare_pure_state(math.pi / 6))
         assert report.passed
 
     def test_negative_eigenvalue_fails(self):
@@ -82,16 +81,16 @@ class TestValidateDensity:
 
     def test_pure_state_zero_eigenvalue_not_rejected(self):
         # round-off on the exactly-zero eigenvalue must stay inside the floor
-        report = validate_density(prepare_pure_state(InitialStatePrep(0.7, 1.3)))
+        report = validate_density(prepare_pure_state(0.7, 1.3))
         assert report.passed
 
     def test_stack_of_valid_states_passes(self):
-        stack = np.stack([prepare_pure_state(InitialStatePrep(theta, 0.4)).matrix
+        stack = np.stack([prepare_pure_state(theta, 0.4).matrix
                           for theta in (0.0, 0.5, 1.2)])
         assert validate_density(DensityOperator(stack)).passed
 
     def test_stack_reports_worst_member(self):
-        stack = np.stack([prepare_pure_state(InitialStatePrep(theta)).matrix
+        stack = np.stack([prepare_pure_state(theta).matrix
                           for theta in (0.0, 0.5, 1.2)])
         stack[1, 0, 1] += 0.3
         by_name = {c.name: c for c in validate_density(DensityOperator(stack)).checks}
@@ -123,6 +122,12 @@ class TestValidateDensity:
         assert by_name["hermiticity"].bound == cxmat.HERMITIAN_TOL
         assert validate_density(DensityOperator(big)).checks[0].passed
 
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_empty_stack_raises_a_shape_error(self, d):
+        rho = DensityOperator(np.zeros((0, d, d), dtype=complex))
+        with pytest.raises(cxmat.ShapeError, match=rf"empty stack .*\(0, {d}, {d}\)$"):
+            validate_density(rho)
+
     def test_summary_mentions_failures(self):
         rho = DensityOperator(np.diag([0.5, 0.4]).astype(complex))
         assert "FAIL" in validate_density(rho).summary()
@@ -130,43 +135,43 @@ class TestValidateDensity:
 
 class TestInternalEnergy:
     def test_reference_angle(self):
-        rho = prepare_pure_state(InitialStatePrep(math.pi / 6))
-        h = Hamiltonian.two_level(0.0, 1.0)
+        rho = prepare_pure_state(math.pi / 6)
+        h = Hamiltonian([0.0, 1.0])
         assert internal_energy(rho, h.matrix(0.0)) == pytest.approx(0.25, abs=1e-15)
 
     def test_ground_state_energy(self):
         rho = DensityOperator(np.diag([1.0, 0.0]).astype(complex))
-        h = Hamiltonian.two_level(-0.7, 2.3)
+        h = Hamiltonian([-0.7, 2.3])
         assert internal_energy(rho, h.matrix(0.0)) == pytest.approx(-0.7, abs=1e-15)
 
     def test_dim_mismatch(self):
         rho = DensityOperator(np.eye(3, dtype=complex) / 3)
         with pytest.raises(cxmat.ShapeError):
-            internal_energy(rho, Hamiltonian.two_level().matrix(0.0))
+            internal_energy(rho, Hamiltonian([0.0, 1.0]).matrix(0.0))
 
     @given(angles_theta, st.floats(-5, 5), st.floats(-5, 5))
     def test_linear_in_hamiltonian(self, theta, e_g, e_e):
-        rho = prepare_pure_state(InitialStatePrep(theta))
-        u = internal_energy(rho, Hamiltonian.two_level(e_g, e_e).matrix(0.0))
+        rho = prepare_pure_state(theta)
+        u = internal_energy(rho, Hamiltonian([e_g, e_e]).matrix(0.0))
         expected = e_g * math.cos(theta) ** 2 + e_e * math.sin(theta) ** 2
         assert u == pytest.approx(expected, abs=1e-12)
 
     @given(angles_theta, st.floats(-5, 5))
     def test_shift_by_identity(self, theta, shift):
-        rho = prepare_pure_state(InitialStatePrep(theta))
-        base = internal_energy(rho, Hamiltonian.two_level(0.0, 1.0).matrix(0.0))
-        shifted = internal_energy(rho, Hamiltonian.two_level(shift, 1.0 + shift).matrix(0.0))
+        rho = prepare_pure_state(theta)
+        base = internal_energy(rho, Hamiltonian([0.0, 1.0]).matrix(0.0))
+        shifted = internal_energy(rho, Hamiltonian([shift, 1.0 + shift]).matrix(0.0))
         assert shifted == pytest.approx(base + shift, abs=1e-12)
 
 
 class TestHamiltonian:
     def test_diagonal_constant(self):
-        h = Hamiltonian.two_level(0.0, 1.0)
+        h = Hamiltonian([0.0, 1.0])
         assert np.array_equal(h.matrix(3.7), np.diag([0.0, 1.0]).astype(complex))
         assert np.array_equal(energy_eigenbasis(h.matrix(3.7)).basis, np.eye(2))
 
     def test_driven_diagonal(self):
-        h = Hamiltonian.diagonal([0.0, "1+0.1*t"])
+        h = Hamiltonian([0.0, "1+0.1*t"])
         assert h.matrix(2.0)[1, 1] == pytest.approx(1.2, abs=1e-15)
 
     def test_diagonal_entries_are_real_and_share_the_upper_parse(self):
@@ -196,7 +201,7 @@ class TestHamiltonian:
                                           ([0.0, 1.0, math.inf], "inf")])
     def test_non_finite_time_rejected(self, t, shown):
         # refused whether or not an entry contains t
-        for h in [Hamiltonian.two_level(0.0, 1.0), Hamiltonian.diagonal([0.0, "1+0.1*t"])]:
+        for h in [Hamiltonian([0.0, 1.0]), Hamiltonian([0.0, "1+0.1*t"])]:
             with pytest.raises(ValueError, match=f"time must be finite, got {shown}$"):
                 h.matrix(t)
 
@@ -214,7 +219,7 @@ class TestHamiltonian:
 
 class TestEnergyEigenbasis:
     def test_diagonal_exact_identity(self):
-        basis = energy_eigenbasis(Hamiltonian.two_level(0.0, 1.0).matrix(0.0))
+        basis = energy_eigenbasis(Hamiltonian([0.0, 1.0]).matrix(0.0))
         assert np.array_equal(basis.energies, np.array([0.0, 1.0]))
         assert np.array_equal(basis.basis, np.eye(2, dtype=complex))
 
@@ -243,7 +248,7 @@ class TestEnergyEigenbasis:
         assert np.array_equal(basis.basis, np.broadcast_to(np.eye(2), (2, 2, 2)))
 
     @pytest.mark.parametrize("h", [Hamiltonian.from_matrix(np.array([[0.3, 0.2], [0.2, 1.7]])),
-                                   Hamiltonian.two_level(0.0, 1.0)],
+                                   Hamiltonian([0.0, 1.0])],
                              ids=["static", "diagonal"])
     def test_basis_same_at_every_point_is_one_matrix(self, h):
         # a basis that does not move is a broadcast view, not a per-point copy
@@ -253,7 +258,7 @@ class TestEnergyEigenbasis:
         assert np.array_equal(basis.basis[3], energy_eigenbasis(h.matrix(0.0)).basis)
 
     def test_driven_diagonal_keeps_entry_order(self):
-        h = Hamiltonian.diagonal(["1+t", "0.5"])
+        h = Hamiltonian(["1+t", "0.5"])
         basis = energy_eigenbasis(h.matrix(0.0))
         # entry order, not sorted: the first branch is the first diagonal entry
         assert np.array_equal(basis.energies, np.array([1.0, 0.5]))
