@@ -14,9 +14,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage/config error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
 from . import cxmat, experiment, exprparse, verification
 from .channel import CPTP_TOL, CptpError, completeness_deviation, kraus_at
@@ -70,12 +68,7 @@ def _add_experiment_flags(sim: argparse.ArgumentParser) -> None:
 def cmd_simulate(args) -> int:
     file_values = None
     if args.config:
-        try:
-            file_values = json.loads(Path(args.config).read_text())
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from exc
+        file_values = experiment.read_json(args.config, "config file")
         if not isinstance(file_values, dict):
             raise ConfigError("config file must contain a JSON object")
     flag_values = {key: value for key, value in vars(args).items()

@@ -20,7 +20,7 @@ from . import channel as channel_mod
 from . import oracle
 from .channel import ChannelSpec, CptpError
 from .firstlaw import DEFAULT_STEPS, DEFAULT_TAU_MAX, EnergeticsLedger, TimeGrid, run_energetics
-from .qstate import Hamiltonian, prepare_pure_state
+from .qstate import CheckResult, Hamiltonian, _within, prepare_pure_state
 
 
 class ConfigError(ValueError):
@@ -67,6 +67,17 @@ def parse_theta(text) -> float:
         raise ConfigError(f"cannot parse angle {text!r}") from None
 
 
+def read_json(path, what: str):
+    """The JSON value in the file at ``path``; ``what`` names the file in the
+    ConfigError raised when it cannot be read or is not valid JSON."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
 def parse_channel(value) -> ChannelSpec:
     """Channel from a CLI flag / config value.
 
@@ -84,12 +95,7 @@ def parse_channel(value) -> ChannelSpec:
             raise ConfigError(f"unknown channel {name!r}; expected one of "
                               f"{', '.join(CHANNEL_NAMES)} or custom:<file>")
         path = Path(name[len("custom:"):])
-        try:
-            payload = json.loads(path.read_text())
-        except OSError as exc:
-            raise ConfigError(f"cannot read channel file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"channel file {path} is not valid JSON: {exc}") from exc
+        payload = read_json(path, "channel file")
         origin = f" in {path}"
     try:
         return ChannelSpec.from_json(payload)
@@ -285,22 +291,11 @@ FIGURE_PRESETS = {
 
 
 @dataclass(frozen=True)
-class ReportLine:
-    label: str
-    value: float
-    bound: float
-
-    @property
-    def passed(self) -> bool:
-        return self.value <= self.bound
-
-
-@dataclass(frozen=True)
 class ReproduceOutcome:
     figure: str
     csv_path: Path
     report_path: Path
-    lines: tuple[ReportLine, ...]
+    lines: tuple[CheckResult, ...]
 
     @property
     def passed(self) -> bool:
@@ -325,14 +320,12 @@ def reproduce_figure(figure: str, out_dir) -> ReproduceOutcome:
 
     ledger = result.ledger
     lines = (
-        ReportLine("max |heat - heat_oracle|",
-                   float(np.max(np.abs(ledger.heat - result.heat_oracle))), 1e-5),
-        ReportLine("max |coherence - coherence_oracle|",
-                   float(np.max(np.abs(ledger.coherence - result.coherence_oracle))), 1e-5),
-        ReportLine("max |heat + coherence|",
-                   float(np.max(np.abs(ledger.heat + ledger.coherence))), 5e-6),
-        ReportLine("max |delta_u|", float(np.max(np.abs(ledger.delta_u))), 1e-9),
-        ReportLine("max |work|", float(np.max(np.abs(ledger.work))), 1e-12),
+        _within("max |heat - heat_oracle|", np.max(np.abs(ledger.heat - result.heat_oracle)), 1e-5),
+        _within("max |coherence - coherence_oracle|",
+                np.max(np.abs(ledger.coherence - result.coherence_oracle)), 1e-5),
+        _within("max |heat + coherence|", np.max(np.abs(ledger.heat + ledger.coherence)), 5e-6),
+        _within("max |delta_u|", np.max(np.abs(ledger.delta_u)), 1e-9),
+        _within("max |work|", np.max(np.abs(ledger.work)), 1e-12),
     )
     report_path = out_dir / f"{figure}_report.txt"
     text = [
@@ -341,6 +334,6 @@ def reproduce_figure(figure: str, out_dir) -> ReproduceOutcome:
     ]
     for line in lines:
         status = "PASS" if line.passed else "FAIL"
-        text.append(f"{line.label:<36} = {line.value:.3e}  (bound {line.bound:.1e})  {status}")
+        text.append(f"{line.name:<36} = {line.measured:.3e}  (bound {line.bound:.1e})  {status}")
     report_path.write_text("\n".join(text) + "\n", encoding="ascii", newline="")
     return ReproduceOutcome(figure, csv_path, report_path, lines)

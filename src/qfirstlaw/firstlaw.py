@@ -54,7 +54,7 @@ passing through the maximally mixed state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -86,8 +86,10 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.tau_max) and self.tau_max > 0):
-            raise ValueError(f"tau_max must be finite and positive, got {self.tau_max}")
+        tau_max = self.tau_max
+        if isinstance(tau_max, bool) or not isinstance(tau_max, Real) or not (
+                np.isfinite(tau_max) and tau_max > 0):
+            raise ValueError(f"tau_max must be finite and positive, got {tau_max!r}")
         if isinstance(self.steps, bool) or not isinstance(self.steps, Integral) or self.steps < 1:
             raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
 

@@ -5,6 +5,10 @@ internal energy, and (possibly time-dependent) Hamiltonians whose entries
 are expressions over t.  Hermiticity of a Hamiltonian is enforced by
 construction: only the diagonal and the upper triangle are stored, the
 lower triangle is their conjugate.
+
+``CheckResult`` is the one record of a measured value against its bound:
+``validate_density`` returns three, every ``verify`` check returns a list
+of them and each line of a figure report is one.
 """
 
 from __future__ import annotations
@@ -51,26 +55,24 @@ def prepare_pure_state(theta: float, phi: float = 0.0) -> DensityOperator:
 
 
 @dataclass(frozen=True)
-class ValidationCheck:
+class CheckResult:
     name: str
-    deviation: float
-    bound: float
     passed: bool
+    measured: float
+    bound: float
+    detail: str = ""
+
+    def line(self) -> str:
+        status = "PASS" if self.passed else "FAIL"
+        text = f"[{status}] {self.name}: measured={self.measured:.3e} bound={self.bound:.3e}"
+        if self.detail:
+            text += f"  ({self.detail})"
+        return text
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple[ValidationCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def summary(self) -> str:
-        return "; ".join(
-            f"{c.name}: {'ok' if c.passed else 'FAIL'} ({c.deviation:.3e} vs {c.bound:.3e})"
-            for c in self.checks
-        )
+def _within(name, measured, bound, detail="") -> CheckResult:
+    measured, bound = float(measured), float(bound)
+    return CheckResult(name, measured <= bound, measured, bound, detail)
 
 
 #: validate_density's bound on |Tr(rho) - 1|, and its floor for eigenvalues:
@@ -78,26 +80,25 @@ class ValidationReport:
 TRACE_TOL, PSD_FLOOR = 1e-12, 1e-10
 
 
-def validate_density(rho: DensityOperator) -> ValidationReport:
+def validate_density(rho: DensityOperator) -> list[CheckResult]:
     """Check Hermiticity by the rule of ``cxmat``, unit trace within TRACE_TOL
-    and eigenvalues down to -PSD_FLOOR; on a stack, each check reports the
-    worst matrix (for Hermiticity, the one furthest past its own bound).
-    An empty stack has no worst matrix and raises ShapeError."""
+    and eigenvalues down to -PSD_FLOOR: the records ``hermiticity``,
+    ``trace`` and ``positivity``, in that order.  On a stack, each record
+    reports the worst matrix (for Hermiticity, the one furthest past its own
+    bound).  An empty stack has no worst matrix and raises ShapeError."""
     m = rho.matrix
     if not m.size:
         raise cxmat.ShapeError(f"cannot validate an empty stack of states, shape {m.shape}")
     dev, bound = cxmat.hermitian_deviation(m)
     worst = np.unravel_index(np.argmax(dev / bound), dev.shape)
-    herm_dev, herm_bound = float(dev[worst]), float(bound[worst])
-    trace_dev = float(np.max(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)))
+    trace_dev = np.max(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0))
     # Eigenvalues of the Hermitian part, which is Hermitian bit for bit, so
     # the PSD check stays meaningful even when the Hermiticity check fails.
     eig = cxmat.hermitian_eigen(0.5 * (m + m.conj().swapaxes(-1, -2)))
     min_eig = float(np.min(eig.eigenvalues))
-    return ValidationReport((
-        ValidationCheck("hermiticity", herm_dev, herm_bound, herm_dev <= herm_bound),
-        ValidationCheck("trace", trace_dev, TRACE_TOL, trace_dev <= TRACE_TOL),
-        ValidationCheck("positivity", min_eig, -PSD_FLOOR, min_eig >= -PSD_FLOOR)))
+    return [_within("hermiticity", dev[worst], bound[worst]),
+            _within("trace", trace_dev, TRACE_TOL),
+            CheckResult("positivity", min_eig >= -PSD_FLOOR, min_eig, -PSD_FLOOR)]
 
 
 class Hamiltonian:
@@ -114,6 +115,8 @@ class Hamiltonian:
         # no expression, so it is refused
         entries = [((i, i), (e, 0.0)) for i, e in enumerate(diag)]
         self.dim = len(entries)
+        if not self.dim:
+            raise cxmat.ShapeError("Hamiltonian needs at least one level, got an empty diagonal")
         for (i, j), value in (upper or {}).items():
             if not 0 <= i < j < self.dim:
                 raise ValueError(f"upper-triangle index out of range: {(i, j)}")
@@ -226,7 +229,7 @@ def internal_energy(rho: DensityOperator, hm):
     # The unoptimized einsum sums in an order set by its operands' strides:
     # a C-ordered rho keeps it the C order whatever the layout of hm.
     value = np.einsum("...ij,...ji->...", np.ascontiguousarray(rho.matrix), hm)
-    bad = np.flatnonzero(np.abs(value.imag) > cxmat.HERMITIAN_TOL * max(1.0, np.max(np.abs(hm))))
+    bad = np.flatnonzero(np.abs(value.imag) > cxmat.HERMITIAN_TOL * np.max(np.abs(hm), initial=1.0))
     if bad.size:
         where = f"at grid point {bad[0]}: " if value.ndim else ""
         raise cxmat.NumericError(

@@ -1,8 +1,9 @@
 """Acceptance checks runnable from both the test suite and the CLI.
 
-Each check returns CheckResult records with a measured value and its bound.
-Only the three ledgers that more than one check reads are cached per process
-(`_shared`); every other ledger is built where it is read and dropped after.
+Each check returns a list of ``qstate.CheckResult`` records, a measured value
+against its bound; the type is importable from here by that name.  Only the
+three ledgers that more than one check reads are cached per process
+(`_memo`); every other ledger is built where it is read and dropped after.
 Every bound is a constant: `ORACLE_TOL` bounds the comparisons against the
 phase damping and phase flip closed-form curves, read when a check runs.
 """
@@ -12,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import math
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,33 +20,13 @@ import numpy as np
 from . import cxmat, experiment, exprparse, oracle
 from .channel import ChannelSpec, KrausSet, completeness_deviation, kraus_at
 from .firstlaw import DEFAULT_STEPS, DEFAULT_TAU_MAX, TimeGrid, run_energetics
-from .qstate import DensityOperator, Hamiltonian, prepare_pure_state
+from .qstate import CheckResult, DensityOperator, Hamiltonian, _within, prepare_pure_state
 
 ORACLE_TOL = 1e-5
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 #: Columns are the sigma_y eigenvectors; conjugation maps sigma_z to sigma_y.
 Y_FROM_Z = np.array([[1, 1], [1j, -1j]], dtype=complex) / math.sqrt(2)
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    measured: float
-    bound: float
-    detail: str = ""
-
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        text = f"[{status}] {self.name}: measured={self.measured:.3e} bound={self.bound:.3e}"
-        if self.detail:
-            text += f"  ({self.detail})"
-        return text
-
-
-def _within(name, measured, bound, detail="") -> CheckResult:
-    return CheckResult(name, measured <= bound, float(measured), float(bound), detail)
 
 
 def _worst(arrays) -> float:
@@ -59,9 +39,9 @@ def _worst(arrays) -> float:
 _LEDGER_CACHE: dict[str, object] = {}
 
 
-def _memo(tag: str, builder):
+def _memo(tag: str):
     if tag not in _LEDGER_CACHE:
-        _LEDGER_CACHE[tag] = builder()
+        _LEDGER_CACHE[tag] = _SHARED[tag]()
     return _LEDGER_CACHE[tag]
 
 
@@ -91,15 +71,11 @@ _SHARED = {
 }
 
 
-def _shared(tag: str):
-    return _memo(tag, _SHARED[tag])
-
-
 # -- phase damping vs closed forms --------------------------------------------
 
 
 def check_phase_damping_curves() -> list[CheckResult]:
-    ledger = _shared("phase_damping:pi/6")
+    ledger = _memo("phase_damping:pi/6")
     heat_ref = oracle.pd_heat(ledger.tau, 0.0, 1.0)
     coh_ref = oracle.pd_coherence(ledger.tau, 0.0, 1.0)
     final_ref = heat_ref[-1]
@@ -120,7 +96,7 @@ def check_phase_damping_curves() -> list[CheckResult]:
 
 
 def check_first_law_closure() -> list[CheckResult]:
-    static = (_shared("phase_damping:pi/6"), _shared("phase_flip:pi/6"),
+    static = (_memo("phase_damping:pi/6"), _memo("phase_flip:pi/6"),
               _qubit(ChannelSpec.bit_flip(), math.pi / 6),
               _qubit(ChannelSpec.bit_phase_flip(), math.pi / 6))
     results = [_within("first-law closure, builtin channels with static energies",
@@ -149,8 +125,8 @@ def check_non_dissipative_invariants() -> list[CheckResult]:
     # bit flip / bit-phase flip preserve populations only for equal-weight
     # superpositions; the phases pick states those channels dephase without
     # freezing outright
-    ledgers = (_shared("phase_damping:pi/6"), _shared("phase_flip:pi/6"),
-               _shared("bit_flip:pi/4,pi/2"), _qubit(ChannelSpec.bit_phase_flip(), math.pi / 4))
+    ledgers = (_memo("phase_damping:pi/6"), _memo("phase_flip:pi/6"),
+               _memo("bit_flip:pi/4,pi/2"), _qubit(ChannelSpec.bit_phase_flip(), math.pi / 4))
     return [
         _within("non-dissipative channels leave the internal energy unchanged",
                 _worst(ledger.delta_u for ledger in ledgers), 1e-9),
@@ -162,7 +138,7 @@ def check_non_dissipative_invariants() -> list[CheckResult]:
 
 
 def check_phase_flip_curves() -> list[CheckResult]:
-    ledger = _shared("phase_flip:pi/6")
+    ledger = _memo("phase_flip:pi/6")
     heat_ref = oracle.pf_heat(ledger.tau, 0.0, 1.0)
     coh_ref = oracle.pf_coherence(ledger.tau, 0.0, 1.0)
     peak_index = int(np.argmin(np.abs(ledger.tau - math.log(2))))
@@ -214,7 +190,7 @@ def check_channel_symmetry() -> list[CheckResult]:
     results = []
     for label, theta, base in [
         ("equal-population setup", math.pi / 4, _qubit(ChannelSpec.phase_flip(), math.pi / 4)),
-        ("reference-angle setup", math.pi / 6, _shared("phase_flip:pi/6")),
+        ("reference-angle setup", math.pi / 6, _memo("phase_flip:pi/6")),
     ]:
         worst = 0.0
         for spec, unitary in [(ChannelSpec.bit_flip(), HADAMARD),
@@ -225,7 +201,7 @@ def check_channel_symmetry() -> list[CheckResult]:
             f"bit-flip family twins reproduce the phase-flip ledgers ({label})",
             worst, 1e-8))
 
-    closure = (_qubit(ChannelSpec.bit_flip(), math.pi / 4), _shared("bit_flip:pi/4,pi/2"))
+    closure = (_qubit(ChannelSpec.bit_flip(), math.pi / 4), _memo("bit_flip:pi/4,pi/2"))
     results.append(_within(
         "bit flip on equal-weight states in the z-basis closes the first law",
         _worst(ledger.closure_residual for ledger in closure), 5e-5))

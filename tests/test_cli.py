@@ -486,15 +486,34 @@ class TestSimulateCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, what", [("--config", "config file"),
+                                            ("--channel", "channel file")])
+    def test_unreadable_or_non_json_file_exits_2(self, tmp_path, capsys, flag, what):
+        missing, broken = tmp_path / "missing.json", tmp_path / "broken.json"
+        broken.write_text("{not json")
+        for path, message in [(missing, f"error: cannot read {what} {missing}: "),
+                              (broken, f"error: {what} {broken} is not valid JSON: ")]:
+            value = str(path) if flag == "--config" else f"custom:{path}"
+            code = cli.main(["simulate", flag, value, "--out", str(tmp_path / "x.csv")])
+            assert code == 2
+            assert capsys.readouterr().err.startswith(message)
+
 
 class TestReproduceCommand:
     def test_fig3_outputs(self, tmp_path, capsys):
         code = cli.main(["reproduce", "fig3", "--out-dir", str(tmp_path)])
         assert code == 0
         csv_path = tmp_path / "fig3.csv"
-        report = (tmp_path / "fig3_report.txt").read_text()
+        title, *lines = (tmp_path / "fig3_report.txt").read_text().splitlines()
         assert csv_path.exists()
-        assert report.count("PASS") == 5
+        assert title.startswith("fig3: phase-flip, theta=pi/6")
+        # the benchmark reads the lines holding "(bound" and requires PASS at their end
+        labels = ["max |heat - heat_oracle|", "max |coherence - coherence_oracle|",
+                  "max |heat + coherence|", "max |delta_u|", "max |work|"]
+        value = r" = \d\.\d{3}e[+-]\d{2}  \(bound \d\.\de[+-]\d{2}\)  PASS"
+        assert len(lines) == len(labels)
+        for label, line in zip(labels, lines):
+            assert re.fullmatch(re.escape(f"{label:<36}") + value, line), line
         out = capsys.readouterr().out
         assert "PASS" in out
 

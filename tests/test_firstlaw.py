@@ -57,7 +57,8 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(1.0, 0)
 
-    @pytest.mark.parametrize("tau_max", [math.nan, math.inf, -math.inf, -1.0])
+    @pytest.mark.parametrize("tau_max", [math.nan, math.inf, -math.inf, -1.0,
+                                         True, np.bool_(True), "2", None, 1 + 0j])
     def test_rejects_non_finite_tau_max(self, tau_max):
         with pytest.raises(ValueError, match="tau_max must be finite and positive"):
             TimeGrid(tau_max, 10)

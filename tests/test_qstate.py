@@ -39,7 +39,7 @@ class TestPreparePureState:
     @given(angles_theta, angles_phi)
     def test_valid_and_idempotent(self, theta, phi):
         rho = prepare_pure_state(theta, phi)
-        assert validate_density(rho).passed
+        assert all(r.passed for r in validate_density(rho))
         assert np.max(np.abs(rho.matrix @ rho.matrix - rho.matrix)) <= 1e-12
 
     def test_theta_out_of_range(self):
@@ -53,58 +53,55 @@ class TestPreparePureState:
 
 class TestValidateDensity:
     def test_pure_state_passes(self):
-        report = validate_density(prepare_pure_state(math.pi / 6))
-        assert report.passed
+        results = validate_density(prepare_pure_state(math.pi / 6))
+        assert [r.name for r in results] == ["hermiticity", "trace", "positivity"]
+        assert all(r.passed for r in results)
 
     def test_negative_eigenvalue_fails(self):
         rho = DensityOperator(np.array([[0.6, 0.6], [0.6, 0.4]], dtype=complex))
-        report = validate_density(rho)
-        assert not report.passed
-        by_name = {c.name: c for c in report.checks}
+        by_name = {r.name: r for r in validate_density(rho)}
         assert by_name["hermiticity"].passed
         assert by_name["trace"].passed
         assert not by_name["positivity"].passed
         # independent 2x2 oracle: 0.5*((a+d) - sqrt((a-d)^2 + 4 b^2))
         expected_min = 0.5 * (1.0 - math.sqrt(0.2**2 + 4 * 0.6**2))
-        assert by_name["positivity"].deviation == pytest.approx(expected_min, abs=1e-12)
+        assert by_name["positivity"].measured == pytest.approx(expected_min, abs=1e-12)
 
     def test_wrong_trace_fails(self):
         rho = DensityOperator(np.diag([0.5, 0.4]).astype(complex))
-        report = validate_density(rho)
-        by_name = {c.name: c for c in report.checks}
+        by_name = {r.name: r for r in validate_density(rho)}
         assert not by_name["trace"].passed
         assert by_name["positivity"].passed
 
     def test_non_hermitian_fails(self):
         rho = DensityOperator(np.array([[0.5, 0.3], [0.1, 0.5]], dtype=complex))
-        assert not validate_density(rho).passed
+        assert not all(r.passed for r in validate_density(rho))
 
     def test_pure_state_zero_eigenvalue_not_rejected(self):
         # round-off on the exactly-zero eigenvalue must stay inside the floor
-        report = validate_density(prepare_pure_state(0.7, 1.3))
-        assert report.passed
+        assert all(r.passed for r in validate_density(prepare_pure_state(0.7, 1.3)))
 
     def test_stack_of_valid_states_passes(self):
         stack = np.stack([prepare_pure_state(theta, 0.4).matrix
                           for theta in (0.0, 0.5, 1.2)])
-        assert validate_density(DensityOperator(stack)).passed
+        assert all(r.passed for r in validate_density(DensityOperator(stack)))
 
     def test_stack_reports_worst_member(self):
         stack = np.stack([prepare_pure_state(theta).matrix
                           for theta in (0.0, 0.5, 1.2)])
         stack[1, 0, 1] += 0.3
-        by_name = {c.name: c for c in validate_density(DensityOperator(stack)).checks}
+        by_name = {r.name: r for r in validate_density(DensityOperator(stack))}
         assert not by_name["hermiticity"].passed
-        assert by_name["hermiticity"].deviation == pytest.approx(0.3, abs=1e-15)
+        assert by_name["hermiticity"].measured == pytest.approx(0.3, abs=1e-15)
         assert by_name["trace"].passed
 
     def test_single_matrix_report_unchanged(self):
         m = np.array([[0.6, 0.5 + 0.1j], [0.4, 0.5]], dtype=complex)
-        by_name = {c.name: c for c in validate_density(DensityOperator(m)).checks}
-        assert by_name["hermiticity"].deviation == float(np.max(np.abs(m - m.conj().T)))
-        assert by_name["trace"].deviation == abs(complex(np.trace(m)) - 1.0)
+        by_name = {r.name: r for r in validate_density(DensityOperator(m))}
+        assert by_name["hermiticity"].measured == float(np.max(np.abs(m - m.conj().T)))
+        assert by_name["trace"].measured == abs(complex(np.trace(m)) - 1.0)
         hermitian = 0.5 * (m + m.conj().T)
-        assert by_name["positivity"].deviation == pytest.approx(
+        assert by_name["positivity"].measured == pytest.approx(
             float(np.linalg.eigvalsh(hermitian)[0]), abs=1e-14)
 
     def test_hermiticity_bound_is_per_matrix_and_scales_with_it(self):
@@ -115,12 +112,11 @@ class TestValidateDensity:
         big[0, 1] = 1e-10
         small = np.diag([0.5, 0.5]).astype(complex)
         small[0, 1] = 1e-11
-        report = validate_density(DensityOperator(np.array([big, small])))
-        by_name = {c.name: c for c in report.checks}
+        by_name = {r.name: r for r in validate_density(DensityOperator(np.array([big, small])))}
         assert not by_name["hermiticity"].passed
-        assert by_name["hermiticity"].deviation == 1e-11
+        assert by_name["hermiticity"].measured == 1e-11
         assert by_name["hermiticity"].bound == cxmat.HERMITIAN_TOL
-        assert validate_density(DensityOperator(big)).checks[0].passed
+        assert validate_density(DensityOperator(big))[0].passed
 
     @pytest.mark.parametrize("d", [1, 2, 4])
     def test_empty_stack_raises_a_shape_error(self, d):
@@ -128,9 +124,11 @@ class TestValidateDensity:
         with pytest.raises(cxmat.ShapeError, match=rf"empty stack .*\(0, {d}, {d}\)$"):
             validate_density(rho)
 
-    def test_summary_mentions_failures(self):
+    def test_line_marks_failures(self):
         rho = DensityOperator(np.diag([0.5, 0.4]).astype(complex))
-        assert "FAIL" in validate_density(rho).summary()
+        lines = [r.line() for r in validate_density(rho)]
+        assert lines[0].startswith("[PASS] hermiticity: ")
+        assert lines[1] == "[FAIL] trace: measured=1.000e-01 bound=1.000e-12"
 
 
 class TestInternalEnergy:
@@ -163,8 +161,19 @@ class TestInternalEnergy:
         shifted = internal_energy(rho, Hamiltonian([shift, 1.0 + shift]).matrix(0.0))
         assert shifted == pytest.approx(base + shift, abs=1e-12)
 
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_empty_stack_gives_an_empty_array(self, d):
+        # like energy_eigenbasis and evolve on an empty grid
+        empty = np.zeros((0, d, d), dtype=complex)
+        u = internal_energy(DensityOperator(empty), empty)
+        assert isinstance(u, np.ndarray) and u.shape == (0,)
+
 
 class TestHamiltonian:
+    def test_empty_diagonal_is_refused(self):
+        with pytest.raises(cxmat.ShapeError, match=r"at least one level"):
+            Hamiltonian([])
+
     def test_diagonal_constant(self):
         h = Hamiltonian([0.0, 1.0])
         assert np.array_equal(h.matrix(3.7), np.diag([0.0, 1.0]).astype(complex))
