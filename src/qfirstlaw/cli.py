@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage/config error,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 
 from . import cxmat, experiment, exprparse, verification
@@ -123,11 +124,35 @@ _DISPATCH = {
 }
 
 
+#: glibc's ``mallopt`` parameters M_TRIM_THRESHOLD and M_MMAP_THRESHOLD (malloc.h).
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+#: Both thresholds, in bytes: far above any grid temporary of a run.
+_MALLOC_THRESHOLD = 64 << 20
+
+
+def _keep_freed_memory() -> None:
+    """Keep freed heap in the process, and serve large blocks from it.
+
+    A run allocates and frees whole-grid temporaries over and over.  By
+    default glibc maps each large block fresh and returns the freed top of
+    the heap to the kernel, so every reuse faults its pages back in.  Both
+    thresholds at _MALLOC_THRESHOLD stop that.  Only the command line sets
+    them, for its own short-lived process: a library call never changes its
+    host's allocator.  Without glibc's ``mallopt`` this does nothing."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(_M_TRIM_THRESHOLD, _MALLOC_THRESHOLD)
+        mallopt(_M_MMAP_THRESHOLD, _MALLOC_THRESHOLD)
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    _keep_freed_memory()
     try:
         return _DISPATCH[args.command](args)
     except ConfigError as exc:

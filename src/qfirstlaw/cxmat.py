@@ -15,7 +15,10 @@ LAPACK call, so the whole numerical path stays auditable.  It holds a
 ``(..., n, n)`` stack column-major with the grid axis last, computes each
 rotation for every matrix and writes it under the mask of the matrices that
 still need it: the Python loop is over sweeps and index pairs, never over
-grid points.  A single matrix is a stack of one.
+grid points.  A single matrix is a stack of one.  A 2 x 2 matrix needs
+exactly one rotation (the 2 x 2 symmetric Schur step of Golub & Van Loan,
+*Matrix Computations*, 8.5), so a 2 x 2 stack gets it directly, with no
+sweep loop, and the same bits.
 
 A matrix counts as Hermitian when max|a - a†| <= HERMITIAN_TOL * max(1,
 max|a|), judged per matrix of a stack: the bound grows with the entries, as
@@ -132,8 +135,8 @@ def hermitian_eigen(a) -> HermitianEigenDecomposition:
     matrix gets exactly the rotations it would get alone.  A matrix still
     above its threshold after MAX_SWEEPS sweeps raises ConvergenceError.
     Errors on a stack name the first failing matrix and carry its ``index``.
-    Every pass runs on ``cols``, the N matrices column-major with the grid
-    axis last: ``cols[j]`` is column j of A above column j of V, ``(2n, N)``.
+    A 2 x 2 stack takes its one rotation directly (``_rotate_2x2``), with
+    the bits the sweep loop (``_sweep``) would give it.
     """
     m = np.asarray(a, dtype=np.complex128)
     batch = m.shape[:-2]
@@ -143,26 +146,9 @@ def hermitian_eigen(a) -> HermitianEigenDecomposition:
         raise ShapeError(f"eigendecomposition requires a square matrix, got {m.shape}")
     # A view: by_col[j, i] is entry (i, j) of every matrix.
     by_col = stack.reshape(-1, n, n).transpose(2, 1, 0)
-    count = by_col.shape[-1]
-    # A rotation multiplies both A and V by J on the right, so each column
-    # of A is stored above the same column of V and they rotate together.
-    cols = np.zeros((n, 2 * n, count), dtype=np.complex128)
-    cols[:, :n] = 0.5 * (by_col + by_col.conj().swapaxes(0, 1))  # fold round-off asymmetry away
-    cols[range(n), range(n, 2 * n)] = 1.0
-    thresh = OFFDIAG_FACTOR * np.abs(cols[:, :n]).reshape(n * n, count).max(axis=0)
-    off_diagonal = ~np.eye(n, dtype=bool)
-    sweeps = 0
-    while True:
-        off_max = np.abs(cols[:, :n][off_diagonal]).max(axis=0, initial=0.0)
-        active = off_max > thresh
-        if sweeps >= MAX_SWEEPS or not active.any():
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                rotate = np.abs(cols[q, p]) > thresh
-                if rotate.any():
-                    _rotate(cols, p, q, rotate)
-        sweeps += 1
+    folded = 0.5 * (by_col + by_col.conj().swapaxes(0, 1))  # fold round-off asymmetry away
+    thresh = OFFDIAG_FACTOR * np.abs(folded).reshape(n * n, -1).max(axis=0)
+    values, vecs, off_max, active = (_rotate_2x2 if n == 2 else _sweep)(folded, thresh)
 
     # The first failing matrix is reported, whichever check it fails.
     dev, bound = hermitian_deviation(stack.reshape(-1, n, n))
@@ -176,10 +162,6 @@ def hermitian_eigen(a) -> HermitianEigenDecomposition:
                   f"Jacobi sweep cap ({MAX_SWEEPS}) exceeded; "
                   f"max off-diagonal {off_max[stuck[0]]:.3e} > {thresh[stuck[0]]:.3e}")
 
-    values = cols[range(n), range(n)].real
-    order = np.argsort(values, axis=0, kind="stable")
-    values = np.take_along_axis(values, order, axis=0)
-    vecs = np.take_along_axis(cols[:, n:], order[:, None], axis=0)
     # Rotate each column so its largest-magnitude component (the first of
     # equal ones) is real positive.
     mag = np.abs(vecs)
@@ -202,29 +184,95 @@ def _raise_at(cls, batch, i, message):
     raise cls(f"matrix {index} of the stack: {message}", index)
 
 
+def _sweep(folded, thresh):
+    """Cyclic sweeps over the folded ``(n, n, N)`` column stack.  Returns
+    the eigenvalues in ascending order ``(n, N)``, their eigenvector columns
+    ``(n, n, N)`` (``[j, i]`` is entry i of column j), the last off-diagonal
+    maxima and the mask of the matrices still above their threshold.  Every
+    pass runs on ``cols``: ``cols[j]`` is column j of A above column j of V,
+    ``(2n, N)``."""
+    n, count = len(folded), folded.shape[-1]
+    # A rotation multiplies both A and V by J on the right, so each column
+    # of A is stored above the same column of V and they rotate together.
+    cols = np.zeros((n, 2 * n, count), dtype=np.complex128)
+    cols[:, :n] = folded
+    cols[range(n), range(n, 2 * n)] = 1.0
+    off_diagonal = ~np.eye(n, dtype=bool)
+    sweeps = 0
+    while True:
+        off_max = np.abs(cols[:, :n][off_diagonal]).max(axis=0, initial=0.0)
+        active = off_max > thresh
+        if sweeps >= MAX_SWEEPS or not active.any():
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                rotate = np.abs(cols[q, p]) > thresh
+                if rotate.any():
+                    _rotate(cols, p, q, rotate)
+        sweeps += 1
+    values = cols[range(n), range(n)].real
+    order = np.argsort(values, axis=0, kind="stable")
+    return (np.take_along_axis(values, order, axis=0),
+            np.take_along_axis(cols[:, n:], order[:, None], axis=0), off_max, active)
+
+
+#: Column j of the 2 x 2 identity is ``_EYE2[j]``, broadcast over a stack.
+_EYE2 = np.eye(2, dtype=np.complex128)[:, :, None]
+
+
+def _rotate_2x2(folded, thresh):
+    """``_sweep`` for n = 2, without the loop or its work buffer: one (0, 1)
+    rotation leaves the off-diagonal entry exactly 0, so the loop's first
+    sweep is its last.  The rotation is ``_rotate``'s arithmetic on V = I,
+    kept for the matrices above their threshold, unless MAX_SWEEPS is 0."""
+    apq, app, aqq = folded[1, 0], folded[0, 0].real, folded[1, 1].real
+    # |a_pq| = |a_qp|: the fold makes them exact conjugates.
+    off_max = np.abs(apq)
+    active = off_max > thresh
+    values, vecs = np.stack([app, aqq]), np.broadcast_to(_EYE2, folded.shape)
+    if MAX_SWEEPS > 0 and active.any():
+        with np.errstate(all="ignore"):
+            r, phase, t, c, s = _angle(apq, app, aqq)
+            values = np.where(active, [app - t * r, aqq + t * r], values)
+            vecs = np.where(active, [c * _EYE2[0] - (s * np.conj(phase)) * _EYE2[1],
+                                     (s * phase) * _EYE2[0] + c * _EYE2[1]], vecs)
+        active = np.zeros_like(active)  # the rotated entries are exactly 0
+    swap = values[1] < values[0]  # the stable ascending order of two
+    return np.where(swap, values[::-1], values), np.where(swap, vecs[::-1], vecs), off_max, active
+
+
+def _angle(apq, app, aqq):
+    """The plane rotation that zeroes a_pq of Hermitian matrices, lane by
+    lane: |a_pq|, its phase, t = s/c, c and s.
+
+    t satisfies t^2 + 2*phi*t - 1 = 0 with phi = (aqq - app) / (2|apq|),
+    and the smaller-magnitude root keeps the rotation angle below pi/4 (the
+    classic stability choice).  A lane with apq = 0 gives NaN, and one with
+    a subnormal apq overflows: callers ignore floating-point errors and drop
+    those lanes."""
+    r = np.abs(apq)
+    phase = apq / r
+    phi = (aqq - app) / (2.0 * r)
+    t = np.copysign(1.0, phi) / (np.abs(phi) + np.hypot(1.0, phi))
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    return r, phase, t, c, t * c
+
+
 def _rotate(cols, p, q, rotate):
     """Zero the (p, q) entry of each matrix A picked by the mask ``rotate``
-    by the unitary plane rotation J = [[c, s*phase], [-s*conj(phase), c]]:
-    A <- J† A J and V <- V J, with ``cols[j]`` holding column j of A above
-    column j of V.
+    by the unitary plane rotation J = [[c, s*phase], [-s*conj(phase), c]]
+    of ``_angle``: A <- J† A J and V <- V J, with ``cols[j]`` holding column
+    j of A above column j of V.
 
-    t = s/c satisfies t^2 + 2*phi*t - 1 = 0 with phi = (aqq - app) / (2|apq|),
-    and the smaller-magnitude root keeps the rotation angle below pi/4 (the
-    classic stability choice).  A is exactly Hermitian (folded on entry, and
-    the products below keep conjugate symmetry bit for bit), so rows p and q
-    of J† A J are the conjugates of its columns p and q.  Every matrix is
-    rotated but only the picked ones are written back, so the others keep
-    their bits, and the NaN lanes of any with apq = 0 are dropped."""
+    A is exactly Hermitian (folded on entry, and the products below keep
+    conjugate symmetry bit for bit), so rows p and q of J† A J are the
+    conjugates of its columns p and q.  Every matrix is rotated but only
+    the picked ones are written back, so the others keep their bits."""
     n = len(cols)
     # These are views of ``cols``: everything below is computed before any write.
     apq, app, aqq = cols[q, p], cols[p, p].real, cols[q, q].real
     with np.errstate(all="ignore"):
-        r = np.abs(apq)
-        phase = apq / r
-        phi = (aqq - app) / (2.0 * r)
-        t = np.copysign(1.0, phi) / (np.abs(phi) + np.hypot(1.0, phi))
-        c = 1.0 / np.sqrt(1.0 + t * t)
-        s = t * c
+        r, phase, t, c, s = _angle(apq, app, aqq)
         colp = c * cols[p] - (s * np.conj(phase)) * cols[q]
         colq = (s * phase) * cols[p] + c * cols[q]
         # Analytic updates for the rotated block kill round-off drift.

@@ -53,6 +53,7 @@ passing through the maximally mixed state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Integral, Real
 
@@ -88,14 +89,15 @@ class TimeGrid:
     def __post_init__(self):
         tau_max = self.tau_max
         if isinstance(tau_max, bool) or not isinstance(tau_max, Real) or not (
-                np.isfinite(tau_max) and tau_max > 0):
+                math.isfinite(tau_max) and tau_max > 0):
             raise ValueError(f"tau_max must be finite and positive, got {tau_max!r}")
         if isinstance(self.steps, bool) or not isinstance(self.steps, Integral) or self.steps < 1:
             raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
 
     @property
     def points(self) -> np.ndarray:
-        return np.linspace(0.0, self.tau_max, self.steps + 1)
+        # + 0.0 makes an exact Real such as a Fraction a float, and keeps a numpy float's type
+        return np.linspace(0.0, self.tau_max + 0.0, self.steps + 1)
 
 
 @dataclass(frozen=True)

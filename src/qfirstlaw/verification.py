@@ -243,8 +243,9 @@ def check_eigensolver() -> list[CheckResult]:
             a @ vecs - vecs * eig.eigenvalues[:, None, :]))))
         worst_orth = max(worst_orth, float(np.max(np.abs(
             vecs.conj().swapaxes(-1, -2) @ vecs - np.eye(dim)))))
-    draws = [(*rng.normal(size=2), complex(rng.normal(), rng.normal())) for _ in range(200)]
-    a, d, b = (np.array(x) for x in zip(*draws))
+    a, d, b_re, b_im = rng.normal(size=(200, 4)).T
+    b = np.array(b_re, dtype=complex)
+    b.imag = b_im
     eig = cxmat.hermitian_eigen(np.array([[a, b], [np.conj(b), d]]).transpose(2, 0, 1))
     s = np.sqrt((a - d) ** 2 + 4 * np.abs(b) ** 2)
     worst_closed = float(max(np.abs(eig.eigenvalues[:, 0] - 0.5 * (a + d - s)).max(),

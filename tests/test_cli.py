@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfirstlaw import cli, experiment, verification
-from qfirstlaw.firstlaw import EnergeticsLedger
+from qfirstlaw.channel import ChannelSpec
+from qfirstlaw.firstlaw import EnergeticsLedger, TimeGrid, run_energetics
 from qfirstlaw.experiment import (
     ConfigError,
     ExperimentConfig,
@@ -24,6 +26,7 @@ from qfirstlaw.experiment import (
     reproduce_figure,
     run_experiment,
 )
+from qfirstlaw.qstate import Hamiltonian, prepare_pure_state
 
 NUMBER_RE = re.compile(r"-?\d\.\d{11}e[+-]\d{2,3}")
 ROOT = Path(__file__).parents[1]
@@ -607,6 +610,32 @@ class TestChannelInfoCommand:
         captured = capsys.readouterr()
         assert f"time must be finite and non-negative, got {t}" in captured.err
         assert "PASS" not in captured.out
+
+
+class TestAllocatorSetting:
+    def test_main_sets_both_thresholds(self, monkeypatch, capsys):
+        calls = []
+        libc = types.SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)))
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+        assert cli.main(["channel-info", "--channel", "phase-flip", "--t", "0"]) == 0
+        assert calls == [(-1, 64 << 20), (-3, 64 << 20)]
+
+    def test_verify_runs_without_mallopt(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace())
+        assert cli.main(["verify"]) == 0
+        assert capsys.readouterr().out.endswith("29/29 checks passed\n")
+
+    def test_library_calls_never_set_it(self, monkeypatch, tmp_path):
+        def refuse():
+            raise AssertionError("a library call changed the allocator")
+
+        monkeypatch.setattr(cli, "_keep_freed_memory", refuse)
+        assert reproduce_figure("fig2", tmp_path).passed
+        ledger = run_energetics(ChannelSpec.phase_flip(), prepare_pure_state(math.pi / 6),
+                                Hamiltonian([0.0, 1.0]), TimeGrid(8.0, 400))
+        assert len(ledger.tau) == 401
+        with pytest.raises(AssertionError, match="changed the allocator"):
+            cli.main(["verify"])
 
 
 class TestDeterminism:

@@ -431,10 +431,10 @@ class TestMatchesReference:
     def test_random_stacks_with_converged_members(self, d):
         _assert_matches_reference(_mixed_stack(np.random.default_rng(900 + d), d))
 
-    def test_phase_damping_stack(self):
-        spec = ChannelSpec.phase_damping()
+    @pytest.mark.parametrize("channel", ["phase_damping", "phase_flip"])
+    def test_qubit_channel_stack(self, channel):
         rho0 = prepare_pure_state(math.pi / 6)
-        rho = evolve(spec, rho0, TimeGrid(8.0, 4000).points).matrix
+        rho = evolve(getattr(ChannelSpec, channel)(), rho0, TimeGrid(8.0, 4000).points).matrix
         assert rho.shape == (4001, 2, 2)
         _assert_matches_reference(rho)
 
@@ -454,19 +454,22 @@ class TestMatchesReference:
 
     @pytest.mark.parametrize("case", ["sweep_cap", "non_hermitian"])
     def test_errors_match(self, case, monkeypatch):
-        rng = np.random.default_rng(15)
-        stack = np.array([np.diag([0.2, 0.3, 0.5]), np.zeros((3, 3)), _random_hermitian(rng, 3),
-                          _random_hermitian(rng, 3)]).astype(complex).reshape(2, 2, 3, 3)
-        if case == "non_hermitian":
-            stack[1, 1, 0, 2] += 1e-6
-        else:
+        if case == "sweep_cap":
             monkeypatch.setattr(cxmat, "MAX_SWEEPS", 0)
-        with pytest.raises((ConvergenceError, NonHermitianError)) as ref:
-            reference_eigen(stack)
-        with pytest.raises(type(ref.value)) as got:
-            cxmat.hermitian_eigen(stack)
-        assert got.value.index == ref.value.index == ((1, 0) if case == "sweep_cap" else (1, 1))
-        assert str(got.value) == str(ref.value)
+        for d in (3, 2):  # the sweep loop and the 2 x 2 path
+            rng = np.random.default_rng(15)
+            stack = np.array([np.diag([0.2, 0.3, 0.5][:d]), np.zeros((d, d)),
+                              _random_hermitian(rng, d), _random_hermitian(rng, d)]
+                             ).astype(complex).reshape(2, 2, d, d)
+            if case == "non_hermitian":
+                stack[1, 1, 0, d - 1] += 1e-6
+            with pytest.raises((ConvergenceError, NonHermitianError)) as ref:
+                reference_eigen(stack)
+            with pytest.raises(type(ref.value)) as got:
+                cxmat.hermitian_eigen(stack)
+            assert got.value.index == ref.value.index == ((1, 0) if case == "sweep_cap"
+                                                          else (1, 1))
+            assert str(got.value) == str(ref.value)
 
     def test_no_floating_point_warning_escapes(self):
         # Every matrix is rotated and the unpicked ones are dropped: those
@@ -485,6 +488,59 @@ class TestMatchesReference:
         ref = reference_eigen(stack)
         assert np.array_equal(eig.eigenvalues, ref.eigenvalues)
         assert np.array_equal(eig.eigenvectors, ref.eigenvectors)
+
+
+def _scaled_2x2(seed, length=64):
+    """Seeded Hermitian 2 x 2 matrices, each scaled by 10^k, k uniform in [-8, 8]."""
+    rng = np.random.default_rng([2, seed])
+    return np.array([_random_hermitian(rng, 2) for _ in range(length)]) * (
+        10.0 ** rng.uniform(-8, 8, size=(length, 1, 1)))
+
+
+class TestTwoByTwoMatchesReference:
+    """A 2 x 2 stack takes its one rotation without the sweep loop, with the loop's bits."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_scaled_stacks(self, seed):
+        stack = _scaled_2x2(seed)
+        _assert_matches_reference(stack)
+        _assert_matches_reference(stack.reshape(4, 16, 2, 2))
+        _assert_matches_reference(stack.real)
+        _assert_matches_reference(stack[seed])
+
+    @pytest.mark.parametrize("off", [0.0, -0.0, complex(-0.0, -0.0), 1e-300, -1e-300j,
+                                     0.5, 2.0], ids=str)
+    def test_off_diagonal_at_and_around_the_threshold(self, off):
+        # 0.5 and 2.0 are in units of each matrix's threshold: below and above it
+        stack = _scaled_2x2(7)
+        entry = off * OFFDIAG_FACTOR * np.abs(stack).max(axis=(1, 2)) if off in (0.5, 2.0) else off
+        stack[:, 0, 1] = entry
+        stack[:, 1, 0] = np.conj(entry)
+        eig = _assert_matches_reference(stack)
+        if off != 2.0:
+            # nothing rotates: the spectrum is the sorted diagonal
+            diagonal = np.sort(stack.diagonal(axis1=1, axis2=2).real, axis=1)
+            assert np.array_equal(eig.eigenvalues, diagonal)
+
+    def test_equal_diagonals_rotate_by_45_degrees(self):
+        # phi = 0 gives t = 1, and both components of each column tie in magnitude
+        stack = _scaled_2x2(8)
+        stack[:, 1, 1] = stack[:, 0, 0]
+        eig = _assert_matches_reference(stack)
+        assert np.allclose(np.abs(eig.eigenvectors), math.sqrt(0.5), rtol=1e-15, atol=0)
+        _assert_matches_reference(stack.real)
+
+    def test_real_zero_and_sigma_x_matrices(self):
+        stack = np.array([np.zeros((2, 2)), SIGMA_X.real, np.diag([2.0, -1.0]),
+                          [[1.0, -0.0], [-0.0, 1.0]], [[0.0, 3.0], [3.0, 0.0]]])
+        _assert_matches_reference(stack)
+        _assert_matches_reference(np.zeros((0, 2, 2)))
+        eig = _assert_matches_reference(np.zeros((2, 2)))
+        assert np.array_equal(eig.eigenvectors, np.eye(2))
+
+    def test_stack_needing_no_rotation_passes_a_zero_sweep_cap(self, monkeypatch):
+        monkeypatch.setattr(cxmat, "MAX_SWEEPS", 0)
+        _assert_matches_reference(np.array([np.diag([3.0, -1.0]), np.zeros((2, 2))]))
 
 
 def reference_stack_matmul(a, b):

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -70,6 +71,11 @@ class TestTimeGrid:
 
     def test_accepts_numpy_integers(self):
         assert len(TimeGrid(1, np.int64(4)).points) == 5
+
+    def test_accepts_an_exact_fraction(self):
+        points = TimeGrid(Fraction(1, 2), 3).points
+        assert points.dtype == np.float64
+        assert points.tobytes() == TimeGrid(0.5, 3).points.tobytes()
 
 
 class TestBranchMatch:
