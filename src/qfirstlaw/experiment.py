@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, fields
-from numbers import Integral, Real
+from numbers import Integral, Rational, Real
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +118,8 @@ class ExperimentConfig:
     def __post_init__(self):
         for key in ("theta", "phi", "e_g", "e_e", "tau_max", "steps"):
             value, kind = getattr(self, key), Integral if key == "steps" else Real
+            if isinstance(value, Rational) and abs(value) > sys.float_info.max:
+                raise ConfigError(f"{key} is too large to be a float")
             if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
                 noun = "an integer" if key == "steps" else "a finite number"
                 raise ConfigError(f"{key} must be {noun}, got {value!r}")

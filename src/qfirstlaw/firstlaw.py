@@ -33,8 +33,17 @@ the H matrices that need the eigensolver go through one Jacobi loop
 (``qstate.energy_eigenbasis``).
 Branch matching certifies steps for the whole grid at once.  The branch
 order is carried over settled steps and recomputed only at crossings and
-walked steps: the steps left open (the first, near-ties and degenerate
-endpoints) are matched point by point against the point before them.
+walked steps: the steps left open (the first, near-ties, and endpoints
+whose degenerate clusters differ) are matched point by point against the
+point before them.  A step whose two endpoints tie the same eigenvalue
+pairs is settled by the cluster rule when every other branch is pinned:
+the tied branches keep their positions, in whatever basis the eigensolver
+returns.  A cluster's eigenprojector is continuous even where no basis of
+it is (Kato, *Perturbation Theory for Linear Operators*, ch. II), and the
+three sums over a cluster see only that projector, so a persistent
+cluster, such as the null space a pure state keeps under a channel of
+Kraus rank below d, is walked only where its tied pairs change: where it
+forms or splits, or where another eigenvalue crosses it.
 
 Eigenbranches are matched between consecutive grid points by the permutation
 that maximizes the total squared eigenvector overlap (ties go to the smaller
@@ -45,15 +54,15 @@ exceeds 2/3 are pinned to their argmax and only the remaining rows are
 searched.  That remainder can be as large as the dimension (the arbitrary
 null-space eigenvectors of a pure initial state are never pinned), so the
 dimension stays capped at 8.  The first grid point is ordered by descending
-eigenvalue.  Exactly degenerate eigenvalues inherit the previous grid
-point's eigenvectors (still eigenvectors, verified by residual), which keeps
-the overlap matrix continuous through crossings such as the flip family
-passing through the maximally mixed state.
+eigenvalue.  On a walked step, exactly degenerate eigenvalues inherit the
+previous grid point's eigenvectors (still eigenvectors, verified by
+residual), which keeps the overlap matrix continuous through crossings such
+as the flip family passing through the maximally mixed state.
 """
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 from numbers import Integral, Real
 
@@ -88,8 +97,9 @@ class TimeGrid:
 
     def __post_init__(self):
         tau_max = self.tau_max
+        # a comparison, unlike math.isfinite, takes an int too large for a float
         if isinstance(tau_max, bool) or not isinstance(tau_max, Real) or not (
-                math.isfinite(tau_max) and tau_max > 0):
+                0 < tau_max <= sys.float_info.max):
             raise ValueError(f"tau_max must be finite and positive, got {tau_max!r}")
         if isinstance(self.steps, bool) or not isinstance(self.steps, Integral) or self.steps < 1:
             raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
@@ -273,11 +283,22 @@ def _validate_snapshot(tau, values, overlap):
 
 
 def _certificate(raw_values, overlap):
-    """Which intervals the certificate settles, and the row argmaxes of
-    each interval's raw-basis overlap (ties to the first column).  Settled:
-    every row peak exceeds 1/2 + 2 _TIE_EPS, the argmaxes are distinct and
-    no two eigenvalues at either endpoint lie within _DEGENERACY_GAP.  Each
-    pass is elementwise over one matrix index, over the grid-last stacks."""
+    """Which intervals the certificate settles, and the column of each row
+    of each interval's raw-basis overlap: its argmax (ties to the first
+    column), except on intervals the cluster rule settles.  Settled:
+
+    * every row peak exceeds 1/2 + 2 _TIE_EPS, the argmaxes are distinct
+      and no two eigenvalues at either endpoint lie within _DEGENERACY_GAP;
+    * or, by the cluster rule, both endpoints tie the same index pairs
+      within _DEGENERACY_GAP, every untied row peaks at m with
+      3 m - 2 > 4 _TIE_EPS (branch_match's 2/3 pin with twice its margin),
+      and those rows' argmaxes are distinct and miss the tied columns.
+      Every optimal matching then keeps the untied rows at their argmaxes,
+      so the tied rows take the tied columns; they keep their own index.
+
+    The first test is elementwise over one matrix index, over the grid-last
+    stacks.  The cluster rule runs only on the intervals with ties at both
+    ends, gathered as a subset, so a grid without them pays nothing more."""
     d = raw_values.shape[1]
     by_col = overlap.transpose(2, 1, 0)
     peaks = by_col[0].copy()
@@ -293,25 +314,45 @@ def _certificate(raw_values, overlap):
         distinct &= (cols[j + 1:] != cols[j]).all(axis=0)
         plain &= (np.abs(values[j + 1:] - values[j]) > _DEGENERACY_GAP).all(axis=0)
     settled = (peaks.min(axis=0) > 0.5 + 2.0 * _TIE_EPS) & distinct & plain[:-1] & plain[1:]
-    return settled, cols.T
+    peaks, cols = peaks.T, cols.T
+    # the cluster rule, on the subset of intervals with ties at both ends
+    both = np.flatnonzero(~plain[:-1] & ~plain[1:])
+    if both.size:
+        ends = raw_values[np.stack([both, both + 1])]
+        ties = np.abs(ends[..., :, None] - ends[..., None, :]) <= _DEGENERACY_GAP
+        tied = ties[0].sum(axis=-1) > 1  # every row ties itself
+        kept = np.where(tied, np.arange(d), cols[both])
+        clustered = ((ties[0] == ties[1]).all(axis=(1, 2))
+                     & (tied | (3.0 * peaks[both] - 2.0 > 4.0 * _TIE_EPS)).all(axis=1)
+                     & (np.sort(kept, axis=1) == np.arange(d)).all(axis=1))
+        settled[both[clustered]] = True
+        cols[both[clustered]] = kept[clustered]
+    return settled, cols
 
 
 def _match_branches(rho, raw_values, raw_vectors):
-    """Branch-ordered eigenvalues and eigenvectors for the whole grid,
-    equal bit for bit to matching and inheriting point by point.
+    """Branch-ordered eigenvalues and eigenvectors for the whole grid.
 
     One batched product gives the overlap of every pair of consecutive raw
-    eigenbases.  An interval is settled when every row peak exceeds
-    1/2 + 2 _TIE_EPS (twice branch_match's margin, so round-off between the
-    batched and the single product cannot move its certificate), the
-    argmaxes are distinct and neither endpoint has a degenerate cluster
-    (so _inherit_degenerate returns its input there).  Across a settled
-    interval the order is the previous order sent through the argmaxes,
+    eigenbases.  An interval is settled (_certificate) when every row peak
+    exceeds 1/2 + 2 _TIE_EPS (twice branch_match's margin, so round-off
+    between the batched and the single product cannot move its
+    certificate), the argmaxes are distinct and neither endpoint has a
+    degenerate cluster (so _inherit_degenerate returns its input there),
+    or when the cluster rule settles it.  Across a settled interval the
+    order is the previous order sent through the certificate's columns,
     which are the identity unless two eigenvalues crossed, since each
-    point's raw eigenvalues are sorted.  So the order is recomputed, in
-    grid order, only at crossings and at the intervals left open, which go
-    through branch_match and _inherit_degenerate from the order and vectors
-    of their left point; every other point carries the order before it."""
+    point's raw eigenvalues are sorted, and the vectors are the raw ones.
+    So the order is recomputed, in grid order, only at crossings and at the
+    intervals left open, which go through branch_match and
+    _inherit_degenerate from the order and vectors of their left point;
+    every other point carries the order before it.
+
+    The result equals matching and inheriting point by point bit for bit,
+    except on the intervals the cluster rule settles: there a cluster's
+    vectors are the raw ones, in their raw positions, where the point-by-
+    point walk would permute or inherit them.  Those are bases of the same
+    eigenspace, so the ledger's W, Q and C agree to round-off."""
     count, d = raw_values.shape
     overlap = np.abs(cxmat.stack_matmul(np.swapaxes(raw_vectors[:-1].conj(), -1, -2),
                                         raw_vectors[1:])) ** 2

@@ -227,16 +227,25 @@ def check_cptp() -> list[CheckResult]:
 # -- eigensolver randomized ----------------------------------------------------
 
 
+def _random_hermitian_stacks(rng) -> dict[int, np.ndarray]:
+    """200 random Hermitian matrices, stacked per dimension: trial t draws
+    a (2 + t % 7)-dimensional complex Gaussian z, real part first, and
+    gives z + z^dagger.  One draw holds every trial's parts, in trial order."""
+    dims = [2 + trial % 7 for trial in range(200)]
+    sizes = [2 * dim * dim for dim in dims]
+    draws = np.split(rng.normal(size=sum(sizes)), np.cumsum(sizes)[:-1])
+    stacks = {}
+    for dim in range(2, 9):
+        parts = np.stack([z for z, n in zip(draws, dims) if n == dim]).reshape(-1, 2, dim, dim)
+        raw = parts[:, 0] + 1j * parts[:, 1]
+        stacks[dim] = raw + raw.conj().swapaxes(-1, -2)
+    return stacks
+
+
 def check_eigensolver() -> list[CheckResult]:
     rng = np.random.default_rng(20240811)
-    by_dim: dict[int, list[np.ndarray]] = {}
-    for trial in range(200):
-        dim = 2 + trial % 7
-        raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        by_dim.setdefault(dim, []).append(raw + raw.conj().T)
     worst_resid = worst_orth = 0.0
-    for dim, mats in by_dim.items():
-        a = np.array(mats)
+    for dim, a in _random_hermitian_stacks(rng).items():
         eig = cxmat.hermitian_eigen(a)
         vecs = eig.eigenvectors
         worst_resid = max(worst_resid, float(np.max(np.abs(

@@ -5,6 +5,8 @@ the `qfirstlaw verify` subcommand.  The battery caches only the ledgers that
 more than one check reads; every other ledger is rebuilt on each call.
 """
 
+import numpy as np
+
 from qfirstlaw import verification
 
 
@@ -53,6 +55,24 @@ def test_criterion_08_cptp():
 
 def test_criterion_09_eigensolver():
     _run(verification.check_eigensolver())
+
+
+def test_eigensolver_draws_equal_the_per_trial_loop():
+    # the one-call draw gives the matrices of a per-trial loop bit for bit,
+    # and leaves the generator where that loop does
+    rng = np.random.default_rng(20240811)
+    expected = {}
+    for trial in range(200):
+        dim = 2 + trial % 7
+        raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        expected.setdefault(dim, []).append(raw + raw.conj().T)
+    drawn = np.random.default_rng(20240811)
+    stacks = verification._random_hermitian_stacks(drawn)
+    assert list(stacks) == list(expected)
+    for dim, mats in expected.items():
+        assert stacks[dim].dtype == np.complex128
+        assert stacks[dim].tobytes() == np.array(mats).tobytes()
+    assert drawn.normal(size=4).tobytes() == rng.normal(size=4).tobytes()
 
 
 def test_criterion_10_oracle_eigensystem_cross_check():

@@ -478,8 +478,12 @@ class TestSimulateCommand:
         ({"emit_oracle": "no"}, [], "emit_oracle must be true or false, got 'no'"),
         ({"emit_oracle": 1}, [], "emit_oracle must be true or false, got 1"),
         ({"emit_oracle": None}, [], "emit_oracle must be true or false, got None"),
+        ({"tau_max": 10 ** 400}, [], "tau_max is too large to be a float"),
+        ({"steps": 10 ** 400}, [], "steps is too large to be a float"),
+        ({"theta": -10 ** 400}, [], "theta is too large to be a float"),
     ], ids=["float-steps", "list-theta", "nan-tau-max", "inf-tau-max",
-            "string-emit-oracle", "int-emit-oracle", "null-emit-oracle"])
+            "string-emit-oracle", "int-emit-oracle", "null-emit-oracle",
+            "huge-int-tau-max", "huge-int-steps", "huge-negative-int-theta"])
     def test_config_value_of_wrong_type_exits_2(self, tmp_path, capsys, config, flags, message):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"channel": "phase-damping", **config}))

@@ -59,7 +59,8 @@ class TestTimeGrid:
             TimeGrid(1.0, 0)
 
     @pytest.mark.parametrize("tau_max", [math.nan, math.inf, -math.inf, -1.0,
-                                         True, np.bool_(True), "2", None, 1 + 0j])
+                                         True, np.bool_(True), "2", None, 1 + 0j,
+                                         10 ** 400, -10 ** 400, Fraction(10 ** 400, 3)])
     def test_rejects_non_finite_tau_max(self, tau_max):
         with pytest.raises(ValueError, match="tau_max must be finite and positive"):
             TimeGrid(tau_max, 10)
@@ -129,14 +130,19 @@ def checked_matches():
 
 
 def _assert_checked_reference(match, spec, rho0, h, grid):
-    """Every step of the per-step reference agrees with the exhaustive
-    search, and spectral_trajectory equals that reference bit for bit."""
+    """Every step that the per-step reference or walk_every_step walks
+    agrees with the exhaustive search, spectral_trajectory equals the
+    reference bit for bit, and its ledger is walk_every_step's within 1e-13."""
     values, vectors, overlap = reference_trajectory(spec, rho0, h, grid, match)
-    assert len(match.matches) == grid.steps
     traj = spectral_trajectory(spec, rho0, h, grid)
     assert np.array_equal(traj.eigenvalues, values)
     assert np.array_equal(traj.eigenvectors, vectors)
     assert np.array_equal(traj.overlap, overlap)
+    # the walk of every step agrees with the exhaustive search on every
+    # step, and the cluster rule leaves its ledger unchanged
+    match.matches.clear()
+    assert_ledger_matches_walk_every_step(traj, spec, rho0, h, grid, match)
+    assert len(match.matches) == grid.steps
 
 
 def _mixed_unitary_channel(rng, d, n_unitaries=3):
@@ -319,9 +325,38 @@ def reference_inherit_degenerate(rho_matrix, values, vectors, prev_vectors):
     return new_vectors
 
 
-def reference_match(rho, raw_values, raw_vectors, match=branch_match):
+def _tied_pairs(values):
+    """The index pairs j < k whose values lie within _DEGENERACY_GAP."""
+    d = len(values)
+    return {(j, k) for j in range(d) for k in range(j + 1, d)
+            if abs(values[j] - values[k]) <= firstlaw._DEGENERACY_GAP}
+
+
+def cluster_columns(prev_values, cur_values, overlap):
+    """The cluster rule for one interval, written per step: the column of
+    each raw row when both ends tie the same non-empty set of index pairs,
+    every untied row peaks above 2/3 + 4/3 _TIE_EPS, and the untied rows'
+    argmaxes together with the tied rows' own indices form a permutation;
+    else None."""
+    ties = _tied_pairs(prev_values)
+    if not ties or ties != _tied_pairs(cur_values):
+        return None
+    tied = {j for pair in ties for j in pair}
+    columns = []
+    for j, row in enumerate(overlap):
+        if j in tied:
+            columns.append(j)
+        elif 3.0 * max(row) - 2.0 > 4.0 * firstlaw._TIE_EPS:
+            columns.append(int(np.argmax(row)))
+        else:
+            return None
+    return columns if sorted(columns) == list(range(len(columns))) else None
+
+
+def walk_every_step(rho, raw_values, raw_vectors, match=branch_match):
     """Branch-ordered (values, vectors) from the indexed per-step loop over
-    raw eigensystem stacks, one ``match`` call per step."""
+    raw eigensystem stacks, one ``match`` call and one inheritance per step,
+    kept as the ledger reference for the steps the cluster rule settles."""
     values = np.empty_like(raw_values)
     vectors = np.empty_like(raw_vectors)
     order = np.argsort(raw_values[0], kind="stable")[::-1]
@@ -334,15 +369,51 @@ def reference_match(rho, raw_values, raw_vectors, match=branch_match):
     return values, vectors
 
 
-def reference_trajectory(spec, rho0, h, grid, match=branch_match):
-    """(eigenvalues, eigenvectors, overlap) from the indexed per-step loop,
-    kept as the reference that spectral_trajectory must reproduce bit for bit."""
+def reference_match(rho, raw_values, raw_vectors, match=branch_match):
+    """Branch-ordered (values, vectors) from the indexed per-step loop over
+    raw eigensystem stacks.  A step after the first that the cluster rule
+    settles, on the raw overlap of its endpoints, sends the order through
+    its columns and keeps the raw vectors; every other step is one
+    ``match`` call and one inheritance, as in walk_every_step."""
+    values = np.empty_like(raw_values)
+    vectors = np.empty_like(raw_vectors)
+    order = np.argsort(raw_values[0], kind="stable")[::-1]
+    values[0], vectors[0] = raw_values[0, order], raw_vectors[0][:, order]
+    for i in range(1, len(raw_values)):
+        overlap = np.abs(raw_vectors[i - 1].conj().T @ raw_vectors[i]) ** 2
+        columns = None if i == 1 else cluster_columns(raw_values[i - 1], raw_values[i], overlap)
+        if columns is not None:
+            order = [columns[k] for k in order]
+            values[i], vectors[i] = raw_values[i, order], raw_vectors[i][:, order]
+            continue
+        order = list(match(values[i - 1], vectors[i - 1], raw_values[i], raw_vectors[i]))
+        values[i] = raw_values[i, order]
+        vectors[i] = reference_inherit_degenerate(rho[i], values[i], raw_vectors[i][:, order],
+                                                  vectors[i - 1])
+    return values, vectors
+
+
+def reference_trajectory(spec, rho0, h, grid, match=branch_match, loop=reference_match):
+    """(eigenvalues, eigenvectors, overlap) from an indexed per-step loop;
+    with reference_match, the reference that spectral_trajectory must
+    reproduce bit for bit."""
     rho = evolve(spec, rho0, grid.points).matrix
     eig = cxmat.hermitian_eigen(rho)
-    values, vectors = reference_match(rho, eig.eigenvalues, eig.eigenvectors, match)
+    values, vectors = loop(rho, eig.eigenvalues, eig.eigenvectors, match)
     basis = qstate.energy_eigenbasis(h.matrix(grid.points)).basis
     overlap = np.abs(cxmat.stack_matmul(np.swapaxes(basis.conj(), -1, -2), vectors)) ** 2
     return values, vectors, overlap
+
+
+def assert_ledger_matches_walk_every_step(traj, spec, rho0, h, grid, match=branch_match):
+    """W, Q and C of ``traj`` lie within 1e-13 of the ledger of the same
+    trajectory matched by walk_every_step."""
+    values, vectors, overlap = reference_trajectory(spec, rho0, h, grid, match, walk_every_step)
+    walked = integrate_first_law(dataclasses.replace(
+        traj, eigenvalues=values, eigenvectors=vectors, overlap=overlap))
+    ledger = integrate_first_law(traj)
+    for name in ("work", "heat", "coherence"):
+        assert np.max(np.abs(getattr(ledger, name) - getattr(walked, name))) <= 1e-13, name
 
 
 BUILTIN_SPECS = [ChannelSpec.phase_damping(), ChannelSpec.phase_flip(),
@@ -393,8 +464,9 @@ def _walked_points(calls, spec, rho0, grid):
     return [p for p, _ in points], [p for p, replaced in points if replaced]
 
 
-def sorted_certificate(raw_values, overlap):
-    """The sort-based certificate that _certificate replaced, kept as its reference."""
+def certificate_without_clusters(raw_values, overlap):
+    """The sort-based certificate without the cluster rule: what
+    _certificate returns on every interval without ties at both ends."""
     cols = overlap.argmax(axis=2)
     plain = np.all(np.diff(np.sort(raw_values, axis=1), axis=1) > firstlaw._DEGENERACY_GAP, axis=1)
     settled = (
@@ -405,12 +477,30 @@ def sorted_certificate(raw_values, overlap):
     return settled, cols
 
 
+def sorted_certificate(raw_values, overlap):
+    """The sort-based certificate plus the per-step cluster rule, kept as
+    _certificate's reference."""
+    settled, cols = certificate_without_clusters(raw_values, overlap)
+    for i in range(len(overlap)):
+        columns = cluster_columns(raw_values[i], raw_values[i + 1], overlap[i])
+        if columns is not None:
+            settled[i] = True
+            cols[i] = columns
+    return settled, cols
+
+
 class TestCertificate:
     def _assert_equal(self, raw_values, overlap):
         settled, cols = firstlaw._certificate(raw_values, overlap)
         expected_settled, expected_cols = sorted_certificate(raw_values, overlap)
         assert np.array_equal(settled, expected_settled)
         assert np.array_equal(cols, expected_cols)
+        # the cluster rule touches only the intervals with ties at both ends
+        plain = np.array([not _tied_pairs(row) for row in raw_values])
+        untouched = plain[:-1] | plain[1:]
+        plain_settled, plain_cols = certificate_without_clusters(raw_values, overlap)
+        assert np.array_equal(settled[untouched], plain_settled[untouched])
+        assert np.array_equal(cols[untouched], plain_cols[untouched])
         return settled
 
     @pytest.mark.parametrize("d", range(1, MAX_BRANCH_DIM + 1))
@@ -459,6 +549,34 @@ class TestCertificate:
         settled = self._assert_equal(raw_values, overlap)
         assert settled.tolist() == [True, False, False]
 
+    @pytest.mark.parametrize("d", range(3, MAX_BRANCH_DIM + 1))
+    def test_clusters_that_persist_form_split_and_move(self, d):
+        # random rotations of a basis, its columns shuffled at half the
+        # points, whose values tie a pair at some points, the same pair on
+        # runs of points, another pair, or nothing: every mix of ties at the
+        # two ends of an interval occurs
+        rng = np.random.default_rng(200 + d)
+        count = 80
+        z = rng.normal(size=(count, d, d)) + 1j * rng.normal(size=(count, d, d))
+        steps = np.linalg.qr(np.eye(d) + rng.choice([0.02, 0.3], size=(count, 1, 1)) * z)[0]
+        vectors = np.empty_like(steps)
+        vectors[0] = steps[0]
+        for i in range(1, count):
+            shuffle = rng.permutation(d) if rng.random() < 0.5 else np.arange(d)
+            vectors[i] = (vectors[i - 1] @ steps[i])[:, shuffle]
+        overlap = np.abs(cxmat.stack_matmul(vectors[:-1].conj().swapaxes(-1, -2),
+                                            vectors[1:])) ** 2
+        raw_values = np.sort(rng.random((count, d)), axis=1)
+        pair = rng.choice([-1, 0, 1], size=count, p=[0.2, 0.6, 0.2])
+        for i, p in enumerate(pair.tolist()):
+            if p >= 0:
+                raw_values[i, p + 1] = raw_values[i, p]
+        settled = self._assert_equal(raw_values, overlap)
+        tied = pair >= 0
+        both = tied[:-1] & tied[1:]
+        # the rule settles some intervals with ties at both ends and not others
+        assert settled[both].any() and not settled[both].all()
+
 
 class TestMatchingLoop:
     def _assert_matches_reference(self, spec, rho0, h, grid):
@@ -478,8 +596,9 @@ class TestMatchingLoop:
 
     @pytest.mark.parametrize("d", range(3, MAX_BRANCH_DIM + 1))
     def test_mixed_unitary_channels_match_the_indexed_loop(self, d):
-        traj = self._assert_matches_reference(*_pure_state_mixed_unitary(d, 0),
-                                              TimeGrid(4.0, 16))
+        inputs = *_pure_state_mixed_unitary(d, 0), TimeGrid(4.0, 16)
+        traj = self._assert_matches_reference(*inputs)
+        assert_ledger_matches_walk_every_step(traj, *inputs)
         if d == MAX_BRANCH_DIM:
             # rank 4 at most: the null cluster stays degenerate on every row
             gaps = np.diff(np.sort(traj.eigenvalues[1:], axis=1), axis=1)
@@ -598,6 +717,112 @@ class TestMatchingLoop:
         # a cluster whose previous columns are not eigenvectors of rho is kept
         split = np.diag([0.6, 0.4]).astype(complex)
         assert firstlaw._inherit_degenerate(split, values, vectors, had) is vectors
+
+
+def _phase_rotation_channel(rng, d):
+    """The unitary channel K0 = diag(exp(-i g_k t)) with seeded rates g_k:
+    the state's spectrum is constant and its eigenvectors rotate."""
+    rates = rng.uniform(0.5, 2.0, size=d)
+    return ChannelSpec.custom([[[(f"cos({float(g)!r}*t)", f"-sin({float(g)!r}*t)") if i == j
+                                 else ("0", "0") for j, g in enumerate(rates)] for i in range(d)]])
+
+
+def _state_with_levels(rng, levels):
+    """A density matrix with eigenvalues ``levels`` in a seeded Haar basis."""
+    d = len(levels)
+    u = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    return DensityOperator((u * np.asarray(levels, dtype=float)) @ u.conj().T)
+
+
+def _count_matches(walk):
+    return [kind for kind, *_ in walk].count("match")
+
+
+class TestClusterRule:
+    """Intervals whose two ends tie the same index pairs, with every untied
+    row pinned, are settled without a walk; the ledger sums over a cluster
+    see only its eigenprojector, so W, Q and C keep the walked values."""
+
+    def _assert_reference_and_ledger(self, spec, rho0, h, grid):
+        traj = spectral_trajectory(spec, rho0, h, grid)
+        values, vectors, overlap = reference_trajectory(spec, rho0, h, grid)
+        assert np.array_equal(traj.eigenvalues, values)
+        assert np.array_equal(traj.eigenvectors, vectors)
+        assert np.array_equal(traj.overlap, overlap)
+        assert_ledger_matches_walk_every_step(traj, spec, rho0, h, grid)
+
+    @pytest.mark.parametrize("d", [6, 8])
+    def test_long_pure_state_grid_walks_at_most_two_intervals(self, walk, d):
+        # Kraus rank 4 keeps a null cluster of d - 4 levels after tau = 0
+        spec, rho0, h = _pure_state_mixed_unitary(d, 0)
+        grid = TimeGrid(4.0, 400)
+        spectral_trajectory(spec, rho0, h, grid)
+        assert _count_matches(walk) <= 2
+        self._assert_reference_and_ledger(spec, rho0, h, grid)
+
+    @pytest.mark.parametrize("d", range(3, MAX_BRANCH_DIM + 1))
+    @pytest.mark.parametrize("state", ["pure", "mixed"])
+    def test_rotating_cluster_keeps_the_walked_ledger(self, walk, d, state):
+        # a unitary channel keeps a pure state's null cluster of d - 1
+        # levels, or a mixed state's tied pair, while rotating its eigenspace
+        rng = np.random.default_rng([d, len(state)])
+        spec = _phase_rotation_channel(rng, d)
+        if state == "pure":
+            levels = np.eye(d)[0]
+        else:
+            levels = rng.dirichlet(np.ones(d))
+            levels[1] = levels[0]
+            levels /= levels.sum()
+        rho0 = _state_with_levels(rng, levels)
+        h = _hamiltonian(rng, d, "driven")
+        grid = TimeGrid(2.0, 64)
+        spectral_trajectory(spec, rho0, h, grid)
+        assert _count_matches(walk) < grid.steps // 2
+        self._assert_reference_and_ledger(spec, rho0, h, grid)
+
+    def test_identity_channel_with_a_degenerate_pair(self, walk):
+        rng = np.random.default_rng(3)
+        spec = ChannelSpec.custom([[[("1" if i == j else "0", "0") for j in range(3)]
+                                    for i in range(3)]])
+        rho0 = _state_with_levels(rng, [0.25, 0.25, 0.5])
+        h = _hamiltonian(rng, 3, "driven")
+        grid = TimeGrid(2.0, 40)
+        spectral_trajectory(spec, rho0, h, grid)
+        assert _count_matches(walk) == 1
+        self._assert_reference_and_ledger(spec, rho0, h, grid)
+
+    @staticmethod
+    def _crafted(third_vectors):
+        # d = 4, levels tying the pair (0, 1) at all three points; interval 0
+        # is always walked, interval 1 carries the case under test
+        levels = np.array([0.1, 0.1, 0.3, 0.5])
+        rng = np.random.default_rng(11)
+        basis = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+        raw_vectors = np.stack([basis, basis, basis @ third_vectors])
+        raw_values = np.tile(levels, (3, 1))
+        rho = np.einsum("tij,tj,tkj->tik", raw_vectors, raw_values, raw_vectors.conj())
+        return rho, raw_values, raw_vectors
+
+    def _assert_walks(self, walk, crafted, walks):
+        values, vectors = firstlaw._match_branches(*crafted)
+        assert _count_matches(walk) == walks
+        expected_values, expected_vectors = reference_match(*crafted)
+        assert np.array_equal(values, expected_values)
+        assert np.array_equal(vectors, expected_vectors)
+
+    def test_untied_row_on_a_tied_column_is_walked(self, walk):
+        # the untied level 0.3 swaps its eigenvector with a tied one
+        swap = np.eye(4, dtype=complex)[:, [2, 1, 0, 3]]
+        self._assert_walks(walk, self._crafted(swap), 2)
+
+    @pytest.mark.parametrize("peak, walks", [(0.5 + 1e-3, 2), (0.6, 2), (2 / 3, 2),
+                                             (2 / 3 + 1e-12, 2), (2 / 3 + 2e-12, 1),
+                                             (0.9, 1)])
+    def test_untied_rows_pinned_only_above_two_thirds(self, walk, peak, walks):
+        # the two untied rows peak at ``peak``; the cluster rule needs
+        # 3 peak - 2 > 4 _TIE_EPS, twice branch_match's pin margin
+        rotation = _rotations([((2, 3), peak)], 4)
+        self._assert_walks(walk, self._crafted(rotation), walks)
 
 
 class TestSpectralTrajectory:
