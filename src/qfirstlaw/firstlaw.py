@@ -36,14 +36,17 @@ order is carried over settled steps and recomputed only at crossings and
 walked steps: the steps left open (the first, near-ties, and endpoints
 whose degenerate clusters differ) are matched point by point against the
 point before them.  A step whose two endpoints tie the same eigenvalue
-pairs is settled by the cluster rule when every other branch is pinned:
-the tied branches keep their positions, in whatever basis the eigensolver
-returns.  A cluster's eigenprojector is continuous even where no basis of
-it is (Kato, *Perturbation Theory for Linear Operators*, ch. II), and the
-three sums over a cluster see only that projector, so a persistent
-cluster, such as the null space a pure state keeps under a channel of
-Kraus rank below d, is walked only where its tied pairs change: where it
-forms or splits, or where another eigenvalue crosses it.
+pairs, all in one cluster, is settled by the cluster rule when every other
+branch is pinned: the tied branches keep their positions, in whatever basis
+the eigensolver returns.  (Two clusters can trade places, as the flip
+family's doubled levels do at a crossing, without changing which positions
+tie, so a step with two is walked.)  A cluster's eigenprojector is
+continuous even where no basis of it is (Kato, *Perturbation Theory for
+Linear Operators*, ch. II), and the three sums over a cluster see only
+that projector, so a persistent cluster, such as the null space a pure
+state keeps under a channel of Kraus rank below d, is walked only where its
+tied pairs change: where it forms or splits, or where another eigenvalue
+crosses it.
 
 Eigenbranches are matched between consecutive grid points by the permutation
 that maximizes the total squared eigenvector overlap (ties go to the smaller
@@ -290,11 +293,15 @@ def _certificate(raw_values, overlap):
     * every row peak exceeds 1/2 + 2 _TIE_EPS, the argmaxes are distinct
       and no two eigenvalues at either endpoint lie within _DEGENERACY_GAP;
     * or, by the cluster rule, both endpoints tie the same index pairs
-      within _DEGENERACY_GAP, every untied row peaks at m with
-      3 m - 2 > 4 _TIE_EPS (branch_match's 2/3 pin with twice its margin),
-      and those rows' argmaxes are distinct and miss the tied columns.
-      Every optimal matching then keeps the untied rows at their argmaxes,
-      so the tied rows take the tied columns; they keep their own index.
+      within _DEGENERACY_GAP, every two tied indices tie each other (one
+      cluster), every untied row peaks at m with 3 m - 2 > 4 _TIE_EPS
+      (branch_match's 2/3 pin with twice its margin), and those rows'
+      argmaxes are distinct and miss the tied columns.  Every optimal
+      matching then keeps the untied rows at their argmaxes, so the
+      cluster's rows take the cluster's columns; they keep their own index.
+      With two clusters the tied columns would not say which cluster's
+      rows go where: two equal clusters that cross keep the same tied
+      pairs, so those intervals are walked.
 
     The first test is elementwise over one matrix index, over the grid-last
     stacks.  The cluster rule runs only on the intervals with ties at both
@@ -323,6 +330,7 @@ def _certificate(raw_values, overlap):
         tied = ties[0].sum(axis=-1) > 1  # every row ties itself
         kept = np.where(tied, np.arange(d), cols[both])
         clustered = ((ties[0] == ties[1]).all(axis=(1, 2))
+                     & (ties[0] | ~(tied[:, :, None] & tied[:, None, :])).all(axis=(1, 2))
                      & (tied | (3.0 * peaks[both] - 2.0 > 4.0 * _TIE_EPS)).all(axis=1)
                      & (np.sort(kept, axis=1) == np.arange(d)).all(axis=1))
         settled[both[clustered]] = True
@@ -339,7 +347,8 @@ def _match_branches(rho, raw_values, raw_vectors):
     between the batched and the single product cannot move its
     certificate), the argmaxes are distinct and neither endpoint has a
     degenerate cluster (so _inherit_degenerate returns its input there),
-    or when the cluster rule settles it.  Across a settled interval the
+    or when the cluster rule settles it (one cluster, tied the same way at
+    both ends, with every other row pinned).  Across a settled interval the
     order is the previous order sent through the certificate's columns,
     which are the identity unless two eigenvalues crossed, since each
     point's raw eigenvalues are sorted, and the vectors are the raw ones.

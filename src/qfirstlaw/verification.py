@@ -227,25 +227,18 @@ def check_cptp() -> list[CheckResult]:
 # -- eigensolver randomized ----------------------------------------------------
 
 
-def _random_hermitian_stacks(rng) -> dict[int, np.ndarray]:
-    """200 random Hermitian matrices, stacked per dimension: trial t draws
-    a (2 + t % 7)-dimensional complex Gaussian z, real part first, and
-    gives z + z^dagger.  One draw holds every trial's parts, in trial order."""
+def check_eigensolver() -> list[CheckResult]:
+    rng = np.random.default_rng(20240811)
+    # trial t is a (2 + t % 7)-dimensional complex Gaussian z, real part
+    # first, giving z + z^dagger; one draw holds every trial's parts in order
     dims = [2 + trial % 7 for trial in range(200)]
     sizes = [2 * dim * dim for dim in dims]
     draws = np.split(rng.normal(size=sum(sizes)), np.cumsum(sizes)[:-1])
-    stacks = {}
+    worst_resid = worst_orth = 0.0
     for dim in range(2, 9):
         parts = np.stack([z for z, n in zip(draws, dims) if n == dim]).reshape(-1, 2, dim, dim)
         raw = parts[:, 0] + 1j * parts[:, 1]
-        stacks[dim] = raw + raw.conj().swapaxes(-1, -2)
-    return stacks
-
-
-def check_eigensolver() -> list[CheckResult]:
-    rng = np.random.default_rng(20240811)
-    worst_resid = worst_orth = 0.0
-    for dim, a in _random_hermitian_stacks(rng).items():
+        a = raw + raw.conj().swapaxes(-1, -2)
         eig = cxmat.hermitian_eigen(a)
         vecs = eig.eigenvectors
         worst_resid = max(worst_resid, float(np.max(np.abs(

@@ -57,22 +57,33 @@ def test_criterion_09_eigensolver():
     _run(verification.check_eigensolver())
 
 
-def test_eigensolver_draws_equal_the_per_trial_loop():
+def test_eigensolver_draws_equal_the_per_trial_loop(monkeypatch):
     # the one-call draw gives the matrices of a per-trial loop bit for bit,
-    # and leaves the generator where that loop does
+    # and leaves the generator where that loop does (the 2x2 closed-form
+    # matrices come next)
     rng = np.random.default_rng(20240811)
     expected = {}
     for trial in range(200):
         dim = 2 + trial % 7
         raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         expected.setdefault(dim, []).append(raw + raw.conj().T)
-    drawn = np.random.default_rng(20240811)
-    stacks = verification._random_hermitian_stacks(drawn)
-    assert list(stacks) == list(expected)
-    for dim, mats in expected.items():
-        assert stacks[dim].dtype == np.complex128
-        assert stacks[dim].tobytes() == np.array(mats).tobytes()
-    assert drawn.normal(size=4).tobytes() == rng.normal(size=4).tobytes()
+    stacks = [np.array(mats) for mats in expected.values()]
+    a, d, b_re, b_im = rng.normal(size=(200, 4)).T
+    stacks.append(np.array([[a, b_re + 1j * b_im], [np.conj(b_re + 1j * b_im), d]])
+                  .transpose(2, 0, 1))
+    solved = []
+    solve = verification.cxmat.hermitian_eigen
+
+    def recorded(matrices):
+        solved.append(np.array(matrices))
+        return solve(matrices)
+
+    monkeypatch.setattr(verification.cxmat, "hermitian_eigen", recorded)
+    verification.check_eigensolver()
+    assert len(solved) == len(stacks)
+    for got, want in zip(solved, stacks):
+        assert got.dtype == np.complex128
+        assert got.tobytes() == want.tobytes()
 
 
 def test_criterion_10_oracle_eigensystem_cross_check():

@@ -335,13 +335,15 @@ def _tied_pairs(values):
 def cluster_columns(prev_values, cur_values, overlap):
     """The cluster rule for one interval, written per step: the column of
     each raw row when both ends tie the same non-empty set of index pairs,
-    every untied row peaks above 2/3 + 4/3 _TIE_EPS, and the untied rows'
-    argmaxes together with the tied rows' own indices form a permutation;
-    else None."""
+    every two tied indices tie each other (one cluster), every untied row
+    peaks above 2/3 + 4/3 _TIE_EPS, and the untied rows' argmaxes together
+    with the tied rows' own indices form a permutation; else None."""
     ties = _tied_pairs(prev_values)
     if not ties or ties != _tied_pairs(cur_values):
         return None
     tied = {j for pair in ties for j in pair}
+    if len(ties) != len(tied) * (len(tied) - 1) // 2:
+        return None
     columns = []
     for j, row in enumerate(overlap):
         if j in tied:
@@ -549,6 +551,17 @@ class TestCertificate:
         settled = self._assert_equal(raw_values, overlap)
         assert settled.tolist() == [True, False, False]
 
+    def test_two_clusters_or_a_chain_are_left_open(self):
+        # the same ties at both ends settle one cluster (a pair, a triple),
+        # not two pairs, nor a chain whose ends lie more than the gap apart
+        gap = firstlaw._DEGENERACY_GAP
+        pair, two_pairs = [0.1, 0.1, 0.3, 0.5], [0.2, 0.2, 0.3, 0.3]
+        triple, chain = [0.1, 0.1, 0.1, 0.7], [0.1, 0.1 + 0.8 * gap, 0.1 + 1.6 * gap, 0.7]
+        raw_values = np.array([pair, pair, two_pairs, two_pairs, triple, triple, chain, chain])
+        overlap = np.tile(np.eye(4), (len(raw_values) - 1, 1, 1))
+        settled = self._assert_equal(raw_values, overlap)
+        assert settled.tolist() == [True, False, False, False, True, False, False]
+
     @pytest.mark.parametrize("d", range(3, MAX_BRANCH_DIM + 1))
     def test_clusters_that_persist_form_split_and_move(self, d):
         # random rotations of a basis, its columns shuffled at half the
@@ -739,8 +752,8 @@ def _count_matches(walk):
 
 
 class TestClusterRule:
-    """Intervals whose two ends tie the same index pairs, with every untied
-    row pinned, are settled without a walk; the ledger sums over a cluster
+    """Intervals whose two ends tie the same index pairs of one cluster,
+    with every untied row pinned, are settled without a walk; the ledger sums over a cluster
     see only its eigenprojector, so W, Q and C keep the walked values."""
 
     def _assert_reference_and_ledger(self, spec, rho0, h, grid):
@@ -789,6 +802,25 @@ class TestClusterRule:
         grid = TimeGrid(2.0, 40)
         spectral_trajectory(spec, rho0, h, grid)
         assert _count_matches(walk) == 1
+        self._assert_reference_and_ledger(spec, rho0, h, grid)
+
+    def test_two_equal_clusters_that_cross_are_walked(self, walk):
+        # rho_q (x) I/2 under a phase flip on the qubit: two tied pairs in
+        # fixed eigenspaces whose values cross at tau = ln 2, between grid
+        # points 13 and 14, so both ends of that interval tie (0, 1) and
+        # (2, 3); keeping those positions would turn its heat into coherence
+        d = 4
+        kraus = [("exp(-t/2)", [1, 1, 1, 1]), ("sqrt(1-exp(-t))", [1, 1, -1, -1])]
+        spec = ChannelSpec.custom([[[(f"{sign}*{amp}" if i == j else "0", "0") for j in range(d)]
+                                    for i, sign in enumerate(signs)] for amp, signs in kraus])
+        rho0 = DensityOperator(np.kron(prepare_pure_state(math.pi / 4).matrix, 0.5 * np.eye(2)))
+        h = _hamiltonian(np.random.default_rng(5), d, "driven")
+        grid = TimeGrid(2.0, 40)
+        traj = spectral_trajectory(spec, rho0, h, grid)
+        assert _count_matches(walk) == grid.steps
+        values = np.sort(traj.eigenvalues, axis=1)
+        assert np.all(np.abs(values[:, 1] - values[:, 0]) <= firstlaw._DEGENERACY_GAP)
+        assert np.all(np.abs(values[:, 3] - values[:, 2]) <= firstlaw._DEGENERACY_GAP)
         self._assert_reference_and_ledger(spec, rho0, h, grid)
 
     @staticmethod
