@@ -7,8 +7,8 @@ Subcommands::
     verify        run the full verification battery
     channel-info  print a channel's Kraus operators at one time
 
-Exit codes: 0 success, 1 verification failure, 2 usage/config error,
-3 numeric/runtime error.
+Exit codes: 0 success, 1 verification failure, 2 usage/config error or an
+output that cannot be written, 3 numeric/runtime error.
 """
 
 from __future__ import annotations
@@ -157,6 +157,11 @@ def main(argv=None) -> int:
         return _DISPATCH[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # read_json reports unreadable inputs, so this is an output
+        # a failed write() (a full disk) names no file
+        print(f"error: cannot write {exc.filename or 'output'}: {exc.strerror or exc}",
+              file=sys.stderr)
         return 2
     except (exprparse.DomainError, CptpError, cxmat.NumericError,
             cxmat.ConvergenceError, cxmat.NonHermitianError,

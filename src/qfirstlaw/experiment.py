@@ -73,10 +73,10 @@ def read_json(path, what: str):
     ConfigError raised when it cannot be read or is not valid JSON."""
     try:
         return json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: text not UTF-8, or an integer too long
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def parse_channel(value) -> ChannelSpec:

@@ -31,32 +31,29 @@ the invariant checks and Tr(rho H).  H(t) is evaluated once, so the
 eigenbasis and Tr(rho H) see the same Hamiltonian, and the state stack and
 the H matrices that need the eigensolver go through one Jacobi loop
 (``qstate.energy_eigenbasis``).
-Branch matching certifies steps for the whole grid at once.  The branch
-order is carried over settled steps and recomputed only at crossings and
-walked steps: the steps left open (the first, near-ties, and endpoints
-whose degenerate clusters differ) are matched point by point against the
-point before them.  A step whose two endpoints tie the same eigenvalue
-pairs, all in one cluster, is settled by the cluster rule when every other
-branch is pinned: the tied branches keep their positions, in whatever basis
-the eigensolver returns.  (Two clusters can trade places, as the flip
-family's doubled levels do at a crossing, without changing which positions
-tie, so a step with two is walked.)  A cluster's eigenprojector is
-continuous even where no basis of it is (Kato, *Perturbation Theory for
-Linear Operators*, ch. II), and the three sums over a cluster see only
-that projector, so a persistent cluster, such as the null space a pure
-state keeps under a channel of Kraus rank below d, is walked only where its
-tied pairs change: where it forms or splits, or where another eigenvalue
-crosses it.
+Branch matching certifies steps for the whole grid at once, by one rule
+(``_certificate``): a step is settled when its two endpoints tie the same
+eigenvalue pairs, in at most one cluster, and the overlap of every untied
+branch certifies where it goes.  The branch order is carried over settled
+steps and recomputed only at crossings and walked steps: the steps left
+open (the first, near-ties, two clusters, and endpoints whose degenerate
+clusters differ) are matched point by point against the point before them.
+A cluster's eigenprojector is continuous even where no basis of it is
+(Kato, *Perturbation Theory for Linear Operators*, ch. II), and the three
+sums over a cluster see only that projector, so across a settled step a
+cluster keeps whatever basis the eigensolver returns, and a persistent
+cluster, such as the null space a pure state keeps under a channel of Kraus
+rank below d, is walked only where its tied pairs change: where it forms or
+splits, or where another eigenvalue crosses it.
 
 Eigenbranches are matched between consecutive grid points by the permutation
 that maximizes the total squared eigenvector overlap (ties go to the smaller
 eigenvalue drift).  The overlap matrix is doubly stochastic, which certifies
-most of the answer cheaply: when every row's largest overlap exceeds 1/2
-the row argmaxes are the optimum, and otherwise rows whose largest overlap
-exceeds 2/3 are pinned to their argmax and only the remaining rows are
-searched.  That remainder can be as large as the dimension (the arbitrary
-null-space eigenvectors of a pure initial state are never pinned), so the
-dimension stays capped at 8.  The first grid point is ordered by descending
+most of the answer cheaply: rows whose largest overlap exceeds 2/3 are
+pinned to their argmax and only the remaining rows are searched.  That
+remainder can be as large as the dimension (the arbitrary null-space
+eigenvectors of a pure initial state are never pinned), so the dimension
+stays capped at 8.  The first grid point is ordered by descending
 eigenvalue.  On a walked step, exactly degenerate eigenvalues inherit the
 previous grid point's eigenvectors (still eigenvectors, verified by
 residual), which keeps the overlap matrix continuous through crossings such
@@ -155,18 +152,15 @@ def branch_match(prev_values, prev_vectors, cur_values, cur_vectors) -> tuple[in
 
     Both eigenvector sets are orthonormal, so the overlap matrix
     O[j, k] = |<prev_j | cur_k>|^2 is doubly stochastic.  With m_j the
-    maximum of row j and c_j its column, and margins beyond the tie
-    tolerance:
-
-    * if every m_j exceeds 1/2, the c_j are distinct and any other
-      permutation loses at least sum (2 m_j - 1) over the two or more rows
-      it changes, so the argmax permutation is the unique optimum;
-    * otherwise a row with m_j > 2/3 is pinned to c_j: moving it elsewhere
-      costs at least 3 m_j - 2, so every optimum keeps it, and only the
-      remaining rows and columns are searched (score, then drift, first
-      in lexicographic order wins).  Permutations whose score lies far
-      below the best score before them are skipped: the search could
-      never pick them, so the result is that of the full search.
+    maximum of row j and c_j its column, a row with m_j > 2/3 beyond the
+    tie tolerance is pinned to c_j: moving it elsewhere costs at least
+    3 m_j - 2, so every optimum keeps it.  Only the remaining rows and
+    columns are searched (score, then drift, first in lexicographic order
+    wins).  Permutations whose score lies far below the best score before
+    them are skipped: the search could never pick them, so the result is
+    that of the full search.  When every m_j exceeds 1/2 by the margin, the
+    search returns the argmaxes: any other permutation loses at least
+    sum (2 m_j - 1) over the two or more rows it changes.
 
     Inputs that are not orthonormal get the search over all rows.
     """
@@ -180,9 +174,6 @@ def branch_match(prev_values, prev_vectors, cur_values, cur_vectors) -> tuple[in
     rows = overlap.tolist()
     peaks = [max(row) for row in rows]
     cols = [row.index(peak) for row, peak in zip(rows, peaks)]
-    if min(peaks) > 0.5 + _TIE_EPS and len(set(cols)) == d:
-        return tuple(cols)
-
     pins = {j: cols[j] for j in range(d) if 3.0 * peaks[j] - 2.0 > 2.0 * _TIE_EPS}
     if len(set(pins.values())) < len(pins):  # only if the overlap is not doubly stochastic
         pins = {}
@@ -287,25 +278,27 @@ def _validate_snapshot(tau, values, overlap):
 
 def _certificate(raw_values, overlap):
     """Which intervals the certificate settles, and the column of each row
-    of each interval's raw-basis overlap: its argmax (ties to the first
-    column), except on intervals the cluster rule settles.  Settled:
+    of each interval's raw-basis overlap: a row whose eigenvalue ties
+    another at the interval's left end keeps its own index, and every other
+    row goes to its argmax (ties to the first column).
 
-    * every row peak exceeds 1/2 + 2 _TIE_EPS, the argmaxes are distinct
-      and no two eigenvalues at either endpoint lie within _DEGENERACY_GAP;
-    * or, by the cluster rule, both endpoints tie the same index pairs
-      within _DEGENERACY_GAP, every two tied indices tie each other (one
-      cluster), every untied row peaks at m with 3 m - 2 > 4 _TIE_EPS
-      (branch_match's 2/3 pin with twice its margin), and those rows'
-      argmaxes are distinct and miss the tied columns.  Every optimal
-      matching then keeps the untied rows at their argmaxes, so the
-      cluster's rows take the cluster's columns; they keep their own index.
-      With two clusters the tied columns would not say which cluster's
-      rows go where: two equal clusters that cross keep the same tied
-      pairs, so those intervals are walked.
+    Two eigenvalues tie when they lie within _DEGENERACY_GAP.  An interval
+    is settled when both ends tie the same index pairs, every two tied
+    indices tie each other (at most one cluster), the columns are distinct,
+    and every untied row peaks at m beyond a margin of twice branch_match's:
 
-    The first test is elementwise over one matrix index, over the grid-last
-    stacks.  The cluster rule runs only on the intervals with ties at both
-    ends, gathered as a subset, so a grid without them pays nothing more."""
+    * with no ties, m > 1/2 + 2 _TIE_EPS.  The overlap is doubly
+      stochastic, so any other permutation loses at least sum (2 m - 1)
+      over the rows it moves, and the argmaxes are branch_match's answer;
+    * with one cluster, 3 m - 2 > 4 _TIE_EPS, branch_match's 2/3 pin.  Every
+      optimal matching keeps those rows at their argmaxes, so the cluster's
+      rows take the cluster's columns, in whatever basis the eigensolver
+      returned.  The ledger's sums over a cluster see only its projector.
+
+    With two clusters the tied columns would not say which cluster's rows
+    go where: two equal clusters that cross keep the same tied pairs, so
+    those intervals are walked.  Every test is elementwise over one matrix
+    index, over the grid-last stacks."""
     d = raw_values.shape[1]
     by_col = overlap.transpose(2, 1, 0)
     peaks = by_col[0].copy()
@@ -314,42 +307,29 @@ def _certificate(raw_values, overlap):
         better = by_col[k] > peaks
         np.maximum(peaks, by_col[k], out=peaks)
         cols[better] = k
-    distinct = np.ones(len(overlap), dtype=bool)
     values = raw_values.T
-    plain = np.ones(len(raw_values), dtype=bool)
+    ties = np.abs(values[:, None] - values[None, :]) <= _DEGENERACY_GAP
+    left = ties[..., :-1]
+    tied = left.sum(axis=1) > 1  # every row ties itself
+    cols = np.where(tied, np.arange(d)[:, None], cols)
+    pinned = np.where(tied.any(axis=0), 3.0 * peaks - 2.0 > 4.0 * _TIE_EPS,
+                      peaks > 0.5 + 2.0 * _TIE_EPS)
+    settled = ((left == ties[..., 1:]).all(axis=(0, 1))
+               & (left | ~(tied[:, None] & tied[None, :])).all(axis=(0, 1))
+               & (tied | pinned).all(axis=0))
     for j in range(d - 1):
-        distinct &= (cols[j + 1:] != cols[j]).all(axis=0)
-        plain &= (np.abs(values[j + 1:] - values[j]) > _DEGENERACY_GAP).all(axis=0)
-    settled = (peaks.min(axis=0) > 0.5 + 2.0 * _TIE_EPS) & distinct & plain[:-1] & plain[1:]
-    peaks, cols = peaks.T, cols.T
-    # the cluster rule, on the subset of intervals with ties at both ends
-    both = np.flatnonzero(~plain[:-1] & ~plain[1:])
-    if both.size:
-        ends = raw_values[np.stack([both, both + 1])]
-        ties = np.abs(ends[..., :, None] - ends[..., None, :]) <= _DEGENERACY_GAP
-        tied = ties[0].sum(axis=-1) > 1  # every row ties itself
-        kept = np.where(tied, np.arange(d), cols[both])
-        clustered = ((ties[0] == ties[1]).all(axis=(1, 2))
-                     & (ties[0] | ~(tied[:, :, None] & tied[:, None, :])).all(axis=(1, 2))
-                     & (tied | (3.0 * peaks[both] - 2.0 > 4.0 * _TIE_EPS)).all(axis=1)
-                     & (np.sort(kept, axis=1) == np.arange(d)).all(axis=1))
-        settled[both[clustered]] = True
-        cols[both[clustered]] = kept[clustered]
-    return settled, cols
+        settled &= (cols[j + 1:] != cols[j]).all(axis=0)
+    return settled, cols.T
 
 
 def _match_branches(rho, raw_values, raw_vectors):
     """Branch-ordered eigenvalues and eigenvectors for the whole grid.
 
     One batched product gives the overlap of every pair of consecutive raw
-    eigenbases.  An interval is settled (_certificate) when every row peak
-    exceeds 1/2 + 2 _TIE_EPS (twice branch_match's margin, so round-off
-    between the batched and the single product cannot move its
-    certificate), the argmaxes are distinct and neither endpoint has a
-    degenerate cluster (so _inherit_degenerate returns its input there),
-    or when the cluster rule settles it (one cluster, tied the same way at
-    both ends, with every other row pinned).  Across a settled interval the
-    order is the previous order sent through the certificate's columns,
+    eigenbases, and _certificate settles intervals by its one rule, with
+    twice branch_match's margins, so round-off between the batched and the
+    single product cannot move its certificate.  Across a settled interval
+    the order is the previous order sent through the certificate's columns,
     which are the identity unless two eigenvalues crossed, since each
     point's raw eigenvalues are sorted, and the vectors are the raw ones.
     So the order is recomputed, in grid order, only at crossings and at the
@@ -357,11 +337,12 @@ def _match_branches(rho, raw_values, raw_vectors):
     _inherit_degenerate from the order and vectors of their left point;
     every other point carries the order before it.
 
-    The result equals matching and inheriting point by point bit for bit,
-    except on the intervals the cluster rule settles: there a cluster's
-    vectors are the raw ones, in their raw positions, where the point-by-
-    point walk would permute or inherit them.  Those are bases of the same
-    eigenspace, so the ledger's W, Q and C agree to round-off."""
+    Where no eigenvalues tie, branch_match would return the certificate's
+    columns and _inherit_degenerate its input, so the result equals
+    matching and inheriting point by point bit for bit.  Where a cluster
+    is settled, its vectors are the raw ones, in their raw positions, where
+    the point-by-point walk would permute or inherit them.  Those are bases
+    of the same eigenspace, so the ledger's W, Q and C agree to round-off."""
     count, d = raw_values.shape
     overlap = np.abs(cxmat.stack_matmul(np.swapaxes(raw_vectors[:-1].conj(), -1, -2),
                                         raw_vectors[1:])) ** 2

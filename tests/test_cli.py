@@ -505,6 +505,35 @@ class TestSimulateCommand:
             assert code == 2
             assert capsys.readouterr().err.startswith(message)
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this Python converts integers of any length")
+    def test_integer_beyond_the_digit_limit_exits_2_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"channel": "phase-damping", "steps": ' + "1" * 5001 + "}")
+        out = tmp_path / "x.csv"
+        code = cli.main(["simulate", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config file {path}: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_output_in_a_missing_directory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        code = cli.main(["simulate", "--channel", "phase-damping", "--steps", "10",
+                         "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {out}: No such file or directory\n"
+        assert captured.out == ""
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full device")
+    def test_output_on_a_full_device_exits_2(self, capsys):
+        code = cli.main(["simulate", "--channel", "phase-damping", "--steps", "10",
+                         "--out", "/dev/full"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: cannot write output: No space left on device\n"
+
 
 class TestReproduceCommand:
     def test_fig3_outputs(self, tmp_path, capsys):
@@ -538,6 +567,17 @@ class TestReproduceCommand:
     def test_unknown_figure_exits_2(self, tmp_path):
         code = cli.main(["reproduce", "fig4", "--out-dir", str(tmp_path)])
         assert code == 2  # argparse rejects the choice
+
+
+    def test_out_dir_under_a_regular_file_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out_dir = blocker / "fig2"
+        code = cli.main(["reproduce", "fig2", "--out-dir", str(out_dir)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {out_dir}: Not a directory\n"
+        assert captured.out == ""
 
 
 class TestVerifyCommand:

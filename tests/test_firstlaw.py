@@ -332,27 +332,25 @@ def _tied_pairs(values):
             if abs(values[j] - values[k]) <= firstlaw._DEGENERACY_GAP}
 
 
-def cluster_columns(prev_values, cur_values, overlap):
-    """The cluster rule for one interval, written per step: the column of
-    each raw row when both ends tie the same non-empty set of index pairs,
-    every two tied indices tie each other (one cluster), every untied row
-    peaks above 2/3 + 4/3 _TIE_EPS, and the untied rows' argmaxes together
-    with the tied rows' own indices form a permutation; else None."""
+def interval_columns(prev_values, cur_values, overlap):
+    """The settle rule for one interval, written per step: whether it is
+    settled, and the column of each raw row.  A row whose value ties another
+    at the left end keeps its own index, every other row goes to its argmax.
+    Settled when both ends tie the same index pairs, every two tied indices
+    tie each other (at most one cluster), the columns form a permutation,
+    and every untied row peaks above 1/2 + 2 _TIE_EPS with no ties, or above
+    2/3 + 4/3 _TIE_EPS with one cluster."""
     ties = _tied_pairs(prev_values)
-    if not ties or ties != _tied_pairs(cur_values):
-        return None
     tied = {j for pair in ties for j in pair}
-    if len(ties) != len(tied) * (len(tied) - 1) // 2:
-        return None
-    columns = []
+    columns = [j if j in tied else int(np.argmax(row)) for j, row in enumerate(overlap)]
+    if ties != _tied_pairs(cur_values) or len(ties) != len(tied) * (len(tied) - 1) // 2:
+        return False, columns
     for j, row in enumerate(overlap):
-        if j in tied:
-            columns.append(j)
-        elif 3.0 * max(row) - 2.0 > 4.0 * firstlaw._TIE_EPS:
-            columns.append(int(np.argmax(row)))
-        else:
-            return None
-    return columns if sorted(columns) == list(range(len(columns))) else None
+        peak = max(row)
+        if j not in tied and not (3.0 * peak - 2.0 > 4.0 * firstlaw._TIE_EPS if ties
+                                  else peak > 0.5 + 2.0 * firstlaw._TIE_EPS):
+            return False, columns
+    return sorted(columns) == list(range(len(columns))), columns
 
 
 def walk_every_step(rho, raw_values, raw_vectors, match=branch_match):
@@ -373,19 +371,24 @@ def walk_every_step(rho, raw_values, raw_vectors, match=branch_match):
 
 def reference_match(rho, raw_values, raw_vectors, match=branch_match):
     """Branch-ordered (values, vectors) from the indexed per-step loop over
-    raw eigensystem stacks.  A step after the first that the cluster rule
+    raw eigensystem stacks.  A step after the first that interval_columns
     settles, on the raw overlap of its endpoints, sends the order through
-    its columns and keeps the raw vectors; every other step is one
-    ``match`` call and one inheritance, as in walk_every_step."""
+    its columns and keeps the raw vectors (with no ties, those columns must
+    be ``match``'s answer); every other step is one ``match`` call and one
+    inheritance, as in walk_every_step."""
     values = np.empty_like(raw_values)
     vectors = np.empty_like(raw_vectors)
     order = np.argsort(raw_values[0], kind="stable")[::-1]
     values[0], vectors[0] = raw_values[0, order], raw_vectors[0][:, order]
     for i in range(1, len(raw_values)):
         overlap = np.abs(raw_vectors[i - 1].conj().T @ raw_vectors[i]) ** 2
-        columns = None if i == 1 else cluster_columns(raw_values[i - 1], raw_values[i], overlap)
-        if columns is not None:
+        settled, columns = interval_columns(raw_values[i - 1], raw_values[i], overlap)
+        if i > 1 and settled:
             order = [columns[k] for k in order]
+            if not _tied_pairs(raw_values[i - 1]):
+                # with no ties, the settled columns are match's own answer
+                assert order == list(match(values[i - 1], vectors[i - 1],
+                                           raw_values[i], raw_vectors[i]))
             values[i], vectors[i] = raw_values[i, order], raw_vectors[i][:, order]
             continue
         order = list(match(values[i - 1], vectors[i - 1], raw_values[i], raw_vectors[i]))
@@ -466,29 +469,12 @@ def _walked_points(calls, spec, rho0, grid):
     return [p for p, _ in points], [p for p, replaced in points if replaced]
 
 
-def certificate_without_clusters(raw_values, overlap):
-    """The sort-based certificate without the cluster rule: what
-    _certificate returns on every interval without ties at both ends."""
-    cols = overlap.argmax(axis=2)
-    plain = np.all(np.diff(np.sort(raw_values, axis=1), axis=1) > firstlaw._DEGENERACY_GAP, axis=1)
-    settled = (
-        (overlap.max(axis=2).min(axis=1) > 0.5 + 2.0 * firstlaw._TIE_EPS)
-        & np.all(np.diff(np.sort(cols, axis=1), axis=1) > 0, axis=1)
-        & plain[:-1] & plain[1:]
-    )
-    return settled, cols
-
-
 def sorted_certificate(raw_values, overlap):
-    """The sort-based certificate plus the per-step cluster rule, kept as
-    _certificate's reference."""
-    settled, cols = certificate_without_clusters(raw_values, overlap)
-    for i in range(len(overlap)):
-        columns = cluster_columns(raw_values[i], raw_values[i + 1], overlap[i])
-        if columns is not None:
-            settled[i] = True
-            cols[i] = columns
-    return settled, cols
+    """interval_columns over every interval, kept as _certificate's reference."""
+    results = [interval_columns(raw_values[i], raw_values[i + 1], overlap[i])
+               for i in range(len(overlap))]
+    return (np.array([settled for settled, _ in results], dtype=bool),
+            np.array([columns for _, columns in results], dtype=np.intp))
 
 
 class TestCertificate:
@@ -497,12 +483,6 @@ class TestCertificate:
         expected_settled, expected_cols = sorted_certificate(raw_values, overlap)
         assert np.array_equal(settled, expected_settled)
         assert np.array_equal(cols, expected_cols)
-        # the cluster rule touches only the intervals with ties at both ends
-        plain = np.array([not _tied_pairs(row) for row in raw_values])
-        untouched = plain[:-1] | plain[1:]
-        plain_settled, plain_cols = certificate_without_clusters(raw_values, overlap)
-        assert np.array_equal(settled[untouched], plain_settled[untouched])
-        assert np.array_equal(cols[untouched], plain_cols[untouched])
         return settled
 
     @pytest.mark.parametrize("d", range(1, MAX_BRANCH_DIM + 1))
@@ -824,10 +804,10 @@ class TestClusterRule:
         self._assert_reference_and_ledger(spec, rho0, h, grid)
 
     @staticmethod
-    def _crafted(third_vectors):
-        # d = 4, levels tying the pair (0, 1) at all three points; interval 0
-        # is always walked, interval 1 carries the case under test
-        levels = np.array([0.1, 0.1, 0.3, 0.5])
+    def _crafted(third_vectors, levels=(0.1, 0.1, 0.3, 0.5)):
+        # d = 4, levels (by default tying the pair (0, 1)) the same at all
+        # three points; interval 0 is always walked, interval 1 carries the
+        # case under test
         rng = np.random.default_rng(11)
         basis = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
         raw_vectors = np.stack([basis, basis, basis @ third_vectors])
@@ -855,6 +835,17 @@ class TestClusterRule:
         # 3 peak - 2 > 4 _TIE_EPS, twice branch_match's pin margin
         rotation = _rotations([((2, 3), peak)], 4)
         self._assert_walks(walk, self._crafted(rotation), walks)
+
+    @pytest.mark.parametrize("levels, walks", [((0.1, 0.2, 0.3, 0.4), 1),
+                                               ((0.1, 0.1, 0.3, 0.5), 2)],
+                             ids=["no-tie", "one-cluster"])
+    @pytest.mark.parametrize("peak", [0.5 + 3e-12, 0.6, 2 / 3])
+    def test_peak_between_half_and_two_thirds_settles_only_without_ties(
+            self, walk, levels, walks, peak):
+        # the untied rows 2 and 3 peak at ``peak``, above 1/2 + 2 _TIE_EPS but
+        # not above the 2/3 pin: enough with no ties, not with one cluster
+        rotation = _rotations([((2, 3), peak)], 4)
+        self._assert_walks(walk, self._crafted(rotation, levels), walks)
 
 
 class TestSpectralTrajectory:
