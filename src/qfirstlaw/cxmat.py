@@ -2,8 +2,8 @@
 self-contained Hermitian eigensolver.
 
 ``as_matrix`` turns input into a complex128 matrix or 3-D stack of
-matrices with finite entries.  Matrices in this package are tiny (qubits,
-dim <= 8 for branch tracking) but come in long stacks, one per grid point.
+matrices with finite entries.  Matrices in this package are tiny (qubits
+and small qudits) but come in long stacks, one per grid point.
 numpy loops over an array in memory order, so the grid path keeps every
 ``(T, d, d)`` or ``(T, d)`` stack grid-last in memory, as a view of a
 ``(d, d, T)`` or ``(d, T)`` buffer (``stack_view``): each product,

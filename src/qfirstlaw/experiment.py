@@ -75,8 +75,11 @@ def read_json(path, what: str):
         return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
-    except (OSError, ValueError) as exc:  # ValueError: text not UTF-8, or an integer too long
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:  # int() of a literal past sys.get_int_max_str_digits()
+        raise ConfigError(f"cannot read {what} {path}: it holds an integer longer than "
+                          f"Python converts (4,300 digits by default)") from exc
 
 
 def parse_channel(value) -> ChannelSpec:
@@ -174,11 +177,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     h = Hamiltonian([config.e_g, config.e_e])
-    ledger = run_energetics(config.channel, rho0, h, TimeGrid(config.tau_max, config.steps))
+    grid = TimeGrid(config.tau_max, config.steps)
     heat_ref = coh_ref = None
-    if config.emit_oracle:
-        heat_ref = _ORACLE_HEAT[config.channel.kind](ledger.tau, config.e_g, config.e_e)
-        coh_ref = _ORACLE_COHERENCE[config.channel.kind](ledger.tau, config.e_g, config.e_e)
+    if config.emit_oracle:  # before the ledger, so a grid past their domain costs no run
+        try:
+            heat_ref = _ORACLE_HEAT[config.channel.kind](grid.points, config.e_g, config.e_e)
+            coh_ref = _ORACLE_COHERENCE[config.channel.kind](grid.points, config.e_g, config.e_e)
+        except ValueError as exc:
+            raise ConfigError(f"oracle columns: {exc}") from exc
+    ledger = run_energetics(config.channel, rho0, h, grid)
     return ExperimentResult(config, ledger, heat_ref, coh_ref)
 
 

@@ -50,14 +50,15 @@ Eigenbranches are matched between consecutive grid points by the permutation
 that maximizes the total squared eigenvector overlap (ties go to the smaller
 eigenvalue drift).  The overlap matrix is doubly stochastic, which certifies
 most of the answer cheaply: rows whose largest overlap exceeds 2/3 are
-pinned to their argmax and only the remaining rows are searched.  That
-remainder can be as large as the dimension (the arbitrary null-space
-eigenvectors of a pure initial state are never pinned), so the dimension
-stays capped at 8.  The first grid point is ordered by descending
-eigenvalue.  On a walked step, exactly degenerate eigenvalues inherit the
-previous grid point's eigenvectors (still eigenvectors, verified by
-residual), which keeps the overlap matrix continuous through crossings such
-as the flip family passing through the maximally mixed state.
+pinned to their argmax and only the remaining rows, at most 8, are
+searched.  That remainder, not the dimension, bounds a trajectory: a pure
+initial state's arbitrary null-space eigenvectors can leave d - 1 rows on
+its first step, so pure states surely run only up to d = 9.  The first
+grid point is ordered by descending eigenvalue.  On a walked step, exactly
+degenerate eigenvalues inherit the previous grid point's eigenvectors
+(still eigenvectors, verified by residual), which keeps the overlap matrix
+continuous through crossings such as the flip family passing through the
+maximally mixed state.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ from . import cxmat, qstate
 from .channel import CPTP_TOL, ChannelSpec, evolve
 from .qstate import DensityOperator, Hamiltonian
 
-#: Branch matching searches up to d! permutations of the rows it cannot pin.
+#: Branch matching searches the k! permutations of the k <= 8 rows it cannot pin.
 MAX_BRANCH_DIM = 8
 
 DEFAULT_TAU_MAX = 8.0
@@ -85,7 +86,7 @@ _TIE_EPS = 1e-12
 
 
 class UnsupportedDimensionError(ValueError):
-    """Trajectory dimension exceeds MAX_BRANCH_DIM."""
+    """Branch matching left more than MAX_BRANCH_DIM rows unpinned."""
 
 
 @dataclass(frozen=True)
@@ -162,14 +163,10 @@ def branch_match(prev_values, prev_vectors, cur_values, cur_vectors) -> tuple[in
     search returns the argmaxes: any other permutation loses at least
     sum (2 m_j - 1) over the two or more rows it changes.
 
-    Inputs that are not orthonormal get the search over all rows.
+    Inputs that are not orthonormal get the search over all rows.  More than
+    MAX_BRANCH_DIM rows to search raise UnsupportedDimensionError.
     """
     d = len(cur_values)
-    if d > MAX_BRANCH_DIM:
-        raise UnsupportedDimensionError(
-            f"branch matching supports dim <= {MAX_BRANCH_DIM}, got {d}: "
-            f"rows it cannot pin are searched over up to d! permutations"
-        )
     overlap = np.abs(np.asarray(prev_vectors).conj().T @ np.asarray(cur_vectors)) ** 2
     rows = overlap.tolist()
     peaks = [max(row) for row in rows]
@@ -177,6 +174,10 @@ def branch_match(prev_values, prev_vectors, cur_values, cur_vectors) -> tuple[in
     pins = {j: cols[j] for j in range(d) if 3.0 * peaks[j] - 2.0 > 2.0 * _TIE_EPS}
     if len(set(pins.values())) < len(pins):  # only if the overlap is not doubly stochastic
         pins = {}
+    if d - len(pins) > MAX_BRANCH_DIM:
+        raise UnsupportedDimensionError(
+            f"branch matching left {d - len(pins)} of {d} branches unpinned; "
+            f"it searches at most {MAX_BRANCH_DIM}")
     free_rows = [j for j in range(d) if j not in pins]
     free_cols = sorted(set(range(d)) - set(pins.values()))
     table = np.array(free_cols, dtype=np.intp)[_permutation_table(len(free_cols))]
@@ -390,11 +391,6 @@ def spectral_trajectory(
     states together with H, branch-match the states (walking only the
     steps the grid-wide certificate leaves open), then take the overlaps
     with the H eigenbasis and Tr(rho H)."""
-    if rho0.dim > MAX_BRANCH_DIM:
-        raise UnsupportedDimensionError(
-            f"trajectories support dim <= {MAX_BRANCH_DIM}, got {rho0.dim}: "
-            f"branch matching searches up to d! permutations"
-        )
     if h.dim != rho0.dim:
         raise cxmat.ShapeError(
             f"dimension mismatch: state dim {rho0.dim}, Hamiltonian dim {h.dim}"

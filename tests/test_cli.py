@@ -518,6 +518,46 @@ class TestSimulateCommand:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this Python converts integers of any length")
+    @pytest.mark.parametrize("flag, what", [("--config", "config file"),
+                                            ("--channel", "channel file")])
+    def test_integer_beyond_the_digit_limit_is_described_not_advised(self, tmp_path, capsys,
+                                                                     flag, what):
+        # Python's own message advises sys.set_int_max_str_digits(), which a
+        # command-line user cannot call
+        path = tmp_path / "huge.json"
+        if flag == "--config":
+            path.write_text('{"channel": "phase-damping", "steps": ' + "1" * 5001 + "}")
+            value = str(path)
+        else:
+            path.write_text('{"kind": "custom", "dim": ' + "2" * 5001 + ', "kraus": []}')
+            value = f"custom:{path}"
+        out = tmp_path / "x.csv"
+        assert cli.main(["simulate", flag, value, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: cannot read {what} {path}: it holds an integer longer than "
+                       f"Python converts (4,300 digits by default)\n")
+        assert "set_int_max_str_digits" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("channel, tau", [("phase-flip", "400.0"), ("phase-damping", "720.0")])
+    def test_oracle_past_its_domain_exits_2_before_the_ledger(self, tmp_path, capsys,
+                                                              monkeypatch, channel, tau):
+        # e^tau overflows past tau ~ 709, and the phase flip's e^(2 tau) past
+        # tau ~ 355: the closed forms fail at the first such grid point
+        def refuse(*args):
+            raise AssertionError("the ledger ran before the oracle columns were checked")
+
+        monkeypatch.setattr(experiment, "run_energetics", refuse)
+        out = tmp_path / "x.csv"
+        code = cli.main(["simulate", "--channel", channel, "--theta", "pi/6", "--tau-max", "800",
+                         "--steps", "10", "--emit-oracle", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: oracle columns: log argument out of domain at tau={tau}\n")
+        assert not out.exists()
+
     def test_output_in_a_missing_directory_exits_2(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.csv"
         code = cli.main(["simulate", "--channel", "phase-damping", "--steps", "10",

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qfirstlaw import cxmat, exprparse, firstlaw, oracle, qstate
+from qfirstlaw import cli, cxmat, exprparse, firstlaw, oracle, qstate
 from qfirstlaw.channel import ChannelSpec, evolve, kraus_at
 from qfirstlaw.firstlaw import (
     MAX_BRANCH_DIM,
@@ -100,10 +100,21 @@ class TestBranchMatch:
         )
         assert [order[p] for p in perm] == [0, 1, 2, 3]
 
-    def test_dimension_cap(self):
+    def test_guard_counts_the_unpinned_rows_not_the_dimension(self):
+        # the identity pins all 9 rows; one pinned row and an 8 x 8 DFT block
+        # leave 8 to search, every permutation of which scores 1, so the
+        # drift picks the identity; the 9 x 9 DFT, whose overlaps are all
+        # 1/9, pins none
         eye = np.eye(9)
-        with pytest.raises(UnsupportedDimensionError):
-            branch_match(np.arange(9), eye, np.arange(9), eye)
+        assert branch_match(np.arange(9), eye, np.arange(9), eye) == tuple(range(9))
+        block = np.eye(9, dtype=complex)
+        block[1:, 1:] = np.exp(2j * np.pi * np.outer(range(8), range(8)) / 8) / math.sqrt(8)
+        assert branch_match(np.arange(9), eye, np.arange(9), block) == tuple(range(9))
+        dft = np.exp(2j * np.pi * np.outer(range(9), range(9)) / 9) / 3
+        with pytest.raises(UnsupportedDimensionError,
+                           match="^branch matching left 9 of 9 branches unpinned; "
+                                 "it searches at most 8$"):
+            branch_match(np.arange(9), eye, np.arange(9), dft)
 
     def test_tie_broken_by_eigenvalue_drift(self):
         # identical eigenvector overlaps; only the values disambiguate
@@ -145,17 +156,24 @@ def _assert_checked_reference(match, spec, rho0, h, grid):
     assert len(match.matches) == grid.steps
 
 
-def _mixed_unitary_channel(rng, d, n_unitaries=3):
-    """K0 = sqrt(e^-t) I and K_i = sqrt(w_i (1 - e^-t)) U_i with Haar U_i."""
+def _haar_unitary(rng, d):
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _mixed_unitary_channel(rng, d, n_unitaries=3, v=None):
+    """K0 = sqrt(e^-t) I and K_i = sqrt(w_i (1 - e^-t)) U_i with Haar U_i,
+    each U_i conjugated by the unitary v if one is given."""
     def num(x):
         return repr(float(x))
 
     identity = [[("sqrt(exp(-t))" if i == j else "0", "0") for j in range(d)] for i in range(d)]
     operators = [identity]
     for w in rng.dirichlet(np.ones(n_unitaries)):
-        z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        q, r = np.linalg.qr(z)
-        u = q * (np.diag(r) / np.abs(np.diag(r)))
+        u = _haar_unitary(rng, d)
+        if v is not None:
+            u = v @ u @ v.conj().T
         scale = f"*sqrt({num(w)}*(1-exp(-t)))"
         operators.append([[(num(u[i, j].real) + scale, num(u[i, j].imag) + scale)
                            for j in range(d)] for i in range(d)])
@@ -1012,12 +1030,25 @@ class TestSpectralTrajectory:
             spectral_trajectory(ChannelSpec.phase_damping(), REFERENCE_STATE, h,
                                 TimeGrid(1.0, 4))
 
-    def test_dimension_cap(self):
+    def test_dimensions_past_eight_run_while_their_rows_pin(self, capsys, monkeypatch):
         rho0 = DensityOperator(np.eye(9, dtype=complex) / 9)
-        with pytest.raises(UnsupportedDimensionError):
-            spectral_trajectory(
-                ChannelSpec.identity(dim=9), rho0, Hamiltonian(range(9)), TimeGrid(1.0, 2)
-            )
+        ledger = run_energetics(ChannelSpec.identity(dim=9), rho0, Hamiltonian(range(9)),
+                                TimeGrid(1.0, 40))
+        assert not np.any(_ledger_columns(ledger))
+        # a pure state's first step can leave d - 1 rows unpinned, so d = 9
+        # always runs and d = 10 may be refused
+        spec, rho0, h = _pure_state_mixed_unitary(9, 0)
+        ledger = run_energetics(spec, rho0, h, TimeGrid(2.0, 40))
+        assert not np.any(ledger.work)
+        assert np.max(np.abs(ledger.closure_residual)) <= 1e-10
+        spec, rho0, h = _pure_state_mixed_unitary(10, 1)
+        with pytest.raises(UnsupportedDimensionError, match=" 9 of 10 branches unpinned"):
+            run_energetics(spec, rho0, h, TimeGrid(2.0, 40))
+        # the refusal is a numeric error of the command that ran it
+        monkeypatch.setitem(cli._DISPATCH, "verify",
+                            lambda args: run_energetics(spec, rho0, h, TimeGrid(2.0, 40)))
+        assert cli.main(["verify"]) == 3
+        assert capsys.readouterr().err.startswith("numeric error: branch matching left 9 of 10 ")
 
     def test_dim_mismatch(self):
         with pytest.raises(cxmat.ShapeError):
@@ -1301,6 +1332,48 @@ def test_static_hamiltonian_ledger_properties(d, seed):
     assert np.max(np.abs(heat + coherence - delta_u)) <= 1e-12
     assert np.max(np.abs(columns(m + 0.7 * np.eye(d)) - base)) <= 1e-12
     assert np.max(np.abs(columns(2.5 * m) - 2.5 * base)) <= 1e-12
+
+
+# H(t) = f(t) H0 + g(t) H1 for each (f, g)
+_DRIVES = {"static": ("1", "0"), "driven": ("1+0.1*t", "0"), "rotating": ("1", "t")}
+
+
+def _conjugated_hamiltonian(h0, h1, v, drive):
+    f, g = _DRIVES[drive]
+    a, b = v @ h0 @ v.conj().T, v @ h1 @ v.conj().T
+
+    def cell(x, y):
+        return f"({f})*({float(x)!r})+({g})*({float(y)!r})"
+
+    d = len(v)
+    return Hamiltonian([cell(a[i, i].real, b[i, i].real) for i in range(d)],
+                       {(i, j): (cell(a[i, j].real, b[i, j].real),
+                                 cell(a[i, j].imag, b[i, j].imag))
+                        for i in range(d) for j in range(i + 1, d)})
+
+
+@pytest.mark.parametrize("drive", sorted(_DRIVES))
+@pytest.mark.parametrize("d", [*range(2, MAX_BRANCH_DIM + 1), 9, 10, 12])
+def test_ledger_does_not_depend_on_the_basis(d, drive):
+    """Conjugating the state, every Kraus operator and H by one Haar unitary
+    V leaves W, Q, C and delta U as they were, to round-off.  The state is
+    full rank: a pure state's first step matches its null space in whatever
+    basis the eigensolver returns, which moves Q and C at first order."""
+    rng = np.random.default_rng([2900 + d, 1])
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = z @ z.conj().T / np.trace(z @ z.conj().T).real
+    h0, h1 = (0.25 * (m + m.conj().T) for m in (rng.normal(size=(2, d, d))
+                                                 + 1j * rng.normal(size=(2, d, d))))
+    grid = TimeGrid(2.0, 400)
+
+    def columns(v):
+        m = v @ rho @ v.conj().T
+        ledger = run_energetics(_mixed_unitary_channel(np.random.default_rng(2900 + d), d, v=v),
+                                DensityOperator(0.5 * (m + m.conj().T)),
+                                _conjugated_hamiltonian(h0, h1, v, drive), grid)
+        return _ledger_columns(ledger)
+
+    assert np.max(np.abs(columns(_haar_unitary(rng, d)) - columns(np.eye(d)))) <= 1e-12
 
 
 def test_default_grid_constants():
