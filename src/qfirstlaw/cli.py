@@ -53,8 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_experiment_flags(sim: argparse.ArgumentParser) -> None:
     # defaults live in ExperimentConfig; None here means "not given on the
     # command line" so config-file values are not clobbered
-    sim.add_argument("--channel", help="phase-damping | phase-flip | bit-flip | "
-                                       "bit-phase-flip | custom:<file>")
+    sim.add_argument("--channel", help=" | ".join([*experiment.CHANNEL_NAMES, "custom:<file>"]))
     sim.add_argument("--theta", help="preparation angle in radians; pi and pi/<n> accepted")
     sim.add_argument("--phi", type=float, help="azimuthal phase in radians (default 0)")
     sim.add_argument("--eg", type=float, dest="e_g", help="ground energy (default 0)")

@@ -28,13 +28,8 @@ class ConfigError(ValueError):
     """Invalid experiment configuration (maps to CLI exit code 2)."""
 
 
-#: CLI names for the builtin channels.
-CHANNEL_NAMES = {
-    "phase-damping": ChannelSpec.phase_damping,
-    "phase-flip": ChannelSpec.phase_flip,
-    "bit-flip": ChannelSpec.bit_flip,
-    "bit-phase-flip": ChannelSpec.bit_phase_flip,
-}
+#: CLI names for the builtin channels: each kind with hyphens for underscores.
+CHANNEL_NAMES = {kind.replace("_", "-"): kind for kind in channel_mod.BUILTIN_KINDS}
 
 CSV_COLUMNS = ("tau", "delta_u", "work", "heat", "coherence")
 CSV_ORACLE_COLUMNS = ("heat_oracle", "coherence_oracle")
@@ -94,7 +89,7 @@ def parse_channel(value) -> ChannelSpec:
     else:
         name = str(value).strip()
         if name in CHANNEL_NAMES:
-            return CHANNEL_NAMES[name]()
+            return ChannelSpec(CHANNEL_NAMES[name])
         if not name.startswith("custom:"):
             raise ConfigError(f"unknown channel {name!r}; expected one of "
                               f"{', '.join(CHANNEL_NAMES)} or custom:<file>")
@@ -330,9 +325,10 @@ def reproduce_figure(figure: str, out_dir) -> ReproduceOutcome:
 
     ledger = result.ledger
     lines = (
-        _within("max |heat - heat_oracle|", np.max(np.abs(ledger.heat - result.heat_oracle)), 1e-5),
+        _within("max |heat - heat_oracle|", np.max(np.abs(ledger.heat - result.heat_oracle)),
+                oracle.ORACLE_TOL),
         _within("max |coherence - coherence_oracle|",
-                np.max(np.abs(ledger.coherence - result.coherence_oracle)), 1e-5),
+                np.max(np.abs(ledger.coherence - result.coherence_oracle)), oracle.ORACLE_TOL),
         _within("max |heat + coherence|", np.max(np.abs(ledger.heat + ledger.coherence)), 5e-6),
         _within("max |delta_u|", np.max(np.abs(ledger.delta_u)), 1e-9),
         _within("max |work|", np.max(np.abs(ledger.work)), 1e-12),

@@ -102,9 +102,9 @@ def tokenize(src: str) -> list[Token]:
 
 # ---------------------------------------------------------------------------
 # Expression tree.  ``pos`` is carried for error messages but excluded from
-# structural equality so pretty-print round trips compare clean.  A shared
-# node carries the position of its first occurrence, which is where
-# evaluation in cell order first meets it.
+# equality, so parsed trees, and the cells and specs built from them, compare
+# by structure.  A shared node carries the position of its first occurrence,
+# which is where evaluation in cell order first meets it.
 # ---------------------------------------------------------------------------
 
 
@@ -555,36 +555,3 @@ def evaluate_matrix(cells: Cells, dim: int, t) -> np.ndarray:
         target[i, j] = values[roots]
     return cxmat.stack_view(out)
 
-
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-
-
-def format_expression(expr: Expression) -> str:
-    """Render with minimal parentheses; parse_source(format_expression(e)) == e."""
-    return _format(expr, 0)
-
-
-def _format(expr: Expression, parent_prec: int) -> str:
-    if isinstance(expr, Number):
-        text = repr(expr.value)
-        return text
-    if isinstance(expr, TimeVar):
-        return "t"
-    if isinstance(expr, Negate):
-        inner = _format(expr.child, _PRECEDENCE["neg"])
-        text = f"-{inner}"
-        return f"({text})" if parent_prec > _PRECEDENCE["neg"] else text
-    if isinstance(expr, Call):
-        return f"{expr.fn}({_format(expr.arg, 0)})"
-    if isinstance(expr, Binary):
-        prec = _PRECEDENCE[expr.op]
-        if expr.op == "^":
-            # right-associative; the right side re-enters at factor level
-            left = _format(expr.left, prec + 1)
-            right = _format(expr.right, prec)
-        else:
-            left = _format(expr.left, prec)
-            right = _format(expr.right, prec + 1)
-        text = f"{left}{expr.op}{right}"
-        return f"({text})" if parent_prec > prec else text
-    raise TypeError(f"not an Expression node: {expr!r}")

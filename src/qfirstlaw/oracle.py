@@ -25,6 +25,10 @@ import numpy as np
 
 from .qstate import DensityOperator
 
+#: Bound on a ledger's distance from the heat and coherence curves below, as
+#: read by `verify` and the figure reports.
+ORACLE_TOL = 1e-5
+
 
 def pd_eigensystem(tau: float, rho0: DensityOperator):
     """Eigenvalues and eigenvectors of the phase-damped state at time tau.

@@ -4,8 +4,9 @@ Each check returns a list of ``qstate.CheckResult`` records, a measured value
 against its bound; the type is importable from here by that name.  Only the
 three ledgers that more than one check reads are cached per process
 (`_memo`); every other ledger is built where it is read and dropped after.
-Every bound is a constant: `ORACLE_TOL` bounds the comparisons against the
-phase damping and phase flip closed-form curves, read when a check runs.
+Every bound is a constant: `ORACLE_TOL`, from `oracle`, bounds the
+comparisons against the phase damping and phase flip closed-form curves,
+read when a check runs.
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ import numpy as np
 from . import cxmat, experiment, exprparse, oracle
 from .channel import ChannelSpec, KrausSet, completeness_deviation, kraus_at
 from .firstlaw import DEFAULT_STEPS, DEFAULT_TAU_MAX, TimeGrid, run_energetics
+from .oracle import ORACLE_TOL
 from .qstate import CheckResult, DensityOperator, Hamiltonian, _within, prepare_pure_state
-
-ORACLE_TOL = 1e-5
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 #: Columns are the sigma_y eigenvectors; conjugation maps sigma_z to sigma_y.

@@ -286,6 +286,19 @@ class TestSimulateCommand:
         assert code == 0
         assert len(out.read_text().splitlines()) == 82  # header + 81 rows
 
+    def test_negative_exponent_value_after_equals(self, tmp_path):
+        # some argparse versions take "--eg -1e-3" for two options; the
+        # README gives the "=" form, which every version reads as a value
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"channel": "phase-flip", "steps": 40, "e_g": -0.001}))
+        flags = ["simulate", "--channel", "phase-flip", "--steps", "40"]
+        outs = {name: tmp_path / f"{name}.csv" for name in ("file", "equals", "zero")}
+        assert cli.main(["simulate", "--config", str(config), "--out", str(outs["file"])]) == 0
+        assert cli.main([*flags, "--eg=-1e-3", "--out", str(outs["equals"])]) == 0
+        assert cli.main([*flags, "--eg=0", "--out", str(outs["zero"])]) == 0
+        assert outs["equals"].read_bytes() == outs["file"].read_bytes()
+        assert outs["equals"].read_bytes() != outs["zero"].read_bytes()
+
     def test_oracle_columns_for_inverted_energies(self, tmp_path):
         out = tmp_path / "inverted.csv"
         code = cli.main(["simulate", "--channel", "phase-flip", "--theta", "pi/6",
