@@ -21,7 +21,6 @@ from .oracle import (
 )
 from .qstate import (
     DensityOperator,
-    EnergyEigenbasis,
     Hamiltonian,
     energy_eigenbasis,
     internal_energy,
@@ -35,7 +34,6 @@ __all__ = [
     "ChannelSpec",
     "DensityOperator",
     "EnergeticsLedger",
-    "EnergyEigenbasis",
     "Hamiltonian",
     "HermitianEigenDecomposition",
     "KrausSet",

@@ -107,11 +107,12 @@ def stack_matmul(a, b) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HermitianEigenDecomposition:
-    """Eigenvalues in ascending order; column j of ``eigenvectors`` pairs with
-    ``eigenvalues[j]``.  Columns are orthonormal and phase-fixed so the
-    largest-magnitude component of each is real and positive.  For a
-    ``(..., n, n)`` stack the shapes are ``(..., n)`` and ``(..., n, n)``,
-    one decomposition per matrix."""
+    """Column j of ``eigenvectors`` pairs with ``eigenvalues[j]``, ascending
+    from ``hermitian_eigen``, in entry order from the diagonal short-circuit
+    of ``qstate.energy_eigenbasis``.  Columns are orthonormal and
+    phase-fixed so the largest-magnitude component of each is real and
+    positive.  For a ``(..., n, n)`` stack the shapes are ``(..., n)`` and
+    ``(..., n, n)``, one decomposition per matrix."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray

@@ -27,10 +27,10 @@ The trajectory is a few arrays over the grid, one row per grid point, and
 the one source of the ledger.  Everything that does not depend on the
 previous point is computed for the whole grid in one call: the Kraus
 operators, evolution and its checks, H(t), the eigensystems, the overlaps,
-the invariant checks and Tr(rho H).  H(t) is evaluated once, so the
-eigenbasis and Tr(rho H) see the same Hamiltonian, and the state stack and
-the H matrices that need the eigensolver go through one Jacobi loop
-(``qstate.energy_eigenbasis``).
+the invariant checks and Tr(rho H).  H(t) is evaluated once, a static H
+as one matrix, so the eigenbasis and Tr(rho H) see the same Hamiltonian,
+and the state stack and the H matrices that need the eigensolver go through
+one Jacobi loop (``qstate.energy_eigenbasis``).
 Branch matching certifies steps for the whole grid at once, by one rule
 (``_certificate``): a step is settled when its two endpoints tie the same
 eigenvalue pairs, in at most one cluster, and the overlap of every untied
@@ -118,8 +118,8 @@ class SpectralTrajectory:
     ``tau`` is the grid's time, fed as-is to the channel and Hamiltonian.
     ``overlap[i, n, k]`` is |<n|k>|^2 between Hamiltonian eigenvector n and
     state eigenvector k at grid point i; each such matrix is doubly
-    stochastic.  ``energies`` are the Hamiltonian eigenvalues E_n and
-    ``energy`` is the internal energy Tr(rho_i H_i)."""
+    stochastic.  ``energies`` are the Hamiltonian eigenvalues E_n (a static
+    H's one row, broadcast) and ``energy`` is Tr(rho_i H_i)."""
 
     tau: np.ndarray
     rho: np.ndarray
@@ -387,28 +387,27 @@ def spectral_trajectory(
     h: Hamiltonian,
     grid: TimeGrid,
 ) -> SpectralTrajectory:
-    """Evolve over the whole grid and evaluate H(t) once, diagonalize the
-    states together with H, branch-match the states (walking only the
-    steps the grid-wide certificate leaves open), then take the overlaps
-    with the H eigenbasis and Tr(rho H)."""
+    """Evolve over the whole grid and evaluate H(t) once (a static H at one
+    time), diagonalize the states together with H, branch-match the states
+    (walking only the steps the grid-wide certificate leaves open), then
+    take the overlaps with the H eigenbasis and Tr(rho H)."""
     if h.dim != rho0.dim:
         raise cxmat.ShapeError(
             f"dimension mismatch: state dim {rho0.dim}, Hamiltonian dim {h.dim}"
         )
     tau = grid.points
     rho = evolve(spec, rho0, tau)
-    hm = h.matrix(tau)
+    hm = h.matrix(tau[0] if h.static else tau)
     eig, basis = qstate.energy_eigenbasis(hm, rho.matrix, tau)
     values, vectors = _match_branches(rho.matrix, eig.eigenvalues, eig.eigenvectors)
-    # For a diagonal H (every figure) the basis is the identity: each sum has
-    # one non-zero term, and the overlap equals the stacked @'s bit for bit.
-    # A basis that is the same at every point (a stride-0 view) goes in as one
-    # matrix, so its conjugate is not expanded over the grid.
-    u = basis.basis[0] if basis.basis.strides[0] == 0 else basis.basis
+    # A static H's basis is one matrix shared by the stack.  For a diagonal H
+    # it is the identity, and the overlap equals the stacked @'s bit for bit.
+    u = basis.eigenvectors
     overlap = np.abs(cxmat.stack_matmul(np.swapaxes(u.conj(), -1, -2), vectors)) ** 2
     _validate_snapshot(tau, values, overlap)
     return SpectralTrajectory(tau, rho.matrix, values, vectors,
-                              basis.energies, overlap, qstate.internal_energy(rho, hm))
+                              np.broadcast_to(basis.eigenvalues, values.shape), overlap,
+                              qstate.internal_energy(rho, hm))
 
 
 def integrate_first_law(traj: SpectralTrajectory) -> EnergeticsLedger:

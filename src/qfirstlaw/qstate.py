@@ -125,6 +125,11 @@ class Hamiltonian:
         upper = [index for index, _ in self._cells if index[0] != index[1]]
         self._upper = tuple(np.array(upper, dtype=np.intp).reshape(-1, 2).T)
 
+    @property
+    def static(self) -> bool:
+        """Whether no stored cell reads t, by the plan: a "0*t" cell reads t."""
+        return not self._cells.plan.time_rows.size
+
     @classmethod
     def from_matrix(cls, m) -> "Hamiltonian":
         """Constant Hamiltonian from the upper triangle of a matrix that passes
@@ -152,46 +157,30 @@ class Hamiltonian:
         return out
 
 
-@dataclass(frozen=True)
-class EnergyEigenbasis:
-    """Energies E_n with the unitary whose columns are the eigenvectors |n>;
-    over a time grid, (T, d) energies and (T, d, d) bases."""
-
-    energies: np.ndarray
-    basis: np.ndarray
-
-
 def energy_eigenbasis(hm, states=None, tau=None):
-    """Eigenbasis of an evaluated Hamiltonian: one matrix, or a (T, d, d)
-    stack such as Hamiltonian.matrix over a time grid.
-
-    A diagonal H (every off-diagonal entry exactly 0 at every point)
-    short-circuits to the computational basis in entry order, with no
-    numerical perturbation; anything else goes through the Jacobi
-    eigensolver (ascending energies): on one matrix if H is the same at
-    every point, otherwise on the whole stack.  A basis (or a static H's
-    energies) that is the same at every point is a read-only
-    ``np.broadcast_to`` view, with stride 0 along the grid.
+    """Eigenbasis of an evaluated Hamiltonian, one matrix or a (T, d, d)
+    stack, as a HermitianEigenDecomposition of the same leading shape.  A
+    diagonal H (every off-diagonal entry exactly 0) short-circuits to the
+    computational basis in entry order, a read-only broadcast of the
+    identity; any other H is solved as given (ascending energies).
 
     With ``states``, a (T, d, d) stack of density matrices on the grid
-    ``tau``, the states and the H matrices that need the solver (none, one
-    or all of them) are diagonalized in one ``hermitian_eigen`` call, and
-    the pair (state decomposition, eigenbasis) is returned.  Every matrix
-    keeps its own threshold, so both equal separate calls bit for bit.  A
-    state the solver fails on raises its error prefixed "at tau=...";
-    an H matrix raises the error of a call on H alone, with no tau.
+    ``tau``, the states and H, if it needs the solver, are diagonalized in
+    one ``hermitian_eigen`` call, and the pair (state decomposition,
+    eigenbasis) is returned.  Every matrix keeps its own threshold, so both
+    equal separate calls bit for bit.  A state the solver fails on raises
+    its error prefixed "at tau=..."; an H matrix raises the error of a call
+    on H alone, with no tau.
     """
     hm = np.asarray(hm, dtype=np.complex128)
     d = hm.shape[-1]
-    stack = hm.reshape(-1, d, d)
     diagonal = not np.any(hm[..., ~np.eye(d, dtype=bool)])
-    static = not diagonal and np.all(stack == stack[0])
     count = 0 if states is None else len(states)
     if diagonal:
         joint = states
     else:
-        h = stack[:1] if static else stack
-        joint = h if states is None else np.concatenate((states, h))
+        stack = hm.reshape(-1, d, d)
+        joint = stack if states is None else np.concatenate((states, stack))
     if joint is not None:
         try:
             eig = cxmat.hermitian_eigen(joint)
@@ -199,18 +188,16 @@ def energy_eigenbasis(hm, states=None, tau=None):
             i = exc.index[0]
             if i >= count:
                 # H fails alone too, with the message a call on H gives
-                cxmat.hermitian_eigen(stack[0] if static else hm)
+                cxmat.hermitian_eigen(hm)
                 raise
             raise type(exc)(f"at tau={tau[i]:.6g}: {exc}", exc.index) from exc
-        values, vectors = eig.eigenvalues[count:], eig.eigenvectors[count:]
     if diagonal:
-        basis = EnergyEigenbasis(np.diagonal(hm, axis1=-2, axis2=-1).real.copy(),
-                                 np.broadcast_to(np.eye(d, dtype=hm.dtype), hm.shape))
-    elif static:
-        basis = EnergyEigenbasis(np.broadcast_to(values[0], hm.shape[:-1]),
-                                 np.broadcast_to(vectors[0], hm.shape))
+        basis = cxmat.HermitianEigenDecomposition(
+            np.diagonal(hm, axis1=-2, axis2=-1).real.copy(),
+            np.broadcast_to(np.eye(d, dtype=hm.dtype), hm.shape))
     else:
-        basis = EnergyEigenbasis(values.reshape(hm.shape[:-1]), vectors.reshape(hm.shape))
+        basis = cxmat.HermitianEigenDecomposition(eig.eigenvalues[count:].reshape(hm.shape[:-1]),
+                                                  eig.eigenvectors[count:].reshape(hm.shape))
     if states is None:
         return basis
     return cxmat.HermitianEigenDecomposition(eig.eigenvalues[:count],

@@ -423,7 +423,7 @@ def reference_trajectory(spec, rho0, h, grid, match=branch_match, loop=reference
     rho = evolve(spec, rho0, grid.points).matrix
     eig = cxmat.hermitian_eigen(rho)
     values, vectors = loop(rho, eig.eigenvalues, eig.eigenvectors, match)
-    basis = qstate.energy_eigenbasis(h.matrix(grid.points)).basis
+    basis = qstate.energy_eigenbasis(h.matrix(grid.points)).eigenvectors
     overlap = np.abs(cxmat.stack_matmul(np.swapaxes(basis.conj(), -1, -2), vectors)) ** 2
     return values, vectors, overlap
 
@@ -1061,12 +1061,13 @@ class TestSpectralTrajectory:
 
 
 def _hamiltonian(rng, d, kind):
-    """A seeded diagonal, static (non-diagonal) or driven Hamiltonian."""
+    """A seeded diagonal, static (non-diagonal) or driven Hamiltonian, or
+    the static one with "+0*t" appended to every cell."""
     z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     m = 0.25 * (z + z.conj().T)
     if kind == "diagonal":
         return Hamiltonian([f"{float(m[i, i].real)!r}*(1+0.1*t)" for i in range(d)])
-    drive = "*(1+0.1*t)" if kind == "driven" else ""
+    drive = {"static": "", "driven": "*(1+0.1*t)", "zero-drive": "+0*t"}[kind]
     return Hamiltonian([f"{float(m[i, i].real)!r}{drive}" for i in range(d)],
                        {(i, j): (f"{float(m[i, j].real)!r}{drive}", f"{float(m[i, j].imag)!r}{drive}")
                         for i in range(d) for j in range(i + 1, d)})
@@ -1080,8 +1081,9 @@ def two_solve_trajectory(spec, rho0, h, grid):
     values, vectors = firstlaw._match_branches(rho.matrix, eig.eigenvalues, eig.eigenvectors)
     hm = h.matrix(grid.points)
     basis = qstate.energy_eigenbasis(hm)
-    overlap = np.abs(cxmat.stack_matmul(np.swapaxes(basis.basis.conj(), -1, -2), vectors)) ** 2
-    return values, vectors, basis.energies, overlap, qstate.internal_energy(rho, hm)
+    overlap = np.abs(cxmat.stack_matmul(np.swapaxes(basis.eigenvectors.conj(), -1, -2),
+                                        vectors)) ** 2
+    return values, vectors, basis.eigenvalues, overlap, qstate.internal_energy(rho, hm)
 
 
 class TestSingleEigensolve:
@@ -1113,8 +1115,8 @@ class TestSingleEigensolve:
             hm = _hamiltonian(rng, 4, kind).matrix(np.linspace(0.0, 2.0, 9))
             alone = qstate.energy_eigenbasis(hm)
             state_eig, basis = qstate.energy_eigenbasis(hm, rho, np.linspace(0.0, 2.0, 9))
-            assert np.array_equal(basis.energies, alone.energies), kind
-            assert np.array_equal(basis.basis, alone.basis), kind
+            assert np.array_equal(basis.eigenvalues, alone.eigenvalues), kind
+            assert np.array_equal(basis.eigenvectors, alone.eigenvectors), kind
             single = cxmat.hermitian_eigen(rho)
             assert np.array_equal(state_eig.eigenvalues, single.eigenvalues), kind
             assert np.array_equal(state_eig.eigenvectors, single.eigenvectors), kind
@@ -1146,6 +1148,45 @@ class TestSingleEigensolve:
         with pytest.raises(cxmat.ConvergenceError, match=r"^at tau=0\.25: matrix \(1,\) ") as info:
             spectral_trajectory(spec, rho0, h, TimeGrid(4.0, 16))
         assert info.value.index == (1,)
+
+
+class TestStaticHamiltonian:
+    """A Hamiltonian with no entry that reads t enters the trajectory as one matrix."""
+
+    def test_is_evaluated_at_one_time(self, monkeypatch):
+        times = []
+        matrix = Hamiltonian.matrix
+
+        def recorded(self, t):
+            times.append(np.shape(t))
+            return matrix(self, t)
+
+        monkeypatch.setattr(Hamiltonian, "matrix", recorded)
+        rng = np.random.default_rng(41)
+        spec = _mixed_unitary_channel(rng, 3)
+        rho0 = DensityOperator(np.diag([0.5, 0.3, 0.2]))
+        grid = TimeGrid(2.0, 40)
+        traj = spectral_trajectory(spec, rho0, _hamiltonian(rng, 3, "static"), grid)
+        assert times == [()]
+        # every grid point shares the one eigensystem
+        assert traj.energies.shape == (41, 3) and traj.energies.strides[0] == 0
+        times.clear()
+        spectral_trajectory(spec, rho0, _hamiltonian(rng, 3, "zero-drive"), grid)
+        assert times == [(41,)]
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_zero_drive_gives_the_static_ledger_bit_for_bit(self, d):
+        # "+0*t" changes no value but makes H read t: the stack over the grid
+        # must give the bytes of the one static matrix
+        columns = {}
+        for kind in ("static", "zero-drive"):
+            rng = np.random.default_rng(4200 + d)
+            spec = _mixed_unitary_channel(rng, d)
+            rho0 = _random_state(rng, d, "pure")
+            h = _hamiltonian(rng, d, kind)
+            assert h.static is (kind == "static")
+            columns[kind] = _ledger_columns(run_energetics(spec, rho0, h, TimeGrid(4.0, 64)))
+        assert columns["zero-drive"].tobytes() == columns["static"].tobytes()
 
 
 class TestIntegrateFirstLaw:
@@ -1334,11 +1375,29 @@ def test_static_hamiltonian_ledger_properties(d, seed):
     assert np.max(np.abs(columns(2.5 * m) - 2.5 * base)) <= 1e-12
 
 
+def _random_state(rng, d, kind):
+    """A seeded pure or full-rank density operator."""
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    if kind == "pure":
+        z = np.outer(z[0], z[0].conj())
+    else:
+        z = z @ z.conj().T
+    return DensityOperator(z / np.trace(z).real)
+
+
+def _hermitian_pair(rng, d):
+    """Two seeded Hermitian d x d matrices."""
+    z = rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))
+    return 0.25 * (z + z.conj().swapaxes(-1, -2))
+
+
 # H(t) = f(t) H0 + g(t) H1 for each (f, g)
 _DRIVES = {"static": ("1", "0"), "driven": ("1+0.1*t", "0"), "rotating": ("1", "t")}
 
 
-def _conjugated_hamiltonian(h0, h1, v, drive):
+def _conjugated_hamiltonian(h0, h1, v, drive, shift=None):
+    """f(t) V H0 V† + g(t) V H1 V†, plus the constant ``shift`` times the
+    identity, outside the drive, if one is given."""
     f, g = _DRIVES[drive]
     a, b = v @ h0 @ v.conj().T, v @ h1 @ v.conj().T
 
@@ -1346,7 +1405,8 @@ def _conjugated_hamiltonian(h0, h1, v, drive):
         return f"({f})*({float(x)!r})+({g})*({float(y)!r})"
 
     d = len(v)
-    return Hamiltonian([cell(a[i, i].real, b[i, i].real) for i in range(d)],
+    constant = "" if shift is None else f"+({shift!r})"
+    return Hamiltonian([cell(a[i, i].real, b[i, i].real) + constant for i in range(d)],
                        {(i, j): (cell(a[i, j].real, b[i, j].real),
                                  cell(a[i, j].imag, b[i, j].imag))
                         for i in range(d) for j in range(i + 1, d)})
@@ -1360,10 +1420,8 @@ def test_ledger_does_not_depend_on_the_basis(d, drive):
     full rank: a pure state's first step matches its null space in whatever
     basis the eigensolver returns, which moves Q and C at first order."""
     rng = np.random.default_rng([2900 + d, 1])
-    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = z @ z.conj().T / np.trace(z @ z.conj().T).real
-    h0, h1 = (0.25 * (m + m.conj().T) for m in (rng.normal(size=(2, d, d))
-                                                 + 1j * rng.normal(size=(2, d, d))))
+    rho = _random_state(rng, d, "full-rank").matrix
+    h0, h1 = _hermitian_pair(rng, d)
     grid = TimeGrid(2.0, 400)
 
     def columns(v):
@@ -1374,6 +1432,75 @@ def test_ledger_does_not_depend_on_the_basis(d, drive):
         return _ledger_columns(ledger)
 
     assert np.max(np.abs(columns(_haar_unitary(rng, d)) - columns(np.eye(d)))) <= 1e-12
+
+
+@pytest.mark.parametrize("state", ["pure", "full-rank"])
+@pytest.mark.parametrize("drive", ["driven", "rotating"])
+@pytest.mark.parametrize("d", range(2, MAX_BRANCH_DIM + 1))
+def test_driven_hamiltonian_shift_and_scale(d, drive, state):
+    """(1 + 0.1 t) H0 and H0 + t H1: a constant multiple of the identity
+    added outside the drive changes no column, and scaling H0 and H1 scales
+    every column.  A shift inside the drive, (1 + 0.1 t)(H0 + c I), is a
+    time-dependent shift and does work, so it is not tested here."""
+    rng = np.random.default_rng([600 + d, len(drive), len(state)])
+    spec = _mixed_unitary_channel(rng, d)
+    rho0 = _random_state(rng, d, state)
+    h0, h1 = _hermitian_pair(rng, d)
+    grid = TimeGrid(4.0, 16)
+    eye = np.eye(d)
+
+    def columns(a, b, shift=None):
+        h = _conjugated_hamiltonian(a, b, eye, drive, shift)
+        return _ledger_columns(run_energetics(spec, rho0, h, grid))
+
+    base = columns(h0, h1)
+    assert np.max(np.abs(columns(h0, h1, 0.7) - base)) <= 1e-12
+    assert np.max(np.abs(columns(2.5 * h0, 2.5 * h1) - 2.5 * base)) <= 1e-12
+
+
+def _remixed_channel(rng, d, mix):
+    """The channel _mixed_unitary_channel(rng, d) draws, written as the Kraus
+    set K'_a = sum_b mix[a, b] K_b for a unitary ``mix`` over its four
+    operators K_b = C_b f_b(t): the same channel in another representation."""
+    weights = rng.dirichlet(np.ones(3))
+    coefficients = [np.eye(d), *(_haar_unitary(rng, d) for _ in weights)]
+    scales = ["sqrt(exp(-t))", *(f"sqrt({float(w)!r}*(1-exp(-t)))" for w in weights)]
+
+    def part(values):
+        return "+".join(f"({float(x)!r})*{scale}" for x, scale in zip(values, scales))
+
+    operators = []
+    for row in mix:
+        c = [m * k for m, k in zip(row, coefficients)]
+        operators.append([[(part([x[i, j].real for x in c]), part([x[i, j].imag for x in c]))
+                           for j in range(d)] for i in range(d)])
+    return ChannelSpec.custom(operators, dim=d)
+
+
+@pytest.mark.parametrize("drive", ["static", "driven"])
+@pytest.mark.parametrize("state", ["pure", "full-rank"])
+@pytest.mark.parametrize("d", range(2, MAX_BRANCH_DIM + 1))
+def test_ledger_does_not_depend_on_the_kraus_representation(d, state, drive):
+    """Kraus operators mixed by a Haar unitary u, K'_a = sum_b u_ab K_b, are
+    the same channel: W, Q, C and delta U agree to round-off, under H0 and
+    under (1 + 0.1 t) H0."""
+    rng = np.random.default_rng([3100 + d, len(state), len(drive)])
+    mix = _haar_unitary(rng, 4)
+    rho0 = _random_state(rng, d, state)
+    h0, _ = _hermitian_pair(rng, d)
+    h = _conjugated_hamiltonian(h0, np.zeros((d, d)), np.eye(d), drive)
+    grid = TimeGrid(2.0, 100)
+    seed = rng.integers(2**32)
+
+    def columns(spec):
+        return _ledger_columns(run_energetics(spec, rho0, h, grid))
+
+    deviation = np.abs(columns(_remixed_channel(np.random.default_rng(seed), d, mix))
+                       - columns(_mixed_unitary_channel(np.random.default_rng(seed), d)))
+    failing = np.flatnonzero(deviation.max(axis=0) > 1e-12)
+    assert not failing.size, (
+        f"d={d}, {state} state, {drive} H: first failing tau={grid.points[failing[0]]!r}, "
+        f"deviation {deviation[:, failing[0]].max():.3e}")
 
 
 def test_default_grid_constants():

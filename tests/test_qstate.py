@@ -177,7 +177,7 @@ class TestHamiltonian:
     def test_diagonal_constant(self):
         h = Hamiltonian([0.0, 1.0])
         assert np.array_equal(h.matrix(3.7), np.diag([0.0, 1.0]).astype(complex))
-        assert np.array_equal(energy_eigenbasis(h.matrix(3.7)).basis, np.eye(2))
+        assert np.array_equal(energy_eigenbasis(h.matrix(3.7)).eigenvectors, np.eye(2))
 
     def test_driven_diagonal(self):
         h = Hamiltonian([0.0, "1+0.1*t"])
@@ -219,32 +219,48 @@ class TestHamiltonian:
         with pytest.raises(exprparse.DomainError, match=r"entry \(0,1\): .* at t=0\.0 "):
             h.matrix(0.0)
 
+    @pytest.mark.parametrize("h, static", [
+        (Hamiltonian([0.0, 1.0]), True),
+        (Hamiltonian([0.3, 1.7], {(0, 1): (0.2, -0.4)}), True),
+        (Hamiltonian.from_matrix(np.array([[0.3, 0.2j], [-0.2j, 1.7]])), True),
+        (Hamiltonian(["2*0.5", "exp(1)-sqrt(4)"], {(0, 1): ("cos(1)", "0")}), True),
+        (Hamiltonian([0.0, "1+0.1*t"]), False),
+        (Hamiltonian([0.0, 1.0], {(0, 1): ("0*t", "0")}), False),
+        (Hamiltonian([0.0, 1.0], {(0, 1): ("0.2", "sin(t)")}), False),
+    ], ids=["numbers", "number-coupling", "from_matrix", "t-free-expressions", "driven",
+            "zero-times-t-coupling", "driven-imaginary-part"])
+    def test_static_is_read_from_the_cells(self, h, static):
+        # structural, not by value: a "0*t" coupling evaluates to 0 but reads t
+        assert h.static is static
+        with pytest.raises(AttributeError):
+            h.static = not static
+
     def test_literal_zero_coupling_is_not_stored(self):
         h = Hamiltonian([0.0, 1.0], {(0, 1): (0, 0)})
         assert np.array_equal(h.matrix(np.array([0.0, 2.0])),
                               np.broadcast_to(np.diag([0.0, 1.0]), (2, 2, 2)))
-        assert np.array_equal(energy_eigenbasis(h.matrix(0.0)).basis, np.eye(2))
+        assert np.array_equal(energy_eigenbasis(h.matrix(0.0)).eigenvectors, np.eye(2))
 
 
 class TestEnergyEigenbasis:
     def test_diagonal_exact_identity(self):
         basis = energy_eigenbasis(Hamiltonian([0.0, 1.0]).matrix(0.0))
-        assert np.array_equal(basis.energies, np.array([0.0, 1.0]))
-        assert np.array_equal(basis.basis, np.eye(2, dtype=complex))
+        assert np.array_equal(basis.eigenvalues, np.array([0.0, 1.0]))
+        assert np.array_equal(basis.eigenvectors, np.eye(2, dtype=complex))
 
     def test_sigma_x(self):
         h = Hamiltonian.from_matrix(np.array([[0, 1], [1, 0]], dtype=complex))
         basis = energy_eigenbasis(h.matrix(0.0))
-        assert np.allclose(basis.energies, [-1.0, 1.0], atol=1e-15)
+        assert np.allclose(basis.eigenvalues, [-1.0, 1.0], atol=1e-15)
         inv_sqrt2 = 1 / math.sqrt(2)
-        assert np.allclose(basis.basis[:, 0], [inv_sqrt2, -inv_sqrt2], atol=1e-15)
-        assert np.allclose(basis.basis[:, 1], [inv_sqrt2, inv_sqrt2], atol=1e-15)
+        assert np.allclose(basis.eigenvectors[:, 0], [inv_sqrt2, -inv_sqrt2], atol=1e-15)
+        assert np.allclose(basis.eigenvectors[:, 1], [inv_sqrt2, inv_sqrt2], atol=1e-15)
 
     def test_eigen_residual_general(self):
         h = Hamiltonian([0.3, 1.7], {(0, 1): (0.2, 0.4)})
         basis = energy_eigenbasis(h.matrix(0.0))
         m = h.matrix(0.0)
-        resid = np.max(np.abs(m @ basis.basis - basis.basis * basis.energies))
+        resid = np.max(np.abs(m @ basis.eigenvectors - basis.eigenvectors * basis.eigenvalues))
         assert resid <= 1e-10
 
     def test_zero_valued_coupling_takes_the_diagonal_path(self):
@@ -253,24 +269,33 @@ class TestEnergyEigenbasis:
         assert np.all(h.matrix(np.array([0.0, 1.0]))[:, 0, 1] == 0)
         basis = energy_eigenbasis(h.matrix(np.array([0.0, 1.0])))
         # entry order, not sorted, and the exact computational basis
-        assert np.array_equal(basis.energies, np.array([[1.0, 0.5], [2.0, 0.5]]))
-        assert np.array_equal(basis.basis, np.broadcast_to(np.eye(2), (2, 2, 2)))
+        assert np.array_equal(basis.eigenvalues, np.array([[1.0, 0.5], [2.0, 0.5]]))
+        assert np.array_equal(basis.eigenvectors, np.broadcast_to(np.eye(2), (2, 2, 2)))
 
-    @pytest.mark.parametrize("h", [Hamiltonian.from_matrix(np.array([[0.3, 0.2], [0.2, 1.7]])),
-                                   Hamiltonian([0.0, 1.0])],
-                             ids=["static", "diagonal"])
+    @pytest.mark.parametrize("h", [Hamiltonian([0.0, 1.0])], ids=["diagonal"])
     def test_basis_same_at_every_point_is_one_matrix(self, h):
-        # a basis that does not move is a broadcast view, not a per-point copy
+        # a diagonal H's basis is a broadcast view, not a per-point copy
         basis = energy_eigenbasis(h.matrix(np.linspace(0.0, 1.0, 5)))
-        assert basis.basis.shape == (5, 2, 2) and basis.basis.strides[0] == 0
-        assert basis.energies.shape == (5, 2)
-        assert np.array_equal(basis.basis[3], energy_eigenbasis(h.matrix(0.0)).basis)
+        assert basis.eigenvectors.shape == (5, 2, 2) and basis.eigenvectors.strides[0] == 0
+        assert basis.eigenvalues.shape == (5, 2)
+        assert np.array_equal(basis.eigenvectors[3], energy_eigenbasis(h.matrix(0.0)).eigenvectors)
+
+    def test_constant_stack_is_solved_as_given(self):
+        # the stack of a constant non-diagonal H is solved matrix by matrix:
+        # a static H is one matrix only when the caller evaluates it once
+        h = Hamiltonian.from_matrix(np.array([[0.3, 0.2], [0.2, 1.7]]))
+        basis = energy_eigenbasis(h.matrix(np.linspace(0.0, 1.0, 5)))
+        one = energy_eigenbasis(h.matrix(0.0))
+        assert one.eigenvalues.shape == (2,) and one.eigenvectors.shape == (2, 2)
+        assert basis.eigenvectors.shape == (5, 2, 2) and basis.eigenvectors.strides[0] != 0
+        assert np.array_equal(basis.eigenvalues, np.broadcast_to(one.eigenvalues, (5, 2)))
+        assert np.array_equal(basis.eigenvectors, np.broadcast_to(one.eigenvectors, (5, 2, 2)))
 
     def test_driven_diagonal_keeps_entry_order(self):
         h = Hamiltonian(["1+t", "0.5"])
         basis = energy_eigenbasis(h.matrix(0.0))
         # entry order, not sorted: the first branch is the first diagonal entry
-        assert np.array_equal(basis.energies, np.array([1.0, 0.5]))
+        assert np.array_equal(basis.eigenvalues, np.array([1.0, 0.5]))
 
 
 def test_density_operator_requires_square():
