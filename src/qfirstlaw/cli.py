@@ -66,11 +66,7 @@ def _add_experiment_flags(sim: argparse.ArgumentParser) -> None:
 
 
 def cmd_simulate(args) -> int:
-    file_values = None
-    if args.config:
-        file_values = experiment.read_json(args.config, "config file")
-        if not isinstance(file_values, dict):
-            raise ConfigError("config file must contain a JSON object")
+    file_values = experiment.read_json(args.config, "config file") if args.config else {}
     flag_values = {key: value for key, value in vars(args).items()
                    if key in experiment._CONFIG_KEYS}
     config = experiment.config_from_sources(file_values, flag_values)
@@ -167,7 +163,7 @@ def main(argv=None) -> int:
             UnsupportedDimensionError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
-    except (exprparse.LexError, exprparse.ParseError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -44,23 +44,22 @@ _ORACLE_COHERENCE = {
 }
 
 
-def parse_theta(text) -> float:
+def parse_theta(text: str) -> float:
     """Angle in radians; the literal tokens pi and pi/<n> are accepted
-    so pi/6 stays exact instead of a rounded decimal."""
-    if isinstance(text, (int, float)):
-        return float(text)
+    so pi/6 stays exact instead of a rounded decimal.  <n> must be finite:
+    pi/inf would read as 0."""
     token = text.strip().lower()
-    if token == "pi":
-        return math.pi
-    if token.startswith("pi/"):
-        try:
-            return math.pi / float(token[3:])
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError(f"cannot parse angle {text!r}") from None
     try:
-        return float(token)
-    except ValueError:
-        raise ConfigError(f"cannot parse angle {text!r}") from None
+        if token == "pi":
+            return math.pi
+        if not token.startswith("pi/"):
+            return float(token)
+        divisor = float(token[3:])
+        if math.isfinite(divisor):
+            return math.pi / divisor
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ConfigError(f"cannot parse angle {text!r}")
 
 
 def read_json(path, what: str):
@@ -82,8 +81,6 @@ def parse_channel(value) -> ChannelSpec:
 
     Accepts a builtin name, custom:<json-file>, or an inline custom-channel
     object in the documented JSON schema."""
-    if isinstance(value, ChannelSpec):
-        return value
     if isinstance(value, dict):
         payload, origin = value, ""
     else:
@@ -139,13 +136,16 @@ class ExperimentConfig:
 _CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
 
 
-def config_from_sources(file_values: dict | None, flag_values: dict) -> ExperimentConfig:
-    """Merge a JSON config file with CLI flags; flags override file values.
-    A flag left at None was not given; a file value of null is kept, so the
-    config rejects it as a value of the wrong type."""
+def config_from_sources(file_values: dict, flag_values: dict) -> ExperimentConfig:
+    """Merge a JSON config file's value ({} for no file) with CLI flags;
+    flags override file values.  A flag left at None was not given; a file
+    value of null is kept, so the config rejects it as a value of the wrong
+    type."""
+    if not isinstance(file_values, dict):
+        raise ConfigError("config file must contain a JSON object")
     flags = {key: value for key, value in flag_values.items() if value is not None}
     merged: dict = {}
-    for source in (file_values or {}), flags:
+    for source in file_values, flags:
         for key, value in source.items():
             if key not in _CONFIG_KEYS:
                 raise ConfigError(f"unknown config key {key!r}")

@@ -1,10 +1,9 @@
 """The per-layer benchmark's tracer (perfbench/tracer.py), loaded as it is,
 must keep working on the package: every observer accepts what its layer
-returns, and branch matching, degeneracy inheritance, expression evaluation,
-H(t), its eigenbasis and the eigensolver record at least one call per
-trajectory, which the benchmark requires of every layer it lists.  The
-benchmark's seeded qudit inputs (perfbench/inputs.py) also show that a ledger
-does not depend on the energy unit."""
+returns, and every layer that ``tracer.LAYERS`` lists for all four workloads
+records at least one call per trajectory, which the benchmark requires of
+each of them.  The benchmark's seeded qudit inputs (perfbench/inputs.py) also
+show that a ledger does not depend on the energy unit."""
 
 import importlib.util
 import json
@@ -52,20 +51,21 @@ def _seeded_d8_input():
 @pytest.mark.parametrize("case", [_qubit_ledger, _seeded_d8_input], ids=["qubit-4000", "d8"])
 def test_traced_layers_record_calls_on_every_trajectory(case):
     args = case()
-    original = firstlaw.branch_match
-    tracer = _load("tracer").Tracer()
+    tracer_mod = _load("tracer")
+    original = firstlaw.spectral_trajectory
+    tracer = tracer_mod.Tracer()
     tracer.install()
     try:
-        assert firstlaw.branch_match is not original
+        assert firstlaw.spectral_trajectory is not original
         firstlaw.run_energetics(*args)
     finally:
         tracer.uninstall()
-    assert firstlaw.branch_match is original
+    assert firstlaw.spectral_trajectory is original
     stats = tracer.snapshot()
     assert stats["firstlaw.spectral_trajectory"]["calls"] == 1
-    for layer in ("firstlaw.branch_match", "firstlaw._inherit_degenerate",
-                  "exprparse.evaluate", "qstate.Hamiltonian.matrix",
-                  "qstate.energy_eigenbasis", "cxmat.hermitian_eigen"):
+    layers = [name for name, _, _, listed in tracer_mod.LAYERS if listed == tracer_mod.ALL]
+    assert layers
+    for layer in layers:
         assert stats[layer]["calls"] >= 1, layer
 
 

@@ -197,6 +197,14 @@ class TestApply:
         with pytest.raises(cxmat.ShapeError):
             apply(kraus_at(ChannelSpec.phase_damping(), 0.0), DensityOperator(np.eye(3) / 3))
 
+    def test_trace_drift_beyond_the_completeness_deviation_is_refused(self):
+        # deviation 5e-11 passes the CPTP check; the trace-10 state drifts by
+        # 1e-9, past the d * 5e-11 + 1e-12 a unit-trace state could drift by
+        kraus = KrausSet((math.sqrt(1 + 5e-11) * np.eye(2),), 0.0)
+        with pytest.raises(cxmat.NumericError, match=re.escape(
+                "at t=0.0: trace drifted by 1.000e-09 under a CPTP-validated set")):
+            apply(kraus, DensityOperator(10 * np.eye(2)))
+
 
 class TestEvolve:
     def test_off_diagonal_value_at_tau_two(self):
@@ -351,6 +359,19 @@ class TestCustomChannels:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             ChannelSpec("amplitude_damping")
+
+    def test_builtin_of_another_dimension_rejected(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "builtin channels are qubit channels (dim 2)")):
+            ChannelSpec("phase_damping", dim=3)
+
+    def test_custom_without_operators_rejected(self):
+        with pytest.raises(ValueError, match="^custom channel needs at least one Kraus operator$"):
+            ChannelSpec("custom")
+
+    def test_from_json_rejects_a_non_object(self):
+        with pytest.raises(ValueError, match="^channel JSON must be an object$"):
+            ChannelSpec.from_json("[1]")
 
 
 def _einsum_apply(kraus, rho):

@@ -47,11 +47,13 @@ class TestParseHelpers:
         assert parse_theta("pi/6") == math.pi / 6
         assert parse_theta("pi") == math.pi
         assert parse_theta("0.75") == 0.75
-        assert parse_theta(0.5) == 0.5
 
     def test_theta_rejects_garbage(self):
         with pytest.raises(ConfigError):
             parse_theta("pi/zero")
+        for token in ("pi/inf", "pi/-inf", "pi/nan", "pi/0"):  # pi/inf would read as 0
+            with pytest.raises(ConfigError, match=f"^cannot parse angle '{token}'$"):
+                parse_theta(token)
         with pytest.raises(ConfigError):
             parse_theta("tau/6")
 
@@ -130,6 +132,11 @@ class TestExperimentConfig:
     def test_channel_required(self):
         with pytest.raises(ConfigError, match="channel"):
             config_from_sources({}, {"steps": 100})
+
+    @pytest.mark.parametrize("file_values", [[1, 2], None, "phase-flip", 3])
+    def test_config_that_is_not_an_object_rejected(self, file_values):
+        with pytest.raises(ConfigError, match="^config file must contain a JSON object$"):
+            config_from_sources(file_values, {"channel": "phase-flip"})
 
 
 class TestCsvSerialization:
@@ -286,6 +293,27 @@ class TestSimulateCommand:
         assert code == 0
         assert len(out.read_text().splitlines()) == 82  # header + 81 rows
 
+    @pytest.mark.parametrize("text", ["[1, 2]", "null"])
+    def test_config_file_that_is_not_an_object_exits_2(self, tmp_path, capsys, text):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        out = tmp_path / "traj.csv"
+        code = cli.main(["simulate", "--config", str(config), "--channel", "phase-flip",
+                         "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: config file must contain a JSON object\n"
+        assert not out.exists()
+
+    def test_inline_channel_object_in_config_matches_the_channel_file(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"channel": json.loads(PHASE_DAMPING_CUSTOM.read_text()),
+                                      "theta": "pi/6", "steps": 400}))
+        outs = {name: tmp_path / f"{name}.csv" for name in ("inline", "file")}
+        assert cli.main(["simulate", "--config", str(config), "--out", str(outs["inline"])]) == 0
+        assert cli.main(["simulate", "--channel", f"custom:{PHASE_DAMPING_CUSTOM}",
+                         "--theta", "pi/6", "--steps", "400", "--out", str(outs["file"])]) == 0
+        assert outs["inline"].read_bytes() == outs["file"].read_bytes()
+
     def test_negative_exponent_value_after_equals(self, tmp_path):
         # some argparse versions take "--eg -1e-3" for two options; the
         # README gives the "=" form, which every version reads as a value
@@ -352,9 +380,9 @@ class TestSimulateCommand:
         code = cli.main(["simulate", *flags, "--out", str(tmp_path / "custom.csv")])
         assert code == 0
         custom = run_experiment(config_from_sources(
-            None, {"channel": f"custom:{PHASE_DAMPING_CUSTOM}", "theta": "pi/6"})).ledger
+            {}, {"channel": f"custom:{PHASE_DAMPING_CUSTOM}", "theta": "pi/6"})).ledger
         builtin = run_experiment(config_from_sources(
-            None, {"channel": "phase-damping", "theta": "pi/6"})).ledger
+            {}, {"channel": "phase-damping", "theta": "pi/6"})).ledger
         for column in ("tau", "delta_u", "work", "heat", "coherence"):
             assert np.max(np.abs(getattr(custom, column) - getattr(builtin, column))) <= 1e-12
         written = np.loadtxt(tmp_path / "custom.csv", delimiter=",", skiprows=1)
@@ -368,9 +396,9 @@ class TestSimulateCommand:
         code = cli.main(["simulate", *flags, "--out", str(tmp_path / "rounded.csv")])
         assert code == 0, capsys.readouterr().err
         custom = run_experiment(config_from_sources(
-            None, {"channel": f"custom:{ROUNDED_PHASE_FLIP_CUSTOM}", "theta": "pi/6"})).ledger
+            {}, {"channel": f"custom:{ROUNDED_PHASE_FLIP_CUSTOM}", "theta": "pi/6"})).ledger
         builtin = run_experiment(config_from_sources(
-            None, {"channel": "phase-flip", "theta": "pi/6"})).ledger
+            {}, {"channel": "phase-flip", "theta": "pi/6"})).ledger
         assert len(builtin.tau) == 4001
         for column in ("tau", "delta_u", "work", "heat", "coherence"):
             assert np.max(np.abs(getattr(custom, column) - getattr(builtin, column))) <= 1e-10
@@ -382,9 +410,9 @@ class TestSimulateCommand:
         code = cli.main(["simulate", *flags, "--out", str(tmp_path / "power.csv")])
         assert code == 0, capsys.readouterr().err
         custom = run_experiment(config_from_sources(
-            None, {"channel": f"custom:{POWER_PHASE_FLIP_CUSTOM}", "theta": "pi/6"})).ledger
+            {}, {"channel": f"custom:{POWER_PHASE_FLIP_CUSTOM}", "theta": "pi/6"})).ledger
         builtin = run_experiment(config_from_sources(
-            None, {"channel": "phase-flip", "theta": "pi/6"})).ledger
+            {}, {"channel": "phase-flip", "theta": "pi/6"})).ledger
         assert len(builtin.tau) == 4001
         for column in ("tau", "delta_u", "work", "heat", "coherence"):
             assert np.max(np.abs(getattr(custom, column) - getattr(builtin, column))) <= 1e-10
@@ -589,6 +617,12 @@ class TestSimulateCommand:
 
 
 class TestReproduceCommand:
+    def test_unknown_figure_rejected(self, tmp_path):
+        message = "^unknown figure 'fig9'; expected one of fig2, fig3$"
+        with pytest.raises(ConfigError, match=message):
+            reproduce_figure("fig9", tmp_path)
+        assert not any(tmp_path.iterdir())
+
     def test_fig3_outputs(self, tmp_path, capsys):
         code = cli.main(["reproduce", "fig3", "--out-dir", str(tmp_path)])
         assert code == 0

@@ -128,6 +128,10 @@ class TestHermitianEigen:
             with pytest.raises(cxmat.ShapeError, match=re.escape(f"got shape {shape}")):
                 cxmat.as_matrix(np.zeros(shape))
 
+    def test_vector_rejected(self):
+        with pytest.raises(cxmat.ShapeError, match="got ndim=1$"):
+            cxmat.as_matrix(np.zeros(3))
+
     def test_empty_stack_of_matrices_accepted(self):
         assert cxmat.as_matrix(np.zeros((0, 2, 2))).shape == (0, 2, 2)
         eig = cxmat.hermitian_eigen(np.zeros((0, 2, 2)))

@@ -147,6 +147,17 @@ class TestInternalEnergy:
         with pytest.raises(cxmat.ShapeError):
             internal_energy(rho, Hamiltonian([0.0, 1.0]).matrix(0.0))
 
+    def test_imaginary_energy_is_refused_naming_the_grid_point(self):
+        # a non-Hermitian H gives Tr(rho H) = 0.5i on the state |+><+|
+        plus = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
+        hm = np.array([[0, 1j], [0, 0]])
+        message = "internal energy has non-negligible imaginary part 5.000e-01"
+        with pytest.raises(cxmat.NumericError, match=f"^{message}$"):
+            internal_energy(DensityOperator(plus), hm)
+        stack = DensityOperator(np.stack([np.eye(2) / 2, plus]))
+        with pytest.raises(cxmat.NumericError, match=f"^at grid point 1: {message}$"):
+            internal_energy(stack, np.stack([hm, hm]))
+
     @given(angles_theta, st.floats(-5, 5), st.floats(-5, 5))
     def test_linear_in_hamiltonian(self, theta, e_g, e_e):
         rho = prepare_pure_state(theta)
@@ -199,6 +210,14 @@ class TestHamiltonian:
     def test_from_matrix_rejects_non_hermitian(self):
         with pytest.raises(cxmat.NonHermitianError):
             Hamiltonian.from_matrix(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    def test_from_matrix_rejects_a_non_square_matrix(self):
+        with pytest.raises(cxmat.ShapeError, match=r"got shape \(2, 3\)$"):
+            Hamiltonian.from_matrix(np.zeros((2, 3)))
+
+    def test_lower_triangle_index_rejected(self):
+        with pytest.raises(ValueError, match=r"^upper-triangle index out of range: \(1, 0\)$"):
+            Hamiltonian([0, 1], {(1, 0): 1.0})
 
     def test_expression_entries_stay_hermitian(self):
         h = Hamiltonian([0.0, "t"], {(0, 1): ("cos(t)", "sin(t)")})
