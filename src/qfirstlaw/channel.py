@@ -42,7 +42,7 @@ _FLIP_PAULI = {PHASE_FLIP: PAULI_Z, BIT_FLIP: PAULI_X, BIT_PHASE_FLIP: PAULI_Y}
 CPTP_TOL = 1e-10
 
 
-class CptpError(RuntimeError):
+class CptpError(cxmat.NumericError):
     """A Kraus set failed the completeness check sum_i K_i† K_i = I."""
 
     def __init__(self, message: str, deviation: float):
@@ -67,6 +67,9 @@ class KrausSet:
                 raise cxmat.ShapeError(
                     f"all Kraus operators must be {shape[-1]}x{shape[-1]}, got {k.shape}"
                 )
+        if np.shape(self.time_label) != shape[:-2]:
+            raise cxmat.ShapeError(f"time_label of shape {np.shape(self.time_label)} does not "
+                                   f"label operators of shape {shape}")
         object.__setattr__(self, "operators", ops)
 
     @property
@@ -135,7 +138,9 @@ class ChannelSpec:
             try:
                 cells.append(exprparse.matrix_cells(
                     ((i, j), entry) for i, row in enumerate(op) for j, entry in enumerate(row)))
-            except TypeError as exc:
+            except exprparse.ExpressionError as exc:
+                raise exc.prefixed(f"custom channel operator {index} ") from exc
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"custom channel operator {index} {exc}") from exc
         spec = cls(CUSTOM, dim=d, custom_operators=tuple(cells))
         validate_cptp(kraus_at(spec, 0.0))
@@ -150,10 +155,12 @@ class ChannelSpec:
     def from_json(cls, source) -> "ChannelSpec":
         """Build a custom channel from the documented JSON schema:
         {"kind": "custom", "dim": d, "kraus": [matrix, ...]} with each
-        matrix entry a two-element ["re_expr", "im_expr"] pair."""
+        matrix entry a two-element ["re_expr", "im_expr"] pair, and no other key."""
         obj = json.loads(source) if isinstance(source, str) else source
         if not isinstance(obj, dict):
             raise ValueError("channel JSON must be an object")
+        if unknown := set(obj) - {"kind", "dim", "kraus"}:
+            raise ValueError(f"unknown channel JSON key {min(unknown)!r}")
         if obj.get("kind") != CUSTOM:
             raise ValueError(f"channel JSON kind must be 'custom', got {obj.get('kind')!r}")
         if "kraus" not in obj:
@@ -191,9 +198,7 @@ def kraus_at(spec: ChannelSpec, t) -> KrausSet:
         try:
             ops.append(exprparse.evaluate_matrix(cells, spec.dim, times))
         except exprparse.DomainError as exc:
-            raise exprparse.DomainError(
-                f"custom channel operator {index} {exc.message}", exc.position
-            ) from exc
+            raise exc.prefixed(f"custom channel operator {index} ") from exc
     return KrausSet(tuple(ops), t)
 
 

@@ -17,10 +17,9 @@ import argparse
 import ctypes
 import sys
 
-from . import cxmat, experiment, exprparse, verification
-from .channel import CPTP_TOL, CptpError, completeness_deviation, kraus_at
+from . import cxmat, experiment, verification
+from .channel import CPTP_TOL, completeness_deviation, kraus_at
 from .experiment import ConfigError
-from .firstlaw import UnsupportedDimensionError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -158,9 +157,7 @@ def main(argv=None) -> int:
         print(f"error: cannot write {exc.filename or 'output'}: {exc.strerror or exc}",
               file=sys.stderr)
         return 2
-    except (exprparse.DomainError, CptpError, cxmat.NumericError,
-            cxmat.ConvergenceError, cxmat.NonHermitianError,
-            UnsupportedDimensionError) as exc:
+    except cxmat.NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

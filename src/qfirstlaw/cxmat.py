@@ -36,6 +36,11 @@ class ShapeError(ValueError):
     """Matrix dimensions incompatible with the requested operation."""
 
 
+class NumericError(RuntimeError):
+    """A numerical invariant was violated (non-finite entries, residues...);
+    the base of every error the command line reports with exit code 3."""
+
+
 class _StackIndexed:
     """Error about one matrix of a stack: ``index`` is its position in the
     leading axes, or None for a single matrix."""
@@ -45,16 +50,12 @@ class _StackIndexed:
         self.index = index
 
 
-class NonHermitianError(_StackIndexed, ValueError):
+class NonHermitianError(_StackIndexed, ValueError, NumericError):
     """Input matrix breaks the Hermiticity rule (module docstring)."""
 
 
-class ConvergenceError(_StackIndexed, RuntimeError):
+class ConvergenceError(_StackIndexed, NumericError):
     """Iterative routine exhausted its sweep budget without converging."""
-
-
-class NumericError(RuntimeError):
-    """A numerical invariant was violated (non-finite entries, residues...)."""
 
 
 #: Off-diagonal magnitudes are driven below this multiple of the largest

@@ -11,8 +11,9 @@ the nodes of one depth that apply one operator or function are computed by
 one numpy call and checked once.  So a subexpression repeated across cells,
 such as the ``sqrt(w*(1-exp(-t)))`` factor of every entry of a
 mixed-unitary Kraus operator, is evaluated and checked once per call, and
-one call of ``evaluate`` fills the whole matrix.  A single expression is a
-Plan with one root.
+one call of ``evaluate`` fills the whole matrix: ``evaluate_matrix`` is the
+only way to evaluate an expression.  It refuses a time that is not finite,
+and every literal is finite, so only an operator or a function can fail.
 
 Grammar::
 
@@ -39,7 +40,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -58,6 +59,10 @@ class ExpressionError(ValueError):
         self.message = message
         self.position = position
 
+    def prefixed(self, prefix: str) -> "ExpressionError":
+        """This error again, of its type, with ``prefix`` before its message."""
+        return type(self)(prefix + self.message, self.position)
+
 
 class LexError(ExpressionError):
     pass
@@ -67,8 +72,8 @@ class ParseError(ExpressionError):
     pass
 
 
-class DomainError(ExpressionError):
-    """Evaluation produced a non-finite or mathematically undefined value;
+class DomainError(ExpressionError, cxmat.NumericError):
+    """An operator or a function gave a non-finite or undefined value;
     ``root`` is the index of the failing root of the Plan evaluated."""
 
 
@@ -228,26 +233,15 @@ class _Parser:
         raise ParseError(f"unexpected token {tok.lexeme!r}", tok.position)
 
 
-def parse(tokens: list[Token], table: dict | None = None) -> Expression:
-    """Parse a token stream into an Expression; the whole stream must be
-    consumed.  Equal subtrees become one node object, shared through
-    ``table`` with earlier parses (a fresh table by default)."""
-    parser = _Parser(tokens, {} if table is None else table)
+def parse_source(src: str, table: dict | None = None) -> Expression:
+    """Parse ``src`` into an Expression; all of its tokens must be consumed.
+    Equal subtrees become one node object, shared through ``table`` with
+    earlier parses (a fresh table by default)."""
+    parser = _Parser(tokenize(src), {} if table is None else table)
     node = parser.expr()
     if (leftover := parser.tokens[parser.i]).kind != "end":
         raise ParseError(f"unexpected trailing token {leftover.lexeme!r}", leftover.position)
-    if not isinstance(node, (Binary, Call)):
-        # A root that is a literal, t or a negation is checked only as the
-        # root, and fails only at a non-finite t; its error must name this
-        # parse's offset, not that of an earlier parse it is shared with.
-        position = next(tok.position for tok in tokens if tok.kind != "lparen")
-        if node.pos != position:
-            node = replace(node, pos=position)
     return node
-
-
-def parse_source(src: str, table: dict | None = None) -> Expression:
-    return parse(tokenize(src), table)
 
 
 # On numpy scalars these give inf or NaN, never an exception.  A subtree
@@ -266,19 +260,7 @@ def _operands(expr: Expression) -> tuple:
         return (expr.arg,)
     if isinstance(expr, Negate):
         return (expr.child,)
-    if isinstance(expr, (Number, TimeVar)):
-        return ()
-    raise TypeError(f"not an Expression node: {expr!r}")
-
-
-def _post_order(expr: Expression, entered: set, order: list):
-    """Append to ``order`` the nodes under ``expr`` not in ``entered``, operands first."""
-    if id(expr) in entered:
-        return
-    entered.add(id(expr))
-    for operand in _operands(expr):
-        _post_order(operand, entered, order)
-    order.append(expr)
+    return ()
 
 
 class Plan:
@@ -296,22 +278,16 @@ class Plan:
     buffer stands for the checks, which are made node by node only when it
     fails.
 
-    ``nodes``, the entries of the parse table the roots were parsed with,
-    lists each node after its operands; a walk from the roots adds the
-    nodes it lacks."""
+    ``nodes``, the entries of the parse table the roots were entered in,
+    holds every root and lists each node after its operands."""
 
-    def __init__(self, roots, nodes=()):
+    def __init__(self, roots, nodes):
         self.roots = tuple(roots)
-        order = list(nodes)
-        entered = set(map(id, order))
-        for root in self.roots:
-            if id(root) not in entered:
-                _post_order(root, entered, order)
         self.scalars: dict = {}  # id -> value of a t-free node
         self.rows: dict = {}     # id -> buffer row of a t-dependent node
         self.failed = False      # whether a t-free check failed
         self.steps = []
-        groups = self._group(order)
+        groups = self._group(nodes)
         # row 0 holds t if a node reads it
         self.time_rows = np.arange(1 if self.rows else 0)
         row = len(self.time_rows)
@@ -343,14 +319,14 @@ class Plan:
         self.scalar_rows = np.array(scalar_rows, dtype=np.intp)
         self.scalar_values = np.array(scalar_values, dtype=float).reshape(-1, 1)
 
-    def _group(self, order: list) -> dict:
-        """Evaluate the t-free nodes of ``order`` into ``scalars``, and group
+    def _group(self, nodes) -> dict:
+        """Evaluate the t-free nodes of ``nodes`` into ``scalars``, and group
         the others: (depth, ufunc name, side of each operand) -> [(id,
         operand ids)], a side being None for an operand with ``t``."""
         scalars, rows, groups = self.scalars, self.rows, {}
         depth: dict = {}  # id -> depth of a node with t
         with np.errstate(all="ignore"):
-            for expr in order:
+            for expr in nodes:
                 key = id(expr)
                 if isinstance(expr, Number):
                     scalars[key] = expr.value
@@ -411,8 +387,6 @@ class Plan:
         for k, root in enumerate(self.roots):
             failures: list = []
             walk(root, failures)
-            if not isinstance(root, (Binary, Call)):
-                _check(root, value(root), (), times, failures)
             if failures:
                 index, _, message, pos = min(failures)
                 error = DomainError(f"{message} at t={float(times[index])!r}", pos)
@@ -420,15 +394,12 @@ class Plan:
                 raise error
 
 
-def evaluate(expr, t):
-    """IEEE double evaluation of an Expression at a float ``t`` (a float) or
-    at each entry of an array of times (an array of its shape), or of a
-    Plan's roots (an array of shape (roots,) + the shape of ``t``).  A float
-    ``t`` is the one-point grid, so it gets the bits of any grid that holds
-    it.  Raises DomainError at the node that divides by zero or yields a
-    non-finite value, naming the first bad t."""
-    plan = expr if isinstance(expr, Plan) else Plan((expr,))
-    times = np.asarray(t, dtype=float)
+def evaluate(plan: Plan, times: np.ndarray) -> np.ndarray:
+    """IEEE double values of a Plan's roots over an array of finite times,
+    of shape (roots,) + ``times.shape``.  A 0-d array is the one-point grid,
+    so it gets the bits of any grid that holds its time.  Raises DomainError
+    at the operator or function that yields a non-finite value, naming the
+    first bad t."""
     grid = times.reshape(-1)
     buf = np.empty((plan.size, grid.size))
     buf[plan.time_rows] = grid
@@ -436,14 +407,10 @@ def evaluate(expr, t):
     with np.errstate(all="ignore"):
         for ufunc, start, stop, args in plan.steps:
             ufunc(*[buf[arg] if row else arg for row, arg in args], out=buf[start:stop])
-    # a failed check leaves a value that is not finite; so can t itself, or a
-    # negation, which are checked only as roots; an empty grid has no t to fail at
+    # a failed check leaves a non-finite value; an empty grid has no t to fail at
     if grid.size and (plan.failed or not np.isfinite(buf).all()):
         plan._raise_first_failure(buf, grid)
-    values = buf[plan.root_rows].reshape((len(plan.roots),) + times.shape)
-    if plan is expr:
-        return values
-    return float(values[0]) if times.ndim == 0 else values[0]
+    return buf[plan.root_rows].reshape((len(plan.roots),) + times.shape)
 
 
 def _check(expr: Expression, value, operands: tuple, times: np.ndarray, failures: list):
@@ -453,9 +420,7 @@ def _check(expr: Expression, value, operands: tuple, times: np.ndarray, failures
         return
     index = int(np.argmin(np.broadcast_to(np.isfinite(value), times.shape).ravel()))
     at = [float(np.broadcast_to(x, times.shape).flat[index]) for x in (value, *operands)]
-    if not operands:
-        message = "expression evaluated to a non-finite value"
-    elif isinstance(expr, Call):
+    if isinstance(expr, Call):
         message = ("overflow in exp()" if expr.fn == "exp"
                    else f"{expr.fn}() of out-of-domain argument {at[1]!r}")
     elif expr.op == "/" and at[2] == 0.0:
@@ -467,17 +432,21 @@ def _check(expr: Expression, value, operands: tuple, times: np.ndarray, failures
         message = "invalid operands for '^'" if undefined else "overflow in '^'"
     else:
         message = f"non-finite result from '{expr.op}'"
-    failures.append((index, len(failures), message, getattr(expr, "pos", 0)))
+    failures.append((index, len(failures), message, expr.pos))
 
 
 def as_expression(value, table: dict | None = None) -> Expression:
-    """Normalize a number (not a bool), source string, or Expression into an
-    Expression; a string is parsed with ``table`` (see parse)."""
-    if isinstance(value, Expression):
-        return value
+    """The Expression of a finite number (not a bool) or of a source string,
+    entered in ``table`` (see parse_source): a negative number is the
+    negation of its magnitude, as parsed."""
+    table = {} if table is None else table
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        v = float(value)
-        return Negate(Number(-v)) if v < 0 else Number(v)
+        v = float(value)  # an OverflowError for an int past the largest double
+        if not math.isfinite(v):
+            raise ValueError(f"number {v!r} is not finite as a double")
+        magnitude = -v if v < 0 else v
+        number = _shared(table, Number, (magnitude.hex(),), magnitude)
+        return _shared(table, Negate, (id(number),), number) if v < 0 else number
     if isinstance(value, str):
         return parse_source(value, table)
     raise TypeError(f"cannot interpret {value!r} as an expression")
@@ -505,8 +474,9 @@ class Cells(tuple):
     first; ``parts`` holds, for the real and then the imaginary part, the
     indices of the plan's roots and the rows and columns they fill."""
 
-    def __new__(cls, cells, nodes=()):
+    def __new__(cls, cells, nodes):
         self = super().__new__(cls, cells)
+        self.nodes = tuple(nodes)
         roots, parts, owners = [], ([], []), []
         for index, cell in self:
             for part, expr in zip(parts, cell):
@@ -514,42 +484,52 @@ class Cells(tuple):
                     part.append(len(roots))
                     roots.append(expr)
                     owners.append(index)
-        self.plan = Plan(roots, nodes)
+        self.plan = Plan(roots, self.nodes)
         self.owners = owners
         at = np.array(owners, dtype=np.intp).reshape(-1, 2)
         self.parts = tuple((np.array(part, dtype=np.intp), *at[part].T) for part in parts)
         return self
 
+    def __reduce__(self):
+        # a plan is keyed by node identities, so a copy or an unpickled one builds its own
+        return Cells, (tuple(self), self.nodes)
+
 
 def matrix_cells(entries) -> Cells:
     """The cells of ((i, j), entry) items whose parts are not both the literal 0,
     parsed with one table, so equal subexpressions of different cells are
-    one node.  An entry of another type raises a TypeError naming it."""
+    one node.  The refusal of an entry (a lex or parse error, a wrong type,
+    a number that is not finite as a double) keeps its type and names the entry."""
     cells = []
     table: dict = {}
     for (i, j), value in entries:
         try:
             cell = as_cell(value, table)
-        except TypeError as exc:
-            raise TypeError(f"entry ({i},{j}): {exc}") from exc
+        except ExpressionError as exc:
+            raise exc.prefixed(f"entry ({i},{j}): ") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise type(exc)(f"entry ({i},{j}): {exc}") from exc
         if cell != (ZERO, ZERO):
             cells.append(((i, j), cell))
     return Cells(cells, table.values())
 
 
 def evaluate_matrix(cells: Cells, dim: int, t) -> np.ndarray:
-    """The (dim, dim) complex matrix of ``cells`` at a float ``t``, or the
-    (T, dim, dim) stack over an array of times: one ``evaluate`` of the
-    cells' plan, so a literal-0 part is not evaluated and a subexpression
-    shared by several cells is evaluated once.  A DomainError names the
-    entry and the first bad t.  A stack is grid-last in memory (see
-    cxmat.stack_view)."""
+    """The (dim, dim) complex matrix of ``cells`` at a finite float ``t``,
+    or the (T, dim, dim) stack over an array of finite times: one
+    ``evaluate`` of the cells' plan, so a literal-0 part is not evaluated
+    and a subexpression shared by several cells is evaluated once.  A
+    DomainError names the entry and the first bad t.  A stack is grid-last
+    in memory (see cxmat.stack_view)."""
     times = np.asarray(t, dtype=float)
+    bad = ~np.isfinite(times)
+    if np.any(bad):
+        raise ValueError(f"time must be finite, got {times[bad].flat[0]}")
     try:
         values = evaluate(cells.plan, times)
     except DomainError as exc:
         i, j = cells.owners[exc.root]
-        raise DomainError(f"entry ({i},{j}): {exc.message}", exc.position) from exc
+        raise exc.prefixed(f"entry ({i},{j}): ") from exc
     out = np.zeros((dim, dim) + times.shape, dtype=np.complex128)
     for target, (roots, i, j) in zip((out.real, out.imag), cells.parts):
         target[i, j] = values[roots]

@@ -85,7 +85,7 @@ _DEGENERACY_GAP = 1e-12
 _TIE_EPS = 1e-12
 
 
-class UnsupportedDimensionError(ValueError):
+class UnsupportedDimensionError(ValueError, cxmat.NumericError):
     """Branch matching left more than MAX_BRANCH_DIM rows unpinned."""
 
 

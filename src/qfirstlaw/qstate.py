@@ -145,11 +145,7 @@ class Hamiltonian:
                                                 for i in range(d) for j in range(i + 1, d)})
 
     def matrix(self, t) -> np.ndarray:
-        """Entries at time t, or (T, d, d) over an array of times; Hermitian exactly."""
-        times = np.asarray(t, dtype=float)
-        bad = ~np.isfinite(times)
-        if np.any(bad):
-            raise ValueError(f"time must be finite, got {times[bad].flat[0]}")
+        """Entries at a finite t, or (T, d, d) over an array of finite times; Hermitian exactly."""
         out = exprparse.evaluate_matrix(self._cells, self.dim, t)
         i, j = self._upper
         upper = out[..., i, j]  # a copy, conjugated in place: one temporary

@@ -141,7 +141,7 @@ class TestValidateCptp:
         if grid_last:
             ops = [cxmat.stack_view(np.ascontiguousarray(np.moveaxis(k, 0, -1))) for k in ops]
         with np.errstate(over="ignore", invalid="ignore"):
-            deviation = completeness_deviation(KrausSet(tuple(ops), 0.0))
+            deviation = completeness_deviation(KrausSet(tuple(ops), np.zeros(shape[:-2])))
             # elementwise, not matmul: BLAS can turn an inf - inf cell into inf + nan j
             total = sum((k.conj()[..., :, None] * k[..., None, :]).sum(axis=-3) for k in ops)
         expected = np.abs(total - np.eye(shape[-1])).max(axis=(-2, -1))
@@ -307,6 +307,18 @@ class TestCustomChannels:
         with pytest.raises(CptpError, match="t=3"):
             evolve(drifting, REFERENCE_STATE, 3.0)
 
+    @pytest.mark.parametrize("entry, error, message", [
+        ("1+", exprparse.ParseError,
+         r"^custom channel operator 1 entry \(1,1\): unexpected end of expression \(offset 2\)$"),
+        (math.inf, ValueError, r"^custom channel operator 1 entry \(1,1\): number inf is not"),
+        (10 ** 400, ValueError,
+         r"^custom channel operator 1 entry \(1,1\): int too large to convert to float$"),
+    ], ids=["parse", "inf", "huge-int"])
+    def test_refused_entry_names_operator_and_entry(self, entry, error, message):
+        with pytest.raises(error, match=message) as info:
+            ChannelSpec.custom([[["1", "0"], ["0", "0"]], [["0", "0"], ["0", entry]]])
+        assert type(info.value) is error
+
     def test_expression_domain_error_carries_context(self):
         spec = ChannelSpec.custom([[["1", "0"], ["0", "sqrt(1-t)"]]])
         with pytest.raises(exprparse.DomainError, match=r"entry \(1,1\)"):
@@ -417,6 +429,13 @@ class TestKrausSet:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             KrausSet((), 0.0)
+
+    @pytest.mark.parametrize("time_label, shape", [(0.0, (4, 2, 2)), ([0.0, 1.0], (4, 2, 2)),
+                                                   (np.zeros(4), (2, 2))])
+    def test_time_label_of_another_shape_rejected(self, time_label, shape):
+        # a label that does not match would name the wrong time, or none
+        with pytest.raises(cxmat.ShapeError, match="does not label operators of shape"):
+            KrausSet((np.zeros(shape),), time_label)
 
     @pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0)])
     def test_empty_operators_rejected(self, shape):

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qfirstlaw import cli, experiment, verification
-from qfirstlaw.channel import ChannelSpec
-from qfirstlaw.firstlaw import EnergeticsLedger, TimeGrid, run_energetics
+from qfirstlaw import cli, cxmat, experiment, exprparse, verification
+from qfirstlaw.channel import ChannelSpec, CptpError
+from qfirstlaw.firstlaw import EnergeticsLedger, TimeGrid, UnsupportedDimensionError, run_energetics
 from qfirstlaw.experiment import (
     ConfigError,
     ExperimentConfig,
@@ -34,6 +34,10 @@ PHASE_DAMPING_CUSTOM = ROOT / "tests" / "data" / "phase_damping_custom.json"
 ROUNDED_PHASE_FLIP_CUSTOM = ROOT / "tests" / "data" / "rounded_phase_flip_custom.json"
 TINY_BIT_FLIP_CUSTOM = ROOT / "tests" / "data" / "tiny_bit_flip_custom.json"
 POWER_PHASE_FLIP_CUSTOM = ROOT / "tests" / "data" / "power_phase_flip_custom.json"
+
+# the committed example with entry (1,1) of operator 1 cut short
+UNPARSABLE_ENTRY_KRAUS = json.loads(PHASE_DAMPING_CUSTOM.read_text())["kraus"]
+UNPARSABLE_ENTRY_KRAUS[1][1][1] = "1+"
 
 
 def small_config(**overrides):
@@ -454,6 +458,25 @@ class TestSimulateCommand:
         assert code == 3
         assert "numeric error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("error, base", [
+        (cxmat.NumericError("drift"), RuntimeError),
+        (CptpError("drift", 1.0), RuntimeError),
+        (cxmat.ConvergenceError("drift"), RuntimeError),
+        (cxmat.NonHermitianError("drift"), ValueError),
+        (exprparse.DomainError("drift", 0), ValueError),
+        (UnsupportedDimensionError("drift"), ValueError),
+    ], ids=lambda value: type(value).__name__ if isinstance(value, Exception) else None)
+    def test_numeric_error_family_exits_3(self, monkeypatch, capsys, error, base):
+        # one family, each member keeping the base it had before it joined
+        assert isinstance(error, cxmat.NumericError) and isinstance(error, base)
+
+        def fail(args):
+            raise error
+
+        monkeypatch.setitem(cli._DISPATCH, "verify", fail)
+        assert cli.main(["verify"]) == 3
+        assert capsys.readouterr().err == f"numeric error: {error}\n"
+
 
     @pytest.mark.parametrize("command", ["channel-info", "simulate"])
     def test_custom_entry_of_wrong_type_exits_2(self, tmp_path, capsys, command):
@@ -497,8 +520,11 @@ class TestSimulateCommand:
         ({"dim": 2.0}, "dim must be a positive integer, got 2.0"),
         ({"dim": 0}, "dim must be a positive integer, got 0"),
         ({"dim": "2"}, "dim must be a positive integer, got '2'"),
+        ({"kraus": UNPARSABLE_ENTRY_KRAUS},
+         "custom channel operator 1 entry (1,1): unexpected end of expression (offset 2)"),
+        ({"dims": 3}, "unknown channel JSON key 'dims'"),
     ], ids=["no-operators", "scalar-row", "kraus-not-a-list", "float-dim", "zero-dim",
-            "string-dim"])
+            "string-dim", "unparsable-entry", "unknown-key"])
     def test_malformed_custom_channel_exits_2(self, tmp_path, capsys, command, payload, message):
         # a bad dim is paired with the valid operators of the committed example
         kraus = json.loads(PHASE_DAMPING_CUSTOM.read_text())["kraus"]

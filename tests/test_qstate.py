@@ -233,6 +233,17 @@ class TestHamiltonian:
             with pytest.raises(ValueError, match=f"time must be finite, got {shown}$"):
                 h.matrix(t)
 
+    @pytest.mark.parametrize("diag, upper, error, message", [
+        ([0.0, math.inf], None, ValueError, r"^entry \(1,1\): number inf is not finite"),
+        ([0.0, 1.0], {(0, 1): (0.5, math.nan)}, ValueError,
+         r"^entry \(0,1\): number nan is not finite"),
+        ([0, "1+t", "foo(t)"], None, exprparse.ParseError,
+         r"^entry \(2,2\): unknown function 'foo' \(offset 0\)$"),
+    ], ids=["inf-diagonal", "nan-upper", "unknown-function"])
+    def test_bad_entry_refused_at_construction_naming_it(self, diag, upper, error, message):
+        with pytest.raises(error, match=message):
+            Hamiltonian(diag, upper)
+
     def test_domain_error_names_entry_and_time(self):
         h = Hamiltonian([0.0, "1"], {(0, 1): ("log(t)", "0")})
         with pytest.raises(exprparse.DomainError, match=r"entry \(0,1\): .* at t=0\.0 "):
