@@ -251,8 +251,7 @@ def _format_block(block: np.ndarray) -> bytes:
     if slow.size:
         text = np.array([format_number(v) for v in x[slow].tolist()], dtype="S19")
         buf[:19, slow] = text.view(np.uint8).reshape(slow.size, 19).T
-    out = buf.T.ravel()
-    return out[out != 0].tobytes()
+    return buf.T.tobytes().translate(None, b"\x00")
 
 
 def csv_text(result: ExperimentResult) -> str:

@@ -15,6 +15,15 @@ one call of ``evaluate`` fills the whole matrix: ``evaluate_matrix`` is the
 only way to evaluate an expression.  It refuses a time that is not finite,
 and every literal is finite, so only an operator or a function can fail.
 
+A call or bracketed group whose exact text repeats within a matrix is lexed
+and parsed once.  The table of ``matrix_cells`` carries a memo from that
+text, from the function name or "(" through the matching ")", to the node
+it parsed to; a group's node depends only on its text, so a hit is the node
+the table would give.  Tokens are lexed only as the parser reaches them, so
+a hit skips the group's lexing too, and lexing resumes after its ")".
+Errors and offsets are unchanged: a LexError anywhere in a string wins over
+a ParseError, and the end of input sits at the end of the last token.
+
 Grammar::
 
     expr    := term (("+" | "-") term)*
@@ -83,25 +92,36 @@ class Token(NamedTuple):
     position: int
 
 
-# One alternative per token kind, "t" being an ident; see the grammar above.
-_TOKEN = re.compile(r"""
+# Whitespace, then one alternative per token kind, "t" being an ident (see
+# the grammar above), or nothing at the end of the input.
+_TOKEN = re.compile(r"""\s*(?:
     (?P<number>[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<plus>\+) | (?P<minus>-) | (?P<star>\*) | (?P<slash>/) | (?P<caret>\^)
   | (?P<lparen>\() | (?P<rparen>\))
-  | (?P<space>\s+) | (?P<other>.)
-""", re.VERBOSE | re.DOTALL)
+  | (?P<other>.))?""", re.VERBOSE | re.DOTALL)
+
+
+def _token_at(src: str, pos: int) -> Token:
+    """The first token of ``src`` at or after offset ``pos``, or an "end"
+    token at ``pos`` if only whitespace is left; a character that no rule
+    takes is a LexError."""
+    match = _TOKEN.match(src, pos)
+    kind = match.lastgroup
+    if kind is None:
+        return Token("end", "", pos)
+    lexeme, start = match.group(kind), match.start(kind)
+    if kind == "other":
+        raise LexError(f"unexpected character {lexeme!r}", start)
+    return Token("t" if lexeme == "t" else kind, lexeme, start)
 
 
 def tokenize(src: str) -> list[Token]:
     """The tokens of ``src``; a character that no rule takes is a LexError."""
-    tokens: list[Token] = []
-    for match in _TOKEN.finditer(src):
-        kind, lexeme = match.lastgroup, match.group()
-        if kind == "other":
-            raise LexError(f"unexpected character {lexeme!r}", match.start())
-        if kind != "space":
-            tokens.append(Token("t" if lexeme == "t" else kind, lexeme, match.start()))
+    tokens, pos = [], 0
+    while (tok := _token_at(src, pos)).kind != "end":
+        tokens.append(tok)
+        pos = tok.position + len(tok.lexeme)
     return tokens
 
 
@@ -161,22 +181,34 @@ def _shared(table: dict, cls: type, key: tuple, *fields) -> Expression:
     return node
 
 
+class _Table(dict):
+    """A parse table with the memo of its calls and bracketed groups: the
+    exact source text of one, from its function name or "(" through the
+    matching ")", -> the node it parsed to.  The memo lives as long as its
+    table, so a hit returns the node ``_shared`` would find."""
+
+    def __init__(self):
+        super().__init__()
+        self.groups: dict = {}
+
+
 class _Parser:
-    def __init__(self, tokens: list[Token], table: dict):
-        # an "end" token after the last one stands for the end of the input
-        end = tokens[-1].position + len(tokens[-1].lexeme) if tokens else 0
-        self.tokens = [*tokens, Token("end", "", end)]
-        self.i = 0
+    def __init__(self, src: str, table: dict):
+        self.src = src
         self.table = table
+        # the memo of a table that has none lives for this parse only
+        self.groups = getattr(table, "groups", {})
+        # the next token, lexed only when the parser reaches it
+        self.tok = _token_at(src, 0)
 
     def _next(self, kind: str | None = None, what: str = "") -> Token:
         """The next token, which must be of ``kind`` (named ``what``) if given."""
-        tok = self.tokens[self.i]
+        tok = self.tok
         if tok.kind == "end":
             raise ParseError("unexpected end of expression", tok.position)
         if kind is not None and tok.kind != kind:
             raise ParseError(f"expected {what}, found {tok.lexeme!r}", tok.position)
-        self.i += 1
+        self.tok = _token_at(self.src, tok.position + len(tok.lexeme))
         return tok
 
     def expr(self) -> Expression:
@@ -188,24 +220,24 @@ class _Parser:
     def _chain(self, kinds: tuple, operand) -> Expression:
         """operand (op operand)* grouped to the left, op a token of ``kinds``."""
         node = operand()
-        while (tok := self.tokens[self.i]).kind in kinds:
-            self.i += 1
+        while (tok := self.tok).kind in kinds:
+            self._next()
             rhs = operand()
             op = tok.lexeme
             node = _shared(self.table, Binary, (op, id(node), id(rhs)), op, node, rhs, tok.position)
         return node
 
     def factor(self) -> Expression:
-        if (tok := self.tokens[self.i]).kind == "minus":
-            self.i += 1
+        if (tok := self.tok).kind == "minus":
+            self._next()
             child = self.factor()
             return _shared(self.table, Negate, (id(child),), child, tok.position)
         return self.power()
 
     def power(self) -> Expression:
         node = self.primary()
-        if (tok := self.tokens[self.i]).kind == "caret":
-            self.i += 1
+        if (tok := self.tok).kind == "caret":
+            self._next()
             rhs = self.factor()
             return _shared(self.table, Binary, ("^", id(node), id(rhs)), "^", node, rhs, tok.position)
         return node
@@ -219,29 +251,61 @@ class _Parser:
             return _shared(self.table, Number, (value.hex(),), value, tok.position)
         if tok.kind == "t":
             return _shared(self.table, TimeVar, (), tok.position)
-        if tok.kind == "ident":
-            if tok.lexeme not in FUNCTIONS:
-                raise ParseError(f"unknown function {tok.lexeme!r}", tok.position)
-            self._next("lparen", "'('")
-            arg = self.expr()
-            self._next("rparen", "')'")
-            return _shared(self.table, Call, (tok.lexeme, id(arg)), tok.lexeme, arg, tok.position)
-        if tok.kind == "lparen":
-            node = self.expr()
-            self._next("rparen", "')'")
+        if tok.kind == "ident" and tok.lexeme not in FUNCTIONS:
+            raise ParseError(f"unknown function {tok.lexeme!r}", tok.position)
+        if tok.kind not in ("ident", "lparen"):
+            raise ParseError(f"unexpected token {tok.lexeme!r}", tok.position)
+        # A call or bracketed group.  Its node depends only on its text, from
+        # its name or "(" through the matching ")", so a text met before is
+        # neither lexed nor parsed again; lexing resumes after its ")".  This
+        # stays inline: a method would cost a frame per level of nesting.
+        opening = tok if tok.kind == "lparen" else self.tok
+        close = self._closing(opening.position) if opening.kind == "lparen" else -1
+        # without a matching ")" the group cannot parse, and it has no text
+        text = self.src[tok.position:close + 1] if close >= 0 else None
+        if (node := self.groups.get(text)) is not None:
+            self.tok = _token_at(self.src, close + 1)
             return node
-        raise ParseError(f"unexpected token {tok.lexeme!r}", tok.position)
+        if tok.kind == "ident":
+            self._next("lparen", "'('")
+        node = self.expr()
+        self._next("rparen", "')'")
+        if tok.kind == "ident":
+            node = _shared(self.table, Call, (tok.lexeme, id(node)), tok.lexeme, node, tok.position)
+        self.groups[text] = node
+        return node
+
+    def _closing(self, start: int) -> int:
+        """The offset of the ")" that matches the "(" at ``start``, or -1.
+        No token but "(" and ")" holds a parenthesis, so characters suffice."""
+        src, depth, pos = self.src, 1, start + 1
+        while (close := src.find(")", pos)) >= 0:
+            depth += src.count("(", pos, close) - 1
+            if depth == 0:
+                return close
+            pos = close + 1
+        return -1
 
 
 def parse_source(src: str, table: dict | None = None) -> Expression:
     """Parse ``src`` into an Expression; all of its tokens must be consumed.
     Equal subtrees become one node object, shared through ``table`` with
-    earlier parses (a fresh table by default)."""
-    parser = _Parser(tokenize(src), {} if table is None else table)
-    node = parser.expr()
-    if (leftover := parser.tokens[parser.i]).kind != "end":
-        raise ParseError(f"unexpected trailing token {leftover.lexeme!r}", leftover.position)
-    return node
+    earlier parses (a fresh table by default).  A call or bracketed group
+    whose text is in the table's memo of ``groups`` is neither lexed nor
+    parsed again; a table without one, as any but that of ``matrix_cells``,
+    gets a fresh memo for this call.  Tokens are lexed as the parser reaches
+    them, but a LexError anywhere in ``src`` wins over a ParseError, as if
+    ``src`` had been lexed first."""
+    parser = _Parser(src, {} if table is None else table)
+    try:
+        node = parser.expr()
+        if (leftover := parser.tok).kind != "end":
+            raise ParseError(f"unexpected trailing token {leftover.lexeme!r}", leftover.position)
+        return node
+    except ParseError as exc:
+        error = exc
+    tokenize(src)  # raises the LexError, if there is one
+    raise error
 
 
 # On numpy scalars these give inf or NaN, never an exception.  A subtree
@@ -501,7 +565,7 @@ def matrix_cells(entries) -> Cells:
     one node.  The refusal of an entry (a lex or parse error, a wrong type,
     a number that is not finite as a double) keeps its type and names the entry."""
     cells = []
-    table: dict = {}
+    table = _Table()
     for (i, j), value in entries:
         try:
             cell = as_cell(value, table)

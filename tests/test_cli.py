@@ -719,6 +719,12 @@ class TestVerifyCommand:
         assert cli.main(["verify", "--tol", "1e-4"]) == 2
         assert "unrecognized arguments: --tol 1e-4" in capsys.readouterr().err
 
+    def test_importing_the_cli_leaves_the_battery_unloaded(self):
+        # only verify runs the battery, so no other command pays for importing it
+        code = "import sys, qfirstlaw.cli; print('qfirstlaw.verification' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
     def test_overtight_tolerance_fails_closed_form_checks(self, monkeypatch):
         # the checks read the bound when they run, so it stays live
         monkeypatch.setattr(verification, "ORACLE_TOL", 1e-12)

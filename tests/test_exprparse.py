@@ -1,9 +1,12 @@
 import copy
+import importlib.util
+import json
 import math
 import operator
 import pickle
 import random
 import string
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,6 +153,19 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse_source(src)
         assert (err.value.message, err.value.position) == (message, offset)
+
+    @pytest.mark.parametrize("src, offset", [("1 2 $", 4), ("(1 $", 3), ("(1 2 $", 5),
+                                             ("exp(t)+exp(t) 2 $", 16)])
+    def test_lex_error_anywhere_wins_over_a_parse_error(self, src, offset):
+        with pytest.raises(LexError, match="unexpected character") as err:
+            parse_source(src)
+        assert err.value.position == offset
+
+    @pytest.mark.parametrize("src, offset", [("1+ ", 2), ("(1 ", 2), ("exp( t ", 6), ("  ", 0)])
+    def test_end_of_input_is_the_end_of_the_last_token(self, src, offset):
+        with pytest.raises(ParseError) as err:
+            parse_source(src)
+        assert (err.value.message, err.value.position) == ("unexpected end of expression", offset)
 
 
 class TestEvaluate:
@@ -346,14 +362,19 @@ class TestMatrixCells:
 
 
 class _NoSharing(dict):
-    """A parse table that never matches, so every occurrence of a
-    subexpression is its own node with its own offset."""
+    """A parse table that never matches, and whose memo of groups never
+    matches either, so every occurrence of a subexpression is its own node
+    with its own offset."""
 
     def get(self, key, default=None):
         return default
 
     def __setitem__(self, key, value):
         pass
+
+    @property
+    def groups(self):
+        return _NoSharing()
 
 
 _LEAVES = ("t", "0.5", "2", "0.25", "3", "1e-3")
@@ -544,6 +565,128 @@ class TestSharedSubexpressions:
         with pytest.raises(DomainError) as alone:
             _per_cell(sources, 2, times)
         assert (str(info.value), info.value.position) == (str(alone.value), alone.value.position)
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def _load_perfbench_inputs():
+    """The benchmark's input generator, loaded as it is, read-only."""
+    path = Path(__file__).parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _operator_entries(op):
+    return [((i, j), entry) for i, row in enumerate(op) for j, entry in enumerate(row)]
+
+
+def _memo_cases():
+    """(dim, entries) of the matrices the memo must leave unchanged: seeded
+    mixed-unitary channels at d = 2..8, the qudit-d4 driven Hamiltonian, and
+    the committed custom channels."""
+    inputs = _load_perfbench_inputs()
+    cases = []
+    for dim in range(2, 9):
+        (doc,) = json.loads(inputs.qudit_inputs(1, 1, dim, False, 4.0, 16))
+        for k, op in enumerate(doc["channel"]["kraus"]):
+            cases.append(pytest.param(dim, _operator_entries(op), id=f"seeded-d{dim}-K{k}"))
+    (doc,) = json.loads(inputs.qudit_inputs(1, 1, 4, True, 4.0, 400))
+    h = doc["hamiltonian"]
+    entries = [((i, i), (e, 0.0)) for i, e in enumerate(h["diag"])]
+    entries += [((i, j), (re, im)) for i, j, re, im in h["upper"]]
+    cases.append(pytest.param(4, entries, id="qudit-d4-driven-H"))
+    for path in sorted(DATA.glob("*_custom.json")):
+        channel = json.loads(path.read_text())
+        for k, op in enumerate(channel["kraus"]):
+            cases.append(pytest.param(channel["dim"], _operator_entries(op),
+                                      id=f"{path.stem}-K{k}"))
+    return cases
+
+
+def _cells_with_a_fresh_memo_per_string(entries):
+    """matrix_cells's cells, each string parsed by parse_source (through
+    as_cell) into one plain table, so that no string meets another's memo."""
+    table, cells = {}, []
+    for index, value in entries:
+        cell = exprparse.as_cell(value, table)
+        if cell != (exprparse.ZERO, exprparse.ZERO):
+            cells.append((index, cell))
+    return exprparse.Cells(cells, table.values())
+
+
+def _canonical(cells):
+    """The parse table of ``cells`` in order, each node as its class, its
+    operator, function or number bits, the indices of its operands and its
+    offset (the table's keys up to node identity, with positions), then the
+    cells, the plan's rows and its steps, by table index."""
+    index = {}
+    nodes = []
+    for node in cells.nodes:
+        if isinstance(node, Number):
+            label = node.value.hex()
+        else:
+            label = getattr(node, "op", getattr(node, "fn", None))
+        operands = tuple(index[id(x)] for x in exprparse._operands(node))
+        index[id(node)] = len(nodes)
+        nodes.append((type(node).__name__, label, operands, node.pos))
+    plan = cells.plan
+    return (nodes,
+            [(at, tuple(index.get(id(part), "0") for part in cell)) for at, cell in cells],
+            sorted((index[key], row) for key, row in plan.rows.items()),
+            [(ufunc.__name__, start, stop, [(row, np.asarray(arg).tolist()) for row, arg in args])
+             for ufunc, start, stop, args in plan.steps],
+            plan.root_rows.tolist(), plan.size)
+
+
+class TestGroupMemo:
+    @pytest.mark.parametrize("dim, entries", _memo_cases())
+    def test_memo_changes_no_table_plan_or_value(self, dim, entries):
+        cells = exprparse.matrix_cells(entries)
+        reference = _cells_with_a_fresh_memo_per_string(entries)
+        assert _canonical(cells) == _canonical(reference)
+        for times in (0.7, np.linspace(0.0, 8.0, 33)):
+            got = exprparse.evaluate_matrix(cells, dim, times)
+            want = exprparse.evaluate_matrix(reference, dim, times)
+            assert got.tobytes() == want.tobytes()
+
+    def test_a_repeated_group_is_neither_lexed_nor_parsed_again(self, monkeypatch):
+        lexed = []
+        token_at = exprparse._token_at
+
+        def recorded(src, pos):
+            lexed.append((src, token := token_at(src, pos)))
+            return token
+
+        monkeypatch.setattr(exprparse, "_token_at", recorded)
+        first, second = "2*sqrt(0.3*(1-exp(-t)))", "-0.5*sqrt(0.3*(1-exp(-t))) "
+        cells = exprparse.matrix_cells([((0, 0), first), ((0, 1), second)])
+        # lexing resumes after the group's ")", and the end sits there too
+        assert [(tok.lexeme, tok.position) for src, tok in lexed if src == second] == [
+            ("-", 0), ("0.5", 1), ("*", 4), ("sqrt", 5), ("(", 9), ("", 26)]
+        assert cells[1][1][0].right is cells[0][1][0].right
+
+    def test_no_memo_outlives_its_table(self):
+        entries = [((0, 0), "sqrt(1-exp(-t))"), ((1, 1), "2*sqrt(1-exp(-t))")]
+        first, second = exprparse.matrix_cells(entries), exprparse.matrix_cells(entries)
+        assert second[0][1][0] is not first[0][1][0]
+        assert not set(map(id, second.nodes)) & set(map(id, first.nodes))
+
+
+MALFORMED = json.loads((DATA / "malformed_entries.json").read_text())
+
+
+@pytest.mark.parametrize("case", MALFORMED, ids=[case["case"] for case in MALFORMED])
+def test_malformed_entry_fails_as_it_always_has(case):
+    """Each entry of the committed corpus, parsed in order into one matrix,
+    raises the recorded error type, message and offset."""
+    entries = [((0, k), value) for k, value in enumerate(case["entries"])]
+    with pytest.raises(exprparse.ExpressionError) as err:
+        exprparse.matrix_cells(entries)
+    assert type(err.value).__name__ == case["error"]
+    assert (err.value.message, err.value.position) == (case["message"], case["offset"])
 
 
 def expression_trees():

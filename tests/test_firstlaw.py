@@ -1,7 +1,9 @@
 import dataclasses
 import itertools
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1294,6 +1296,36 @@ class TestIntegrateFirstLaw:
 
         ratio = max_error(250) / max_error(500)
         assert 3.5 <= ratio <= 4.5
+
+
+class TestDirectSum:
+    """Phase damping on the first qubit block of d = 4 and phase flip on the
+    second (tests/data/direct_sum_d4_custom.json), from 0.6 rho_A (+) 0.4 rho_A
+    under H = diag(0, 1) (+) diag(0.37, 1.37).  No cross term survives and
+    every eigenvector lives in one block, so the ledger is 0.6 of the
+    phase-damping ledger plus 0.4 of the phase-flip one, exactly."""
+
+    SPEC = ChannelSpec.from_json(json.loads(
+        (Path(__file__).parent / "data" / "direct_sum_d4_custom.json").read_text()))
+    H = Hamiltonian([0.0, 1.0, 0.37, 1.37])
+
+    def _errors(self, steps):
+        a = REFERENCE_STATE.matrix
+        zero = np.zeros((2, 2))
+        rho0 = DensityOperator(np.block([[0.6 * a, zero], [zero, 0.4 * a]]))
+        ledger = run_energetics(self.SPEC, rho0, self.H, TimeGrid(8.0, steps))
+        tau = ledger.tau
+        heat = 0.6 * oracle.pd_heat(tau, 0.0, 1.0) + 0.4 * oracle.pf_heat(tau, 0.37, 1.37)
+        coherence = (0.6 * oracle.pd_coherence(tau, 0.0, 1.0)
+                     + 0.4 * oracle.pf_coherence(tau, 0.37, 1.37))
+        return (np.max(np.abs(ledger.heat - heat)), np.max(np.abs(ledger.coherence - coherence)))
+
+    def test_ledger_is_the_weighted_sum_of_the_block_closed_forms(self):
+        assert max(self._errors(4000)) <= ORACLE_TOL
+
+    def test_quadrature_error_shrinks_second_order(self):
+        ratios = np.divide(self._errors(500), self._errors(1000))
+        assert np.all(np.abs(ratios - 4.0) <= 0.5), ratios
 
 
 def _grid_last(x):
