@@ -19,7 +19,6 @@ import sys
 
 from . import cxmat, experiment
 from .channel import CPTP_TOL, completeness_deviation, kraus_at
-from .experiment import ConfigError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -33,23 +32,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run one experiment and write a trajectory CSV")
-    _add_experiment_flags(sim)
-    sim.add_argument("--config", help="JSON config file; flags override file values")
-    sim.add_argument("--out", required=True, help="output CSV path")
-
-    rep = sub.add_parser("reproduce", help="reproduce a published figure as CSV + report")
-    rep.add_argument("figure", choices=sorted(experiment.FIGURE_PRESETS))
-    rep.add_argument("--out-dir", required=True, help="directory for CSV and report")
-
-    sub.add_parser("verify", help="run the verification battery")
-
-    info = sub.add_parser("channel-info", help="print Kraus operators at one time")
-    info.add_argument("--channel", required=True, help="channel name or custom:<file>")
-    info.add_argument("--t", type=float, required=True, help="time tau at which to instantiate")
-    return parser
-
-
-def _add_experiment_flags(sim: argparse.ArgumentParser) -> None:
     # defaults live in ExperimentConfig; None here means "not given on the
     # command line" so config-file values are not clobbered
     sim.add_argument("--channel", help=" | ".join([*experiment.CHANNEL_NAMES, "custom:<file>"]))
@@ -62,6 +44,22 @@ def _add_experiment_flags(sim: argparse.ArgumentParser) -> None:
     sim.add_argument("--steps", type=int, help="grid steps (default 4000, minimum 10)")
     sim.add_argument("--emit-oracle", dest="emit_oracle", action="store_const", const=True,
                      help="append closed-form heat/coherence columns")
+    sim.add_argument("--config", help="JSON config file; flags override file values")
+    sim.add_argument("--out", required=True, help="output CSV path")
+    sim.set_defaults(run=cmd_simulate)
+
+    rep = sub.add_parser("reproduce", help="reproduce a published figure as CSV + report")
+    rep.add_argument("figure", choices=sorted(experiment.FIGURE_PRESETS))
+    rep.add_argument("--out-dir", required=True, help="directory for CSV and report")
+    rep.set_defaults(run=cmd_reproduce)
+
+    sub.add_parser("verify", help="run the verification battery").set_defaults(run=cmd_verify)
+
+    info = sub.add_parser("channel-info", help="print Kraus operators at one time")
+    info.add_argument("--channel", required=True, help="channel name or custom:<file>")
+    info.add_argument("--t", type=float, required=True, help="time tau at which to instantiate")
+    info.set_defaults(run=cmd_channel_info)
+    return parser
 
 
 def cmd_simulate(args) -> int:
@@ -113,14 +111,6 @@ def cmd_channel_info(args) -> int:
     return 0
 
 
-_DISPATCH = {
-    "simulate": cmd_simulate,
-    "reproduce": cmd_reproduce,
-    "verify": cmd_verify,
-    "channel-info": cmd_channel_info,
-}
-
-
 #: glibc's ``mallopt`` parameters M_TRIM_THRESHOLD and M_MMAP_THRESHOLD (malloc.h).
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
@@ -151,10 +141,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     _keep_freed_memory()
     try:
-        return _DISPATCH[args.command](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return args.run(args)
     except OSError as exc:  # read_json reports unreadable inputs, so this is an output
         # a failed write() (a full disk) names no file
         print(f"error: cannot write {exc.filename or 'output'}: {exc.strerror or exc}",

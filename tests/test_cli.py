@@ -473,7 +473,7 @@ class TestSimulateCommand:
         def fail(args):
             raise error
 
-        monkeypatch.setitem(cli._DISPATCH, "verify", fail)
+        monkeypatch.setattr(cli, "cmd_verify", fail)
         assert cli.main(["verify"]) == 3
         assert capsys.readouterr().err == f"numeric error: {error}\n"
 

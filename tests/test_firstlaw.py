@@ -730,6 +730,14 @@ class TestMatchingLoop:
         # a cluster whose previous columns are not eigenvectors of rho is kept
         split = np.diag([0.6, 0.4]).astype(complex)
         assert firstlaw._inherit_degenerate(split, values, vectors, had) is vectors
+        # previous columns that are eigenvectors within the residual bound but
+        # tilted 0.4 rad into the untied third vector fail the Gram check
+        values = np.array([0.3, 0.3, 0.3 + 5e-12])
+        c, s = math.cos(0.4), math.sin(0.4)
+        tilted = np.array([[c, 0, -s], [0, 1, 0], [s, 0, c]], dtype=complex)
+        vectors = np.eye(3, dtype=complex)
+        assert firstlaw._inherit_degenerate(np.diag(values).astype(complex), values, vectors,
+                                            tilted) is vectors
 
 
 def _phase_rotation_channel(rng, d):
@@ -1047,7 +1055,7 @@ class TestSpectralTrajectory:
         with pytest.raises(UnsupportedDimensionError, match=" 9 of 10 branches unpinned"):
             run_energetics(spec, rho0, h, TimeGrid(2.0, 40))
         # the refusal is a numeric error of the command that ran it
-        monkeypatch.setitem(cli._DISPATCH, "verify",
+        monkeypatch.setattr(cli, "cmd_verify",
                             lambda args: run_energetics(spec, rho0, h, TimeGrid(2.0, 40)))
         assert cli.main(["verify"]) == 3
         assert capsys.readouterr().err.startswith("numeric error: branch matching left 9 of 10 ")
@@ -1324,7 +1332,10 @@ class TestDirectSum:
         assert max(self._errors(4000)) <= ORACLE_TOL
 
     def test_quadrature_error_shrinks_second_order(self):
-        ratios = np.divide(self._errors(500), self._errors(1000))
+        self.check_second_order(500)
+
+    def check_second_order(self, steps):
+        ratios = np.divide(self._errors(steps), self._errors(2 * steps))
         assert np.all(np.abs(ratios - 4.0) <= 0.5), ratios
 
 
@@ -1388,6 +1399,10 @@ def test_static_hamiltonian_ledger_properties(d, seed):
     """Seeded mixed-unitary channels from pure states under a static
     non-diagonal H: Q + C telescopes to delta U, shifting H by a multiple of
     the identity changes nothing, and scaling H scales every column."""
+    check_static_hamiltonian_ledger(d, seed, TimeGrid(4.0, 16))
+
+
+def check_static_hamiltonian_ledger(d, seed, grid):
     rng = np.random.default_rng(500 + 10 * d + seed)
     spec = _mixed_unitary_channel(rng, d)
     psi = rng.normal(size=d) + 1j * rng.normal(size=d)
@@ -1395,7 +1410,6 @@ def test_static_hamiltonian_ledger_properties(d, seed):
     rho0 = DensityOperator(np.outer(psi, psi.conj()))
     z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     m = 0.25 * (z + z.conj().T)
-    grid = TimeGrid(4.0, 16)
 
     def columns(matrix):
         return _ledger_columns(run_energetics(spec, rho0, Hamiltonian.from_matrix(matrix), grid))
@@ -1451,10 +1465,13 @@ def test_ledger_does_not_depend_on_the_basis(d, drive):
     V leaves W, Q, C and delta U as they were, to round-off.  The state is
     full rank: a pure state's first step matches its null space in whatever
     basis the eigensolver returns, which moves Q and C at first order."""
+    check_basis_independence(d, drive, TimeGrid(2.0, 400))
+
+
+def check_basis_independence(d, drive, grid):
     rng = np.random.default_rng([2900 + d, 1])
     rho = _random_state(rng, d, "full-rank").matrix
     h0, h1 = _hermitian_pair(rng, d)
-    grid = TimeGrid(2.0, 400)
 
     def columns(v):
         m = v @ rho @ v.conj().T
@@ -1474,11 +1491,14 @@ def test_driven_hamiltonian_shift_and_scale(d, drive, state):
     added outside the drive changes no column, and scaling H0 and H1 scales
     every column.  A shift inside the drive, (1 + 0.1 t)(H0 + c I), is a
     time-dependent shift and does work, so it is not tested here."""
+    check_shift_and_scale(d, drive, state, TimeGrid(4.0, 16))
+
+
+def check_shift_and_scale(d, drive, state, grid):
     rng = np.random.default_rng([600 + d, len(drive), len(state)])
     spec = _mixed_unitary_channel(rng, d)
     rho0 = _random_state(rng, d, state)
     h0, h1 = _hermitian_pair(rng, d)
-    grid = TimeGrid(4.0, 16)
     eye = np.eye(d)
 
     def columns(a, b, shift=None):
@@ -1516,12 +1536,15 @@ def test_ledger_does_not_depend_on_the_kraus_representation(d, state, drive):
     """Kraus operators mixed by a Haar unitary u, K'_a = sum_b u_ab K_b, are
     the same channel: W, Q, C and delta U agree to round-off, under H0 and
     under (1 + 0.1 t) H0."""
+    check_kraus_representation(d, state, drive, TimeGrid(2.0, 100))
+
+
+def check_kraus_representation(d, state, drive, grid):
     rng = np.random.default_rng([3100 + d, len(state), len(drive)])
     mix = _haar_unitary(rng, 4)
     rho0 = _random_state(rng, d, state)
     h0, _ = _hermitian_pair(rng, d)
     h = _conjugated_hamiltonian(h0, np.zeros((d, d)), np.eye(d), drive)
-    grid = TimeGrid(2.0, 100)
     seed = rng.integers(2**32)
 
     def columns(spec):
@@ -1533,6 +1556,93 @@ def test_ledger_does_not_depend_on_the_kraus_representation(d, state, drive):
     assert not failing.size, (
         f"d={d}, {state} state, {drive} H: first failing tau={grid.points[failing[0]]!r}, "
         f"deviation {deviation[:, failing[0]].max():.3e}")
+
+
+def _exp_cell(terms):
+    """The (real, imaginary) cells of sum c exp(-i w t) over the (c, w)
+    pairs ``terms``, written as sums of cos and sin terms."""
+    def num(x):
+        return repr(float(x))
+
+    real = "+".join(f"({num(c.real)})*cos({num(w)}*t)+({num(c.imag)})*sin({num(w)}*t)"
+                    for c, w in terms)
+    imag = "+".join(f"({num(c.imag)})*cos({num(w)}*t)-({num(c.real)})*sin({num(w)}*t)"
+                    for c, w in terms)
+    return real, imag
+
+
+def _isospectral_generator(rng, d):
+    """The unitary U and rates g of a seeded G = U diag(g) U†."""
+    return _haar_unitary(rng, d), rng.uniform(0.5, 2.0, size=d)
+
+
+def _vanishes_or_converges(errors):
+    """Every error is at most 1e-12, or each halving of the step divides
+    the error by at least 3.5."""
+    errors = np.asarray(errors)
+    return errors.max() <= 1e-12 or bool(np.all(errors[:-1] >= 3.5 * errors[1:]))
+
+
+# Isospectral evolutions are run on [0, 2] at these step counts, each one
+# half the step before.
+_ISOSPECTRAL_STEPS = (100, 200)
+
+
+def check_isospectral_state(d, state):
+    rng = np.random.default_rng([3700 + d, len(state)])
+    u, g = _isospectral_generator(rng, d)
+    kraus = [[_exp_cell([(u[i, m] * u[j, m].conj(), g[m]) for m in range(d)])
+              for j in range(d)] for i in range(d)]
+    rho0 = _random_state(rng, d, state)
+    h = Hamiltonian.from_matrix(_hermitian_pair(rng, d)[0])
+    spec = ChannelSpec.custom([kraus], dim=d)
+    heat = [np.max(np.abs(run_energetics(spec, rho0, h, TimeGrid(2.0, n)).heat))
+            for n in _ISOSPECTRAL_STEPS]
+    assert _vanishes_or_converges(heat), f"d={d}, {state} state: max |Q| {heat}"
+
+
+@pytest.mark.parametrize("state", ["pure", "full-rank"])
+@pytest.mark.parametrize("d", range(2, 7))
+def test_isospectral_state_exchanges_no_heat(d, state):
+    """Under the one Kraus operator exp(-iGt), entry (j, k) being
+    sum_m U_jm conj(U_km) exp(-i g_m t), and a static non-diagonal H, the
+    state's spectrum is constant, so Q is 0 to round-off, or at least falls
+    at second order."""
+    check_isospectral_state(d, state)
+
+
+def check_isospectral_drive(d, state):
+    rng = np.random.default_rng([3800 + d, len(state)])
+    u, g = _isospectral_generator(rng, d)
+    rho0 = _random_state(rng, d, state)
+    a = u.conj().T @ _hermitian_pair(rng, d)[0] @ u
+
+    def cell(i, j):
+        return _exp_cell([(u[i, m] * a[m, n] * u[j, n].conj(), g[m] - g[n])
+                          for m in range(d) for n in range(d)])
+
+    h = Hamiltonian([cell(i, i)[0] for i in range(d)],
+                    {(i, j): cell(i, j) for i in range(d) for j in range(i + 1, d)})
+    ledgers = [run_energetics(ChannelSpec.identity(dim=d), rho0, h, TimeGrid(2.0, n))
+               for n in _ISOSPECTRAL_STEPS]
+    label = f"d={d}, {state} state"
+    heat = max(np.max(np.abs(ledger.heat)) for ledger in ledgers)
+    assert heat <= 1e-12, f"{label}: max |Q| {heat:.3e}"
+    residual = max(np.max(np.abs(ledger.closure_residual)) for ledger in ledgers)
+    assert residual <= 1e-12, f"{label}: max |closure residual| {residual:.3e}"
+    work = [np.max(np.abs(ledger.work)) for ledger in ledgers]
+    assert _vanishes_or_converges(work), f"{label}: max |W| {work}"
+
+
+@pytest.mark.parametrize("state", ["pure", "full-rank"])
+@pytest.mark.parametrize("d", range(2, 7))
+def test_isospectral_drive_does_no_work(d, state):
+    """The identity channel under H(t) = V H0 V†, V = exp(-iGt), entry
+    (j, k) being sum_ml U_jm A_ml conj(U_kl) exp(-i (g_m - g_l) t) with
+    A = U† H0 U: H's spectrum is constant and the state does not move, so
+    W and Q are 0 and C closes on delta U, to round-off.  W may instead
+    fall at second order."""
+    check_isospectral_drive(d, state)
 
 
 def test_default_grid_constants():
