@@ -45,10 +45,6 @@ CPTP_TOL = 1e-10
 class CptpError(cxmat.NumericError):
     """A Kraus set failed the completeness check sum_i K_i† K_i = I."""
 
-    def __init__(self, message: str, deviation: float):
-        super().__init__(message)
-        self.deviation = deviation
-
 
 @dataclass(frozen=True)
 class KrausSet:
@@ -81,8 +77,9 @@ class KrausSet:
 class ChannelSpec:
     """A time-parameterized family of Kraus sets.
 
-    Builtins are written in the dimensionless time tau = gamma t; custom
-    channels carry each operator's non-zero cells (see
+    A builtin is built from its kind alone, ``ChannelSpec(PHASE_DAMPING)``
+    or any other of BUILTIN_KINDS, and is written in the dimensionless time
+    tau = gamma t; custom channels carry each operator's non-zero cells (see
     exprparse.matrix_cells), evaluated at the requested time.
     """
 
@@ -101,22 +98,6 @@ class ChannelSpec:
             raise ValueError(f"unknown channel kind {self.kind!r}")
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def phase_damping(cls) -> "ChannelSpec":
-        return cls(PHASE_DAMPING)
-
-    @classmethod
-    def phase_flip(cls) -> "ChannelSpec":
-        return cls(PHASE_FLIP)
-
-    @classmethod
-    def bit_flip(cls) -> "ChannelSpec":
-        return cls(BIT_FLIP)
-
-    @classmethod
-    def bit_phase_flip(cls) -> "ChannelSpec":
-        return cls(BIT_PHASE_FLIP)
 
     @classmethod
     def custom(cls, operators, dim: int | None = None) -> "ChannelSpec":
@@ -217,11 +198,9 @@ def validate_cptp(kraus: KrausSet):
     failing = np.flatnonzero(~(np.ravel(deviation) <= CPTP_TOL))
     if failing.size:
         index = failing[0]
-        first = float(np.ravel(deviation)[index])
         raise CptpError(
             f"Kraus set at t={np.ravel(kraus.time_label)[index]} is not CPTP: "
-            f"deviation {first:.3e} > {CPTP_TOL:.3e}",
-            first,
+            f"deviation {np.ravel(deviation)[index]:.3e} > {CPTP_TOL:.3e}"
         )
     return deviation
 

@@ -99,8 +99,9 @@ def _format_complex(z: complex) -> str:
 
 def cmd_channel_info(args) -> int:
     spec = experiment.parse_channel(args.channel)
-    ks = kraus_at(spec, args.t)
-    print(f"channel {args.channel} at t={args.t:g}: {len(ks.operators)} Kraus operators")
+    t = args.t + 0.0  # -0.0 + 0.0 is 0.0: no "t=-0" header and no negative zeros in K2
+    ks = kraus_at(spec, t)
+    print(f"channel {args.channel} at t={t:g}: {len(ks.operators)} Kraus operators")
     for index, op in enumerate(ks.operators):
         print(f"K{index + 1} =")
         for row in op:

@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import cxmat, experiment, exprparse, oracle
-from .channel import ChannelSpec, KrausSet, completeness_deviation, kraus_at
+from .channel import (BIT_FLIP, BIT_PHASE_FLIP, BUILTIN_KINDS, PHASE_DAMPING, PHASE_FLIP,
+                      ChannelSpec, KrausSet, completeness_deviation, kraus_at)
 from .firstlaw import DEFAULT_STEPS, DEFAULT_TAU_MAX, TimeGrid, run_energetics
 from .oracle import ORACLE_TOL
 from .qstate import CheckResult, DensityOperator, Hamiltonian, _within, prepare_pure_state
@@ -65,9 +66,9 @@ def _twin(spec: ChannelSpec, unitary: np.ndarray, theta: float):
 
 #: The ledgers that more than one check reads, by memo tag.
 _SHARED = {
-    "phase_damping:pi/6": lambda: _qubit(ChannelSpec.phase_damping(), math.pi / 6),
-    "phase_flip:pi/6": lambda: _qubit(ChannelSpec.phase_flip(), math.pi / 6),
-    "bit_flip:pi/4,pi/2": lambda: _qubit(ChannelSpec.bit_flip(), math.pi / 4, math.pi / 2),
+    "phase_damping:pi/6": lambda: _qubit(ChannelSpec(PHASE_DAMPING), math.pi / 6),
+    "phase_flip:pi/6": lambda: _qubit(ChannelSpec(PHASE_FLIP), math.pi / 6),
+    "bit_flip:pi/4,pi/2": lambda: _qubit(ChannelSpec(BIT_FLIP), math.pi / 4, math.pi / 2),
 }
 
 
@@ -97,15 +98,15 @@ def check_phase_damping_curves() -> list[CheckResult]:
 
 def check_first_law_closure() -> list[CheckResult]:
     static = (_memo("phase_damping:pi/6"), _memo("phase_flip:pi/6"),
-              _qubit(ChannelSpec.bit_flip(), math.pi / 6),
-              _qubit(ChannelSpec.bit_phase_flip(), math.pi / 6))
+              _qubit(ChannelSpec(BIT_FLIP), math.pi / 6),
+              _qubit(ChannelSpec(BIT_PHASE_FLIP), math.pi / 6))
     results = [_within("first-law closure, builtin channels with static energies",
                        _worst(ledger.closure_residual for ledger in static), 5e-5)]
 
     rho0 = prepare_pure_state(math.pi / 6)
     driven = Hamiltonian([0.0, "1+0.1*t"])
     worst = _worst(_ledger(spec, rho0, driven).closure_residual
-                   for spec in (ChannelSpec.phase_damping(), ChannelSpec.phase_flip()))
+                   for spec in (ChannelSpec(PHASE_DAMPING), ChannelSpec(PHASE_FLIP)))
     results.append(_within("first-law closure, driven diagonal Hamiltonian", worst, 5e-5))
 
     ledger = _ledger(ChannelSpec.identity(), DensityOperator(np.diag([0.25, 0.75]).astype(complex)),
@@ -126,7 +127,7 @@ def check_non_dissipative_invariants() -> list[CheckResult]:
     # superpositions; the phases pick states those channels dephase without
     # freezing outright
     ledgers = (_memo("phase_damping:pi/6"), _memo("phase_flip:pi/6"),
-               _memo("bit_flip:pi/4,pi/2"), _qubit(ChannelSpec.bit_phase_flip(), math.pi / 4))
+               _memo("bit_flip:pi/4,pi/2"), _qubit(ChannelSpec(BIT_PHASE_FLIP), math.pi / 4))
     return [
         _within("non-dissipative channels leave the internal energy unchanged",
                 _worst(ledger.delta_u for ledger in ledgers), 1e-9),
@@ -154,7 +155,7 @@ def check_phase_flip_curves() -> list[CheckResult]:
                 abs(ledger.heat[-1] - 1.259e-4), 1e-5,
                 detail=f"heat(8)={ledger.heat[-1]:.4e}"),
     ]
-    wide = _qubit(ChannelSpec.phase_flip(), math.pi / 6, e_g=0.3, e_e=1.7)
+    wide = _qubit(ChannelSpec(PHASE_FLIP), math.pi / 6, e_g=0.3, e_e=1.7)
     wide_heat_ref = oracle.pf_heat(wide.tau, 0.3, 1.7)
     wide_coh_ref = oracle.pf_coherence(wide.tau, 0.3, 1.7)
     results.append(_within(
@@ -174,7 +175,7 @@ def check_phase_flip_curves() -> list[CheckResult]:
 
 def check_quadrature_order() -> list[CheckResult]:
     def max_error(steps: int) -> float:
-        ledger = _qubit(ChannelSpec.phase_damping(), math.pi / 6, steps=steps)
+        ledger = _qubit(ChannelSpec(PHASE_DAMPING), math.pi / 6, steps=steps)
         return float(np.max(np.abs(ledger.heat - oracle.pd_heat(ledger.tau, 0.0, 1.0))))
 
     ratio = max_error(500) / max_error(1000)
@@ -189,19 +190,19 @@ def check_quadrature_order() -> list[CheckResult]:
 def check_channel_symmetry() -> list[CheckResult]:
     results = []
     for label, theta, base in [
-        ("equal-population setup", math.pi / 4, _qubit(ChannelSpec.phase_flip(), math.pi / 4)),
+        ("equal-population setup", math.pi / 4, _qubit(ChannelSpec(PHASE_FLIP), math.pi / 4)),
         ("reference-angle setup", math.pi / 6, _memo("phase_flip:pi/6")),
     ]:
         worst = 0.0
-        for spec, unitary in [(ChannelSpec.bit_flip(), HADAMARD),
-                              (ChannelSpec.bit_phase_flip(), Y_FROM_Z)]:
+        for spec, unitary in [(ChannelSpec(BIT_FLIP), HADAMARD),
+                              (ChannelSpec(BIT_PHASE_FLIP), Y_FROM_Z)]:
             twin = _twin(spec, unitary, theta)
             worst = max(worst, _worst([twin.heat - base.heat, twin.coherence - base.coherence]))
         results.append(_within(
             f"bit-flip family twins reproduce the phase-flip ledgers ({label})",
             worst, 1e-8))
 
-    closure = (_qubit(ChannelSpec.bit_flip(), math.pi / 4), _memo("bit_flip:pi/4,pi/2"))
+    closure = (_qubit(ChannelSpec(BIT_FLIP), math.pi / 4), _memo("bit_flip:pi/4,pi/2"))
     results.append(_within(
         "bit flip on equal-weight states in the z-basis closes the first law",
         _worst(ledger.closure_residual for ledger in closure), 5e-5))
@@ -213,9 +214,8 @@ def check_channel_symmetry() -> list[CheckResult]:
 
 def check_cptp() -> list[CheckResult]:
     times = np.linspace(0.0, 8.0, 50)
-    worst = max(float(np.max(completeness_deviation(kraus_at(spec, times))))
-                for spec in [ChannelSpec.phase_damping(), ChannelSpec.phase_flip(),
-                             ChannelSpec.bit_flip(), ChannelSpec.bit_phase_flip()])
+    worst = max(float(np.max(completeness_deviation(kraus_at(ChannelSpec(kind), times))))
+                for kind in BUILTIN_KINDS)
     results = [_within("builtin channels complete at 50 sampled times", worst, 1e-12)]
     broken = completeness_deviation(KrausSet((np.eye(2), np.eye(2)), 0.0))
     results.append(CheckResult(
@@ -267,7 +267,7 @@ def check_oracle_eigensystem() -> list[CheckResult]:
 
     rho0 = prepare_pure_state(math.pi / 6)
     taus = np.linspace(0.0, 8.0, 100)
-    eig = cxmat.hermitian_eigen(evolve(ChannelSpec.phase_damping(), rho0, taus).matrix)
+    eig = cxmat.hermitian_eigen(evolve(ChannelSpec(PHASE_DAMPING), rho0, taus).matrix)
     closed = [oracle.pd_eigensystem(float(tau), rho0) for tau in taus]
     # The oracle lists the larger branch first, the solver the smaller.
     values = np.array([v for v, _ in closed])[:, ::-1]

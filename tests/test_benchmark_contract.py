@@ -32,7 +32,7 @@ def _complex_matrix(rows):
 
 def _qubit_ledger():
     rho0 = prepare_pure_state(math.pi / 6)
-    return (ChannelSpec.phase_damping(), rho0, Hamiltonian([0.0, 1.0]),
+    return (ChannelSpec("phase_damping"), rho0, Hamiltonian([0.0, 1.0]),
             TimeGrid(8.0, 4000))
 
 

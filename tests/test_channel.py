@@ -46,31 +46,27 @@ def dephased_state(rho0: DensityOperator, factor: float) -> np.ndarray:
     return m
 
 
-BUILTIN_FAMILIES = [ChannelSpec.phase_damping, ChannelSpec.phase_flip,
-                    ChannelSpec.bit_flip, ChannelSpec.bit_phase_flip]
-
-
 class TestKrausAt:
     def test_phase_damping_at_zero(self):
-        ks = kraus_at(ChannelSpec.phase_damping(), 0.0)
+        ks = kraus_at(ChannelSpec("phase_damping"), 0.0)
         assert np.array_equal(ks.operators[0], np.eye(2, dtype=complex))
         assert np.array_equal(ks.operators[1], np.zeros((2, 2), dtype=complex))
 
     def test_phase_damping_at_log_four(self):
         # gamma = 1 - 1/4 = 3/4
-        ks = kraus_at(ChannelSpec.phase_damping(), math.log(4))
+        ks = kraus_at(ChannelSpec("phase_damping"), math.log(4))
         assert np.allclose(ks.operators[0], np.diag([1.0, 0.5]), atol=1e-15)
         assert np.allclose(ks.operators[1], np.diag([0.0, math.sqrt(3) / 2]), atol=1e-15)
 
     def test_phase_flip_at_log_two(self):
-        ks = kraus_at(ChannelSpec.phase_flip(), math.log(2))
+        ks = kraus_at(ChannelSpec("phase_flip"), math.log(2))
         assert np.allclose(ks.operators[0], math.sqrt(0.5) * np.eye(2), atol=1e-15)
         assert np.allclose(ks.operators[1], math.sqrt(0.5) * PAULI_Z, atol=1e-15)
 
     def test_pauli_assignments(self):
         for spec, pauli in [
-            (ChannelSpec.bit_flip(), PAULI_X),
-            (ChannelSpec.bit_phase_flip(), PAULI_Y),
+            (ChannelSpec("bit_flip"), PAULI_X),
+            (ChannelSpec("bit_phase_flip"), PAULI_Y),
         ]:
             ks = kraus_at(spec, 1.3)
             p = 1 - math.exp(-1.3)
@@ -78,51 +74,42 @@ class TestKrausAt:
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            kraus_at(ChannelSpec.phase_damping(), -0.1)
+            kraus_at(ChannelSpec("phase_damping"), -0.1)
 
-    @pytest.mark.parametrize("family", BUILTIN_FAMILIES, ids=lambda f: f.__name__)
-    def test_builtin_probability_is_one_minus_exp_of_tau(self, family):
+    @pytest.mark.parametrize("kind", channel.BUILTIN_KINDS)
+    def test_builtin_probability_is_one_minus_exp_of_tau(self, kind):
         # builtins read tau as-is: p = 1 - exp(-tau), computed via expm1
         times = TimeGrid(8.0, 80).points
         p = -np.expm1(-times)
-        k1, k2 = kraus_at(family(), times).operators
+        k1, k2 = kraus_at(ChannelSpec(kind), times).operators
         assert np.array_equal(np.abs(k2).max(axis=(-2, -1)), np.sqrt(p))
         assert np.array_equal(k1[:, 1, 1], np.sqrt(1.0 - p))
 
-    @pytest.mark.parametrize("family", BUILTIN_FAMILIES, ids=lambda f: f.__name__)
-    def test_builtin_takes_no_rate(self, family):
+    @pytest.mark.parametrize("kind", channel.BUILTIN_KINDS)
+    def test_builtin_takes_no_rate(self, kind):
         with pytest.raises(TypeError):
-            family(rate=2.0)
+            ChannelSpec(kind, rate=2.0)
 
     @pytest.mark.parametrize("t, shown", [(math.nan, "nan"), (math.inf, "inf"),
                                           (-math.inf, "-inf")])
     def test_builtins_reject_non_finite_grid_time(self, t, shown):
-        for family in BUILTIN_FAMILIES:
+        for kind in channel.BUILTIN_KINDS:
             with pytest.raises(ValueError, match=f"time must be finite and non-negative, got {shown}"):
-                kraus_at(family(), np.array([0.0, 1.0, t, 2.0]))
+                kraus_at(ChannelSpec(kind), np.array([0.0, 1.0, t, 2.0]))
 
     @pytest.mark.parametrize("t, shown", [(math.nan, "nan"), (math.inf, "inf"),
                                           ([0.0, 1.0, math.nan], "nan")])
     def test_non_finite_time_rejected(self, t, shown):
-        for spec in [ChannelSpec.phase_damping(), ChannelSpec.identity()]:
+        for spec in [ChannelSpec("phase_damping"), ChannelSpec.identity()]:
             with pytest.raises(ValueError, match=f"time must be finite and non-negative, got {shown}"):
                 kraus_at(spec, t)
 
 
 class TestValidateCptp:
     @pytest.mark.parametrize("t", [0.0, 0.1, math.log(2), 2.0, 8.0])
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            ChannelSpec.phase_damping(),
-            ChannelSpec.phase_flip(),
-            ChannelSpec.bit_flip(),
-            ChannelSpec.bit_phase_flip(),
-        ],
-        ids=lambda s: s.kind,
-    )
-    def test_builtins_complete(self, spec, t):
-        assert completeness_deviation(kraus_at(spec, t)) <= 1e-12
+    @pytest.mark.parametrize("kind", channel.BUILTIN_KINDS)
+    def test_builtins_complete(self, kind, t):
+        assert completeness_deviation(kraus_at(ChannelSpec(kind), t)) <= 1e-12
 
     def test_double_identity_fails_by_one(self):
         deviation = completeness_deviation(KrausSet((np.eye(2),) * 2, 0.0))
@@ -151,26 +138,25 @@ class TestValidateCptp:
 
     def test_validate_returns_the_deviation_or_raises_at_the_first_bad_time(self):
         times = np.array([0.0, 1.3, 4.0])
-        kraus = kraus_at(ChannelSpec.phase_flip(), times)
+        kraus = kraus_at(ChannelSpec("phase_flip"), times)
         assert np.array_equal(validate_cptp(kraus), completeness_deviation(kraus))
         drifting = ChannelSpec.custom([[["1", "0"], ["0", "1-0.1*t"]]])
         with pytest.raises(CptpError, match=r"^Kraus set at t=1\.3 is not CPTP: deviation "
-                                            r"2\.431e-01 > 1\.000e-10$") as info:
+                                            r"2\.431e-01 > 1\.000e-10$"):
             validate_cptp(kraus_at(drifting, times))
-        assert info.value.deviation == completeness_deviation(kraus_at(drifting, 1.3))
 
 
 class TestApply:
     def test_phase_damping_scales_off_diagonals(self):
         for tau in [0.0, 0.4, 1.7, 6.0]:
-            out = evolve(ChannelSpec.phase_damping(), REFERENCE_STATE, tau)
+            out = evolve(ChannelSpec("phase_damping"), REFERENCE_STATE, tau)
             expected = dephased_state(REFERENCE_STATE, math.exp(-0.5 * tau))
             assert np.max(np.abs(out.matrix - expected)) <= 1e-12
 
     def test_phase_flip_factor_changes_sign(self):
         # factor 2e^{-tau} - 1: positive before ln 2, negative after
         for tau, sign in [(0.3, 1), (math.log(2), 0), (2.0, -1)]:
-            out = evolve(ChannelSpec.phase_flip(), REFERENCE_STATE, tau)
+            out = evolve(ChannelSpec("phase_flip"), REFERENCE_STATE, tau)
             expected = dephased_state(REFERENCE_STATE, 2 * math.exp(-tau) - 1)
             assert np.max(np.abs(out.matrix - expected)) <= 1e-12
             if sign:
@@ -178,14 +164,9 @@ class TestApply:
 
     def test_builtins_fix_maximally_mixed(self):
         mixed = DensityOperator(np.eye(2, dtype=complex) / 2)
-        for spec in [
-            ChannelSpec.phase_damping(),
-            ChannelSpec.phase_flip(),
-            ChannelSpec.bit_flip(),
-            ChannelSpec.bit_phase_flip(),
-        ]:
+        for kind in channel.BUILTIN_KINDS:
             for tau in np.linspace(0.0, 8.0, 15):
-                out = evolve(spec, mixed, float(tau))
+                out = evolve(ChannelSpec(kind), mixed, float(tau))
                 assert np.max(np.abs(out.matrix - mixed.matrix)) <= 1e-15
 
     def test_refuses_incomplete_set(self):
@@ -195,7 +176,7 @@ class TestApply:
 
     def test_dim_mismatch(self):
         with pytest.raises(cxmat.ShapeError):
-            apply(kraus_at(ChannelSpec.phase_damping(), 0.0), DensityOperator(np.eye(3) / 3))
+            apply(kraus_at(ChannelSpec("phase_damping"), 0.0), DensityOperator(np.eye(3) / 3))
 
     def test_trace_drift_beyond_the_completeness_deviation_is_refused(self):
         # deviation 5e-11 passes the CPTP check; the trace-10 state drifts by
@@ -208,24 +189,24 @@ class TestApply:
 
 class TestEvolve:
     def test_off_diagonal_value_at_tau_two(self):
-        out = evolve(ChannelSpec.phase_damping(), REFERENCE_STATE, 2.0)
+        out = evolve(ChannelSpec("phase_damping"), REFERENCE_STATE, 2.0)
         # sqrt(3)/4 * e^{-1}, evaluated independently
         assert out.matrix[0, 1].real == pytest.approx(0.159296470792246, abs=1e-14)
 
     def test_phase_flip_diagonal_at_log_two(self):
-        out = evolve(ChannelSpec.phase_flip(), REFERENCE_STATE, math.log(2))
+        out = evolve(ChannelSpec("phase_flip"), REFERENCE_STATE, math.log(2))
         assert abs(out.matrix[0, 1]) <= 1e-15
         assert out.matrix[0, 0].real == pytest.approx(0.75, abs=1e-15)
 
     def test_zero_time_is_identity(self):
-        for spec in [ChannelSpec.phase_damping(), ChannelSpec.bit_flip()]:
+        for spec in [ChannelSpec("phase_damping"), ChannelSpec("bit_flip")]:
             out = evolve(spec, REFERENCE_STATE, 0.0)
             assert np.array_equal(out.matrix, REFERENCE_STATE.matrix)
 
     @given(angles_theta, angles_phi, st.floats(0.0, 8.0))
     def test_preserves_density_invariants(self, theta, phi, tau):
         rho0 = prepare_pure_state(theta, phi)
-        for spec in [ChannelSpec.phase_damping(), ChannelSpec.phase_flip()]:
+        for spec in [ChannelSpec("phase_damping"), ChannelSpec("phase_flip")]:
             out = evolve(spec, rho0, tau)
             assert all(r.passed for r in validate_density(out))
 
@@ -245,22 +226,22 @@ class TestEvolve:
 
     def test_diagonals_constant_for_z_dephasing_any_state(self):
         rho0 = prepare_pure_state(0.9, 2.2)
-        for spec in [ChannelSpec.phase_damping(), ChannelSpec.phase_flip()]:
+        for spec in [ChannelSpec("phase_damping"), ChannelSpec("phase_flip")]:
             for tau in np.linspace(0.0, 8.0, 25):
                 out = evolve(spec, rho0, float(tau))
                 assert np.max(np.abs(np.diag(out.matrix - rho0.matrix))) <= 1e-15
 
     def test_diagonals_constant_for_xy_flips_on_equal_populations(self):
         # bit flip / bit-phase flip only preserve populations when they start equal
-        for spec, phi in [(ChannelSpec.bit_flip(), math.pi / 2), (ChannelSpec.bit_phase_flip(), 0.0)]:
+        for kind, phi in [("bit_flip", math.pi / 2), ("bit_phase_flip", 0.0)]:
             rho0 = prepare_pure_state(math.pi / 4, phi)
             for tau in np.linspace(0.0, 8.0, 25):
-                out = evolve(spec, rho0, float(tau))
+                out = evolve(ChannelSpec(kind), rho0, float(tau))
                 assert np.max(np.abs(np.diag(out.matrix - rho0.matrix))) <= 1e-15
 
     def test_bit_phase_flip_has_complex_action(self):
         rho0 = prepare_pure_state(math.pi / 4)
-        out = evolve(ChannelSpec.bit_phase_flip(), rho0, 1.0)
+        out = evolve(ChannelSpec("bit_phase_flip"), rho0, 1.0)
         # sigma_y conjugation flips the sign of the real part of rho01
         expected = (1 - math.exp(-1.0)) * (-0.5) + math.exp(-1.0) * 0.5
         assert out.matrix[0, 1].real == pytest.approx(expected, abs=1e-14)
@@ -279,7 +260,7 @@ class TestCustomChannels:
         spec = self.dephasing_as_expressions()
         for tau in [0.0, 0.5, 2.0, 7.0]:
             mine = evolve(spec, REFERENCE_STATE, tau)
-            builtin = evolve(ChannelSpec.phase_damping(), REFERENCE_STATE, tau)
+            builtin = evolve(ChannelSpec("phase_damping"), REFERENCE_STATE, tau)
             assert np.max(np.abs(mine.matrix - builtin.matrix)) <= 1e-12
 
     def test_identity_channel(self):
@@ -288,18 +269,16 @@ class TestCustomChannels:
 
     def test_rejects_non_cptp_at_time_zero(self):
         with pytest.raises(CptpError, match=r"^Kraus set at t=0\.0 is not CPTP: deviation "
-                                            r"7\.500e-01 > 1\.000e-10$") as info:
+                                            r"7\.500e-01 > 1\.000e-10$"):
             ChannelSpec.custom([[["0.5", "0"], ["0", "0.5"]]])
-        assert info.value.deviation == 0.75
 
     def test_nan_deviation_is_refused(self):
         # at t > 0 the second operator's K†K is inf - inf = nan off the diagonal
         big = [["1e200*t", "1e200*t"], ["1e200*t", "-1e200*t"]]
         spec = ChannelSpec.custom([[["1", "0"], ["0", "1"]], big])
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(CptpError, match=r"t=1\.0 is not CPTP: deviation nan") as info:
+            with pytest.raises(CptpError, match=r"t=1\.0 is not CPTP: deviation nan > "):
                 evolve(spec, REFERENCE_STATE, np.array([0.0, 1.0, 2.0]))
-        assert math.isnan(info.value.deviation)
 
     def test_drifting_channel_fails_later(self):
         drifting = ChannelSpec.custom([[["1", "0"], ["0", "1-0.1*t"]]])
@@ -336,9 +315,9 @@ class TestCustomChannels:
         drifting = ChannelSpec.custom([[["1", "0"], ["0", "1-0.1*t"]]])
         grid = TimeGrid(4.0, 40)
         first_bad = re.escape(repr(float(grid.points[1])))
-        with pytest.raises(CptpError, match=rf"t={first_bad} is not CPTP") as info:
+        deviation = f"{1.0 - (1.0 - 0.1 * grid.points[1]) ** 2:.3e}"
+        with pytest.raises(CptpError, match=rf"t={first_bad} is not CPTP: deviation {deviation} "):
             spectral_trajectory(drifting, REFERENCE_STATE, Hamiltonian([0.0, 1.0]), grid)
-        assert info.value.deviation == pytest.approx(1.0 - (1.0 - 0.1 * grid.points[1]) ** 2)
 
     def test_from_json_round_trip(self):
         payload = json.dumps(
@@ -410,10 +389,9 @@ class TestStackKernelsMatchEinsum:
 
     @pytest.mark.parametrize("phi", [0.0, math.pi / 2])
     @pytest.mark.parametrize("theta", [math.pi / 6, math.pi / 4])
-    @pytest.mark.parametrize("family", [ChannelSpec.phase_damping, ChannelSpec.phase_flip,
-                                        ChannelSpec.bit_flip, ChannelSpec.bit_phase_flip])
-    def test_builtin_families(self, family, theta, phi):
-        self._assert_bit_equal(family(), prepare_pure_state(theta, phi))
+    @pytest.mark.parametrize("kind", channel.BUILTIN_KINDS)
+    def test_builtin_families(self, kind, theta, phi):
+        self._assert_bit_equal(ChannelSpec(kind), prepare_pure_state(theta, phi))
 
     @pytest.mark.parametrize("theta", [math.pi / 6, math.pi / 4])
     def test_custom_phase_damping_fixture(self, theta):

@@ -460,7 +460,7 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("error, base", [
         (cxmat.NumericError("drift"), RuntimeError),
-        (CptpError("drift", 1.0), RuntimeError),
+        (CptpError("drift"), RuntimeError),
         (cxmat.ConvergenceError("drift"), RuntimeError),
         (cxmat.NonHermitianError("drift"), ValueError),
         (exprparse.DomainError("drift", 0), ValueError),
@@ -761,6 +761,16 @@ class TestChannelInfoCommand:
         assert code == 0
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("zero", ["-0.0", "-0"])
+    @pytest.mark.parametrize("channel", [*experiment.CHANNEL_NAMES, f"custom:{PHASE_DAMPING_CUSTOM}"],
+                             ids=lambda channel: channel.split(":")[0])
+    def test_negative_zero_time_prints_the_bytes_of_zero(self, capsys, channel, zero):
+        # a negative zero must not reach the header or K2, where sqrt(-expm1(-t)) is -0.0
+        assert cli.main(["channel-info", "--channel", channel, "--t", "0"]) == 0
+        expected = capsys.readouterr()
+        assert cli.main(["channel-info", "--channel", channel, "--t", zero]) == 0
+        assert capsys.readouterr() == expected
+
     def test_negative_time_exits_2(self, capsys):
         code = cli.main(["channel-info", "--channel", "phase-damping", "--t", "-1"])
         assert code == 2
@@ -794,7 +804,7 @@ class TestAllocatorSetting:
 
         monkeypatch.setattr(cli, "_keep_freed_memory", refuse)
         assert reproduce_figure("fig2", tmp_path).passed
-        ledger = run_energetics(ChannelSpec.phase_flip(), prepare_pure_state(math.pi / 6),
+        ledger = run_energetics(ChannelSpec("phase_flip"), prepare_pure_state(math.pi / 6),
                                 Hamiltonian([0.0, 1.0]), TimeGrid(8.0, 400))
         assert len(ledger.tau) == 401
         with pytest.raises(AssertionError, match="changed the allocator"):

@@ -438,7 +438,7 @@ class TestMatchesReference:
     @pytest.mark.parametrize("channel", ["phase_damping", "phase_flip"])
     def test_qubit_channel_stack(self, channel):
         rho0 = prepare_pure_state(math.pi / 6)
-        rho = evolve(getattr(ChannelSpec, channel)(), rho0, TimeGrid(8.0, 4000).points).matrix
+        rho = evolve(ChannelSpec(channel), rho0, TimeGrid(8.0, 4000).points).matrix
         assert rho.shape == (4001, 2, 2)
         _assert_matches_reference(rho)
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qfirstlaw import cli, cxmat, exprparse, firstlaw, oracle, qstate
-from qfirstlaw.channel import ChannelSpec, evolve, kraus_at
+from qfirstlaw.channel import BUILTIN_KINDS, ChannelSpec, evolve, kraus_at
 from qfirstlaw.firstlaw import (
     MAX_BRANCH_DIM,
     TimeGrid,
@@ -24,6 +24,7 @@ from qfirstlaw.verification import ORACLE_TOL
 
 REFERENCE_STATE = prepare_pure_state(math.pi / 6)
 H_DEFAULT = Hamiltonian([0.0, 1.0])
+BUILTIN_SPECS = [ChannelSpec(kind) for kind in BUILTIN_KINDS]
 
 _REFERENCE_TIE_EPS = 1e-12
 
@@ -205,12 +206,7 @@ _CRAFTED_PATTERNS = {
 
 class TestBranchMatchAgreesWithExhaustive:
     @pytest.mark.parametrize("theta", [math.pi / 6, math.pi / 4])
-    @pytest.mark.parametrize(
-        "spec",
-        [ChannelSpec.phase_damping(), ChannelSpec.phase_flip(),
-         ChannelSpec.bit_flip(), ChannelSpec.bit_phase_flip()],
-        ids=lambda spec: spec.kind,
-    )
+    @pytest.mark.parametrize("spec", BUILTIN_SPECS, ids=lambda spec: spec.kind)
     # the second grid puts tau = ln 2, where the flips at theta = pi/4 cross
     # the maximally mixed state, on grid point 50
     @pytest.mark.parametrize("grid", [TimeGrid(8.0, 400), TimeGrid(4 * math.log(2), 200)],
@@ -441,8 +437,6 @@ def assert_ledger_matches_walk_every_step(traj, spec, rho0, h, grid, match=branc
         assert np.max(np.abs(getattr(ledger, name) - getattr(walked, name))) <= 1e-13, name
 
 
-BUILTIN_SPECS = [ChannelSpec.phase_damping(), ChannelSpec.phase_flip(),
-                 ChannelSpec.bit_flip(), ChannelSpec.bit_phase_flip()]
 # tau = ln 2, where the flips at theta = pi/4 cross the maximally mixed
 # state, is grid point 50 of the second grid
 GRIDS = {"tau8": TimeGrid(8.0, 400), "through-ln2": TimeGrid(4 * math.log(2), 200)}
@@ -622,11 +616,11 @@ class TestMatchingLoop:
         # every walked step is one match followed by one inheritance, and
         # the first step is always walked
         rho0 = prepare_pure_state(math.pi / 4)
-        spectral_trajectory(ChannelSpec.phase_flip(), rho0, H_DEFAULT, grid)
+        spectral_trajectory(ChannelSpec("phase_flip"), rho0, H_DEFAULT, grid)
         kinds = [kind for kind, *_ in walk]
         assert len(kinds) >= 2
         assert kinds == ["match", "inherit"] * (len(kinds) // 2)
-        points, _ = _walked_points(walk, ChannelSpec.phase_flip(), rho0, grid)
+        points, _ = _walked_points(walk, ChannelSpec("phase_flip"), rho0, grid)
         assert points[0] == 1 and points == sorted(set(points))
 
     def test_only_the_crossing_point_inherits(self, walk):
@@ -634,13 +628,13 @@ class TestMatchingLoop:
         # steps that touch it are walked, and only it inherits
         rho0 = prepare_pure_state(math.pi / 4)
         grid = GRIDS["through-ln2"]
-        spectral_trajectory(ChannelSpec.phase_flip(), rho0, H_DEFAULT, grid)
-        points, inherited = _walked_points(walk, ChannelSpec.phase_flip(), rho0, grid)
+        spectral_trajectory(ChannelSpec("phase_flip"), rho0, H_DEFAULT, grid)
+        points, inherited = _walked_points(walk, ChannelSpec("phase_flip"), rho0, grid)
         assert points == [1, 50, 51]
         assert inherited == [50]
 
     def test_certified_qubit_ledger_walks_one_step(self, walk):
-        run_energetics(ChannelSpec.phase_damping(), REFERENCE_STATE, H_DEFAULT,
+        run_energetics(ChannelSpec("phase_damping"), REFERENCE_STATE, H_DEFAULT,
                        TimeGrid(8.0, 4000))
         assert [kind for kind, *_ in walk] == ["match", "inherit"]
 
@@ -877,14 +871,12 @@ class TestClusterRule:
 
 
 class TestSpectralTrajectory:
-    @pytest.mark.parametrize("family", [ChannelSpec.phase_damping, ChannelSpec.phase_flip,
-                                        ChannelSpec.bit_flip, ChannelSpec.bit_phase_flip],
-                             ids=lambda f: f.__name__)
-    def test_channel_and_hamiltonian_share_the_grid_time(self, family):
+    @pytest.mark.parametrize("spec", BUILTIN_SPECS, ids=lambda spec: spec.kind)
+    def test_channel_and_hamiltonian_share_the_grid_time(self, spec):
         # tau is the one time variable: H(t) is evaluated at the grid's tau as-is
         h = Hamiltonian([0.0, "1+0.1*t"])
         grid = TimeGrid(3.0, 30)
-        traj = spectral_trajectory(family(), REFERENCE_STATE, h, grid)
+        traj = spectral_trajectory(spec, REFERENCE_STATE, h, grid)
         assert np.array_equal(traj.tau, grid.points)
         assert traj.energies[:, 1].tobytes() == (1 + 0.1 * traj.tau).tobytes()
 
@@ -896,7 +888,7 @@ class TestSpectralTrajectory:
 
     def test_initial_snapshot_descending_with_overlap_row(self):
         traj = spectral_trajectory(
-            ChannelSpec.phase_damping(), REFERENCE_STATE, H_DEFAULT, TimeGrid(1.0, 4)
+            ChannelSpec("phase_damping"), REFERENCE_STATE, H_DEFAULT, TimeGrid(1.0, 4)
         )
         assert traj.eigenvalues[0][0] == pytest.approx(1.0, abs=1e-12)
         assert traj.eigenvalues[0][1] == pytest.approx(0.0, abs=1e-12)
@@ -905,7 +897,7 @@ class TestSpectralTrajectory:
 
     def test_eigenvalue_branches_match_closed_form(self):
         traj = spectral_trajectory(
-            ChannelSpec.phase_damping(), REFERENCE_STATE, H_DEFAULT, TimeGrid(8.0, 200)
+            ChannelSpec("phase_damping"), REFERENCE_STATE, H_DEFAULT, TimeGrid(8.0, 200)
         )
         for i in range(len(traj.tau)):
             sm = math.sqrt(0.25 + 0.75 * math.exp(-traj.tau[i]))
@@ -914,13 +906,13 @@ class TestSpectralTrajectory:
 
     def test_long_time_overlap_approaches_identity(self):
         traj = spectral_trajectory(
-            ChannelSpec.phase_damping(), REFERENCE_STATE, H_DEFAULT, TimeGrid(40.0, 400)
+            ChannelSpec("phase_damping"), REFERENCE_STATE, H_DEFAULT, TimeGrid(40.0, 400)
         )
         assert np.max(np.abs(traj.overlap[-1] - np.eye(2))) <= 1e-8
 
     def test_overlap_doubly_stochastic_everywhere(self):
         traj = spectral_trajectory(
-            ChannelSpec.phase_flip(), REFERENCE_STATE, H_DEFAULT, TimeGrid(8.0, 300)
+            ChannelSpec("phase_flip"), REFERENCE_STATE, H_DEFAULT, TimeGrid(8.0, 300)
         )
         for i in range(len(traj.tau)):
             assert np.max(np.abs(traj.overlap[i].sum(axis=0) - 1.0)) <= 1e-10
@@ -931,7 +923,7 @@ class TestSpectralTrajectory:
         # ordered larger at tau=0 stays larger across the sign change of the
         # off-diagonal factor
         traj = spectral_trajectory(
-            ChannelSpec.phase_flip(), REFERENCE_STATE, H_DEFAULT, TimeGrid(8.0, 400)
+            ChannelSpec("phase_flip"), REFERENCE_STATE, H_DEFAULT, TimeGrid(8.0, 400)
         )
         for i in range(len(traj.tau)):
             assert traj.eigenvalues[i][0] - traj.eigenvalues[i][1] >= 0.5 - 1e-12
@@ -941,7 +933,7 @@ class TestSpectralTrajectory:
         # matched branches follow the eigenvectors through the crossing
         rho0 = prepare_pure_state(math.pi / 4)
         traj = spectral_trajectory(
-            ChannelSpec.phase_flip(), rho0, H_DEFAULT, TimeGrid(2.0, 200)
+            ChannelSpec("phase_flip"), rho0, H_DEFAULT, TimeGrid(2.0, 200)
         )
         lead = np.array([traj.eigenvalues[i][0] for i in range(len(traj.tau))])
         taus = np.array([traj.tau[i] for i in range(len(traj.tau))])
@@ -958,7 +950,7 @@ class TestSpectralTrajectory:
         # previous snapshot's branches
         rho0 = prepare_pure_state(math.pi / 4)
         grid = TimeGrid(2 * math.log(2), 2)
-        traj = spectral_trajectory(ChannelSpec.phase_flip(), rho0, H_DEFAULT, grid)
+        traj = spectral_trajectory(ChannelSpec("phase_flip"), rho0, H_DEFAULT, grid)
         gap = abs(traj.eigenvalues[1][0] - traj.eigenvalues[1][1])
         assert gap <= 1e-12
         for k in range(2):
@@ -1004,7 +996,7 @@ class TestSpectralTrajectory:
         assert info.value.index == (1,)
         skewed = DensityOperator(np.array([[1.0, 0.5], [0.0, 0.0]]))
         with pytest.raises(cxmat.NonHermitianError, match=r"^at tau=0: .*not Hermitian"):
-            spectral_trajectory(ChannelSpec.phase_damping(), skewed, H_DEFAULT, TimeGrid(4.0, 16))
+            spectral_trajectory(ChannelSpec("phase_damping"), skewed, H_DEFAULT, TimeGrid(4.0, 16))
 
     def test_invariant_checks_name_first_failing_tau(self):
         tau = np.array([0.0, 0.5, 1.0, 1.5])
@@ -1037,7 +1029,7 @@ class TestSpectralTrajectory:
     def test_hamiltonian_domain_error_names_time(self):
         h = Hamiltonian([0.0, "log(t)"])
         with pytest.raises(exprparse.DomainError, match=r"log\(\) .* at t=0\.0 "):
-            spectral_trajectory(ChannelSpec.phase_damping(), REFERENCE_STATE, h,
+            spectral_trajectory(ChannelSpec("phase_damping"), REFERENCE_STATE, h,
                                 TimeGrid(1.0, 4))
 
     def test_dimensions_past_eight_run_while_their_rows_pin(self, capsys, monkeypatch):
@@ -1063,7 +1055,7 @@ class TestSpectralTrajectory:
     def test_dim_mismatch(self):
         with pytest.raises(cxmat.ShapeError):
             spectral_trajectory(
-                ChannelSpec.phase_damping(),
+                ChannelSpec("phase_damping"),
                 REFERENCE_STATE,
                 Hamiltonian([0.0, 1.0, 2.0]),
                 TimeGrid(1.0, 2),
@@ -1202,20 +1194,20 @@ class TestStaticHamiltonian:
 class TestIntegrateFirstLaw:
     def test_static_hamiltonian_work_is_exactly_zero(self):
         ledger = run_energetics(
-            ChannelSpec.phase_damping(), REFERENCE_STATE, H_DEFAULT, TimeGrid(8.0, 300)
+            ChannelSpec("phase_damping"), REFERENCE_STATE, H_DEFAULT, TimeGrid(8.0, 300)
         )
         assert np.max(np.abs(ledger.work)) == 0.0
 
     def test_ledger_starts_at_zero(self):
         ledger = run_energetics(
-            ChannelSpec.phase_flip(), REFERENCE_STATE, H_DEFAULT, TimeGrid(4.0, 100)
+            ChannelSpec("phase_flip"), REFERENCE_STATE, H_DEFAULT, TimeGrid(4.0, 100)
         )
         for series in (ledger.delta_u, ledger.work, ledger.heat, ledger.coherence):
             assert series[0] == 0.0
 
     def test_heat_tracks_closed_form_on_coarse_grid(self):
         ledger = run_energetics(
-            ChannelSpec.phase_damping(), REFERENCE_STATE, H_DEFAULT, TimeGrid(8.0, 500)
+            ChannelSpec("phase_damping"), REFERENCE_STATE, H_DEFAULT, TimeGrid(8.0, 500)
         )
         reference = np.array([oracle.pd_heat(float(t), 0.0, 1.0) for t in ledger.tau])
         assert np.max(np.abs(ledger.heat - reference)) <= 1e-6
@@ -1223,8 +1215,8 @@ class TestIntegrateFirstLaw:
     @pytest.mark.parametrize("energies", [(0.0, 1.0), (1.7, 0.3), (2.0, -1.0)],
                              ids=["unit", "inverted", "negative"])
     @pytest.mark.parametrize("spec, heat, coherence", [
-        (ChannelSpec.phase_damping(), oracle.pd_heat, oracle.pd_coherence),
-        (ChannelSpec.phase_flip(), oracle.pf_heat, oracle.pf_coherence),
+        (ChannelSpec("phase_damping"), oracle.pd_heat, oracle.pd_coherence),
+        (ChannelSpec("phase_flip"), oracle.pf_heat, oracle.pf_coherence),
     ], ids=["phase_damping", "phase_flip"])
     def test_ledger_matches_closed_forms_for_any_energy_order(self, spec, heat, coherence,
                                                              energies):
@@ -1235,12 +1227,12 @@ class TestIntegrateFirstLaw:
     def test_heat_plus_coherence_cancels_at_machine_precision(self):
         # two-factor product rule is exact, so Q + C telescopes to delta U = 0
         ledger = run_energetics(
-            ChannelSpec.phase_damping(), REFERENCE_STATE, H_DEFAULT, TimeGrid(8.0, 400)
+            ChannelSpec("phase_damping"), REFERENCE_STATE, H_DEFAULT, TimeGrid(8.0, 400)
         )
         assert np.max(np.abs(ledger.heat + ledger.coherence)) <= 1e-13
 
     def test_first_law_closure_static(self):
-        for spec in [ChannelSpec.phase_damping(), ChannelSpec.bit_phase_flip()]:
+        for spec in [ChannelSpec("phase_damping"), ChannelSpec("bit_phase_flip")]:
             ledger = run_energetics(spec, REFERENCE_STATE, H_DEFAULT, TimeGrid(8.0, 300))
             assert np.max(np.abs(ledger.closure_residual)) <= 1e-13
 
@@ -1257,7 +1249,7 @@ class TestIntegrateFirstLaw:
     def test_driven_closure_with_evolving_state(self):
         h = Hamiltonian([0.0, "1+0.1*t"])
         ledger = run_energetics(
-            ChannelSpec.phase_damping(), REFERENCE_STATE, h, TimeGrid(8.0, 500)
+            ChannelSpec("phase_damping"), REFERENCE_STATE, h, TimeGrid(8.0, 500)
         )
         assert np.max(np.abs(ledger.closure_residual)) <= 5e-5
         assert np.max(np.abs(ledger.work)) > 1e-3  # the drive actually does work
@@ -1297,7 +1289,7 @@ class TestIntegrateFirstLaw:
     def test_quadrature_error_shrinks_second_order(self):
         def max_error(steps):
             ledger = run_energetics(
-                ChannelSpec.phase_damping(), REFERENCE_STATE, H_DEFAULT, TimeGrid(8.0, steps)
+                ChannelSpec("phase_damping"), REFERENCE_STATE, H_DEFAULT, TimeGrid(8.0, steps)
             )
             reference = np.array([oracle.pd_heat(float(t), 0.0, 1.0) for t in ledger.tau])
             return np.max(np.abs(ledger.heat - reference))
@@ -1360,8 +1352,8 @@ class TestGridLastLayout:
         time = grid.points
         traj = spectral_trajectory(spec, rho0, h, grid)
         eig = cxmat.hermitian_eigen(evolve(spec, rho0, time).matrix)
-        stacks = [*kraus_at(ChannelSpec.bit_phase_flip(), time).operators,
-                  *kraus_at(ChannelSpec.phase_damping(), time).operators,
+        stacks = [*kraus_at(ChannelSpec("bit_phase_flip"), time).operators,
+                  *kraus_at(ChannelSpec("phase_damping"), time).operators,
                   *kraus_at(spec, time).operators, evolve(spec, rho0, time).matrix,
                   h.matrix(time), eig.eigenvalues, eig.eigenvectors,
                   traj.rho, traj.eigenvalues, traj.eigenvectors, traj.overlap]

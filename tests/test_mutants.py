@@ -60,6 +60,19 @@ def transposed_kraus(monkeypatch):
     monkeypatch.setattr(channel, "apply", apply)
 
 
+def conjugated_kraus(monkeypatch):
+    """conj(K) rho Kᵀ in place of K rho K† in ``channel.apply``, the rest of
+    ``apply`` unchanged: sum (K†K)* = I, so the trace is kept and the
+    trace-drift refusal lets it through."""
+    apply = channel.apply
+
+    def conjugated(kraus, rho):
+        ops = tuple(k.conj() for k in kraus.operators)
+        return apply(channel.KrausSet(ops, kraus.time_label), rho)
+
+    monkeypatch.setattr(channel, "apply", conjugated)
+
+
 def unmatched_eigenpairs(monkeypatch):
     """Every grid point's raw eigenpairs in descending order, with no branch
     matching: branches swap at every eigenvalue crossing."""
@@ -116,6 +129,8 @@ def test_unmutated_code_passes_every_check():
     (lagging_energy_basis, ["isospectral-drive"]),
     # null vectors that mix the direct sum's blocks: a first-order heat error
     (rotated_null_space, ["direct-sum"]),
+    # the conjugate set is complete and keeps the trace: only a ledger assertion sees it
+    (conjugated_kraus, ["basis"]),
 ], ids=lambda value: value.__name__ if callable(value) else None)
 def test_mutant_fails_its_checks(monkeypatch, mutant, caught_by):
     mutant(monkeypatch)

@@ -73,7 +73,7 @@ class TestPdEigensystem:
         for rho0 in (REFERENCE_STATE, prepare_pure_state(math.pi / 6, 1.1)):
             for tau in np.linspace(0.0, 8.0, 100):
                 values, vectors = pd_eigensystem(float(tau), rho0)
-                evolved = evolve(ChannelSpec.phase_damping(), rho0, float(tau))
+                evolved = evolve(ChannelSpec("phase_damping"), rho0, float(tau))
                 eig = cxmat.hermitian_eigen(evolved.matrix)
                 assert abs(values[0] - eig.eigenvalues[1]) <= 1e-12
                 assert abs(values[1] - eig.eigenvalues[0]) <= 1e-12
@@ -83,7 +83,7 @@ class TestPdEigensystem:
     def test_eigen_residual_against_evolved_matrix(self):
         for tau in np.linspace(0.0, 10.0, 40):
             values, vectors = pd_eigensystem(float(tau), REFERENCE_STATE)
-            evolved = evolve(ChannelSpec.phase_damping(), REFERENCE_STATE, float(tau))
+            evolved = evolve(ChannelSpec("phase_damping"), REFERENCE_STATE, float(tau))
             resid = np.max(np.abs(evolved.matrix @ vectors - vectors * values))
             assert resid <= 1e-12
 
