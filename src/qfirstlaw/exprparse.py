@@ -47,7 +47,6 @@ not infinity.
 from __future__ import annotations
 
 import math
-import operator
 import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -308,12 +307,7 @@ def parse_source(src: str, table: dict | None = None) -> Expression:
     raise error
 
 
-# On numpy scalars these give inf or NaN, never an exception.  A subtree
-# without ``t`` is evaluated with them, as a scalar.
-_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-           "/": operator.truediv, "^": operator.pow}
-
-#: The numpy ufunc that applies an operator to a block of rows.
+#: The numpy ufunc that applies an operator, to rows or to numpy scalars.
 _UFUNC = {"+": "add", "-": "subtract", "*": "multiply", "/": "divide", "^": "power"}
 
 
@@ -330,9 +324,10 @@ def _operands(expr: Expression) -> tuple:
 class Plan:
     """How ``evaluate`` computes ``roots`` over a grid of times, built once.
 
-    A subtree without ``t`` is evaluated here, as numpy scalars, and so is
-    its check.  Every other distinct node (by identity) owns one row of a
-    (rows, grid) buffer, row 0 holding ``t``.  The nodes of one depth (the
+    A subtree without ``t`` is evaluated here, as numpy scalars, by the same
+    ufuncs that fill the rows, so its value does not depend on whether it
+    reads ``t``; so is its check.  Every other distinct node (by identity)
+    owns one row of a (rows, grid) buffer, row 0 holding ``t``.  The nodes of one depth (the
     longest path down to ``t``) that apply one operator or function, with
     their t-free operands on the same side, form a group: contiguous rows
     filled by one ufunc call.  A t-free operand is a column, but the
@@ -400,19 +395,17 @@ class Plan:
                     continue
                 # spelled out per arity: this loop is most of a plan's cost
                 if isinstance(expr, Binary):
+                    name = _UFUNC[expr.op]
                     ids = (id(expr.left), id(expr.right))
                     below = (depth.get(ids[0], -1), depth.get(ids[1], -1))
                 else:
+                    name = expr.fn if isinstance(expr, Call) else "negative"
                     ids = (id(_operands(expr)[0]),)
                     below = (depth.get(ids[0], -1),)
                 level = 1 + max(below)
                 if level == 0:
                     values = [np.float64(scalars[i]) for i in ids]
-                    if isinstance(expr, Negate):
-                        scalars[key] = -values[0]
-                        continue
-                    value = scalars[key] = (_BINARY[expr.op](*values) if isinstance(expr, Binary)
-                                            else getattr(np, expr.fn)(*values))
+                    value = scalars[key] = getattr(np, name)(*values)
                     # on a numpy scalar, comparisons cost a fraction of np.isfinite
                     self.failed = self.failed or not -np.inf < value < np.inf
                     continue
@@ -420,9 +413,9 @@ class Plan:
                     right = None
                     if below[1] < 0:
                         right = "column" if expr.op != "^" else float(scalars[ids[1]]).hex()
-                    group = (level, _UFUNC[expr.op], "column" if below[0] < 0 else None, right)
+                    group = (level, name, "column" if below[0] < 0 else None, right)
                 else:
-                    group = (level, expr.fn if isinstance(expr, Call) else "negative", None)
+                    group = (level, name, None)
                 depth[key] = level
                 groups.setdefault(group, []).append((key, *ids))
         return groups

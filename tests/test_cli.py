@@ -776,7 +776,8 @@ class TestChannelInfoCommand:
         assert code == 2
 
     @pytest.mark.parametrize("t", ["nan", "inf"])
-    @pytest.mark.parametrize("channel", ["bit-phase-flip", f"custom:{PHASE_DAMPING_CUSTOM}"])
+    @pytest.mark.parametrize("channel", ["bit-phase-flip", f"custom:{PHASE_DAMPING_CUSTOM}"],
+                             ids=lambda channel: channel.split(":")[0])
     def test_non_finite_time_exits_2(self, capsys, channel, t):
         code = cli.main(["channel-info", "--channel", channel, "--t", t])
         assert code == 2

@@ -2,7 +2,6 @@ import copy
 import importlib.util
 import json
 import math
-import operator
 import pickle
 import random
 import string
@@ -406,8 +405,8 @@ def _random_source(rng, pool, depth):
     return src
 
 
-_REFERENCE_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-                     "/": operator.truediv, "^": operator.pow}
+_REFERENCE_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply,
+                     "/": np.divide, "^": np.power}
 
 
 def _reference_value(expr, times, failures):
@@ -552,6 +551,25 @@ class TestSharedSubexpressions:
         else:
             assert not isinstance(got, tuple), got
             assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    def test_a_subexpression_gives_the_same_bits_whether_or_not_it_reads_t(self):
+        # a+0*t equals a at every t >= 0, so each form of a group must give
+        # the bytes of the first; the reference plays no part here
+        rng = random.Random(7)
+        times = np.linspace(0.0, 3.0, 7)
+        pairs = [(rng.uniform(0.05, 4.05), rng.uniform(0.05, 4.05)) for _ in range(300)]
+        pairs.append((2.5591081235012836, 3.0))  # once 16.75968710283213 against ...128
+        groups = []
+        for a, b in pairs:
+            x, y = repr(a), repr(b)
+            xt, yt = f"({x}+0*t)", f"({y}+0*t)"
+            groups += [[f"{p}{op}{q}" for p, q in ((x, y), (xt, y), (x, yt), (xt, yt))]
+                       for op in "+-*/^"]
+            groups += [[f"{fn}({x})", f"{fn}({xt})"] for fn in exprparse.FUNCTIONS]
+            groups.append([f"-{x}", f"-{xt}"])
+        for forms in groups:
+            values = [_value(form, times).tobytes() for form in forms]
+            assert values == [values[0]] * len(forms), forms
 
     def test_shared_failing_subexpression_names_the_first_cell(self):
         # sqrt(1-t) fails from t = 2 on; its first occurrence is in entry

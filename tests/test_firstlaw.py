@@ -1298,37 +1298,75 @@ class TestIntegrateFirstLaw:
         assert 3.5 <= ratio <= 4.5
 
 
+#: The diagonals of each block's two Kraus operators, real in every entry.
+_BLOCK_KRAUS = {
+    "pd": (("1", "sqrt(exp(-t))"), ("0", "sqrt(1-exp(-t))")),
+    "pf": (("sqrt(exp(-t))", "sqrt(exp(-t))"), ("sqrt(1-exp(-t))", "-sqrt(1-exp(-t))")),
+}
+_BLOCK_ORACLE = {"pd": (oracle.pd_heat, oracle.pd_coherence),
+                 "pf": (oracle.pf_heat, oracle.pf_coherence)}
+
+#: d -> blocks (kind, weight, shift s): phase damping ("pd") or phase flip
+#: ("pf") on each qubit block, from the weighted pi/6 state under diag(s, s+1).
+DIRECT_SUMS = {
+    4: (("pd", 0.6, 0.0), ("pf", 0.4, 0.37)),
+    6: (("pd", 0.5, 0.0), ("pf", 0.3, 0.37), ("pd", 0.2, 0.81)),
+    8: (("pd", 0.4, 0.0), ("pf", 0.3, 0.37), ("pd", 0.2, 0.81), ("pf", 0.1, 1.23)),
+}
+
+
+def direct_sum_document(d):
+    """The custom channel document of the d-dimensional direct sum: each
+    block's two diagonal Kraus operators, in block order, zero elsewhere."""
+    kraus = []
+    for b, (kind, _, _) in enumerate(DIRECT_SUMS[d]):
+        for diagonal in _BLOCK_KRAUS[kind]:
+            op = [[["0", "0"] for _ in range(d)] for _ in range(d)]
+            for i, entry in enumerate(diagonal):
+                op[2 * b + i][2 * b + i] = [entry, "0"]
+            kraus.append(op)
+    return {"kind": "custom", "dim": d, "kraus": kraus}
+
+
+def direct_sum_errors(d, steps):
+    """The largest heat and coherence errors of the d-dimensional direct sum
+    against the weighted sum of its blocks' closed forms.  No cross term
+    survives and every eigenvector lives in one block, so the reference is
+    exact."""
+    blocks = DIRECT_SUMS[d]
+    a = REFERENCE_STATE.matrix
+    rho0 = np.zeros((d, d), dtype=complex)
+    for b, (_, w, _) in enumerate(blocks):
+        rho0[2 * b:2 * b + 2, 2 * b:2 * b + 2] = w * a
+    h = Hamiltonian([e for _, _, s in blocks for e in (s, s + 1.0)])
+    spec = ChannelSpec.from_json(direct_sum_document(d))
+    ledger = run_energetics(spec, DensityOperator(rho0), h, TimeGrid(8.0, steps))
+    tau = ledger.tau
+    heat = sum(w * _BLOCK_ORACLE[kind][0](tau, s, s + 1.0) for kind, w, s in blocks)
+    coherence = sum(w * _BLOCK_ORACLE[kind][1](tau, s, s + 1.0) for kind, w, s in blocks)
+    return (np.max(np.abs(ledger.heat - heat)), np.max(np.abs(ledger.coherence - coherence)))
+
+
+def check_direct_sum_second_order(d, steps):
+    ratios = np.divide(direct_sum_errors(d, steps), direct_sum_errors(d, 2 * steps))
+    assert np.all(np.abs(ratios - 4.0) <= 0.5), ratios
+
+
 class TestDirectSum:
-    """Phase damping on the first qubit block of d = 4 and phase flip on the
-    second (tests/data/direct_sum_d4_custom.json), from 0.6 rho_A (+) 0.4 rho_A
-    under H = diag(0, 1) (+) diag(0.37, 1.37).  No cross term survives and
-    every eigenvector lives in one block, so the ledger is 0.6 of the
-    phase-damping ledger plus 0.4 of the phase-flip one, exactly."""
+    """Phase damping and phase flip on the qubit blocks of d = 4, 6 and 8
+    (d = 4 is tests/data/direct_sum_d4_custom.json)."""
 
-    SPEC = ChannelSpec.from_json(json.loads(
-        (Path(__file__).parent / "data" / "direct_sum_d4_custom.json").read_text()))
-    H = Hamiltonian([0.0, 1.0, 0.37, 1.37])
+    def test_d4_fixture_is_the_embedded_direct_sum(self):
+        path = Path(__file__).parent / "data" / "direct_sum_d4_custom.json"
+        assert json.loads(path.read_text()) == direct_sum_document(4)
 
-    def _errors(self, steps):
-        a = REFERENCE_STATE.matrix
-        zero = np.zeros((2, 2))
-        rho0 = DensityOperator(np.block([[0.6 * a, zero], [zero, 0.4 * a]]))
-        ledger = run_energetics(self.SPEC, rho0, self.H, TimeGrid(8.0, steps))
-        tau = ledger.tau
-        heat = 0.6 * oracle.pd_heat(tau, 0.0, 1.0) + 0.4 * oracle.pf_heat(tau, 0.37, 1.37)
-        coherence = (0.6 * oracle.pd_coherence(tau, 0.0, 1.0)
-                     + 0.4 * oracle.pf_coherence(tau, 0.37, 1.37))
-        return (np.max(np.abs(ledger.heat - heat)), np.max(np.abs(ledger.coherence - coherence)))
+    @pytest.mark.parametrize("d", sorted(DIRECT_SUMS))
+    def test_ledger_is_the_weighted_sum_of_the_block_closed_forms(self, d):
+        assert max(direct_sum_errors(d, 4000)) <= ORACLE_TOL
 
-    def test_ledger_is_the_weighted_sum_of_the_block_closed_forms(self):
-        assert max(self._errors(4000)) <= ORACLE_TOL
-
-    def test_quadrature_error_shrinks_second_order(self):
-        self.check_second_order(500)
-
-    def check_second_order(self, steps):
-        ratios = np.divide(self._errors(steps), self._errors(2 * steps))
-        assert np.all(np.abs(ratios - 4.0) <= 0.5), ratios
+    @pytest.mark.parametrize("d", sorted(DIRECT_SUMS))
+    def test_quadrature_error_shrinks_second_order(self, d):
+        check_direct_sum_second_order(d, 500)
 
 
 def _grid_last(x):

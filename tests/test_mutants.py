@@ -27,7 +27,7 @@ CHECKS = {
                                 for state in ("pure", "full-rank")],
     "static": lambda: [ledger.check_static_hamiltonian_ledger(D, seed, TimeGrid(4.0, 40))
                        for seed in range(2)],
-    "direct-sum": lambda: ledger.TestDirectSum().check_second_order(100),
+    "direct-sum": lambda: ledger.check_direct_sum_second_order(4, 100),
     "isospectral-state": lambda: [ledger.check_isospectral_state(D, state)
                                   for state in ("pure", "full-rank")],
     "isospectral-drive": lambda: [ledger.check_isospectral_drive(D, state)
